@@ -395,10 +395,20 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _query_ops() -> dict:
+    """Served ops ``repro-cut query`` covers: those whose params are all
+    scalars (``mutate`` has its own subcommand)."""
+    from .service.ops import OPS
+
+    return {n: s for n, s in OPS.items()
+            if all(p.kind != "list" for p in s.params)}
+
+
 def _cmd_query(args: argparse.Namespace) -> int:
     import json
 
     from .service import request_json
+    from .service.ops import REQUIRED
 
     def need(value, flag: str):
         if value is None:
@@ -406,87 +416,35 @@ def _cmd_query(args: argparse.Namespace) -> int:
             raise SystemExit(2)
         return value
 
-    if args.op == "stats":
-        resp = request_json(args.url, "/stats")
-    elif args.op == "graphs":
-        resp = request_json(args.url, "/graphs")
+    ops = _query_ops()
+    spec = ops.get(args.op)
+    taken = {p.name for p in spec.params} if spec is not None else set()
+    for name in {p.name for s in ops.values() for p in s.params} - taken:
+        if getattr(args, name, None) is not None:
+            print(f"error: {args.op} does not take --{name}", file=sys.stderr)
+            return 2
+    path, payload = f"/{args.op}", None  # graphs / stats: a GET
+    if spec is not None:
+        # unset flags stay out of the body, so the server's defaults apply
+        payload = {"graph": need(args.name, "--name")}
+        for param in spec.params[1:]:
+            value = getattr(args, param.name)
+            if value is not None or param.default is REQUIRED:
+                payload[param.name] = need(value, f"--{param.name}")
     elif args.op == "register":
         graph = _load_any(need(args.file, "--file"))
-        payload = {
+        path, payload = "/graphs", {
             "name": need(args.name, "--name"),
             "vertices": [_json_vertex(v) for v in graph.vertices()],
             "edges": [
                 [_json_vertex(u), _json_vertex(v), w] for u, v, w in graph.edges()
             ],
         }
-        resp = request_json(args.url, "/graphs", payload)
-    elif args.op == "mincut":
-        resp = request_json(
-            args.url,
-            "/mincut",
-            {
-                "graph": need(args.name, "--name"),
-                "eps": args.eps,
-                "trials": args.trials,
-                "seed": args.seed,
-                "preprocess": args.preprocess,
-            },
-        )
-    elif args.op == "kcut":
-        resp = request_json(
-            args.url,
-            "/kcut",
-            {
-                "graph": need(args.name, "--name"),
-                "k": need(args.k, "--k"),
-                "eps": args.eps,
-                "trials": args.trials or 1,
-                "seed": args.seed,
-                "preprocess": args.preprocess,
-            },
-        )
-    elif args.op == "stcut":
-        resp = request_json(
-            args.url,
-            "/stcut",
-            {
-                "graph": need(args.name, "--name"),
-                "s": need(args.s, "--s"),
-                "t": need(args.t, "--t"),
-            },
-        )
-    elif args.op == "gomoryhu":
-        resp = request_json(
-            args.url,
-            "/gomoryhu",
-            {
-                "graph": need(args.name, "--name"),
-                "sides": bool(args.sides),
-            },
-        )
-    elif args.op == "sparsestcut":
-        resp = request_json(
-            args.url,
-            "/sparsestcut",
-            {
-                "graph": need(args.name, "--name"),
-                "seed": args.seed,
-                "trials": args.trials if args.trials is not None else 2,
-                "kernel": bool(args.kernel),
-            },
-        )
-    elif args.op == "kernelize":
-        payload = {
-            "graph": need(args.name, "--name"),
-            "level": args.preprocess or "safe",
-        }
-        if args.k is not None:
-            payload["k"] = args.k
-        resp = request_json(args.url, "/kernelize", payload)
-    elif args.op == "evict":
-        resp = request_json(args.url, "/evict", {"graph": need(args.name, "--name")})
-    else:  # pragma: no cover - argparse choices guard this
-        raise ValueError(args.op)
+    try:
+        resp = request_json(args.url, path, payload)
+    except (ConnectionError, RuntimeError, TimeoutError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(json.dumps(resp, indent=2, sort_keys=True))
     return 1 if isinstance(resp, dict) and "error" in resp else 0
 
@@ -577,14 +535,6 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
     return 1 if isinstance(resp, dict) and "error" in resp else 0
 
 
-def _cmd_query_safe(args: argparse.Namespace) -> int:
-    try:
-        return _cmd_query(args)
-    except (ConnectionError, RuntimeError, TimeoutError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-
 def _json_vertex(v):
     """Vertices as JSON scalars (ints stay ints; the rest go to str)."""
     return v if isinstance(v, (int, str)) else str(v)
@@ -620,6 +570,30 @@ def _add_ampc_backend_flag(p: argparse.ArgumentParser) -> None:
         "$AMPC_BACKEND or serial; never changes results; shm runs "
         "columnar rounds on a persistent shared-memory worker pool)",
     )
+
+
+def _add_query_flags(p: argparse.ArgumentParser, query_ops: dict) -> None:
+    """One ``--PARAM`` flag per served-op param (``graph`` is ``--name``).
+
+    Flags default to unset; each help line names the verbs taking it.
+    """
+    from .preprocess import LEVELS
+
+    params: dict[str, object] = {}
+    verbs: dict[str, list] = {}
+    for spec in query_ops.values():
+        for param in spec.params[1:]:
+            params.setdefault(param.name, param)
+            verbs.setdefault(param.name, []).append(spec.name)
+    for name, param in params.items():
+        kwargs = {"help": f"{param.help} ({', '.join(verbs[name])})"}
+        if param.kind == "bool":
+            kwargs.update(action="store_true", default=None)
+        elif param.kind == "level":
+            kwargs["choices"] = LEVELS
+        else:  # vertex ids travel as strings; the server resolves "7"
+            kwargs["type"] = {"int": int, "float": float}.get(param.kind, str)
+        p.add_argument(f"--{name}", **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -799,29 +773,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mutate)
 
     p = sub.add_parser("query", help="query a running serve instance")
-    p.add_argument("op", choices=["register", "mincut", "kcut", "stcut",
-                                  "gomoryhu", "sparsestcut",
-                                  "kernelize", "graphs", "stats", "evict"])
+    query_ops = _query_ops()
+    p.add_argument("op", choices=["register", *query_ops, "graphs", "stats"])
     p.add_argument("--url", default="http://127.0.0.1:8008")
     p.add_argument("--name", help="graph name on the server")
     p.add_argument("--file", type=Path, help="graph file (register)")
-    p.add_argument("--k", type=int, help="number of parts (kcut)")
-    p.add_argument("--s", help="source vertex (stcut)")
-    p.add_argument("--t", help="sink vertex (stcut)")
-    p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sides", action="store_true",
-                   help="gomoryhu: record a real cut bipartition per "
-                   "tree edge")
-    p.add_argument("--kernel", action="store_true",
-                   help="sparsestcut: contract provably-uncut edges "
-                   "before solving")
-    p.add_argument("--preprocess", choices=["off", "safe", "aggressive"],
-                   default=None,
-                   help="kernelization level for this query "
-                   "(default: the server's --preprocess setting)")
-    p.set_defaults(func=_cmd_query_safe)
+    _add_query_flags(p, query_ops)
+    p.set_defaults(func=_cmd_query)
     return parser
 
 

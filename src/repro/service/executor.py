@@ -94,22 +94,29 @@ def _resolve_graph(ref) -> Graph:
 
 
 def _mincut_trial(
-    ref, eps: float, seed: int, max_copies: int, backend: str | None = None
+    ref, eps: float, seed: int, backend: str | None = None
 ) -> MinCutResult:
     return ampc_min_cut(
-        _resolve_graph(ref), eps=eps, seed=seed, max_copies=max_copies,
-        backend=backend,
+        _resolve_graph(ref), eps=eps, seed=seed, backend=backend
     )
 
 
 def _kcut_trial(
-    ref, k: int, eps: float, seed: int, max_copies: int,
-    backend: str | None = None,
+    ref, k: int, eps: float, seed: int, backend: str | None = None
 ) -> KCutResult:
     return apx_split_kcut(
-        _resolve_graph(ref), k, eps=eps, seed=seed, max_copies=max_copies,
-        backend=backend,
+        _resolve_graph(ref), k, eps=eps, seed=seed, backend=backend
     )
+
+
+def _best_of(results: list, label: str):
+    """The lightest trial (first on ties), charged every trial's rounds
+    as one parallel step."""
+    best = min(results, key=lambda res: res.weight)
+    combined = RoundLedger()
+    combined.absorb_parallel([r.ledger for r in results], label)
+    best.ledger = combined
+    return best
 
 
 def _worker_init() -> None:
@@ -196,7 +203,7 @@ class TrialExecutor:
         is a sound cache key only while the object's content is fixed,
         so owners must call :meth:`forget` when they evict a graph *or
         mutate it in place* (the serving layer's ``/mutate`` path does,
-        in :meth:`repro.service.service.CutService._absorb_mutation`).
+        in :meth:`repro.service.service.CutService.absorb_mutation`).
         """
         if self.workers == 1 or trials == 1:
             return graph
@@ -230,12 +237,11 @@ class TrialExecutor:
         eps: float = 0.5,
         trials: int | None = None,
         seed: int = 0,
-        max_copies: int = 4,
     ) -> MinCutResult:
         """Boosted Algorithm 1 over the pool; best trial wins.
 
         Matches ``ampc_min_cut_boosted(graph, eps=eps, trials=trials,
-        seed=seed, max_copies=max_copies)`` bit for bit.
+        seed=seed)`` bit for bit.
         """
         if trials is None:
             trials = default_trials(graph.num_vertices)
@@ -243,18 +249,9 @@ class TrialExecutor:
         ref = self._graph_ref(graph, trials)
         results: list[MinCutResult] = self._run_batch(
             _mincut_trial,
-            [(ref, eps, s, max_copies, self.ampc_backend) for s in seeds],
+            [(ref, eps, s, self.ampc_backend) for s in seeds],
         )
-        best = results[0]
-        for res in results[1:]:
-            if res.weight < best.weight:
-                best = res
-        combined = RoundLedger()
-        combined.absorb_parallel(
-            [r.ledger for r in results], f"boosting over {trials} parallel trials"
-        )
-        best.ledger = combined
-        return best
+        return _best_of(results, f"boosting over {trials} parallel trials")
 
     def run_kcut(
         self,
@@ -264,27 +261,19 @@ class TrialExecutor:
         eps: float = 0.5,
         trials: int = 1,
         seed: int = 0,
-        max_copies: int = 2,
     ) -> KCutResult:
         """Best APX-SPLIT run over ``trials`` independent seeds."""
         seeds = trial_seeds(seed, trials)
         ref = self._graph_ref(graph, trials)
         results: list[KCutResult] = self._run_batch(
             _kcut_trial,
-            [(ref, k, eps, s, max_copies, self.ampc_backend) for s in seeds],
+            [(ref, k, eps, s, self.ampc_backend) for s in seeds],
         )
-        best = results[0]
-        for res in results[1:]:
-            if res.weight < best.weight:
-                best = res
-        if trials > 1:
-            combined = RoundLedger()
-            combined.absorb_parallel(
-                [r.ledger for r in results],
-                f"APX-SPLIT boosting over {trials} parallel trials",
-            )
-            best.ledger = combined
-        return best
+        if trials == 1:
+            return results[0]
+        return _best_of(
+            results, f"APX-SPLIT boosting over {trials} parallel trials"
+        )
 
     def forget(self, graph: Graph) -> None:
         """Drop the pickled-blob memo for ``graph`` (owner evicted it).

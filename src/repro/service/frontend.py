@@ -16,13 +16,14 @@ tier" item calls for:
   span and recorded in the ``frontend.queue_wait_s`` histogram.
 
 * **Query coalescing** — identical in-flight read queries (same graph
-  *fingerprint*, op, params and seed) share one computation: the first
-  request becomes the *leader* and actually dispatches; followers park
-  on the leader's flight and fan its result out
-  (``frontend.coalesced_hits``).  Keyed by fingerprint, not name, so a
-  mutation between two arrivals correctly splits them into separate
-  flights.  Only pure read ops coalesce (``mincut``, ``kcut``,
-  ``stcut``, ``kernelize``); mutations and registrations never do.
+  *fingerprint*, op and parsed params) share one computation: the
+  first request becomes the *leader* and actually dispatches;
+  followers park on the leader's flight and fan its result out
+  (``frontend.coalesced_hits``).  Keyed by fingerprint, not name, so
+  a mutation between two arrivals correctly splits them into separate
+  flights.  Only ops marked ``coalesce`` in
+  :data:`~repro.service.ops.OPS` (pure reads) coalesce; mutations and
+  registrations never do.
 
 * **Sharding** — :class:`ShardPool` partitions the
   :class:`~repro.service.store.GraphStore` (and with it kernels,
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import json
+import itertools
 import math
 import multiprocessing
 import signal
@@ -57,20 +58,8 @@ from ..graph import Graph, load_any
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Tracer
 from .deltas import FingerprintMismatch
-from .service import CutService
-
-#: Pure read ops — safe to coalesce because identical inputs (same
-#: graph fingerprint + params + seed) are deterministic and have no
-#: side effects beyond cache warming.
-COALESCABLE_OPS = frozenset(
-    {"mincut", "kcut", "stcut", "gomoryhu", "sparsestcut", "kernelize"}
-)
-
-#: Ops routed by the ``graph`` field of their body.
-GRAPH_OPS = frozenset(
-    {"mincut", "kcut", "stcut", "gomoryhu", "sparsestcut", "mutate",
-     "kernelize", "evict"}
-)
+from .ops import BadRequest, parse_request
+from .service import CutService, observe_request, request_summary
 
 
 class Overloaded(Exception):
@@ -84,19 +73,10 @@ class Overloaded(Exception):
 # ----------------------------------------------------------------------
 # Dispatch: op name + JSON body -> CutService call
 # ----------------------------------------------------------------------
-class BadRequest(Exception):
-    """Maps to HTTP 400 in :func:`safe_dispatch`."""
-
-
 def require(body: dict, key: str):
     if key not in body:
         raise BadRequest(f"missing required field {key!r}")
     return body[key]
-
-
-def _opt_int(body: dict, key: str) -> int | None:
-    value = body.get(key)
-    return None if value is None else int(value)
 
 
 def parse_registration(body: dict) -> tuple[str, Graph]:
@@ -125,79 +105,10 @@ def parse_registration(body: dict) -> tuple[str, Graph]:
     return name, graph
 
 
-def key_error_message(exc: KeyError) -> str:
-    # str(KeyError("x")) is "'x'" — unwrap the arg for clean JSON errors.
-    return str(exc.args[0]) if exc.args else str(exc)
-
-
-def dispatch_service(service: CutService, op: str | None, body) -> dict:
-    """Map one wire op onto the service; raises on any failure."""
-    if not isinstance(body, dict):
-        raise BadRequest("request body must be a JSON object")
-    try:
-        if op == "graphs":
-            return service.register(*parse_registration(body))
-        if op == "mincut":
-            return service.mincut(
-                require(body, "graph"),
-                eps=float(body.get("eps", 0.5)),
-                trials=_opt_int(body, "trials"),
-                seed=int(body.get("seed", 0)),
-                preprocess=body.get("preprocess"),
-            )
-        if op == "kcut":
-            return service.kcut(
-                require(body, "graph"),
-                int(require(body, "k")),
-                eps=float(body.get("eps", 0.5)),
-                trials=int(body.get("trials", 1)),
-                seed=int(body.get("seed", 0)),
-                preprocess=body.get("preprocess"),
-            )
-        if op == "stcut":
-            return service.stcut(
-                require(body, "graph"),
-                require(body, "s"),
-                require(body, "t"),
-            )
-        if op == "gomoryhu":
-            return service.gomoryhu(
-                require(body, "graph"),
-                sides=bool(body.get("sides", False)),
-            )
-        if op == "sparsestcut":
-            return service.sparsestcut(
-                require(body, "graph"),
-                seed=int(body.get("seed", 0)),
-                trials=int(body.get("trials", 2)),
-                kernel=bool(body.get("kernel", False)),
-            )
-        if op == "mutate":
-            return service.mutate(
-                require(body, "graph"),
-                adds=body.get("adds") or (),
-                removes=body.get("removes") or (),
-                reweights=body.get("reweights") or (),
-                deltas=body.get("deltas"),
-                expected_fingerprint=body.get("expected_fingerprint"),
-            )
-        if op == "kernelize":
-            return service.kernelize(
-                require(body, "graph"),
-                level=body.get("level", "safe"),
-                k=body.get("k"),
-            )
-        if op == "evict":
-            return service.evict(require(body, "graph"))
-    except FingerprintMismatch:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise BadRequest(str(exc)) from exc
-    raise BadRequest(f"unknown operation {op!r}")
-
-
 def safe_dispatch(service: CutService, op: str | None, body) -> tuple[int, dict]:
-    """Dispatch with every failure mapped to a JSON ``(status, body)``.
+    """Parse a wire op against its :class:`~repro.service.ops.OpSpec` and
+    call the :class:`CutService` method of that name (``graphs``
+    registers), with every failure mapped to a JSON ``(status, body)``.
 
     A handler (or shard worker) must never die without replying — a
     thread killed by an uncaught exception drops the connection
@@ -205,17 +116,23 @@ def safe_dispatch(service: CutService, op: str | None, body) -> tuple[int, dict]
     contract.
     """
     try:
-        return 200, dispatch_service(service, op, body)
-    except BadRequest as exc:
-        return 400, {"error": str(exc)}
+        if not isinstance(body, dict):
+            raise BadRequest("request body must be a JSON object")
+        if op == "graphs":
+            return 200, service.register(*parse_registration(body))
+        _, params = parse_request(op, body)
+        return 200, getattr(service, op)(params.pop("graph"), **params)
     except FingerprintMismatch as exc:
         return 409, {
             "error": str(exc),
             "expected_fingerprint": exc.expected,
             "fingerprint": exc.actual,
         }
+    except (TypeError, ValueError) as exc:
+        return 400, {"error": str(exc)}
     except KeyError as exc:
-        return 404, {"error": key_error_message(exc)}
+        # str(KeyError("x")) is "'x'": unwrap the arg for clean JSON
+        return 404, {"error": str(exc.args[0]) if exc.args else str(exc)}
     except OSError as exc:
         return 400, {"error": f"{type(exc).__name__}: {exc}"}
     except Exception as exc:  # noqa: BLE001 - last-resort 500
@@ -445,9 +362,7 @@ class InlineBackend:
     def dispatch(self, op: str | None, body, tracer: Tracer) -> tuple[int, dict]:
         return safe_dispatch(self.service, op, body)
 
-    def fingerprint_of(self, name) -> str | None:
-        if not isinstance(name, str):
-            return None
+    def fingerprint_of(self, name: str) -> str | None:
         return self.service.store.peek_fingerprint(name)
 
     def graphs(self) -> list[dict]:
@@ -468,9 +383,11 @@ def _shard_main(shard_id: int, conn, service_kwargs: dict) -> None:
 
     Runs in a child process (so it must stay importable at module
     level for the ``spawn`` start method).  The protocol is
-    ``(op, body)`` in, ``(status, payload)`` out, strictly serial per
-    shard — which is exactly what keeps sharded answers bit-identical
-    to the single-process service.  Control ops are prefixed with
+    ``(request_id, op, body)`` in, ``(request_id, status, payload)``
+    out, strictly serial per shard — which is exactly what keeps
+    sharded answers bit-identical to the single-process service.  The
+    id comes back untouched so the parent can discard a late reply to a
+    request it already timed out.  Control ops are prefixed with
     ``__``: ``__graphs__``, ``__stats__``, ``__metrics__``,
     ``__ping__``, ``__stop__``.
     """
@@ -485,9 +402,9 @@ def _shard_main(shard_id: int, conn, service_kwargs: dict) -> None:
                 msg = conn.recv()
             except (EOFError, OSError):
                 break
-            op, body = msg
+            request_id, op, body = msg
             if op == "__stop__":
-                conn.send((200, {"ok": True}))
+                conn.send((request_id, 200, {"ok": True}))
                 break
             try:
                 if op == "__graphs__":
@@ -506,7 +423,7 @@ def _shard_main(shard_id: int, conn, service_kwargs: dict) -> None:
                     {"error": f"shard error: {type(exc).__name__}: {exc}"},
                 )
             try:
-                conn.send(result)
+                conn.send((request_id, *result))
             except (BrokenPipeError, OSError):
                 break
     finally:
@@ -557,6 +474,7 @@ class ShardPool:
         self._conns = []
         self._procs = []
         self._locks = [threading.Lock() for _ in range(self.shards)]
+        self._request_ids = itertools.count()
         # Tracer/metrics objects don't pickle; shard services run
         # untraced and the frontend traces around the round-trip.
         kwargs = dict(self.service_kwargs)
@@ -582,66 +500,91 @@ class ShardPool:
                 raise RuntimeError(f"shard {shard} failed to boot: {payload}")
 
     # ------------------------------------------------------------------
-    def _roundtrip(self, shard: int, op: str, body) -> tuple[int, dict]:
+    def _roundtrip(
+        self, shard: int, op: str, body, timeout_s: float | None = None
+    ) -> tuple[int, dict]:
+        """One request/reply on a shard's pipe, under its lock.
+
+        Replies carry their request's id.  A request that timed out
+        leaves its late reply in the pipe; the next round-trip on the
+        shard reads and discards it instead of answering with it.
+        """
+        if timeout_s is None:
+            timeout_s = self.request_timeout_s
         with self._locks[shard]:
             conn = self._conns[shard]
+            request_id = next(self._request_ids)
+            deadline = time.monotonic() + timeout_s
             try:
-                conn.send((op, body))
-                if not conn.poll(self.request_timeout_s):
-                    return 500, {
-                        "error": f"shard {shard} timed out after "
-                        f"{self.request_timeout_s}s"
-                    }
-                return conn.recv()
+                conn.send((request_id, op, body))
+                while True:
+                    if not conn.poll(max(0.0, deadline - time.monotonic())):
+                        return 500, {
+                            "error": f"shard {shard} timed out after "
+                            f"{timeout_s}s"
+                        }
+                    reply_id, status, payload = conn.recv()
+                    if reply_id == request_id:
+                        return status, payload
             except (EOFError, BrokenPipeError, OSError) as exc:
                 return 500, {
                     "error": f"shard {shard} unavailable: "
                     f"{type(exc).__name__}: {exc}"
                 }
 
+    def _traced_roundtrip(self, tracer, shard, op, name, body):
+        with tracer.span("shard.dispatch") as sp:
+            if sp:
+                sp.set(shard=shard, op=op, graph=name)
+            status, payload = self._roundtrip(shard, op, body)
+            if sp:
+                sp.set(status=status)
+        return status, payload
+
     def route_of(self, name) -> _Route | None:
         with self._routes_lock:
             return self._routes.get(name)
 
-    def fingerprint_of(self, name) -> str | None:
-        route = self.route_of(name) if isinstance(name, str) else None
+    def fingerprint_of(self, name: str) -> str | None:
+        route = self.route_of(name)
         return route.fingerprint if route else None
 
     # ------------------------------------------------------------------
     def dispatch(self, op: str | None, body, tracer: Tracer) -> tuple[int, dict]:
+        """Parse against the op's spec, route by graph, ship the params.
+
+        Parsing before routing gives the inline backend's 400s for a
+        malformed request even when its graph is unknown.
+        """
         if not isinstance(body, dict):
             return 400, {"error": "request body must be a JSON object"}
         if op == "graphs":
             return self._register(body, tracer)
-        if op not in GRAPH_OPS:
-            return 400, {"error": f"unknown operation {op!r}"}
-        name = body.get("graph")
-        route = self.route_of(name) if isinstance(name, str) else None
+        try:
+            spec, params = parse_request(op, body)
+        except ValueError as exc:
+            return 400, {"error": str(exc)}
+        name = params["graph"]
+        route = self.route_of(name)
         if route is None:
             return 404, {"error": f"no graph registered under {name!r}"}
-        with tracer.span("shard.dispatch") as sp:
-            if sp:
-                sp.set(shard=route.shard, op=op, graph=name)
-            status, payload = self._roundtrip(route.shard, op, body)
-            if sp:
-                sp.set(status=status)
-        if status == 200:
-            if op == "mutate":
-                fp = payload.get("fingerprint")
-                if isinstance(fp, str):
-                    with self._routes_lock:
-                        self._routes[name] = _Route(route.shard, fp)
-            elif op == "evict":
-                with self._routes_lock:
+        status, payload = self._traced_roundtrip(
+            tracer, route.shard, op, name, params
+        )
+        if status == 200 and spec.route != "keep":
+            with self._routes_lock:
+                if spec.route == "drop":
                     self._routes.pop(name, None)
+                else:  # "rekey": sticky placement, fresh fingerprint
+                    self._routes[name] = _Route(
+                        route.shard, payload["fingerprint"]
+                    )
         return status, payload
 
     def _register(self, body: dict, tracer: Tracer) -> tuple[int, dict]:
         """Fingerprint locally, ring-route, ship the body to the shard."""
         try:
             name, graph = parse_registration(body)
-        except BadRequest as exc:
-            return 400, {"error": str(exc)}
         except (TypeError, ValueError) as exc:
             return 400, {"error": str(exc)}
         except OSError as exc:
@@ -649,12 +592,9 @@ class ShardPool:
         fingerprint = graph.fingerprint()
         shard = self.ring.route(fingerprint)
         old = self.route_of(name)
-        with tracer.span("shard.dispatch") as sp:
-            if sp:
-                sp.set(shard=shard, op="graphs", graph=name)
-            status, payload = self._roundtrip(shard, "graphs", body)
-            if sp:
-                sp.set(status=status)
+        status, payload = self._traced_roundtrip(
+            tracer, shard, "graphs", name, body
+        )
         if status == 200:
             with self._routes_lock:
                 self._routes[name] = _Route(shard, fingerprint)
@@ -692,7 +632,9 @@ class ShardPool:
     def close(self) -> None:
         for shard in range(self.shards):
             try:
-                self._roundtrip(shard, "__stop__", None)
+                # bounded: a shard still busy with a timed-out request
+                # is joined, then terminated, below
+                self._roundtrip(shard, "__stop__", None, timeout_s=10.0)
             except Exception:  # noqa: BLE001 - best-effort teardown
                 pass
         for conn in self._conns:
@@ -737,16 +679,14 @@ class Frontend:
         metrics: MetricsRegistry | None = None,
     ):
         self.backend = backend
+        # inline: share the service's tracer and registry (one /metrics)
+        service = getattr(backend, "service", None)
         if tracer is None:
-            tracer = getattr(
-                getattr(backend, "service", None), "tracer", None
-            ) or Tracer()
+            tracer = service.tracer if service is not None else Tracer()
         if metrics is None:
-            metrics = getattr(
-                getattr(backend, "service", None), "metrics", None
+            metrics = (
+                service.metrics if service is not None else MetricsRegistry()
             )
-            if metrics is None:
-                metrics = MetricsRegistry()
         self.tracer = tracer
         self.metrics = metrics
         self.coalesce = bool(coalesce)
@@ -834,18 +774,19 @@ class Frontend:
         return status, dict(payload)
 
     def _coalesce_key(self, op: str, body) -> tuple | None:
-        if not self.coalesce or op not in COALESCABLE_OPS:
+        if not (self.coalesce and isinstance(body, dict)):
             return None
-        if not isinstance(body, dict):
+        try:
+            spec, params = parse_request(op, body)
+        except ValueError:
+            return None  # dispatch for the real 400
+        if not spec.coalesce:
             return None
-        fingerprint = self.backend.fingerprint_of(body.get("graph"))
+        fingerprint = self.backend.fingerprint_of(params["graph"])
         if fingerprint is None:
             return None  # unknown graph: dispatch for the real 404
-        try:
-            canonical = json.dumps(body, sort_keys=True)
-        except (TypeError, ValueError):
-            return None
-        return (op, fingerprint, canonical)
+        # coalescable ops take scalar params only, so the values hash
+        return (op, fingerprint, tuple(params.values()))
 
     def _handle_batch(self, body) -> tuple[int, dict]:
         """``/batch``: dispatch each item, errors inline (with trace_id)."""
@@ -857,7 +798,10 @@ class Frontend:
         root = self.tracer.current()
         responses = []
         for i, item in enumerate(requests):
-            op = item.get("op") if isinstance(item, dict) else None
+            op = None
+            if isinstance(item, dict):
+                item = dict(item)
+                op = item.pop("op", None)
             with self.tracer.span("batch.item") as sp:
                 if sp:
                     sp.set(op=op, index=i)
@@ -918,16 +862,8 @@ class Frontend:
         shed: bool = False,
     ) -> None:
         service = getattr(self.backend, "service", None)
-        if service is not None:
-            service.observe_request(op, seconds, error=error, shed=shed)
-            return
-        scope = self.metrics.scope("requests").scope(op)
-        scope.counter("count").inc()
-        if error:
-            scope.counter("errors").inc()
-        if shed:
-            scope.counter("shed").inc()
-        scope.histogram("latency_s").record(seconds)
+        metrics = service.metrics if service is not None else self.metrics
+        observe_request(metrics, op, seconds, error=error, shed=shed)
 
     def graphs(self) -> list[dict]:
         return self.backend.graphs()
@@ -940,24 +876,9 @@ class Frontend:
         return {
             "uptime_s": time.time() - self._started_at,
             "frontend": self.describe(),
-            "requests": self._request_summary(),
+            "requests": request_summary(self.metrics),
             "shards": self.backend.stats(),
         }
-
-    def _request_summary(self) -> dict:
-        summary: dict[str, dict] = {}
-        for name, hist in self.metrics.histograms("requests.").items():
-            op = name[len("requests."):].rsplit(".", 1)[0]
-            digest = hist.summary()
-            summary[op] = {
-                "count": digest["count"],
-                "errors": self.metrics.counter(f"requests.{op}.errors").value,
-                "p50_s": digest["p50"],
-                "p95_s": digest["p95"],
-                "p99_s": digest["p99"],
-                "mean_s": digest["mean"],
-            }
-        return summary
 
     def metrics_payload(self) -> dict:
         if self.backend.mode == "inline":
@@ -1007,23 +928,14 @@ def make_frontend(
         if service is None:
             service = CutService(**(service_kwargs or {}))
         backend = InlineBackend(service)
-        return Frontend(
-            backend,
-            max_inflight=max_inflight,
-            max_queue=max_queue,
-            queue_timeout_s=queue_timeout_s,
-            retry_after_s=retry_after_s,
-            coalesce=coalesce,
-            tracer=tracer or service.tracer,
-            metrics=service.metrics,
-        )
-    if service is not None:
+    elif service is not None:
         raise ValueError(
             "pass service_kwargs (not a live service) in sharded mode"
         )
-    backend = ShardPool(
-        shards, service_kwargs=service_kwargs, start_method=start_method
-    )
+    else:
+        backend = ShardPool(
+            shards, service_kwargs=service_kwargs, start_method=start_method
+        )
     return Frontend(
         backend,
         max_inflight=max_inflight,
@@ -1031,6 +943,5 @@ def make_frontend(
         queue_timeout_s=queue_timeout_s,
         retry_after_s=retry_after_s,
         coalesce=coalesce,
-        tracer=tracer or Tracer(),
-        metrics=MetricsRegistry(),
+        tracer=tracer,
     )

@@ -27,26 +27,10 @@ POST      /frontend  reconfigure admission limits at runtime
 POST      /graphs    ``{"name", "edges": [[u,v,w],...]}`` or
                      ``{"name", "path": "file-on-server"}`` (non-finite
                      weights are a 400)
-POST      /mincut    ``{"graph", "eps"?, "trials"?, "seed"?,
-                     "preprocess"?}`` (``preprocess`` in off/safe/
-                     aggressive; responses carry the kernel stats)
-POST      /kcut      ``{"graph", "k", "eps"?, "trials"?, "seed"?,
-                     "preprocess"?}``
-POST      /stcut     ``{"graph", "s", "t"}``
-POST      /gomoryhu  ``{"graph", "sides"?}`` — the full cut tree:
-                     all-pairs min-cut matrix, canonical tree edges,
-                     per-pair bottleneck indices (``sides=true`` adds
-                     a real cut bipartition per tree edge)
-POST      /sparsestcut ``{"graph", "seed"?, "trials"?, "kernel"?}`` —
-                     uniform sparsest cut (exact to 16 vertices,
-                     Gomory–Hu sweep above; ``kernel=true`` contracts
-                     provably-uncut edges first)
-POST      /mutate    ``{"graph", "adds"?, "removes"?, "reweights"?}``
-                     or ``{"graph", "deltas": [...]}`` — in-place edge
-                     deltas with selective cache invalidation; stale
-                     ``"expected_fingerprint"`` → 409
-POST      /kernelize ``{"graph", "level"?, "k"?}`` — build/warm the
-                     graph's kernel, returns the reduction stats
+POST      /<op>      each served op, one per entry of
+                     :data:`repro.service.ops.OPS`; the body carries
+                     the params that entry declares (``docs/HTTP_API.md``
+                     documents each op with replayed examples)
 POST      /batch     ``{"requests": [{"op": "mincut"|..., ...}, ...]}``
                      → ``{"responses": [...]}``, one per request, errors
                      inline so one bad request doesn't kill the batch
@@ -142,43 +126,59 @@ class _Handler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        frontend = self.server.frontend
         parsed = urllib.parse.urlsplit(self.path)
-        path = parsed.path
+        self._respond("GET", parsed.path, lambda fe, _: self._get(fe, parsed))
+
+    def do_POST(self) -> None:  # noqa: N802 (http.server API)
+        self._respond("POST", self.path, self._post)
+
+    def _respond(self, method: str, path: str, route) -> None:
+        """Serve one request under its ``http.request`` root span.
+
+        The span closes and the request is counted *before* the reply
+        bytes go out: a client that has the response can immediately
+        read its own request in /trace and /metrics (the recorded
+        duration excludes the socket write).  A 429 counts as a shed,
+        not an error.
+        """
+        frontend = self.server.frontend
         op = path.lstrip("/") or "unknown"
         t0 = time.perf_counter()
         with frontend.tracer.span("http.request") as root:
             if root:
-                root.set(method="GET", path=path, op=op)
-            if path == "/healthz":
-                status, payload = 200, {"ok": True}
-            elif path == "/graphs":
-                status, payload = 200, {"graphs": frontend.graphs()}
-            elif path == "/stats":
-                status, payload = 200, frontend.stats()
-            elif path == "/metrics":
-                status, payload = 200, frontend.metrics_payload()
-            elif path == "/frontend":
-                status, payload = 200, frontend.describe()
-            elif path == "/trace":
-                status, payload = self._trace_payload(frontend, parsed.query)
-            else:
-                status, payload = 404, {"error": f"unknown path {path!r}"}
+                root.set(method=method, path=path, op=op)
+            status, payload, headers = route(frontend, op)
             if status >= 400:
                 payload = _with_trace_id(root, payload)
             if root:
                 root.set(status=status)
-        # span closed and metrics recorded *before* the reply bytes go
-        # out: a client that has the response can immediately read its
-        # own request in /trace and /metrics (the recorded duration
-        # excludes the socket write)
         frontend.observe_request(
-            op, time.perf_counter() - t0, error=status >= 400
+            op,
+            time.perf_counter() - t0,
+            error=status >= 400 and status != 429,
+            shed=status == 429,
         )
-        self._reply(status, payload)
+        self._reply(status, payload, headers)
 
     @staticmethod
-    def _trace_payload(frontend: Frontend, query: str) -> tuple[int, dict]:
+    def _get(frontend: Frontend, parsed) -> tuple[int, dict, dict]:
+        path = parsed.path
+        if path == "/healthz":
+            return 200, {"ok": True}, {}
+        if path == "/graphs":
+            return 200, {"graphs": frontend.graphs()}, {}
+        if path == "/stats":
+            return 200, frontend.stats(), {}
+        if path == "/metrics":
+            return 200, frontend.metrics_payload(), {}
+        if path == "/frontend":
+            return 200, frontend.describe(), {}
+        if path == "/trace":
+            return _Handler._trace_payload(frontend, parsed.query)
+        return 404, {"error": f"unknown path {path!r}"}, {}
+
+    @staticmethod
+    def _trace_payload(frontend: Frontend, query: str) -> tuple:
         """``GET /trace``: a bad ``limit`` is a 400, not silently the
         full snapshot — an operator typo'ing ``?limit=abc`` under
         incident pressure must hear about it."""
@@ -191,46 +191,23 @@ class _Handler(BaseHTTPRequestHandler):
             except ValueError:
                 return 400, {
                     "error": f"limit must be an integer, got {raw!r}"
-                }
+                }, {}
             if limit < 0:
-                return 400, {"error": f"limit must be >= 0, got {limit}"}
-        return 200, frontend.trace_payload(limit)
+                return 400, {"error": f"limit must be >= 0, got {limit}"}, {}
+        return 200, frontend.trace_payload(limit), {}
 
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        frontend = self.server.frontend
-        tracer = frontend.tracer
-        op = self.path.lstrip("/") or "unknown"
-        t0 = time.perf_counter()
-        headers: dict[str, str] = {}
-        with tracer.span("http.request") as root:
-            if root:
-                root.set(method="POST", path=self.path, op=op)
-            try:
-                with tracer.span("http.parse") as sp:
-                    body = self._read_json()
-                    if sp:
-                        # _read_json validated the header already
-                        sp.set(
-                            content_length=int(
-                                self.headers.get("Content-Length")
-                            )
-                        )
-            except ValueError as exc:
-                status, payload = 400, {"error": str(exc)}
-            else:
-                status, payload, headers = frontend.handle(op, body)
-            if status >= 400:
-                payload = _with_trace_id(root, payload)
-            if root:
-                root.set(status=status)
-        # as in do_GET: trace + metrics land before the reply is sent
-        frontend.observe_request(
-            op,
-            time.perf_counter() - t0,
-            error=status >= 400 and status != 429,
-            shed=status == 429,
-        )
-        self._reply(status, payload, headers)
+    def _post(self, frontend: Frontend, op: str) -> tuple[int, dict, dict]:
+        try:
+            with frontend.tracer.span("http.parse") as sp:
+                body = self._read_json()
+                if sp:
+                    # _read_json validated the header already
+                    sp.set(
+                        content_length=int(self.headers.get("Content-Length"))
+                    )
+        except ValueError as exc:
+            return 400, {"error": str(exc)}, {}
+        return frontend.handle(op, body)
 
     # ------------------------------------------------------------------
     def _read_json(self) -> dict:

@@ -9,7 +9,13 @@ Composition (each piece independently testable):
 * :class:`~repro.service.oracle.CutOracle` — one lazy Gomory–Hu tree
   per resident graph for O(n) repeated s–t queries;
 * :class:`~repro.service.cache.LRUCache` — finished query results keyed
-  by ``(fingerprint, algorithm, params, seed)``.
+  by ``(fingerprint, op, params)``, the params an op's
+  :class:`~repro.service.ops.OpSpec` names as its key.
+
+Each served op is declared once, in :data:`repro.service.ops.OPS`; the
+public methods below are thin calls into one skeleton
+(:meth:`CutService._serve`) that binds the op's typed params and runs
+the shared lookup → kernel → cache → compute steps.
 
 Result-cache keys use the graph **fingerprint**, not the name, so the
 cache is content-addressed: re-registering the same graph under another
@@ -44,8 +50,9 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Tracer
 from ..preprocess import validate_level
 from .cache import LRUCache
-from .deltas import GraphDelta, MutationRecord, resolve_vertex
-from .executor import TrialExecutor, default_trials
+from .deltas import MutationRecord
+from .executor import TrialExecutor
+from .ops import OPS
 from .oracle import CutOracle
 from .store import GraphEntry, GraphStore
 
@@ -72,7 +79,6 @@ class CutService:
         workers: int = 1,
         store_capacity: int | None = None,
         result_cache_capacity: int = 256,
-        flow_engine: str = "dinic",
         ampc_backend: str | None = None,
         preprocess: str = "off",
         tracer: Tracer | None = None,
@@ -101,7 +107,6 @@ class CutService:
         self.results = LRUCache(
             result_cache_capacity, metrics=self.metrics.scope("results")
         )
-        self.flow_engine = flow_engine
         #: default kernelization level for mincut/kcut queries; each
         #: query may override it with its own ``preprocess`` field.
         self.preprocess = validate_level(preprocess)
@@ -138,9 +143,6 @@ class CutService:
                 )
             return entry.describe()
 
-    def evict(self, name: str) -> dict:
-        return self.store.evict(name).describe()
-
     def graphs(self) -> list[dict]:
         return [e.describe() for e in self.store.entries()]
 
@@ -156,13 +158,12 @@ class CutService:
             self._oracles.pop(entry.fingerprint, None)
         self.executor.forget(entry.graph)
 
-    def _oracle_for(self, entry: GraphEntry) -> CutOracle:
+    def oracle_for(self, entry: GraphEntry) -> CutOracle:
+        """The resident Gomory–Hu oracle of ``entry``'s content."""
         with self._lock:
             oracle = self._oracles.get(entry.fingerprint)
             if oracle is None:
-                oracle = CutOracle(
-                    entry.graph, engine=self.flow_engine, tracer=self.tracer
-                )
+                oracle = CutOracle(entry.graph, tracer=self.tracer)
                 # Only cache the oracle while its graph is still
                 # resident: the entry may have been evicted between the
                 # caller's store.get() and this point, and an oracle
@@ -176,18 +177,9 @@ class CutService:
             return oracle
 
     # ------------------------------------------------------------------
-    # Queries
+    # Served ops: thin calls into one skeleton (see repro.service.ops)
     # ------------------------------------------------------------------
-    def mincut(
-        self,
-        name: str,
-        *,
-        eps: float = 0.5,
-        trials: int | None = None,
-        seed: int = 0,
-        max_copies: int = 4,
-        preprocess: str | None = None,
-    ) -> dict:
+    def mincut(self, name: str, **params) -> dict:
         """Boosted (2+eps)-approximate min cut of a registered graph.
 
         ``preprocess`` overrides the service default kernelization
@@ -196,232 +188,23 @@ class CutService:
         per fingerprint, resident alongside the graph) and the winning
         cut is lifted back; the response carries the kernel stats.
         """
-        tracer = self.tracer
-        with tracer.span("query.mincut") as qsp:
-            with tracer.span("store.lookup") as sp:
-                entry = self.store.get(name)
-                if sp:
-                    sp.set(graph=name, fingerprint=entry.fingerprint)
-            level = validate_level(
-                preprocess if preprocess is not None else self.preprocess
-            )
-            kernel = None
-            if level != "off":
-                with tracer.span("kernel") as sp:
-                    kernel = self.store.kernel_for(entry, level)
-                    if sp:
-                        sp.set(
-                            level=level,
-                            solved=kernel.is_solved,
-                            shrink=kernel.graph.num_vertices
-                            / max(1, entry.num_vertices),
-                        )
-            solved = kernel is not None and kernel.is_solved
-            if trials is None:
-                target_n = (
-                    kernel.graph.num_vertices
-                    if kernel is not None
-                    else entry.num_vertices
-                )
-                trials = 0 if solved else default_trials(max(2, target_n))
-            key = (
-                entry.fingerprint,
-                "mincut",
-                (
-                    "eps", eps, "trials", trials, "max_copies", max_copies,
-                    "preprocess", level,
-                ),
-                seed,
-            )
-            with tracer.span("cache.lookup") as sp:
-                cached = self.results.get(key)
-                if sp:
-                    sp.set(tier="hit" if cached is not None else "miss")
-            if qsp:
-                qsp.set(
-                    graph=name,
-                    fingerprint=entry.fingerprint,
-                    algorithm="ampc-mincut-boosted",
-                    cached=cached is not None,
-                )
-            if cached is not None:
-                # Content-addressed hit: rewrite the name the caller
-                # used (the cached payload may have been computed under
-                # another).
-                return {**cached, "graph": name, "cached": True}
-            t0 = time.perf_counter()
-            if solved:
-                cut = kernel.trivial_cut()
-                rounds = 0
-            elif kernel is not None:
-                result = self.executor.run_mincut(
-                    kernel.graph, eps=eps, trials=trials, seed=seed,
-                    max_copies=max_copies,
-                )
-                with tracer.span("lift") as sp:
-                    cut = kernel.lift(result.cut.side)
-                    if sp:
-                        sp.set(side=len(cut.side))
-                rounds = result.ledger.rounds
-            else:
-                result = self.executor.run_mincut(
-                    entry.graph, eps=eps, trials=trials, seed=seed,
-                    max_copies=max_copies,
-                )
-                cut = result.cut
-                rounds = result.ledger.rounds
-            payload = {
-                "graph": name,
-                "fingerprint": entry.fingerprint,
-                "algorithm": "ampc-mincut-boosted",
-                "weight": cut.weight,
-                "side": _vertex_list(cut.side),
-                "rounds": rounds,
-                "trials": trials,
-                "seed": seed,
-                "eps": eps,
-                "elapsed_s": time.perf_counter() - t0,
-            }
-            if kernel is not None:
-                payload["preprocess"] = kernel.stats()
-            self.results.put(key, payload)
-            return {**payload, "cached": False}
+        return self._serve("mincut", name, params)
 
-    def kcut(
-        self,
-        name: str,
-        k: int,
-        *,
-        eps: float = 0.5,
-        trials: int = 1,
-        seed: int = 0,
-        max_copies: int = 2,
-        preprocess: str | None = None,
-    ) -> dict:
+    def kcut(self, name: str, k: int, **params) -> dict:
         """(4+eps)-approximate min k-cut of a registered graph.
 
         With a non-``off`` ``preprocess`` level the trials run on the
-        cached k-cut kernel (built once per (fingerprint, k, level),
-        like the min-cut kernel) and the winning partition is lifted
-        back to the original vertex set.
+        cached k-cut kernel (built once per (fingerprint, k, level), like
+        the min-cut kernel) and the winning partition is lifted back to
+        the original vertex set.
         """
-        tracer = self.tracer
-        with tracer.span("query.kcut") as qsp:
-            with tracer.span("store.lookup") as sp:
-                entry = self.store.get(name)
-                if sp:
-                    sp.set(graph=name, fingerprint=entry.fingerprint)
-            level = validate_level(
-                preprocess if preprocess is not None else self.preprocess
-            )
-            kernel = None
-            if level != "off":
-                with tracer.span("kernel") as sp:
-                    kernel = self.store.kcut_kernel_for(entry, k, level)
-                    if sp:
-                        sp.set(level=level, reduced=kernel.reduced)
-            key = (
-                entry.fingerprint,
-                "kcut",
-                (
-                    "k", k, "eps", eps, "trials", trials, "max_copies",
-                    max_copies, "preprocess", level,
-                ),
-                seed,
-            )
-            with tracer.span("cache.lookup") as sp:
-                cached = self.results.get(key)
-                if sp:
-                    sp.set(tier="hit" if cached is not None else "miss")
-            if qsp:
-                qsp.set(
-                    graph=name,
-                    fingerprint=entry.fingerprint,
-                    algorithm="apx-split-kcut",
-                    cached=cached is not None,
-                )
-            if cached is not None:
-                return {**cached, "graph": name, "cached": True}
-            t0 = time.perf_counter()
-            target = (
-                kernel.graph
-                if kernel is not None and kernel.reduced
-                else entry.graph
-            )
-            result = self.executor.run_kcut(
-                target, k, eps=eps, trials=trials, seed=seed,
-                max_copies=max_copies,
-            )
-            if kernel is not None:
-                if kernel.reduced:
-                    with tracer.span("lift"):
-                        result.kcut = kernel.lift(result.kcut.parts)
-                result.kernel_stats = kernel.stats()
-            return self._kcut_payload(
-                name, entry, k, result, trials, seed, eps, key, t0
-            )
-
-    def _kcut_payload(
-        self, name, entry, k, result, trials, seed, eps, key, t0
-    ) -> dict:
-        payload = {
-            "graph": name,
-            "fingerprint": entry.fingerprint,
-            "algorithm": "apx-split-kcut",
-            "weight": result.weight,
-            "k": k,
-            "parts": [
-                _vertex_list(p)
-                for p in sorted(result.kcut.parts, key=len, reverse=True)
-            ],
-            "rounds": result.ledger.rounds,
-            "iterations": result.iterations,
-            "trials": trials,
-            "seed": seed,
-            "eps": eps,
-            "elapsed_s": time.perf_counter() - t0,
-        }
-        if result.kernel_stats is not None:
-            payload["preprocess"] = result.kernel_stats
-        self.results.put(key, payload)
-        return {**payload, "cached": False}
+        return self._serve("kcut", name, dict(params, k=k))
 
     def stcut(self, name: str, s: Vertex, t: Vertex) -> dict:
         """Exact s–t min-cut value via the graph's Gomory–Hu oracle."""
-        tracer = self.tracer
-        with tracer.span("query.stcut") as qsp:
-            with tracer.span("store.lookup") as sp:
-                entry = self.store.get(name)
-                if sp:
-                    sp.set(graph=name, fingerprint=entry.fingerprint)
-            oracle = self._oracle_for(entry)
-            s = resolve_vertex(entry.graph, s)
-            t = resolve_vertex(entry.graph, t)
-            was_built = oracle.built
-            t0 = time.perf_counter()
-            value = oracle.st_min_cut(s, t)
-            if qsp:
-                qsp.set(
-                    graph=name,
-                    fingerprint=entry.fingerprint,
-                    algorithm="gomory-hu",
-                    cached=was_built,
-                )
-            return self._stcut_payload(name, entry, s, t, value, was_built, t0)
+        return self._serve("stcut", name, {"s": s, "t": t})
 
-    def _stcut_payload(self, name, entry, s, t, value, was_built, t0) -> dict:
-        return {
-            "graph": name,
-            "fingerprint": entry.fingerprint,
-            "algorithm": "gomory-hu",
-            "s": s,
-            "t": t,
-            "weight": value,
-            "cached": was_built,
-            "elapsed_s": time.perf_counter() - t0,
-        }
-
-    def gomoryhu(self, name: str, *, sides: bool = False) -> dict:
+    def gomoryhu(self, name: str, **params) -> dict:
         """The full cut tree of a registered graph (`/gomoryhu`).
 
         One response carries every pairwise min-cut value (``matrix``),
@@ -445,155 +228,9 @@ class CutService:
         ``connected`` is false — exactly as a cold rebuild would report
         it, instead of failing on the oracle's connectivity check.
         """
-        tracer = self.tracer
-        with tracer.span("query.gomoryhu") as qsp:
-            with tracer.span("store.lookup") as sp:
-                entry = self.store.get(name)
-                if sp:
-                    sp.set(graph=name, fingerprint=entry.fingerprint)
-            sides = bool(sides)
-            key = (entry.fingerprint, "gomoryhu", ("sides", sides), 0)
-            with tracer.span("cache.lookup") as sp:
-                cached = self.results.get(key)
-                if sp:
-                    sp.set(tier="hit" if cached is not None else "miss")
-            if qsp:
-                qsp.set(
-                    graph=name,
-                    fingerprint=entry.fingerprint,
-                    algorithm="gomory-hu-allpairs",
-                    cached=cached is not None,
-                )
-            if cached is not None:
-                return {**cached, "graph": name, "cached": True}
-            if entry.graph.num_vertices < 2:
-                raise ValueError("need n >= 2")
-            self.metrics.scope("scenarios").counter("gomoryhu").inc()
-            t0 = time.perf_counter()
-            payload = self._gomoryhu_payload(name, entry, sides)
-            payload["elapsed_s"] = time.perf_counter() - t0
-            self.results.put(key, payload)
-            return {**payload, "cached": False}
+        return self._serve("gomoryhu", name, params)
 
-    def _gomoryhu_payload(self, name: str, entry: GraphEntry,
-                          sides: bool) -> dict:
-        from ..flow import DinicSolver, gomory_hu_tree
-
-        graph = entry.graph
-        vertices = _vertex_list(graph.vertices())
-        index = {v: i for i, v in enumerate(vertices)}
-        n = len(vertices)
-        components = graph.components()
-        connected = len(components) == 1
-        if connected:
-            values = self._oracle_for(entry).all_pairs()
-        else:
-            # Per-component trees, built cold: the oracle (rightly)
-            # refuses disconnected graphs, and cross-component pairs
-            # have no finite min cut (served as null).
-            values = {}
-            for comp in components:
-                if len(comp) < 2:
-                    continue
-                sub = gomory_hu_tree(
-                    graph.induced_subgraph(comp), engine=self.flow_engine
-                )
-                for u, row in sub.all_pairs_min_cuts().items():
-                    values.setdefault(u, {}).update(row)
-        matrix: list[list] = [[None] * n for _ in range(n)]
-        for u, row in values.items():
-            for v, w in row.items():
-                matrix[index[u]][index[v]] = float(w)
-
-        # Canonical cut tree: the maximum spanning forest of the value
-        # matrix under a fixed tie-break.  Adjacent matrix pairs are
-        # joined by a single tree edge, so each edge's weight is
-        # exactly that pair's min-cut value.
-        pairs = [
-            (i, j, matrix[i][j])
-            for i in range(n)
-            for j in range(i + 1, n)
-            if matrix[i][j] is not None
-        ]
-        pairs.sort(key=lambda e: (-e[2], e[0], e[1]))
-        parent = list(range(n))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        tree: list[dict] = []
-        adjacency: list[list] = [[] for _ in range(n)]
-        for i, j, w in pairs:
-            ri, rj = find(i), find(j)
-            if ri == rj:
-                continue
-            parent[rj] = ri
-            eidx = len(tree)
-            tree.append({"u": vertices[i], "v": vertices[j], "weight": w})
-            adjacency[i].append((j, eidx, w))
-            adjacency[j].append((i, eidx, w))
-
-        # Bottleneck edge per pair: the argmin-weight edge on the tree
-        # path (lowest edge index on ties) — symmetric because both
-        # directions argmin over the same path.
-        bottleneck: list[list] = [[None] * n for _ in range(n)]
-        for s in range(n):
-            stack: list[tuple] = [(s, None)]
-            seen = {s}
-            while stack:
-                v, best = stack.pop()
-                for nbr, eidx, w in adjacency[v]:
-                    if nbr in seen:
-                        continue
-                    seen.add(nbr)
-                    cand = best
-                    if (cand is None or w < cand[0]
-                            or (w == cand[0] and eidx < cand[1])):
-                        cand = (w, eidx)
-                    bottleneck[s][nbr] = cand[1]
-                    stack.append((nbr, cand))
-
-        if sides:
-            for eidx, rec in enumerate(tree):
-                iu = index[rec["u"]]
-                reach = {iu}
-                stack = [iu]
-                while stack:
-                    v = stack.pop()
-                    for nbr, other, _ in adjacency[v]:
-                        if other != eidx and nbr not in reach:
-                            reach.add(nbr)
-                            stack.append(nbr)
-                side = frozenset(vertices[i] for i in reach)
-                if graph.cut_weight(side) != rec["weight"]:
-                    # The canonical tree is flow-equivalent, not
-                    # cut-equivalent: when the fundamental side misses,
-                    # one deterministic max-flow recovers a real cut of
-                    # exactly this value.
-                    side = DinicSolver(graph).max_flow(
-                        rec["u"], rec["v"]
-                    ).source_side
-                rec["side"] = _vertex_list(side)
-
-        return {
-            "graph": name,
-            "fingerprint": entry.fingerprint,
-            "algorithm": "gomory-hu-allpairs",
-            "num_vertices": n,
-            "connected": connected,
-            "components": len(components),
-            "vertices": vertices,
-            "matrix": matrix,
-            "tree": tree,
-            "bottleneck": bottleneck,
-            "sides": sides,
-        }
-
-    def sparsestcut(self, name: str, *, seed: int = 0, trials: int = 2,
-                    kernel: bool = False) -> dict:
+    def sparsestcut(self, name: str, **params) -> dict:
         """Uniform sparsest cut of a registered graph (`/sparsestcut`).
 
         Exact enumeration up to 16 vertices, the Gomory–Hu
@@ -607,115 +244,9 @@ class CutService:
         pure function of graph content, so warm and cold replicas (and
         every AMPC backend) return bit-identical answers.
         """
-        from ..analysis.sparsest import (
-            EXACT_LIMIT,
-            approx_sparsest_cut,
-            exact_sparsest_cut,
-            lift_side,
-            sparsest_kernel,
-        )
+        return self._serve("sparsestcut", name, params)
 
-        tracer = self.tracer
-        with tracer.span("query.sparsestcut") as qsp:
-            with tracer.span("store.lookup") as sp:
-                entry = self.store.get(name)
-                if sp:
-                    sp.set(graph=name, fingerprint=entry.fingerprint)
-            seed, trials, kernel = int(seed), int(trials), bool(kernel)
-            key = (
-                entry.fingerprint,
-                "sparsestcut",
-                ("trials", trials, "kernel", kernel),
-                seed,
-            )
-            with tracer.span("cache.lookup") as sp:
-                cached = self.results.get(key)
-                if sp:
-                    sp.set(tier="hit" if cached is not None else "miss")
-            if qsp:
-                qsp.set(
-                    graph=name,
-                    fingerprint=entry.fingerprint,
-                    algorithm="sparsest-cut",
-                    cached=cached is not None,
-                )
-            if cached is not None:
-                return {**cached, "graph": name, "cached": True}
-            graph = entry.graph
-            n = graph.num_vertices
-            if n < 2:
-                raise ValueError("need n >= 2")
-            self.metrics.scope("scenarios").counter("sparsestcut").inc()
-            t0 = time.perf_counter()
-            target, sizes, blocks, kstats = graph, None, None, None
-            if kernel:
-                with tracer.span("sparsest.kernel") as sp:
-                    bound = approx_sparsest_cut(
-                        graph, seed=seed, trials=max(1, trials)
-                    )
-                    target, sizes, blocks = sparsest_kernel(
-                        graph, upper=bound.sparsity
-                    )
-                    kstats = {
-                        "original_vertices": n,
-                        "kernel_vertices": target.num_vertices,
-                        "original_edges": graph.num_edges,
-                        "kernel_edges": target.num_edges,
-                        "upper_bound": bound.sparsity,
-                    }
-                    if sp:
-                        sp.set(**kstats)
-                if target.num_vertices < 2:
-                    # Unreachable when the bound comes from a real cut;
-                    # kept as a guard against float-boundary surprises.
-                    target, sizes, blocks = graph, None, None
-            with tracer.span("sparsest.solve") as sp:
-                if target.num_vertices <= EXACT_LIMIT:
-                    result = exact_sparsest_cut(target, sizes=sizes)
-                else:
-                    result = approx_sparsest_cut(
-                        target, sizes=sizes, seed=seed, trials=trials
-                    )
-                if sp:
-                    sp.set(method=result.method,
-                           solve_vertices=target.num_vertices)
-            side = result.side if blocks is None else lift_side(
-                result.side, blocks
-            )
-            payload = {
-                "graph": name,
-                "fingerprint": entry.fingerprint,
-                "algorithm": "sparsest-cut",
-                "sparsity": result.sparsity,
-                "weight": result.weight,
-                "demand": result.demand,
-                "side": _vertex_list(side),
-                "method": result.method,
-                "exact": result.method == "exact-enum",
-                "num_vertices": n,
-                "seed": seed,
-                "trials": trials,
-                "kernel": kernel,
-                "elapsed_s": time.perf_counter() - t0,
-            }
-            if kstats is not None:
-                payload["sparsest_kernel"] = kstats
-            self.results.put(key, payload)
-            return {**payload, "cached": False}
-
-    # ------------------------------------------------------------------
-    # Mutation
-    # ------------------------------------------------------------------
-    def mutate(
-        self,
-        name: str,
-        *,
-        adds: list | tuple = (),
-        removes: list | tuple = (),
-        reweights: list | tuple = (),
-        deltas: list | None = None,
-        expected_fingerprint: str | None = None,
-    ) -> dict:
+    def mutate(self, name: str, **params) -> dict:
         """Apply edge deltas to a resident graph **in place** (`/mutate`).
 
         Pass either one delta through the top-level
@@ -748,82 +279,77 @@ class CutService:
         and applies nothing.  A multi-delta batch that fails midway
         reports the failing index; earlier deltas remain applied.
         """
-        if deltas is not None:
-            if adds or removes or reweights:
-                raise ValueError(
-                    "pass either top-level adds/removes/reweights or a "
-                    "'deltas' list, not both"
-                )
-            parsed = [
-                d if isinstance(d, GraphDelta) else GraphDelta.from_json(d)
-                for d in deltas
-            ]
-        else:
-            parsed = [
-                GraphDelta.from_json(
-                    {"adds": adds, "removes": removes, "reweights": reweights}
-                )
-            ]
-        if not parsed:
-            raise ValueError("no deltas given")
+        return self._serve("mutate", name, params)
+
+    def kernelize(self, name: str, **params) -> dict:
+        """Build (or fetch) a resident graph's kernel (`/kernelize`).
+
+        Warms the same per-fingerprint kernel cache the queries use, so
+        a client can pay the reduction cost eagerly; ``cached`` reports
+        whether the kernel was already resident.  With ``k`` the k-cut
+        kernel is built instead of the min-cut kernel at ``level``.
+        """
+        return self._serve("kernelize", name, params)
+
+    def evict(self, name: str) -> dict:
+        """Drop a resident graph; returns its last ``/graphs`` row."""
+        return self._serve("evict", name, {})
+
+    def _serve(self, op: str, name: str, params: dict) -> dict:
+        """The one skeleton behind every served op.
+
+        Binds the op's params, then (for a query) the ``query.<op>``
+        span, ``store.lookup``, ``prepare``, ``cache.lookup``, compute,
+        ``put``.  A content-addressed hit may carry a payload computed
+        under another name, so the caller's name is written back.
+        """
+        spec = OPS[op]
+        p = spec.bind(dict(params, graph=name))
+        if spec.algorithm is None:
+            return spec.compute(self, p)
         tracer = self.tracer
-        with tracer.span("mutate") as msp:
-            t0 = time.perf_counter()
-            records: list[MutationRecord] = []
-            entry: GraphEntry | None = None
-            for i, delta in enumerate(parsed):
-                try:
-                    with tracer.span("mutate.apply") as sp:
-                        entry, record = self.store.apply_delta(
-                            name,
-                            delta,
-                            expected_fingerprint=(
-                                expected_fingerprint if i == 0 else None
-                            ),
-                        )
-                        if sp:
-                            sp.set(
-                                graph=name,
-                                fingerprint=record.new_fingerprint,
-                                noop=record.effect.is_noop,
-                                copied_on_write=record.copied_on_write,
-                            )
-                except (ValueError, KeyError) as exc:
-                    if not records:
-                        raise
-                    reason = exc.args[0] if exc.args else exc
-                    raise ValueError(
-                        f"delta {i} of {len(parsed)} failed: {reason} "
-                        f"(deltas 0..{i - 1} remain applied; re-check "
-                        "/graphs for the current fingerprint)"
-                    ) from None
-                with tracer.span("mutate.invalidate") as sp:
-                    self._absorb_mutation(entry, record)
+        with tracer.span("query." + op) as qsp:
+            with tracer.span("store.lookup") as sp:
+                entry = self.store.get(name)
+                if sp:
+                    sp.set(graph=name, fingerprint=entry.fingerprint)
+            if qsp:
+                qsp.set(graph=name, fingerprint=entry.fingerprint,
+                        algorithm=spec.algorithm)
+            prepared = spec.prepare(self, entry, p) if spec.prepare else None
+            key = None
+            if spec.key is not None:
+                # a list, not a generator: tuple(<genexpr>) over-allocates
+                # and resizes, which bumps the GC's allocation count for
+                # good on every call
+                key = (entry.fingerprint, op, tuple([p[f] for f in spec.key]))
+                with tracer.span("cache.lookup") as sp:
+                    cached = self.results.get(key)
                     if sp:
-                        sp.set(
-                            oracle=record.oracle,
-                            results_dropped=record.results_dropped,
-                            results_rekeyed=record.results_rekeyed,
-                        )
-                records.append(record)
-            if msp:
-                msp.set(
-                    graph=name,
-                    fingerprint=entry.fingerprint,
-                    deltas=len(records),
-                )
-            return {
+                        sp.set(tier="hit" if cached is not None else "miss")
+                if qsp:
+                    qsp.set(cached=cached is not None)
+                if cached is not None:
+                    return {**cached, "graph": name, "cached": True}
+            t0 = time.perf_counter()
+            payload = {
                 "graph": name,
                 "fingerprint": entry.fingerprint,
-                "generation": entry.generation,
-                "mutations": entry.mutations,
-                "num_vertices": entry.num_vertices,
-                "num_edges": entry.num_edges,
-                "deltas": [r.as_dict() for r in records],
-                "elapsed_s": time.perf_counter() - t0,
+                "algorithm": spec.algorithm,
+                **spec.compute(self, entry, p, prepared),
             }
+            payload["elapsed_s"] = time.perf_counter() - t0
+            if key is None:
+                # not result-cached: compute reported "cached" itself
+                if qsp:
+                    qsp.set(cached=payload["cached"])
+                return payload
+            self.results.put(key, payload)
+            return {**payload, "cached": False}
 
-    def _absorb_mutation(self, entry: GraphEntry, record: MutationRecord) -> None:
+    def absorb_mutation(
+        self, entry: GraphEntry, record: MutationRecord
+    ) -> None:
         """Service-level selective invalidation for one applied delta.
 
         The store already moved the fingerprint and revalidated its
@@ -832,6 +358,11 @@ class CutService:
         content is still resident under another name (``record.shared``,
         after copy-on-write) nothing is invalidated — the delta cannot
         touch the sibling's state.
+
+        A swept result survives, re-keyed to the new fingerprint, only
+        when its op's ``rekey`` hook can regenerate it soundly (mincut
+        answered by a kernel that stays solved); everything else is
+        dropped.
         """
         effect = record.effect
         if effect.is_noop:
@@ -859,89 +390,26 @@ class CutService:
                 self._oracles[new_fp] = oracle
         dropped = rekeyed = 0
         for key in list(self.results):
-            if not (isinstance(key, tuple) and key and key[0] == old_fp):
+            fp, op, values = key
+            if fp != old_fp or self.results.pop(key, None) is None:
                 continue
-            if self.results.pop(key, None) is None:
-                continue
-            fresh = self._rekeyed_result(key, new_fp)
+            spec = OPS[op]
+            fresh = None
+            if spec.rekey is not None:
+                fresh = spec.rekey(self, dict(zip(spec.key, values)), new_fp)
             if fresh is not None:
-                self.results.put((new_fp,) + key[1:], fresh)
+                self.results.put((new_fp, op, values), {
+                    "graph": "",  # rewritten with the caller's name on hits
+                    "fingerprint": new_fp,
+                    "algorithm": spec.algorithm,
+                    **fresh,
+                    "elapsed_s": 0.0,
+                })
                 rekeyed += 1
             else:
                 dropped += 1
         record.results_dropped = dropped
         record.results_rekeyed = rekeyed
-
-    def _rekeyed_result(self, key: tuple, new_fp: str) -> dict | None:
-        """Regenerate a swept result under the new fingerprint, if sound.
-
-        Only mincut entries whose kernel survived revalidation *solved*
-        qualify: the cold path would answer straight from
-        ``kernel.trivial_cut()`` (rounds 0, no solver, no randomness),
-        so rebuilding the payload from the bit-identical revalidated
-        kernel reproduces the recomputation exactly — the "endpoints
-        vs. cached partition" style test with the strongest possible
-        certificate.  Everything else returns ``None`` (drop).
-        """
-        _, kind, params_tuple, seed = key
-        if kind != "mincut":
-            return None
-        params = dict(zip(params_tuple[0::2], params_tuple[1::2]))
-        level = params.get("preprocess")
-        if not level or level == "off":
-            return None
-        kernel = self.store.cached_kernel(new_fp, level)
-        if kernel is None or not kernel.is_solved:
-            return None
-        cut = kernel.trivial_cut()
-        return {
-            "graph": "",  # rewritten with the caller's name on every hit
-            "fingerprint": new_fp,
-            "algorithm": "ampc-mincut-boosted",
-            "weight": cut.weight,
-            "side": _vertex_list(cut.side),
-            "rounds": 0,
-            "trials": params["trials"],
-            "seed": seed,
-            "eps": params["eps"],
-            "elapsed_s": 0.0,
-            "preprocess": kernel.stats(),
-        }
-
-    # ------------------------------------------------------------------
-    # Kernel inspection
-    # ------------------------------------------------------------------
-    def kernelize(self, name: str, *, level: str = "safe", k: int | None = None) -> dict:
-        """Build (or fetch) a resident graph's kernel (`/kernelize`).
-
-        Warms the same per-fingerprint kernel cache the queries use, so
-        a client can pay the reduction cost eagerly; ``cached`` reports
-        whether the kernel was already resident.  With ``k`` the k-cut
-        kernel is built instead.
-        """
-        entry = self.store.get(name)
-        level = validate_level(level)
-        t0 = time.perf_counter()
-        if k is None:
-            cached = self.store.has_kernel(entry.fingerprint, level)
-            kernel = self.store.kernel_for(entry, level)
-        else:
-            k = int(k)
-            cached = self.store.has_kernel(
-                entry.fingerprint, ("kcut", k, level)
-            )
-            kernel = self.store.kcut_kernel_for(entry, k, level)
-        payload = {
-            "graph": name,
-            "fingerprint": entry.fingerprint,
-            "level": level,
-            "cached": cached,
-            "kernel": kernel.stats(),
-            "elapsed_s": time.perf_counter() - t0,
-        }
-        if k is not None:
-            payload["k"] = k
-        return payload
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle
@@ -966,47 +434,9 @@ class CutService:
                 "cow_copies": store_stats.cow_copies,
                 "kernel_revalidations": store_stats.kernels_revalidated,
             },
-            "requests": self.request_summary(),
+            "requests": request_summary(self.metrics),
             "tracer": self.tracer.stats(),
         }
-
-    def observe_request(
-        self, op: str, seconds: float, *, error: bool = False,
-        shed: bool = False,
-    ) -> None:
-        """Record one served request into the per-op-class instruments.
-
-        Called by the HTTP layer with the op name (``mincut``,
-        ``stcut``, ``mutate``, ``graphs``, ``batch``, ...) and the
-        handler-side wall time; feeds the ``requests.*`` histograms
-        behind ``/metrics`` and the ``requests`` section of ``/stats``.
-        A 429 from the admission gate counts as a *shed*, not an error
-        — shedding under overload is the server working as designed.
-        """
-        scope = self.metrics.scope("requests").scope(op)
-        scope.counter("count").inc()
-        if error:
-            scope.counter("errors").inc()
-        if shed:
-            scope.counter("shed").inc()
-        scope.histogram("latency_s").record(seconds)
-
-    def request_summary(self) -> dict:
-        """Per-op-class latency tiles (the ``requests`` /stats section)."""
-        summary: dict[str, dict] = {}
-        for name, hist in self.metrics.histograms("requests.").items():
-            op = name[len("requests."):].rsplit(".", 1)[0]
-            digest = hist.summary()
-            errors = self.metrics.counter(f"requests.{op}.errors").value
-            summary[op] = {
-                "count": digest["count"],
-                "errors": errors,
-                "p50_s": digest["p50"],
-                "p95_s": digest["p95"],
-                "p99_s": digest["p99"],
-                "mean_s": digest["mean"],
-            }
-        return summary
 
     def metrics_payload(self) -> dict:
         """The ``GET /metrics`` body: one registry snapshot plus the
@@ -1045,6 +475,43 @@ class CutService:
 
 
 # ----------------------------------------------------------------------
-def _vertex_list(side) -> list:
-    """A cut side as a JSON-able, deterministically ordered list."""
-    return sorted(side, key=lambda v: (type(v).__name__, repr(v)))
+# Per-op-class request instruments (``requests.*``), shared by the
+# service and a sharded frontend's own registry
+# ----------------------------------------------------------------------
+def observe_request(
+    metrics: MetricsRegistry, op: str, seconds: float, *,
+    error: bool = False, shed: bool = False,
+) -> None:
+    """Record one served request into the per-op-class instruments.
+
+    Called by the HTTP layer with the op name (``mincut``,
+    ``stcut``, ``mutate``, ``graphs``, ``batch``, ...) and the
+    handler-side wall time; feeds the ``requests.*`` histograms
+    behind ``/metrics`` and the ``requests`` section of ``/stats``.
+    A 429 from the admission gate counts as a *shed*, not an error
+    — shedding under overload is the server working as designed.
+    """
+    scope = metrics.scope("requests").scope(op)
+    scope.counter("count").inc()
+    if error:
+        scope.counter("errors").inc()
+    if shed:
+        scope.counter("shed").inc()
+    scope.histogram("latency_s").record(seconds)
+
+
+def request_summary(metrics: MetricsRegistry) -> dict:
+    """Per-op-class latency tiles (the ``requests`` /stats section)."""
+    summary: dict[str, dict] = {}
+    for name, hist in metrics.histograms("requests.").items():
+        op = name[len("requests."):].rsplit(".", 1)[0]
+        digest = hist.summary()
+        summary[op] = {
+            "count": digest["count"],
+            "errors": metrics.counter(f"requests.{op}.errors").value,
+            "p50_s": digest["p50"],
+            "p95_s": digest["p95"],
+            "p99_s": digest["p99"],
+            "mean_s": digest["mean"],
+        }
+    return summary

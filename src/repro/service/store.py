@@ -442,28 +442,9 @@ class GraphStore:
         from ..preprocess import kernelize, validate_level
 
         level = validate_level(level)
-        fp = entry.fingerprint  # captured: a concurrent mutation moves it
-        key = (fp, level)
-        with self._lock:
-            kernel = self._kernels.get(key)
-            if kernel is not None:
-                self.stats.inc("kernel_hits")
-                return kernel
-        # Kernelize outside the lock: reductions are O(m) per round and
-        # must not wedge concurrent store lookups.
-        kernel = kernelize(entry.graph, level=level)
-        with self._lock:
-            self.stats.inc("kernel_builds")
-            # Cache only while the fingerprint is still resident — the
-            # entry may have been evicted (or mutated) mid-build, and
-            # caching then would pin a stale kernel forever (same rule
-            # as the oracle cache in CutService._oracle_for).
-            if any(
-                e.fingerprint == fp for e in self._entries.values()
-            ):
-                self._kernels.setdefault(key, kernel)
-                kernel = self._kernels[key]
-        return kernel
+        return self._cached_or_built(
+            entry, level, lambda g: kernelize(g, level=level)
+        )
 
     def kcut_kernel_for(self, entry: GraphEntry, k: int, level: str):
         """The cached :class:`~repro.preprocess.KCutKernel` of an entry.
@@ -475,16 +456,28 @@ class GraphStore:
         from ..preprocess import kernelize_for_kcut, validate_level
 
         level = validate_level(level)
+        return self._cached_or_built(
+            entry, ("kcut", k, level),
+            lambda g: kernelize_for_kcut(g, k, level=level),
+        )
+
+    def _cached_or_built(self, entry: GraphEntry, level_key, build):
         fp = entry.fingerprint  # captured: a concurrent mutation moves it
-        key = (fp, ("kcut", k, level))
+        key = (fp, level_key)
         with self._lock:
             kernel = self._kernels.get(key)
             if kernel is not None:
                 self.stats.inc("kernel_hits")
                 return kernel
-        kernel = kernelize_for_kcut(entry.graph, k, level=level)
+        # Kernelize outside the lock: reductions are O(m) per round and
+        # must not wedge concurrent store lookups.
+        kernel = build(entry.graph)
         with self._lock:
             self.stats.inc("kernel_builds")
+            # Cache only while the fingerprint is still resident — the
+            # entry may have been evicted (or mutated) mid-build, and
+            # caching then would pin a stale kernel forever (same rule
+            # as the oracle cache in CutService.oracle_for).
             if any(
                 e.fingerprint == fp for e in self._entries.values()
             ):

@@ -300,9 +300,31 @@ class TestServeAndQuery:
                      "--name", "g", "--file", str(path)]) == 0
         capsys.readouterr()
         assert main(["query", "kernelize", "--url", url, "--name", "g",
-                     "--preprocess", "aggressive"]) == 0
+                     "--level", "aggressive"]) == 0
         out = capsys.readouterr().out
         assert '"cached": false' in out and '"level": "aggressive"' in out
+
+    def test_query_sends_set_flags_verbatim(
+        self, live_service, planted_file, capsys
+    ):
+        url, _ = live_service
+        path, _ = planted_file
+        assert main(["query", "register", "--url", url,
+                     "--name", "g", "--file", str(path)]) == 0
+        capsys.readouterr()
+        # --trials 0 reaches the server as 0 (not rewritten to 1) ...
+        assert main(["query", "sparsestcut", "--url", url, "--name", "g",
+                     "--trials", "0"]) == 0
+        assert '"trials": 0' in capsys.readouterr().out
+        # ... and unset flags are left to the server's defaults
+        assert main(["query", "sparsestcut", "--url", url,
+                     "--name", "g"]) == 0
+        out = capsys.readouterr().out
+        assert '"trials": 2' in out and '"kernel": false' in out
+        # a flag the verb does not take is an error, not silently dropped
+        assert main(["query", "kernelize", "--url", url, "--name", "g",
+                     "--preprocess", "safe"]) == 2
+        assert "does not take --preprocess" in capsys.readouterr().err
 
     def test_query_unknown_graph_exits_nonzero(self, live_service, capsys):
         url, _ = live_service

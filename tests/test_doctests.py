@@ -26,6 +26,7 @@ MODULES = [
     "repro.service.executor",
     "repro.service.frontend",
     "repro.service.http",
+    "repro.service.ops",
     "repro.service.oracle",
     "repro.service.service",
     "repro.service.store",
@@ -43,6 +44,7 @@ MUST_HAVE_EXAMPLES = {
     "repro.service.deltas",
     "repro.service.executor",
     "repro.service.frontend",
+    "repro.service.ops",
     "repro.service.service",
     "repro.service.store",
 }

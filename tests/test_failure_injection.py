@@ -198,3 +198,37 @@ class TestLedgerIntegrity:
         assert led.measured_rounds == 2
         assert led.charged_rounds == 3
         assert led.rounds == 5
+
+
+class TestShardReplies:
+    def test_timed_out_reply_never_answers_the_next_request(self):
+        """A shard request that times out leaves its late reply in the
+        pipe; the next request on that shard must get its own answer,
+        not the stale one."""
+        from repro.obs import Tracer
+        from repro.service import ShardPool
+        from repro.workloads import planted_cut
+
+        graph = planted_cut(64, seed=1).graph
+        edges = [[u, v, w] for u, v, w in graph.edges()]
+        tracer = Tracer(enabled=False)
+        pool = ShardPool(2)
+        try:
+            status, _ = pool.dispatch(
+                "graphs", {"name": "g", "edges": edges}, tracer
+            )
+            assert status == 200
+            pool.request_timeout_s = 0.05
+            status, payload = pool.dispatch(
+                "sparsestcut", {"graph": "g"}, tracer
+            )
+            assert status == 500 and "timed out" in payload["error"]
+            pool.request_timeout_s = 60.0
+            status, payload = pool.dispatch(
+                "stcut", {"graph": "g", "s": 0, "t": 1}, tracer
+            )
+            assert status == 200
+            assert payload["algorithm"] == "gomory-hu"
+            assert (payload["s"], payload["t"]) == (0, 1)
+        finally:
+            pool.close()

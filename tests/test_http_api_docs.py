@@ -132,6 +132,18 @@ def test_examples_exist():
         assert path in documented_paths, f"no example for {path}"
 
 
+def test_orientation_table_lists_exactly_the_served_ops():
+    """The POST rows of the quick-orientation table are the ops table
+    (repro.service.ops.OPS) plus registration, /batch and /frontend."""
+    from repro.service.ops import OPS
+
+    rows = re.findall(r"^\| POST \| `(/\w+)` \|", DOC.read_text(), re.M)
+    assert len(rows) == len(set(rows)), f"duplicate rows: {rows}"
+    assert set(rows) == {f"/{op}" for op in OPS} | {
+        "/graphs", "/batch", "/frontend"
+    }
+
+
 def test_replay_in_document_order(server):
     for method, path, expect, body, documented in parse_examples():
         status, actual = _request(server.url, method, path, body)

@@ -14,6 +14,13 @@ pre-PR code:
 * ``GET /trace?limit=abc`` silently ignored the bad limit and returned
   the full snapshot.
 
+The op params are typed on the wire as their
+:class:`~repro.service.ops.OpSpec` declares them: a bool field once
+served ``"false"`` as true, an int field truncated ``2.9`` to 2 and
+read ``true`` as 1, a negative sparsest ``trials`` was served (and
+cached), and an unknown field such as a typo'd ``"preprocces"`` was
+silently ignored.  Each is now a 400 carrying a ``trace_id``.
+
 Python's ``json`` module happily *emits* ``NaN``/``Infinity`` tokens
 (non-standard JSON), which is exactly how a stock client poisons the
 pre-PR server — so the NaN tests go over a real socket, not through
@@ -30,7 +37,12 @@ import time
 
 import pytest
 
-from repro.service import CutService, make_server, request_json
+from repro.service import (
+    CutService,
+    make_server,
+    request_json,
+    request_status_json,
+)
 
 
 @pytest.fixture()
@@ -249,3 +261,77 @@ def test_trace_good_limit_still_works(server):
     resp = request_json(server.url, "/trace?limit=2")
     assert len(resp["spans"]) <= 2
     assert "stats" in resp
+
+
+# ----------------------------------------------------------------------
+# Op params are typed on the wire (repro.service.ops)
+# ----------------------------------------------------------------------
+def _register_triangle(srv):
+    request_json(srv.url, "/graphs", {
+        "name": "g", "edges": [[0, 1, 2.0], [1, 2, 1.0], [0, 2, 1.0]],
+    })
+
+
+def _rejected(srv, path, body, *fragments):
+    status, resp = request_status_json(srv.url, path, body)
+    assert status == 400, (path, body, status, resp)
+    assert resp["trace_id"]
+    for fragment in fragments:
+        assert fragment in resp["error"]
+    return resp
+
+
+@pytest.mark.parametrize("path, field, value", [
+    ("/gomoryhu", "sides", "false"),
+    ("/sparsestcut", "kernel", "no"),
+    ("/sparsestcut", "kernel", 0),
+])
+def test_bool_fields_take_only_json_booleans(server, path, field, value):
+    _register_triangle(server)
+    _rejected(server, path, {"graph": "g", field: value}, repr(field),
+              "boolean")
+
+
+@pytest.mark.parametrize("value", [2.9, True, "3"])
+def test_int_fields_reject_bools_fractions_and_strings(server, value):
+    _register_triangle(server)
+    for path in ("/mincut", "/sparsestcut"):
+        _rejected(server, path, {"graph": "g", "seed": value}, "'seed'",
+                  "integer")
+
+
+def test_negative_sparsest_trials_rejected_and_not_cached(server):
+    _register_triangle(server)
+    before = server.service.results.stats()
+    _rejected(server, "/sparsestcut", {"graph": "g", "trials": -5},
+              "'trials'", "non-negative")
+    assert server.service.results.stats() == before
+
+
+def test_unknown_field_is_named(server):
+    _register_triangle(server)
+    _rejected(server, "/mincut", {"graph": "g", "preprocces": "safe"},
+              "'preprocces'")
+
+
+def test_batch_items_may_carry_op_but_not_unknown_fields(server):
+    _register_triangle(server)
+    resp = request_json(server.url, "/batch", {"requests": [
+        {"op": "stcut", "graph": "g", "s": 0, "t": 1},
+        {"op": "mincut", "graph": "g", "preprocces": "safe"},
+    ]})
+    ok, bad = resp["responses"]
+    assert ok["weight"] == 3.0
+    assert "'preprocces'" in bad["error"] and bad["trace_id"]
+
+
+def test_null_means_the_default(server):
+    _register_triangle(server)
+    explicit = request_json(
+        server.url, "/sparsestcut", {"graph": "g", "seed": 0, "trials": 2}
+    )
+    nulls = request_json(
+        server.url, "/sparsestcut", {"graph": "g", "seed": None,
+                                     "trials": None, "kernel": None}
+    )
+    assert nulls["cached"] and nulls["side"] == explicit["side"]
