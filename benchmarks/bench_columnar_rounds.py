@@ -1,10 +1,10 @@
-"""E14 — columnar shm runtime vs. the fork-per-round process backend.
+"""E14 — columnar shm runtime vs. the serial object-path reference.
 
 Times the four hot primitives (sample sort, prefix scan, list ranking,
-graph connectivity) at E12-ish scales under ``process:<CPUS>`` (object
-rounds, fork per round, pickled write buffers) and ``shm:<CPUS>``
-(columnar rounds, persistent spawn pool, zero-copy shared-memory
-snapshots).  Correctness is asserted (bit-identical outputs) — the
+graph connectivity) at E12-ish scales under ``serial`` (object rounds:
+one Python closure per machine, executed in-process) and
+``shm:<CPUS>`` (columnar rounds, persistent spawn pool, zero-copy
+shared-memory snapshots).  Correctness is asserted (bit-identical outputs) — the
 timing answers only "what did the columnar runtime buy".
 
 Results land in ``BENCH_PR9.json`` (override the path with the
@@ -39,7 +39,7 @@ from repro.ampc.primitives import (
 from repro.analysis.harness import ExperimentReport
 
 _CPUS = os.cpu_count() or 1
-_PROCESS = f"process:{max(2, _CPUS)}"
+_SERIAL = "serial"
 _SHM = f"shm:{max(2, _CPUS)}"
 _REPEATS = 3
 _RESULTS_PATH = os.environ.get("BENCH_PR9", "BENCH_PR9.json")
@@ -99,30 +99,30 @@ def _timed(fn, backend: str) -> tuple[object, float]:
     return out, best
 
 
-def test_e14_columnar_vs_process_rounds(report_sink):
+def test_e14_columnar_vs_serial_rounds(report_sink):
     report = ExperimentReport(
         experiment=(
-            f"E14: columnar shm runtime vs fork-per-round process backend "
+            f"E14: columnar shm runtime vs serial object-path reference "
             f"({_CPUS} CPUs, best of {_REPEATS})"
         ),
-        columns=["primitive", "process_s", "shm_s", "speedup"],
+        columns=["primitive", "serial_s", "shm_s", "speedup"],
     )
     warm_before = METRICS.counter("ampc.pool.warm_rounds").value
 
     results: dict[str, dict] = {}
     speedups: list[float] = []
     for name, fn in _PRIMITIVES.items():
-        ref_out, process_s = _timed(fn, _PROCESS)
+        ref_out, serial_s = _timed(fn, _SERIAL)
         shm_out, shm_s = _timed(fn, _SHM)
-        assert shm_out == ref_out, f"{name}: shm output diverged from process"
-        speedup = process_s / shm_s
+        assert shm_out == ref_out, f"{name}: shm output diverged from serial"
+        speedup = serial_s / shm_s
         speedups.append(speedup)
         results[name] = {
-            "process_s": process_s,
+            "serial_s": serial_s,
             "shm_s": shm_s,
             "speedup": speedup,
         }
-        report.rows.append([name, process_s, shm_s, speedup])
+        report.rows.append([name, serial_s, shm_s, speedup])
     emit(report_sink, report)
 
     geomean = math.exp(sum(math.log(s) for s in speedups) / len(speedups))
@@ -130,7 +130,7 @@ def test_e14_columnar_vs_process_rounds(report_sink):
     payload = {
         "experiment": "E14 columnar shm runtime",
         "cpu_count": _CPUS,
-        "backends": {"process": _PROCESS, "shm": _SHM},
+        "backends": {"serial": _SERIAL, "shm": _SHM},
         "repeats": _REPEATS,
         "primitives": results,
         "geomean_speedup": geomean,
@@ -143,5 +143,5 @@ def test_e14_columnar_vs_process_rounds(report_sink):
     if _CPUS >= 4:
         assert geomean >= 2.0, (
             f"columnar shm geomean speedup {geomean:.2f}x < 2x over "
-            f"{_PROCESS} on a {_CPUS}-CPU host"
+            f"{_SERIAL} on a {_CPUS}-CPU host"
         )

@@ -7,8 +7,8 @@ local-memory and total-space accounting; see DESIGN.md for the
 fidelity statement.
 
 Rounds execute on a pluggable backend (:mod:`repro.ampc.backends`):
-the serial reference, a thread pool, or forked worker processes that
-partition the round's machines — selected per
+the serial reference, or the ``shm`` pool that runs columnar round
+specs over shared-memory snapshots — selected per
 :class:`~repro.ampc.config.AMPCConfig` (``backend=``), per runtime
 (``AMPCRuntime(..., backend=...)``), or globally via the
 ``AMPC_BACKEND`` environment variable.  Backend choice never changes
@@ -22,11 +22,9 @@ pipeline and the serving layer is mapped in ``docs/ARCHITECTURE.md``.
 from .backends import (
     BACKENDS,
     MachineResult,
-    ProcessBackend,
     RoundBackend,
     SerialBackend,
     ShmBackend,
-    ThreadBackend,
     available_backends,
     resolve_backend,
 )
@@ -78,14 +76,12 @@ __all__ = [
     "MachineResult",
     "MemoryLimitExceeded",
     "MissingKeyError",
-    "ProcessBackend",
     "ProtocolError",
     "RoundBackend",
     "RoundLedger",
     "SerialBackend",
     "ShmBackend",
     "TableSnapshot",
-    "ThreadBackend",
     "TotalSpaceExceeded",
     "available_backends",
     "merge_writes",

@@ -6,14 +6,8 @@ delegates round execution to a :class:`RoundBackend`:
 
 ===========================  ===========================================
 :class:`SerialBackend`       machines run one by one in-process — the
-                             reference semantics every other backend is
+                             reference semantics the shm backend is
                              differentially tested against
-:class:`ThreadBackend`       a shared thread pool over the round's
-                             immutable table snapshot
-:class:`ProcessBackend`      forked worker processes, each executing a
-                             contiguous slice of the machine indices and
-                             shipping its write buffers back to the
-                             parent for the canonical index-ordered merge
 :class:`ShmBackend`          a **persistent spawn-context pool** fed
                              picklable columnar round specs over
                              zero-copy ``multiprocessing.shared_memory``
@@ -33,16 +27,12 @@ import os
 import threading
 
 from .base import MachineResult, RoundBackend, execute_machine
-from .process import ProcessBackend
 from .serial import SerialBackend
 from .shm import ShmBackend
-from .thread import ThreadBackend
 
-#: name -> constructor for the built-in backends (CLI / env spellings)
+#: name -> constructor for the built-in backends (config / env spellings)
 BACKENDS = {
     "serial": SerialBackend,
-    "thread": ThreadBackend,
-    "process": ProcessBackend,
     "shm": ShmBackend,
 }
 
@@ -60,8 +50,8 @@ def parse_backend_spec(spec: str) -> tuple[str, int | None]:
 
     Raises ``ValueError`` for unknown names, non-positive or malformed
     worker counts, and worker counts on ``serial`` (which has none).
-    The single parser shared by :func:`resolve_backend` and the CLI
-    flag, so the two can never disagree about what is valid.
+    The single parser behind :func:`resolve_backend`, so a bad
+    ``AMPC_BACKEND`` or :attr:`AMPCConfig.backend` fails the same way.
     """
     key = spec.strip().lower()
     name, _, workers_part = key.partition(":")
@@ -76,7 +66,7 @@ def parse_backend_spec(spec: str) -> tuple[str, int | None]:
     if name not in BACKENDS or (workers is not None and name == "serial"):
         raise ValueError(
             f"unknown AMPC backend {spec!r}; available: {available_backends()} "
-            "(thread/process/shm optionally take ':<workers>')"
+            "(shm optionally takes ':<workers>')"
         )
     return name, workers
 
@@ -91,12 +81,10 @@ def resolve_backend(
     ``spec`` may be a :class:`RoundBackend` (used as-is), a name, or
     ``None`` — in which case ``config_backend`` and then the
     ``AMPC_BACKEND`` environment variable are consulted before falling
-    back to the serial reference.  Thread/process names accept an
-    explicit worker count as ``"thread:8"`` / ``"process:4"`` (without
-    one, the host's CPU count decides — note ``process`` on a
-    single-core host degrades to serial execution, which is
-    observationally identical).  Named backends are shared
-    process-wide, one instance per distinct spec.
+    back to the serial reference.  ``shm`` accepts an explicit worker
+    count as ``"shm:4"`` (without one, the host's CPU count decides).
+    Named backends are shared process-wide, one instance per distinct
+    spec.
     """
     if isinstance(spec, RoundBackend):
         return spec
@@ -123,11 +111,9 @@ def shutdown_shared_backends() -> None:
 __all__ = [
     "BACKENDS",
     "MachineResult",
-    "ProcessBackend",
     "RoundBackend",
     "SerialBackend",
     "ShmBackend",
-    "ThreadBackend",
     "available_backends",
     "execute_machine",
     "parse_backend_spec",

@@ -43,8 +43,7 @@ class MachineResult:
     Everything the runtime needs to merge writes and account the round:
     the buffered writes (in the machine's own write order), the local
     memory high-water mark, and the adaptive-read count.  Plain data,
-    picklable whenever the DHT values are — the process backend ships
-    these across the worker pipe.
+    picklable whenever the DHT values are.
     """
 
     machine_id: int
@@ -74,7 +73,7 @@ def execute_machine(
 class RoundBackend(ABC):
     """Executes the machine programs of one synchronous round."""
 
-    #: registry / CLI name ("serial", "thread", "process", "shm")
+    #: registry / ``AMPC_BACKEND`` name ("serial", "shm")
     name: str = "abstract"
 
     #: whether :meth:`run_column_round` is implemented.  Primitives probe

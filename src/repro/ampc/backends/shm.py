@@ -1,13 +1,12 @@
 """Shared-memory round backend: persistent spawn pool, zero-copy snapshots.
 
-:class:`~repro.ampc.backends.process.ProcessBackend` forks per round
-because machine programs are closures; that costs milliseconds of
-fork+pipe per round and ties the backend to fork-capable platforms.
-The shm backend removes both constraints by changing *what* crosses the
-process boundary: instead of closures it ships **columnar round specs**
-— an op name from :mod:`repro.ampc.columnar` plus a small picklable
-params dict — to a pool of workers started **once** with the ``spawn``
-context and reused for every subsequent round (the warm path).
+Machine programs on the object path are closures and cannot cross a
+process boundary, so this backend changes *what* crosses it: instead
+of closures it ships **columnar round specs** — an op name from
+:mod:`repro.ampc.columnar` plus a small picklable params dict — to a
+pool of workers started **once** with the ``spawn`` context and reused
+for every subsequent round (the warm path).  Object-path rounds run
+inline, exactly as under the serial reference.
 
 The round snapshot is two numpy columns (int64 keys, int64/float64
 values).  The parent copies them once into a
@@ -42,7 +41,6 @@ from ...obs.metrics import MetricsRegistry
 from ..columnar import ColumnSliceResult, execute_column_slice
 from ..errors import ProtocolError
 from .base import MachineProgram, MachineResult, Readable, RoundBackend
-from .process import _slices
 from .serial import SerialBackend
 
 #: process-wide metrics for the shm tier; eagerly registered so the
@@ -59,6 +57,19 @@ for _name in (
 ):
     METRICS.counter(_name)
 del _name
+
+
+def _slices(n: int, workers: int) -> list[tuple[int, int]]:
+    """Split ``range(n)`` into ``workers`` contiguous, balanced slices."""
+    workers = min(workers, n)
+    base, extra = divmod(n, workers)
+    bounds = []
+    lo = 0
+    for w in range(workers):
+        hi = lo + base + (1 if w < extra else 0)
+        bounds.append((lo, hi))
+        lo = hi
+    return bounds
 
 
 def _attach_segment(name: str) -> shared_memory.SharedMemory:

@@ -1,9 +1,8 @@
 """Columnar round specs: the vectorized execution path of the runtime.
 
 The object path runs machine *programs* — Python closures reading and
-writing one key at a time.  Closures cannot cross a spawn boundary, so
-the process backend forks per round and every element pays interpreter
-dispatch.  The columnar path replaces the closures with **round
+writing one key at a time.  Closures cannot cross a spawn boundary, and
+every element pays interpreter dispatch.  The columnar path replaces the closures with **round
 specs**: a named op from the registry below plus a small picklable
 ``params`` dict.  Round state lives in a :class:`~repro.ampc.dht.ColumnTable`
 whose two int64/float64 columns are the entire snapshot — exactly what

@@ -55,10 +55,9 @@ class AMPCConfig:
     total_constant:
         Multiplier hidden in the total-space ``O(.)``.
     backend:
-        Round-execution backend name (``"serial"``, ``"thread"``,
-        ``"process"``, ``"shm"``; see :mod:`repro.ampc.backends`).
-        ``None`` defers
-        to the ``AMPC_BACKEND`` environment variable, then serial.
+        Round-execution backend name (``"serial"`` or ``"shm"``; see
+        :mod:`repro.ampc.backends`).  ``None`` defers to the
+        ``AMPC_BACKEND`` environment variable, then serial.
         Backend choice never changes observable results — only how the
         round's machines execute on the host.
     """

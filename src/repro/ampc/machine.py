@@ -21,7 +21,7 @@ round backend — contexts never get a handle that could write the
 previous table, which is what makes parallel backends sound.  Machines
 run isolated: a program must communicate only through ``ctx`` (reads,
 writes, payload), never by mutating host objects it closed over —
-host-side mutations are invisible under the process backend.
+in the model, machines share nothing but the DHT.
 """
 
 from __future__ import annotations

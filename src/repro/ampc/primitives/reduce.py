@@ -92,16 +92,15 @@ def ampc_broadcast(
     the value in total space (and the value's words against each
     receiver's local memory).  That is the honest cost of observing a
     broadcast's delivery through the DHT — and it keeps the primitive
-    correct under every round backend, including forked processes
-    where host-side mutation from machine programs would be invisible.
+    faithful to the model, where machines share nothing but the DHT and
+    host-side mutation from machine programs would be invisible.
     """
     runtime = AMPCRuntime(config, ledger=ledger)
     runtime.seed([(("bcast",), value)])
 
     # Receivers re-emit what they read; the host collects the emissions
-    # from the table.  (Everything flows through the DHT — a machine
-    # mutating host state it closed over would be invisible under the
-    # process backend.)
+    # from the table.  (Everything flows through the DHT — in the model
+    # a machine mutating host state it closed over would be invisible.)
     def receive(ctx: MachineContext) -> None:
         i = ctx.payload
         got = ctx.read(("bcast",))

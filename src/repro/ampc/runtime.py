@@ -5,9 +5,10 @@ to :meth:`AMPCRuntime.round` executes a full synchronous round:
 
 1. every machine program runs to completion with adaptive read access
    to an **immutable snapshot** of the previous table.  How the
-   machines execute on the host — sequentially, on a thread pool, or
-   partitioned over forked worker processes — is delegated to a
-   pluggable :class:`~repro.ampc.backends.RoundBackend`; the model
+   machines execute on the host — sequentially, or (for columnar
+   round specs) partitioned over a persistent shared-memory worker
+   pool — is delegated to a pluggable
+   :class:`~repro.ampc.backends.RoundBackend`; the model
    forbids intra-round machine-to-machine communication, so every
    backend is observationally equivalent (and differentially tested to
    be bit-identical) to the serial reference;

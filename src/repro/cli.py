@@ -74,7 +74,6 @@ def _cmd_mincut(args: argparse.Namespace) -> int:
             eps=args.eps,
             trials=args.trials,
             seed=args.seed,
-            backend=args.ampc_backend,
             preprocess=args.preprocess,
         )
         weight, side, rounds = result.weight, result.cut.side, result.ledger.rounds
@@ -141,8 +140,7 @@ def _cmd_mincut(args: argparse.Namespace) -> int:
 def _cmd_kcut(args: argparse.Namespace) -> int:
     graph = _load_any(args.graph)
     result = apx_split_kcut(
-        graph, args.k, eps=args.eps, seed=args.seed, backend=args.ampc_backend,
-        preprocess=args.preprocess,
+        graph, args.k, eps=args.eps, seed=args.seed, preprocess=args.preprocess,
     )
     print(f"n={graph.num_vertices} m={graph.num_edges} k={args.k}")
     if result.kernel_stats is not None:
@@ -264,7 +262,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         store_capacity=args.store_capacity,
         result_cache_capacity=args.result_cache,
-        ampc_backend=args.ampc_backend,
         preprocess=args.preprocess,
     )
     tracer = Tracer(capacity=args.trace_capacity, enabled=not args.no_trace)
@@ -540,16 +537,6 @@ def _json_vertex(v):
     return v if isinstance(v, (int, str)) else str(v)
 
 
-def _backend_spec(value: str) -> str:
-    from .ampc.backends import parse_backend_spec
-
-    try:
-        parse_backend_spec(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    return value
-
-
 def _add_preprocess_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--preprocess",
@@ -557,18 +544,6 @@ def _add_preprocess_flag(p: argparse.ArgumentParser) -> None:
         default="off",
         help="exact kernelization before solving (repro.preprocess); "
         "never changes the reported cut weight",
-    )
-
-
-def _add_ampc_backend_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--ampc-backend",
-        type=_backend_spec,
-        default=None,
-        metavar="{serial,thread,process,shm}[:WORKERS]",
-        help="round-execution backend for AMPC rounds (default: "
-        "$AMPC_BACKEND or serial; never changes results; shm runs "
-        "columnar rounds on a persistent shared-memory worker pool)",
     )
 
 
@@ -616,7 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--verify", action="store_true", help="compare with exact")
     _add_preprocess_flag(p)
-    _add_ampc_backend_flag(p)
     p.add_argument("--ledger", action="store_true", help="print round ledger")
     p.add_argument("--timeline", action="store_true",
                    help="print the round timeline + per-phase table (ampc only)")
@@ -628,7 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     _add_preprocess_flag(p)
-    _add_ampc_backend_flag(p)
     p.add_argument("--metrics", action="store_true",
                    help="print partition quality metrics")
     p.set_defaults(func=_cmd_kcut)
@@ -675,7 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="process-pool size for boosting trials")
     _add_preprocess_flag(p)
-    _add_ampc_backend_flag(p)
     p.add_argument("--store-capacity", type=int, default=None,
                    help="max resident graphs (LRU eviction; default unbounded)")
     p.add_argument("--result-cache", type=int, default=256,

@@ -52,16 +52,13 @@ def apx_split_kcut(
     seed: int = 0,
     max_copies: int = 2,
     exact_below: int = 16,
-    backend: str | None = None,
     preprocess: str | None = None,
 ) -> KCutResult:
     """Run APX-SPLIT on a connected graph.
 
     ``exact_below``: components smaller than this are cut exactly
     (Stoer–Wagner) — matching Algorithm 1's own base case and keeping
-    the simulation fast.  ``k`` may not exceed ``n``.  ``backend``
-    selects the AMPC round backend for the per-component min-cut runs
-    (:mod:`repro.ampc.backends`); results are backend-independent.
+    the simulation fast.  ``k`` may not exceed ``n``.
 
     ``preprocess`` (default off) applies the k-cut-safe kernelization
     of :func:`repro.preprocess.kernelize_for_kcut`: edges no optimal
@@ -86,7 +83,6 @@ def apx_split_kcut(
             seed=seed,
             max_copies=max_copies,
             exact_below=exact_below,
-            backend=backend,
         )
         inner.kernel_stats = kernel.stats()
         if kernel.reduced:
@@ -128,7 +124,6 @@ def apx_split_kcut(
                     eps=eps,
                     seed=seed + 31 * iterations,
                     max_copies=max_copies,
-                    backend=backend,
                 )
                 cut = res.cut
                 comp_ledger = res.ledger

@@ -28,7 +28,6 @@ independent trials (:func:`ampc_min_cut_boosted`).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Hashable
@@ -93,16 +92,13 @@ def ampc_min_cut(
     base_size: int | None = None,
     max_copies: int = 4,
     config: AMPCConfig | None = None,
-    backend: str | None = None,
 ) -> MinCutResult:
     """Run Algorithm 1 once on a connected graph with ``n >= 2``.
 
     ``max_copies`` caps the instance count per level (a wall-clock
     knob; the paper's ``s_k`` can reach ``t_k^(1-eps/3)``).  ``eps``
     plays its double role from the paper: memory exponent and
-    approximation slack.  ``backend`` picks the round-execution backend
-    (:mod:`repro.ampc.backends`) for every runtime the run spawns; it
-    never changes the returned cut, ledger, or trace.
+    approximation slack.
     """
     n = graph.num_vertices
     if n < 2:
@@ -111,9 +107,7 @@ def ampc_min_cut(
         raise ValueError("graph must be connected (min cut would be 0)")
     schedule = schedule_for(n, eps=eps, base_size=base_size, max_copies=max_copies)
     if config is None:
-        config = AMPCConfig(n_input=n, eps=eps, m_input=graph.num_edges, backend=backend)
-    elif backend is not None and config.backend != backend:
-        config = dataclasses.replace(config, backend=backend)
+        config = AMPCConfig(n_input=n, eps=eps, m_input=graph.num_edges)
     ledger = RoundLedger()
 
     identity_blocks = {v: [v] for v in graph.vertices()}
@@ -238,7 +232,6 @@ def ampc_min_cut_boosted(
     trials: int | None = None,
     seed: int = 0,
     max_copies: int = 4,
-    backend: str | None = None,
     preprocess: str | None = None,
 ) -> MinCutResult:
     """Boosted Algorithm 1: best over independent trials.
@@ -266,7 +259,6 @@ def ampc_min_cut_boosted(
             trials=trials,
             seed=seed,
             max_copies=max_copies,
-            backend=backend,
         )
     n = graph.num_vertices
     if trials is None:
@@ -279,7 +271,6 @@ def ampc_min_cut_boosted(
             eps=eps,
             seed=seed + BOOST_SEED_STRIDE * t,
             max_copies=max_copies,
-            backend=backend,
         )
         ledgers.append(res.ledger)
         if best is None or res.weight < best.weight:
@@ -299,7 +290,6 @@ def _boosted_on_kernel(
     trials: int | None,
     seed: int,
     max_copies: int,
-    backend: str | None,
 ) -> MinCutResult:
     """Kernelize, boost on the kernel, lift the winner."""
     from ..preprocess import kernelize
@@ -329,7 +319,6 @@ def _boosted_on_kernel(
         trials=trials,
         seed=seed,
         max_copies=max_copies,
-        backend=backend,
     )
     result.cut = kernel.lift(result.cut.side)
     result.kernel_stats = kernel.stats()

@@ -27,7 +27,6 @@ is bit-identical to ``ampc_min_cut_boosted`` itself.
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
 import signal
 import threading
@@ -93,20 +92,12 @@ def _resolve_graph(ref) -> Graph:
     return graph
 
 
-def _mincut_trial(
-    ref, eps: float, seed: int, backend: str | None = None
-) -> MinCutResult:
-    return ampc_min_cut(
-        _resolve_graph(ref), eps=eps, seed=seed, backend=backend
-    )
+def _mincut_trial(ref, eps: float, seed: int) -> MinCutResult:
+    return ampc_min_cut(_resolve_graph(ref), eps=eps, seed=seed)
 
 
-def _kcut_trial(
-    ref, k: int, eps: float, seed: int, backend: str | None = None
-) -> KCutResult:
-    return apx_split_kcut(
-        _resolve_graph(ref), k, eps=eps, seed=seed, backend=backend
-    )
+def _kcut_trial(ref, k: int, eps: float, seed: int) -> KCutResult:
+    return apx_split_kcut(_resolve_graph(ref), k, eps=eps, seed=seed)
 
 
 def _best_of(results: list, label: str):
@@ -139,19 +130,12 @@ class TrialExecutor:
         self,
         workers: int = 1,
         *,
-        ampc_backend: str | None = None,
         metrics: MetricsScope | None = None,
         tracer: Tracer = NULL_TRACER,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
-        #: AMPC round backend each trial runs its rounds under (None =
-        #: the AMPC_BACKEND env default).  Orthogonal to trial fan-out:
-        #: ``workers`` parallelises across trials, the round backend
-        #: parallelises machines within each trial's rounds.  Results
-        #: are bit-identical either way.
-        self.ampc_backend = ampc_backend
         self._pool: Executor | None = None
         self._lock = threading.Lock()
         self._ref_memo: OrderedDict[int, tuple[Graph, tuple[str, bytes]]] = (
@@ -249,7 +233,7 @@ class TrialExecutor:
         ref = self._graph_ref(graph, trials)
         results: list[MinCutResult] = self._run_batch(
             _mincut_trial,
-            [(ref, eps, s, self.ampc_backend) for s in seeds],
+            [(ref, eps, s) for s in seeds],
         )
         return _best_of(results, f"boosting over {trials} parallel trials")
 
@@ -267,7 +251,7 @@ class TrialExecutor:
         ref = self._graph_ref(graph, trials)
         results: list[KCutResult] = self._run_batch(
             _kcut_trial,
-            [(ref, k, eps, s, self.ampc_backend) for s in seeds],
+            [(ref, k, eps, s) for s in seeds],
         )
         if trials == 1:
             return results[0]
@@ -291,9 +275,6 @@ class TrialExecutor:
             pool_live = self._pool is not None
         return {
             "workers": self.workers,
-            "ampc_backend": self.ampc_backend
-            or os.environ.get("AMPC_BACKEND")
-            or "serial",
             "pool_live": pool_live,
             "batches": self.batches,
             "trials_run": self.trials_run,

@@ -79,7 +79,6 @@ class CutService:
         workers: int = 1,
         store_capacity: int | None = None,
         result_cache_capacity: int = 256,
-        ampc_backend: str | None = None,
         preprocess: str = "off",
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
@@ -100,7 +99,6 @@ class CutService:
         )
         self.executor = TrialExecutor(
             workers=workers,
-            ampc_backend=ampc_backend,
             metrics=self.metrics.scope("executor"),
             tracer=self.tracer,
         )
@@ -219,8 +217,8 @@ class CutService:
         spanning tree under a fixed tie-break, which is itself a valid
         flow-equivalent Gomory–Hu tree).  Raw Gusfield trees depend on
         build history; the canonical reconstruction is a pure function
-        of the matrix, which is how warm, cold, repaired and
-        cross-backend replicas all serve bit-identical payloads
+        of the matrix, which is how warm, cold and repaired replicas
+        all serve bit-identical payloads
         (``tests/test_dynamic_stream.py``).
 
         A disconnected graph (e.g. after a reweight-to-zero delta) is
@@ -241,8 +239,8 @@ class CutService:
         large graph under the exact-enumeration limit.
 
         The solver never touches the mutable oracle state: it is a
-        pure function of graph content, so warm and cold replicas (and
-        every AMPC backend) return bit-identical answers.
+        pure function of graph content, so warm and cold replicas
+        return bit-identical answers.
         """
         return self._serve("sparsestcut", name, params)
 

@@ -4,8 +4,8 @@ The AMPC runtime resolves its round backend from the ``AMPC_BACKEND``
 environment variable when nothing more specific is configured
 (:func:`repro.ampc.backends.resolve_backend`), so exporting it runs the
 *entire* suite under that backend — the CI matrix does exactly that for
-``serial``, ``thread`` and ``process``.  The header line below makes a
-log unambiguous about which backend a run exercised.
+``serial`` and ``shm:2``.  The header line below makes a log
+unambiguous about which backend a run exercised.
 """
 
 from __future__ import annotations
@@ -22,12 +22,6 @@ def _backend_under_test() -> str:
 
 def pytest_report_header(config) -> str:
     return f"ampc round backend: {_backend_under_test()} (AMPC_BACKEND)"
-
-
-@pytest.fixture(scope="session")
-def ampc_backend() -> str:
-    """The round backend this suite run executes AMPC rounds under."""
-    return _backend_under_test()
 
 
 @pytest.fixture(scope="session")
@@ -97,7 +91,7 @@ def scenario_summary():
 
     ``tests/test_metamorphic_scenarios.py`` appends one record per
     gomoryhu/sparsestcut property check (matrix size, approximation
-    ratio, backend identity).  When ``SCENARIO_SUMMARY`` names a path,
+    ratio).  When ``SCENARIO_SUMMARY`` names a path,
     the records are written there at session end — CI uploads that
     file as the scenario-leg artifact.
     """

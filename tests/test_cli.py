@@ -146,63 +146,52 @@ class TestFormatsAndSparsify:
         assert "ncut=" in out and "Q=" in out
 
 
-class TestShmBackendFlag:
-    def test_mincut_accepts_shm_spec(self, planted_file, capsys):
-        path, _ = planted_file
-        assert main(["mincut", str(path), "--trials", "1",
-                     "--ampc-backend", "shm:2"]) == 0
-        assert "cut weight:" in capsys.readouterr().out
+class TestShmPoolFreshInterpreter:
+    def test_sort_spawns_shm_pool_from_fresh_interpreter(self):
+        """A fresh ``python -c`` brings the shm spawn pool up and exits clean.
 
-    def test_kcut_accepts_shm_spec(self, tmp_path, capsys):
-        inst = planted_kcut(24, 3, seed=2)
-        path = tmp_path / "k.txt"
-        save_graph(inst.graph, path)
-        assert main(["kcut", str(path), "3", "--ampc-backend", "shm:2"]) == 0
-        assert "k-cut weight:" in capsys.readouterr().out
-
-    def test_bogus_backend_rejected_by_parser(self, planted_file):
-        path, _ = planted_file
-        with pytest.raises(SystemExit):
-            main(["mincut", str(path), "--ampc-backend", "bogus:2"])
-
-    def test_help_text_advertises_shm(self, capsys):
-        from repro.cli import build_parser
-
-        help_text = build_parser()._subparsers._group_actions[0].choices[
-            "mincut"
-        ].format_help()
-        assert "shm" in help_text
-
-    def test_mincut_shm_subprocess_smoke(self, planted_file):
-        """Real `repro-cut ... --ampc-backend shm:2` process end to end.
-
-        The spawn pool must come up from a fresh interpreter entry
-        point (no fork, no warm state) and the run must exit cleanly —
-        the shape a user actually invokes.
+        The spawn pool must start from a new interpreter (no fork, no
+        warm state), actually execute rounds (``ampc.pool.cold_starts``
+        counts pool start-ups), and leave no shared-memory segment for
+        the resource tracker to report at exit.
         """
+        import json
         import os
         import subprocess
         import sys
 
         import repro
 
-        path, _ = planted_file
+        script = (
+            "import json, random\n"
+            "from repro.ampc import AMPCConfig\n"
+            "from repro.ampc.backends.shm import METRICS\n"
+            "from repro.ampc.primitives import ampc_sort\n"
+            "rng = random.Random(5)\n"
+            "values = [rng.randrange(10**6) for _ in range(2000)]\n"
+            "out = ampc_sort(AMPCConfig(n_input=2000, backend='shm:2'), values)\n"
+            "print(json.dumps({'values': values, 'out': out,\n"
+            "                  'metrics': METRICS.snapshot()['counters']}))\n"
+        )
         src_dir = str(pathlib.Path(repro.__file__).resolve().parent.parent)
         env = dict(os.environ)
+        env.pop("AMPC_BACKEND", None)
         existing = env.get("PYTHONPATH")
         env["PYTHONPATH"] = (
             src_dir + os.pathsep + existing if existing else src_dir
         )
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "mincut", str(path),
-             "--trials", "1", "--ampc-backend", "shm:2"],
+            [sys.executable, "-c", script],
             capture_output=True,
             text=True,
             env=env,
             timeout=180,
         )
         assert proc.returncode == 0, proc.stderr
-        assert "cut weight:" in proc.stdout
+        assert "leaked shared_memory" not in proc.stderr, proc.stderr
+        report = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert report["metrics"]["ampc.pool.cold_starts"] >= 1
+        assert report["out"] == sorted(report["values"])
 
 
 class TestServeAndQuery:

@@ -153,8 +153,13 @@ def test_graph_components_match_object_path():
     "name,graph", connected_corpus(), ids=[n for n, _ in connected_corpus()]
 )
 def test_mincut_over_corpus_matches_serial(name, graph):
-    ref = ampc_min_cut(graph, eps=0.5, seed=3, backend="serial")
-    got = ampc_min_cut(graph, eps=0.5, seed=3, backend=SHM)
+    def config(backend: str) -> AMPCConfig:
+        return AMPCConfig(
+            n_input=graph.num_vertices, m_input=graph.num_edges, backend=backend
+        )
+
+    ref = ampc_min_cut(graph, eps=0.5, seed=3, config=config("serial"))
+    got = ampc_min_cut(graph, eps=0.5, seed=3, config=config(SHM))
     assert got.weight == ref.weight, name
     assert sorted(got.cut.side, key=repr) == sorted(ref.cut.side, key=repr)
     assert got.ledger.rounds == ref.ledger.rounds, name

@@ -20,10 +20,7 @@ file is the proof harness the claim ships with:
   ``conftest.py``) recording repair-vs-rebuild counts per stream, so
   CI can show the repair path is actually exercised, not just defined.
 
-Weights stay dyadic throughout, so bit-identity is meaningful.  The
-whole suite runs under the ``AMPC_BACKEND`` CI matrix (serial / thread
-/ process); the ``ampc_backend`` fixture threads the active backend
-into both the warm and the cold service.
+Weights stay dyadic throughout, so bit-identity is meaningful.
 """
 
 import random
@@ -50,9 +47,9 @@ def _oracle_counters(service) -> dict:
     return totals
 
 
-def _compare_query(warm, model, kind, params, backend) -> None:
+def _compare_query(warm, model, kind, params) -> None:
     """One query, answered warm and by a cold re-upload; must be ==."""
-    with CutService(ampc_backend=backend) as cold:
+    with CutService() as cold:
         cold.register("c", model.build())
         if kind == "stcut":
             a = warm.stcut("w", params["s"], params["t"])
@@ -71,7 +68,7 @@ def _compare_query(warm, model, kind, params, backend) -> None:
         assert _comparable(a) == _comparable(b), (kind, params, a, b)
 
 
-def _run_stream(initial, events, *, backend, name, sink, model=None):
+def _run_stream(initial, events, *, name, sink, model=None):
     """Play an interleaving; record the repair-vs-rebuild outcome.
 
     ``events`` may be a list or a generator; a generator that consults
@@ -80,7 +77,7 @@ def _run_stream(initial, events, *, backend, name, sink, model=None):
     """
     model = EdgeListModel(initial) if model is None else model
     queries = mutations = 0
-    with CutService(ampc_backend=backend) as warm:
+    with CutService() as warm:
         warm.register("w", model.build())
         for event in events:
             if event[0] == "mutate":
@@ -89,12 +86,11 @@ def _run_stream(initial, events, *, backend, name, sink, model=None):
                 mutations += 1
             else:
                 _, kind, params = event
-                _compare_query(warm, model, kind, params, backend)
+                _compare_query(warm, model, kind, params)
                 queries += 1
         counters = _oracle_counters(warm)
     sink.append({
         "stream": name,
-        "backend": backend,
         "steps": mutations + queries,
         "mutations": mutations,
         "queries": queries,
@@ -149,13 +145,11 @@ def _scripted_events(graph) -> list:
 @pytest.mark.parametrize(
     "name", ["planted16", "er14w", "grid4x5", "wheel9"]
 )
-def test_scripted_stream_bit_identical(name, ampc_backend,
-                                       dynamic_stream_summary):
+def test_scripted_stream_bit_identical(name, dynamic_stream_summary):
     graph = dict(connected_corpus())[name]
     counters = _run_stream(
         graph,
         _scripted_events(graph),
-        backend=ampc_backend,
         name=f"scripted:{name}",
         sink=dynamic_stream_summary,
     )
@@ -207,8 +201,7 @@ def _random_stream(rng, model, steps: int):
 @pytest.mark.parametrize("name,seed", [
     ("planted16", 11), ("regular16", 12), ("powerlaw20", 13),
 ])
-def test_random_stream_bit_identical(name, seed, ampc_backend,
-                                     dynamic_stream_summary):
+def test_random_stream_bit_identical(name, seed, dynamic_stream_summary):
     graph = dict(connected_corpus())[name]
     # one shared model: the generator reads it to produce valid deltas
     # against live rows, the driver advances it after each mutation
@@ -224,7 +217,6 @@ def test_random_stream_bit_identical(name, seed, ampc_backend,
     counters = _run_stream(
         graph,
         _recorded(),
-        backend=ampc_backend,
         name=f"random:{name}:{seed}",
         sink=dynamic_stream_summary,
         model=model,
@@ -237,8 +229,7 @@ def test_random_stream_bit_identical(name, seed, ampc_backend,
 # ----------------------------------------------------------------------
 # The performance claim: localized decreases repair << n tree edges
 # ----------------------------------------------------------------------
-def test_localized_decreases_repair_sublinearly(ampc_backend,
-                                                dynamic_stream_summary):
+def test_localized_decreases_repair_sublinearly(dynamic_stream_summary):
     """Mild decreases on well-connected pairs of a heterogeneous
     planted instance: the oracle must take the *repair* path (not
     rebuild), and each repair must recompute far fewer than n tree
@@ -264,7 +255,6 @@ def test_localized_decreases_repair_sublinearly(ampc_backend,
     counters = _run_stream(
         graph,
         events,
-        backend=ampc_backend,
         name=f"localized:planted{n}",
         sink=dynamic_stream_summary,
     )
@@ -278,8 +268,7 @@ def test_localized_decreases_repair_sublinearly(ampc_backend,
 # ----------------------------------------------------------------------
 # Regression: reweight-to-zero disconnect must flow through /gomoryhu
 # ----------------------------------------------------------------------
-def test_gomoryhu_disconnect_via_zero_reweight(ampc_backend,
-                                               dynamic_stream_summary):
+def test_gomoryhu_disconnect_via_zero_reweight(dynamic_stream_summary):
     """A reweight-to-zero delta that severs the only bridge must make a
     warm ``/gomoryhu`` report the cross-component pairs as absent
     (``null`` matrix entries, ``connected: false``) exactly like a cold
@@ -299,12 +288,11 @@ def test_gomoryhu_disconnect_via_zero_reweight(ampc_backend,
     _run_stream(
         graph,
         events,
-        backend=ampc_backend,
         name="disconnect:two_triangles",
         sink=dynamic_stream_summary,
     )
     # independent shape check on the disconnected payload itself
-    with CutService(ampc_backend=ampc_backend) as svc:
+    with CutService() as svc:
         svc.register("g", two_triangles())
         svc.gomoryhu("g")                            # warm
         svc.mutate("g", reweights=[[2, 3, 0.0]])

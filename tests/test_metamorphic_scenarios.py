@@ -15,8 +15,6 @@ corpus instance, not by golden outputs.
   the reported sparsity) and within the ``sqrt(log n)``-style ratio
   envelope of the exact enumeration wherever the exact answer is
   computable — on most corpus instances the ratio is exactly 1.
-* Warm results are bit-identical under the suite's AMPC backend
-  (``AMPC_BACKEND``) versus a forced-serial service.
 
 Each check appends a record to the ``scenario_summary`` fixture; with
 ``SCENARIO_SUMMARY`` set the records land in CI's scenario artifact.
@@ -316,29 +314,3 @@ def test_sparsest_rejects_trivial_graphs():
             svc.sparsestcut("one")
         with pytest.raises(ValueError, match="need n >= 2"):
             svc.gomoryhu("one")
-
-
-# ----------------------------------------------------------------------
-# Cross-backend identity: the suite backend vs forced serial
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", ["planted16", "viecut_cc16",
-                                  "viecut_exp14"])
-def test_scenarios_backend_identical(name, ampc_backend, scenario_summary):
-    graph = _graph(name)
-    with CutService(ampc_backend=ampc_backend) as under_test, \
-            CutService(ampc_backend="serial") as reference:
-        under_test.register(name, graph)
-        reference.register(name, graph)
-        a_gh = under_test.gomoryhu(name, sides=True)
-        b_gh = reference.gomoryhu(name, sides=True)
-        a_sp = under_test.sparsestcut(name)
-        b_sp = reference.sparsestcut(name)
-    identical = (
-        _comparable(a_gh) == _comparable(b_gh)
-        and _comparable(a_sp) == _comparable(b_sp)
-    )
-    assert identical
-    scenario_summary.append(
-        {"check": "backend_identity", "instance": name,
-         "backend": ampc_backend, "ok": identical}
-    )

@@ -659,16 +659,16 @@ def test_differential_planted_random_deltas():
     _run_differential(planted_cut(20, seed=9).graph, deltas)
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread:2", "process:2"])
-def test_differential_interleaved_under_backends(backend):
-    """Interleaved mutate/query, bit-identical across round backends."""
+def test_differential_interleaved_matches_fresh_service():
+    """Interleaved mutate/query on a warm service, bit-identical to a
+    fresh service replaying the same deltas."""
     deltas = [
         {"reweights": [[2, 3, 3.0]]},
         {"adds": [[1, 4, 1.0]]},
         {"removes": [[2, 3]]},
     ]
     model = EdgeListModel(two_triangles())
-    with CutService(ampc_backend=backend) as warm:
+    with CutService() as warm:
         warm.register("w", model.build())
         results = []
         for delta in deltas:
@@ -678,7 +678,7 @@ def test_differential_interleaved_under_backends(backend):
             r2 = warm.mincut("w", seed=1, trials=2, preprocess="safe")
             assert r2["cached"] is False  # the delta invalidated it
             results.append((_comparable(r), _comparable(r2)))
-        with CutService(ampc_backend="serial") as ref:
+        with CutService() as ref:
             model2 = EdgeListModel(two_triangles())
             ref.register("w", model2.build())
             for (before, after), delta in zip(results, deltas):

@@ -306,6 +306,50 @@ class TestCutService:
             assert svc.kcut("g", 2, seed=1)["cached"] is True
 
 
+def test_served_ops_execute_no_ampc_rounds(monkeypatch):
+    """Every served op charges its AMPC rounds by lemma and executes none.
+
+    This premise is why the service, the trial executor and the CLI take
+    no round-backend option: with zero executed rounds a backend can
+    change neither an answer nor a timing.  A change that makes a
+    served op execute rounds must bring back backend selection only
+    where rounds run.  The ``ampc_sort`` call at the end is a positive
+    control showing the counters do see executed rounds.
+    """
+    from repro.ampc import AMPCConfig, AMPCRuntime
+    from repro.ampc.primitives import ampc_sort
+
+    calls = {"round": 0, "column_round": 0}
+
+    def counting(name):
+        original = getattr(AMPCRuntime, name)
+
+        def wrapper(self, *args, **kwargs):
+            calls[name] += 1
+            return original(self, *args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(AMPCRuntime, name, counting(name))
+
+    with CutService() as svc:
+        svc.register("g", planted_cut(48, seed=3).graph)
+        mincut = svc.mincut("g", trials=2, seed=1, preprocess="safe")
+        kcut = svc.kcut("g", 3, seed=1)
+        svc.stcut("g", 0, 40)
+        svc.gomoryhu("g")
+        svc.sparsestcut("g")
+        svc.mutate("g", reweights=[[0, 1, 4.0]])
+        svc.kernelize("g", level="safe")
+        svc.mincut("g", trials=2, seed=1, preprocess="safe")
+    assert calls == {"round": 0, "column_round": 0}
+    assert mincut["rounds"] > 0 and kcut["rounds"] > 0
+
+    ampc_sort(AMPCConfig(n_input=64), list(range(64, 0, -1)))
+    assert calls["round"] + calls["column_round"] > 0
+
+
 # ======================================================================
 # End-to-end HTTP round trip
 # ======================================================================

@@ -129,27 +129,6 @@ class TestOracleInvalidationOnReupload:
 
 
 # ----------------------------------------------------------------------
-# AMPC backend threading through the service
-# ----------------------------------------------------------------------
-class TestServiceBackendSelection:
-    def test_backend_surfaces_in_stats_and_matches_serial(self):
-        with CutService() as serial_svc, CutService(
-            ampc_backend="thread:2"
-        ) as threaded_svc:
-            graph = planted_cut(24, seed=7).graph
-            serial_svc.register("g", graph)
-            threaded_svc.register("g", graph)
-            a = serial_svc.mincut("g", trials=2, seed=0)
-            b = threaded_svc.mincut("g", trials=2, seed=0)
-            assert threaded_svc.stats()["executor"]["ampc_backend"] == "thread:2"
-            assert (b["weight"], b["side"], b["rounds"]) == (
-                a["weight"],
-                a["side"],
-                a["rounds"],
-            )
-
-
-# ----------------------------------------------------------------------
 # /batch mixing valid and invalid requests
 # ----------------------------------------------------------------------
 class TestBatchMixedValidity:
