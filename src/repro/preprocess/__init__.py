@@ -23,8 +23,7 @@ after in-place graph mutations, calls :func:`refresh_kernel`
 certificates the delta invalidated — each :class:`ReductionStep` now
 records the local certificate it relied on — falling back to a lazy
 rekernelization otherwise (see ``docs/ARCHITECTURE.md`` for the
-request lifecycle).  :func:`revalidate_kernel` is the historical
-wrapper around the same rules.
+request lifecycle).
 """
 
 from .dynamic import refresh_kernel
@@ -35,7 +34,6 @@ from .kernel import (
     ReductionStep,
     kernelize,
     kernelize_for_kcut,
-    revalidate_kernel,
     solve_min_cut,
     validate_level,
 )
@@ -48,7 +46,6 @@ __all__ = [
     "kernelize",
     "kernelize_for_kcut",
     "refresh_kernel",
-    "revalidate_kernel",
     "solve_min_cut",
     "validate_level",
 ]

@@ -92,6 +92,9 @@ def refresh_kernel(
     >>> fresh, rule = refresh_kernel(kernel, g)
     >>> rule, fresh.is_solved
     ('component-split', True)
+    >>> g.add_edge(1, 2, 2.0)                          # reconnect: rebuild
+    >>> refresh_kernel(kernel, g)
+    (None, 'rebuild')
     >>> cycle = Graph(edges=[(0, 1, 1.0), (1, 2, 1.0),
     ...                      (2, 3, 1.0), (3, 0, 1.0)])
     >>> refresh_kernel(kernelize(cycle, level="safe"), cycle)[1]

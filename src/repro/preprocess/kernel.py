@@ -527,43 +527,6 @@ def _ni_certificate_pass(kernel: CutKernel) -> None:
     kernel.graph = cert
 
 
-# ----------------------------------------------------------------------
-# Incremental revalidation (the serving layer's mutation path)
-# ----------------------------------------------------------------------
-def revalidate_kernel(
-    kernel: CutKernel, graph: Graph, *, edges_added: bool = False
-) -> CutKernel | None:
-    """Revalidate a cached kernel after an in-place graph mutation.
-
-    Compatibility wrapper around
-    :func:`repro.preprocess.dynamic.refresh_kernel`, which holds the
-    actual refresh rules (and additionally reports *which* rule fired,
-    for the serving layer's ``reductions_replayed`` accounting).
-    ``edges_added`` is retained for callers of the historical signature
-    but no longer gates anything: the refresh rules check the mutated
-    graph directly, so e.g. a delta that adds edges to a
-    still-disconnected graph now refreshes instead of dropping.
-
-    >>> from repro.graph import Graph
-    >>> g = Graph(edges=[(0, 1, 1.0), (2, 3, 1.0)])   # two components
-    >>> kernel = kernelize(g, level="safe")
-    >>> kernel.is_solved
-    True
-    >>> g.remove_edge(2, 3)                           # still disconnected
-    1.0
-    >>> fresh = revalidate_kernel(kernel, g)
-    >>> fresh.is_solved and fresh.solved.weight == 0.0
-    True
-    >>> g.add_edge(1, 2, 2.0); g.add_edge(2, 3, 2.0)  # reconnect: rebuild
-    >>> revalidate_kernel(kernel, g) is None
-    True
-    """
-    from .dynamic import refresh_kernel
-
-    refreshed, _rule = refresh_kernel(kernel, graph)
-    return refreshed
-
-
 # ======================================================================
 # Min k-Cut kernelization (the k-cut-safe subset)
 # ======================================================================

@@ -26,11 +26,8 @@ is bit-identical to ``ampc_min_cut_boosted`` itself.
 
 from __future__ import annotations
 
-import hashlib
-import pickle
 import signal
 import threading
-from collections import OrderedDict
 from concurrent.futures import Executor, ProcessPoolExecutor
 from typing import Callable, Sequence
 
@@ -66,38 +63,15 @@ def trial_seeds(seed: int, trials: int) -> list[int]:
 
 # ----------------------------------------------------------------------
 # Module-level trial kernels (must be picklable for the process pool).
-#
-# The parent pickles the graph ONCE per batch and ships the same bytes
-# to every future (re-pickling a ``bytes`` is a memcpy, re-pickling a
-# Graph is an object walk); each worker unpickles a given graph once
-# and memoises it by digest, so a batch costs O(1) (de)serialisations
-# per process instead of O(trials).
+# A pooled trial ships the graph itself: pickling it costs well under 1%
+# of one trial.
 # ----------------------------------------------------------------------
-_GRAPH_MEMO: OrderedDict[str, Graph] = OrderedDict()
-_GRAPH_MEMO_CAPACITY = 4
+def _mincut_trial(graph: Graph, eps: float, seed: int) -> MinCutResult:
+    return ampc_min_cut(graph, eps=eps, seed=seed)
 
 
-def _resolve_graph(ref) -> Graph:
-    if isinstance(ref, Graph):
-        return ref
-    digest, blob = ref
-    graph = _GRAPH_MEMO.get(digest)
-    if graph is None:
-        graph = pickle.loads(blob)
-        _GRAPH_MEMO[digest] = graph
-        while len(_GRAPH_MEMO) > _GRAPH_MEMO_CAPACITY:
-            _GRAPH_MEMO.popitem(last=False)
-    else:
-        _GRAPH_MEMO.move_to_end(digest)
-    return graph
-
-
-def _mincut_trial(ref, eps: float, seed: int) -> MinCutResult:
-    return ampc_min_cut(_resolve_graph(ref), eps=eps, seed=seed)
-
-
-def _kcut_trial(ref, k: int, eps: float, seed: int) -> KCutResult:
-    return apx_split_kcut(_resolve_graph(ref), k, eps=eps, seed=seed)
+def _kcut_trial(graph: Graph, k: int, eps: float, seed: int) -> KCutResult:
+    return apx_split_kcut(graph, k, eps=eps, seed=seed)
 
 
 def _best_of(results: list, label: str):
@@ -138,9 +112,6 @@ class TrialExecutor:
         self.workers = workers
         self._pool: Executor | None = None
         self._lock = threading.Lock()
-        self._ref_memo: OrderedDict[int, tuple[Graph, tuple[str, bytes]]] = (
-            OrderedDict()
-        )
         if metrics is None:
             metrics = MetricsRegistry().scope("executor")
         self._trials_run = metrics.counter("trials_run")
@@ -175,36 +146,6 @@ class TrialExecutor:
             # submission order, not completion
             return [f.result() for f in futures]
 
-    def _graph_ref(self, graph: Graph, trials: int):
-        """The graph itself (serial) or one (digest, pickle) pair (pool).
-
-        Serial batches — one worker *or* one trial — never touch the
-        pool (see :meth:`_run_batch`), so they get the object through
-        with zero serialization.  For pool batches the pair is memoised
-        per graph *object* (the memo holds a strong reference, so
-        ``id`` stays valid), sparing a warm server the O(n+m) re-pickle
-        on every repeated query over a resident graph.  Object identity
-        is a sound cache key only while the object's content is fixed,
-        so owners must call :meth:`forget` when they evict a graph *or
-        mutate it in place* (the serving layer's ``/mutate`` path does,
-        in :meth:`repro.service.service.CutService.absorb_mutation`).
-        """
-        if self.workers == 1 or trials == 1:
-            return graph
-        memo_key = id(graph)
-        with self._lock:
-            entry = self._ref_memo.get(memo_key)
-            if entry is not None and entry[0] is graph:
-                self._ref_memo.move_to_end(memo_key)
-                return entry[1]
-        blob = pickle.dumps(graph, pickle.HIGHEST_PROTOCOL)
-        ref = (hashlib.sha1(blob).hexdigest(), blob)
-        with self._lock:
-            self._ref_memo[memo_key] = (graph, ref)
-            while len(self._ref_memo) > _GRAPH_MEMO_CAPACITY:
-                self._ref_memo.popitem(last=False)
-        return ref
-
     def _ensure_pool(self) -> Executor:
         with self._lock:
             if self._pool is None:
@@ -229,11 +170,9 @@ class TrialExecutor:
         """
         if trials is None:
             trials = default_trials(graph.num_vertices)
-        seeds = trial_seeds(seed, trials)
-        ref = self._graph_ref(graph, trials)
         results: list[MinCutResult] = self._run_batch(
             _mincut_trial,
-            [(ref, eps, s) for s in seeds],
+            [(graph, eps, s) for s in trial_seeds(seed, trials)],
         )
         return _best_of(results, f"boosting over {trials} parallel trials")
 
@@ -247,27 +186,15 @@ class TrialExecutor:
         seed: int = 0,
     ) -> KCutResult:
         """Best APX-SPLIT run over ``trials`` independent seeds."""
-        seeds = trial_seeds(seed, trials)
-        ref = self._graph_ref(graph, trials)
         results: list[KCutResult] = self._run_batch(
             _kcut_trial,
-            [(ref, k, eps, s) for s in seeds],
+            [(graph, k, eps, s) for s in trial_seeds(seed, trials)],
         )
         if trials == 1:
             return results[0]
         return _best_of(
             results, f"APX-SPLIT boosting over {trials} parallel trials"
         )
-
-    def forget(self, graph: Graph) -> None:
-        """Drop the pickled-blob memo for ``graph`` (owner evicted it).
-
-        Without this a ``store_capacity``-bounded server would keep up
-        to ``_GRAPH_MEMO_CAPACITY`` evicted graphs (and their blobs)
-        pinned in the parent process.
-        """
-        with self._lock:
-            self._ref_memo.pop(id(graph), None)
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

@@ -463,7 +463,7 @@ def _kernelize(svc, p):
     level, k = p["level"], p["k"]
     t0 = time.perf_counter()
     level_key = level if k is None else ("kcut", k, level)
-    cached = svc.store.has_kernel(entry.fingerprint, level_key)
+    cached = svc.store.cached_kernel(entry.fingerprint, level_key) is not None
     if k is None:
         kernel = svc.store.kernel_for(entry, level)
     else:
@@ -526,7 +526,7 @@ def _mutate(svc, p):
                     "/graphs for the current fingerprint)"
                 ) from None
             with tracer.span("mutate.invalidate") as sp:
-                svc.absorb_mutation(entry, record)
+                svc.absorb_mutation(record)
                 if sp:
                     sp.set(
                         oracle=record.oracle,

@@ -19,8 +19,8 @@ cache.
 
 Surviving mutations — the fully dynamic story
 ---------------------------------------------
-``/mutate`` (:meth:`repro.service.service.CutService.mutate`) calls
-:meth:`CutOracle.apply_delta` instead of discarding the oracle.  s–t
+``/mutate`` (through :meth:`repro.service.store.GraphStore.apply_delta`)
+calls :meth:`CutOracle.apply_delta` instead of discarding the oracle.  s–t
 min-cut *values* are exact and unique, so a retained answer is
 automatically bit-identical to a recomputation — retention only has to
 be *sound*.  The oracle tracks the **net** weight change per vertex
@@ -103,12 +103,10 @@ class CutOracle:
         self,
         graph: Graph,
         *,
-        engine: str = "dinic",
         metrics: MetricsScope | None = None,
         tracer: Tracer = NULL_TRACER,
     ):
         self.graph = graph
-        self.engine = engine
         self._tree: GomoryHuTree | None = None
         self._lock = threading.Lock()
         self._build_lock = threading.Lock()
@@ -172,11 +170,8 @@ class CutOracle:
             if self._tree is None:
                 with self._tracer.span("oracle.build") as sp:
                     if sp:
-                        sp.set(
-                            engine=self.engine,
-                            num_vertices=self.graph.num_vertices,
-                        )
-                    built = gomory_hu_tree(self.graph, engine=self.engine)
+                        sp.set(num_vertices=self.graph.num_vertices)
+                    built = gomory_hu_tree(self.graph)
                 with self._lock:
                     self._tree = built
                     self._touched = None
@@ -303,7 +298,6 @@ class CutOracle:
                         tree,
                         self.graph,
                         net.values(),
-                        engine=self.engine,
                         max_flows=max(n - 2, 0),
                     )
                     if sp:
@@ -353,12 +347,8 @@ class CutOracle:
                 return self._tree  # another thread rebuilt first
             with self._tracer.span("oracle.build") as sp:
                 if sp:
-                    sp.set(
-                        engine=self.engine,
-                        num_vertices=self.graph.num_vertices,
-                        rebuild=True,
-                    )
-                built = gomory_hu_tree(self.graph, engine=self.engine)
+                    sp.set(num_vertices=self.graph.num_vertices, rebuild=True)
+                built = gomory_hu_tree(self.graph)
             with self._lock:
                 self._tree = built
                 self._touched = None
@@ -491,29 +481,6 @@ class CutOracle:
     @property
     def pair_hits(self) -> int:
         return self._pair_memo.hits
-
-    def global_min_cut(self) -> float:
-        """Global min cut = lightest tree edge (exact, not approximate).
-
-        Under a mutation mask the lightest edge certifies itself the
-        same way a path argmin does (its recorded side is a real cut of
-        unchanged weight, and increase-only deltas can't have produced
-        a lighter cut); a touched lightest edge forces a rebuild.  On a
-        repaired tree every label is exact, so the lightest edge always
-        certifies (the tree-path argument makes the minimum label the
-        exact global min cut with no side check needed).
-        """
-        tree, touched, _ = self._current()
-        if touched is None:
-            return tree.min_cut_value()
-        value = tree.min_cut_value()
-        if not touched or any(
-            e.weight == value and e.child not in touched for e in tree.edges
-        ):
-            with self._lock:
-                self._inc("mask_hits")
-            return value
-        return self._rebuild().min_cut_value()
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

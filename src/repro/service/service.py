@@ -3,11 +3,13 @@
 Composition (each piece independently testable):
 
 * :class:`~repro.service.store.GraphStore` — graphs parsed and
-  fingerprinted once, resident thereafter, LRU-bounded;
+  fingerprinted once, resident thereafter, LRU-bounded; it also keeps
+  what is derived from each resident content (kernels, oracle);
 * :class:`~repro.service.executor.TrialExecutor` — boosting trials
   fanned over a process pool, deterministically merged;
 * :class:`~repro.service.oracle.CutOracle` — one lazy Gomory–Hu tree
-  per resident graph for O(n) repeated s–t queries;
+  per resident content (kept by the store) for O(n) repeated s–t
+  queries;
 * :class:`~repro.service.cache.LRUCache` — finished query results keyed
   by ``(fingerprint, op, params)``, the params an op's
   :class:`~repro.service.ops.OpSpec` names as its key.
@@ -19,9 +21,9 @@ the shared lookup → kernel → cache → compute steps.
 
 Result-cache keys use the graph **fingerprint**, not the name, so the
 cache is content-addressed: re-registering the same graph under another
-name (or after an eviction) still hits.  Evicting a graph releases its
-oracle; cached results survive (they are small summaries, and the LRU
-bounds them).
+name (or after an eviction) still hits.  Evicting the last name holding
+a content releases its kernels and oracle; cached results survive (they
+are small summaries, and the LRU bounds them).
 
 Graphs are **mutable in place** through :meth:`CutService.mutate`
 (edge adds/removes/reweights, batched): the store applies the delta to
@@ -40,7 +42,6 @@ tests can observe amortisation directly.
 
 from __future__ import annotations
 
-import threading
 import time
 from pathlib import Path
 from typing import Hashable
@@ -93,9 +94,7 @@ class CutService:
         #: ``tests/test_tracing.py``)
         self.tracer = tracer if tracer is not None else Tracer()
         self.store = GraphStore(
-            capacity=store_capacity,
-            on_evict=self._release_oracle,
-            metrics=self.metrics.scope("store"),
+            capacity=store_capacity, metrics=self.metrics.scope("store")
         )
         self.executor = TrialExecutor(
             workers=workers,
@@ -108,8 +107,6 @@ class CutService:
         #: default kernelization level for mincut/kcut queries; each
         #: query may override it with its own ``preprocess`` field.
         self.preprocess = validate_level(preprocess)
-        self._oracles: dict[str, CutOracle] = {}  # fingerprint -> oracle
-        self._lock = threading.Lock()
         self.started_at = time.time()
 
     # ------------------------------------------------------------------
@@ -144,35 +141,11 @@ class CutService:
     def graphs(self) -> list[dict]:
         return [e.describe() for e in self.store.entries()]
 
-    def _release_oracle(self, entry: GraphEntry) -> None:
-        # Called by the store on eviction.  Only drop the oracle if no
-        # *other* resident entry shares the fingerprint (content-equal
-        # graphs registered under two names share one oracle).
-        with self._lock:
-            if any(
-                e.fingerprint == entry.fingerprint for e in self.store.entries()
-            ):
-                return
-            self._oracles.pop(entry.fingerprint, None)
-        self.executor.forget(entry.graph)
-
     def oracle_for(self, entry: GraphEntry) -> CutOracle:
         """The resident Gomory–Hu oracle of ``entry``'s content."""
-        with self._lock:
-            oracle = self._oracles.get(entry.fingerprint)
-            if oracle is None:
-                oracle = CutOracle(entry.graph, tracer=self.tracer)
-                # Only cache the oracle while its graph is still
-                # resident: the entry may have been evicted between the
-                # caller's store.get() and this point, and an oracle
-                # cached after _release_oracle ran would be orphaned
-                # (pinning graph + tree) forever.
-                if any(
-                    e.fingerprint == entry.fingerprint
-                    for e in self.store.entries()
-                ):
-                    self._oracles[entry.fingerprint] = oracle
-            return oracle
+        return self.store.oracle_for(
+            entry, lambda graph: CutOracle(graph, tracer=self.tracer)
+        )
 
     # ------------------------------------------------------------------
     # Served ops: thin calls into one skeleton (see repro.service.ops)
@@ -345,47 +318,23 @@ class CutService:
             self.results.put(key, payload)
             return {**payload, "cached": False}
 
-    def absorb_mutation(
-        self, entry: GraphEntry, record: MutationRecord
-    ) -> None:
-        """Service-level selective invalidation for one applied delta.
+    def absorb_mutation(self, record: MutationRecord) -> None:
+        """Result-cache invalidation for one applied delta.
 
-        The store already moved the fingerprint and revalidated its
-        kernels; here the executor's pickled-blob memo, the per-graph
-        Gomory–Hu oracle and the result cache follow.  When the old
+        The store already moved the fingerprint, its kernels and its
+        Gomory–Hu oracle; here the result cache follows.  When the old
         content is still resident under another name (``record.shared``,
         after copy-on-write) nothing is invalidated — the delta cannot
-        touch the sibling's state.
+        touch the sibling's results.
 
         A swept result survives, re-keyed to the new fingerprint, only
         when its op's ``rekey`` hook can regenerate it soundly (mincut
         answered by a kernel that stays solved); everything else is
         dropped.
         """
-        effect = record.effect
-        if effect.is_noop:
-            record.oracle = "kept"
-            return
-        # The executor memoises pickled graphs by object identity; the
-        # mutated object's blob is stale (no-op after copy-on-write,
-        # where the object is fresh).
-        self.executor.forget(entry.graph)
-        if record.shared:
-            record.oracle = "kept"
+        if record.effect.is_noop or record.shared:
             return
         old_fp, new_fp = record.old_fingerprint, record.new_fingerprint
-        with self._lock:
-            oracle = self._oracles.pop(old_fp, None)
-        if oracle is None:
-            record.oracle = "absent"
-        else:
-            record.oracle = oracle.apply_delta(
-                entry.graph,
-                effect.changed,
-                has_new_vertices=bool(effect.new_vertices),
-            )
-            with self._lock:
-                self._oracles[new_fp] = oracle
         dropped = rekeyed = 0
         for key in list(self.results):
             fp, op, values = key
@@ -414,11 +363,11 @@ class CutService:
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         """The ``/stats`` payload: every cache/pool counter in one dict."""
-        with self._lock:
-            # Snapshot only; oracle.stats() runs outside this lock so a
-            # Gomory–Hu build in progress can't wedge the whole service.
-            snapshot = dict(self._oracles)
-        oracles = {fp: oracle.stats() for fp, oracle in snapshot.items()}
+        # oracle.stats() runs outside the store lock, and never waits
+        # on a Gomory–Hu build in progress
+        oracles = {
+            fp: oracle.stats() for fp, oracle in self.store.oracles().items()
+        }
         store_stats = self.store.stats
         return {
             "uptime_s": time.time() - self.started_at,
@@ -440,8 +389,7 @@ class CutService:
         """The ``GET /metrics`` body: one registry snapshot plus the
         per-fingerprint oracle counters aggregated under ``oracle.*``."""
         snap = self.metrics.snapshot()
-        with self._lock:
-            oracles = list(self._oracles.values())
+        oracles = self.store.oracles().values()
         agg = {f: 0 for f in CutOracle.COUNTER_FIELDS}
         pair_hits = 0
         for oracle in oracles:

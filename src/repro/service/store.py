@@ -16,15 +16,17 @@ result caches content-addressed, so re-registering the same graph under
 a new name (or after an eviction) still hits warm cache entries.
 
 Capacity is bounded: with more named graphs than ``capacity`` the
-least-recently-*queried* one is evicted (its dependents — e.g. the
-per-graph Gomory–Hu oracle — are released through ``on_evict``).
+least-recently-*queried* one is evicted.
 
-The store also owns the **kernelization cache**: one
-:class:`~repro.preprocess.CutKernel` per (fingerprint, level), built
-lazily by :meth:`GraphStore.kernel_for`, so every preprocessed query on
-a resident graph starts from the reduced graph instead of re-running
-the reduction pipeline.  Kernels are dropped when the last entry
-holding their fingerprint leaves the store.
+The store also owns **everything derived from a graph's content**: per
+resident fingerprint, one record holds the
+:class:`~repro.preprocess.CutKernel` of each level, the k-cut kernels
+and the :class:`~repro.service.oracle.CutOracle`, plus a count of the
+names holding that content.  Each is built lazily on first use
+(:meth:`GraphStore.kernel_for`, :meth:`GraphStore.oracle_for`), shared
+by every name holding the content, carried along by
+:meth:`GraphStore.apply_delta`, and released with the rest of the
+record when the last name holding the content leaves the store.
 """
 
 from __future__ import annotations
@@ -41,6 +43,11 @@ from ..obs.metrics import MetricsRegistry, MetricsScope
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..preprocess import CutKernel
     from .deltas import GraphDelta, MutationRecord
+    from .oracle import CutOracle
+
+#: the derived-state key of a content's Gomory–Hu oracle; kernels are
+#: keyed by their level name or ``("kcut", k, level)``
+_ORACLE = "gomory-hu"
 
 
 @dataclass
@@ -75,6 +82,15 @@ class GraphEntry:
             "generation": self.generation,
             "mutations": self.mutations,
         }
+
+
+@dataclass
+class _Content:
+    """The kernels and oracle derived from one resident content, and
+    the number of names holding it; dropped whole when that reaches 0."""
+
+    holders: int = 0
+    derived: dict = field(default_factory=dict)
 
 
 class StoreStats:
@@ -123,9 +139,9 @@ class StoreStats:
 class GraphStore:
     """Named registry of resident graphs with LRU eviction.
 
-    ``capacity=None`` means unbounded.  ``on_evict`` (if given) is
-    called with each evicted :class:`GraphEntry` so owners of derived
-    state (oracles, etc.) can release it.
+    ``capacity=None`` means unbounded.  Kernels and the Gomory–Hu
+    oracle are kept per resident fingerprint and released with the
+    last name holding that content.
 
     >>> from repro.graph import Graph
     >>> store = GraphStore(capacity=2)
@@ -147,7 +163,6 @@ class GraphStore:
         self,
         *,
         capacity: int | None = None,
-        on_evict: Callable[[GraphEntry], None] | None = None,
         metrics: MetricsScope | None = None,
     ):
         if capacity is not None and capacity < 1:
@@ -155,14 +170,31 @@ class GraphStore:
         self.capacity = capacity
         self._entries: OrderedDict[str, GraphEntry] = OrderedDict()
         self._lock = threading.RLock()
-        self._on_evict = on_evict
         self.stats = StoreStats(metrics)
-        # kernelization cache: (fingerprint, level) -> CutKernel and
-        # (fingerprint, ("kcut", k, level)) -> KCutKernel, so every
-        # preprocessed query on a resident graph starts from the
-        # kernel.  Content-addressed like the oracle cache: two names
-        # holding the same graph share one kernel per level.
-        self._kernels: dict[tuple, "CutKernel"] = {}
+        # fingerprint -> what is derived from that content; a key is
+        # present exactly while some resident entry holds the content
+        self._contents: dict[str, _Content] = {}
+
+    def _hold(self, fingerprint: str) -> None:
+        """Count one more resident name holding ``fingerprint``.
+
+        Caller must hold ``self._lock``.
+        """
+        content = self._contents.get(fingerprint)
+        if content is None:
+            content = self._contents[fingerprint] = _Content()
+        content.holders += 1
+
+    def _release(self, fingerprint: str) -> _Content | None:
+        """Count one name fewer; returns the record it dropped, if any.
+
+        Caller must hold ``self._lock``.
+        """
+        content = self._contents[fingerprint]
+        content.holders -= 1
+        if content.holders:
+            return None
+        return self._contents.pop(fingerprint)
 
     # ------------------------------------------------------------------
     # Registration
@@ -185,24 +217,20 @@ class GraphStore:
             num_edges=graph.num_edges,
             source=source,
         )
-        evicted: list[GraphEntry] = []
         with self._lock:
+            # Hold the new content before releasing the old holder, so a
+            # content-equal re-upload keeps its kernels and oracle.
+            self._hold(entry.fingerprint)
             replaced = self._entries.pop(name, None)
             if replaced is not None:
-                # The old holder leaves the store like any eviction, so
-                # derived state (oracles) keyed on its content is freed.
                 self.stats.inc("replaced")
-                evicted.append(replaced)
+                self._release(replaced.fingerprint)
             self._entries[name] = entry
             self.stats.inc("registered")
             while self.capacity is not None and len(self._entries) > self.capacity:
                 _, old = self._entries.popitem(last=False)
                 self.stats.inc("evictions")
-                evicted.append(old)
-            self._drop_orphan_kernels(evicted)
-        for old in evicted:
-            if self._on_evict is not None:
-                self._on_evict(old)
+                self._release(old.fingerprint)
         return entry
 
     def register_file(self, name: str, path: Path | str) -> GraphEntry:
@@ -256,9 +284,7 @@ class GraphStore:
                 raise KeyError(f"no graph registered under {name!r}")
             entry = self._entries.pop(name)
             self.stats.inc("evictions")
-            self._drop_orphan_kernels([entry])
-        if self._on_evict is not None:
-            self._on_evict(entry)
+            self._release(entry.fingerprint)
         return entry
 
     # ------------------------------------------------------------------
@@ -291,17 +317,20 @@ class GraphStore:
         * if another resident entry still holds the old content (same
           fingerprint), the graph is **copied on write** first, so the
           sibling's graph object — and every kernel/oracle built from
-          it — stays frozen and nothing of the old content is dropped;
-        * otherwise the old fingerprint's kernels are refreshed where
-          a reduction certificate survives the delta
-          (:func:`repro.preprocess.refresh_kernel` — re-keyed to the
-          new fingerprint, counted in ``kernels_revalidated`` with the
-          re-run reduction steps in ``reductions_replayed``) and
-          dropped where not;
+          it — stays frozen; the sibling keeps the derived record and
+          the mutated name starts an empty one;
+        * otherwise the record moves to the new fingerprint: min-cut
+          kernels are refreshed where a reduction certificate survives
+          the delta (:func:`repro.preprocess.refresh_kernel`, counted
+          in ``kernels_revalidated`` with the re-run reduction steps in
+          ``reductions_replayed``) and dropped where not, k-cut kernels
+          are dropped, and the Gomory–Hu oracle absorbs the delta
+          (:meth:`repro.service.oracle.CutOracle.apply_delta`, whose
+          action lands in ``record.oracle``);
         * a no-op delta (content and row order bit-identical) keeps the
           fingerprint and invalidates nothing.
 
-        Result-cache and oracle invalidation live one layer up in
+        Result-cache invalidation lives one layer up in
         :meth:`repro.service.service.CutService.mutate`, which wraps
         this and fills the remaining :class:`MutationRecord` fields.
 
@@ -335,10 +364,7 @@ class GraphStore:
                     name, expected_fingerprint, entry.fingerprint
                 )
             old_fp = entry.fingerprint
-            shared = any(
-                e is not entry and e.fingerprint == old_fp
-                for e in self._entries.values()
-            )
+            shared = self._contents[old_fp].holders > 1
             if is_noop_for(entry.graph, delta):
                 # Provably-untouched content: skip copy-on-write, the
                 # column writes and the derived-cache invalidation
@@ -353,6 +379,7 @@ class GraphStore:
                     delta=delta,
                     effect=DeltaEffect(),
                     shared=shared,
+                    oracle="kept",
                 )
             copied = False
             if shared:
@@ -373,60 +400,63 @@ class GraphStore:
                 effect=effect,
                 shared=shared,
                 copied_on_write=copied,
+                oracle="kept",
             )
             if effect.is_noop:
                 return entry, record
             self.stats.inc("deltas_applied")
-            entry.fingerprint = chain_fingerprint(old_fp, delta)
+            entry.fingerprint = new_fp = chain_fingerprint(old_fp, delta)
             entry.generation += 1
             entry.num_vertices = entry.graph.num_vertices
             entry.num_edges = entry.graph.num_edges
-            record.new_fingerprint = entry.fingerprint
+            record.new_fingerprint = new_fp
             record.generation = entry.generation
-            pending: list = []  # (level, kernel) candidates to revalidate
-            if not shared:
-                for key in [k for k in self._kernels if k[0] == old_fp]:
-                    kernel = self._kernels.pop(key)
-                    if isinstance(key[1], str):  # min-cut kernel level
-                        pending.append((key[1], kernel))
-                    else:  # k-cut kernels have no revalidation rule
-                        record.kernels_dropped += 1
-                        self.stats.inc("kernels_dropped_on_mutate")
-        # Revalidation may kernelize (O(n + m)); run it outside the
-        # store lock — the same discipline as kernel_for — and install
-        # only while the new fingerprint is still resident (a second
-        # mutation or an eviction in the gap orphans the result).
+            graph = entry.graph
+            self._hold(new_fp)
+            stale = self._release(old_fp)  # None when a sibling holds it
+        if stale is None:
+            return entry, record
+        # Refreshing kernels may kernelize (O(n + m)) and the oracle's
+        # build lock may be held for a whole Gomory–Hu build: both run
+        # outside the store lock, and what survives is installed only
+        # while the new fingerprint is still resident (a second
+        # mutation or an eviction in the gap orphans it).
+        oracle = stale.derived.pop(_ORACLE, None)
+        record.oracle = "absent" if oracle is None else oracle.apply_delta(
+            graph, effect.changed, has_new_vertices=bool(effect.new_vertices)
+        )
         revalidated: list = []
-        cut_drops = 0
-        replayed = 0
-        for level, kernel in pending:
-            fresh, _rule = refresh_kernel(kernel, entry.graph)
+        dropped = replayed = 0
+        for key, kernel in stale.derived.items():
+            fresh = None
+            if isinstance(key, str):  # k-cut kernels have no refresh rule
+                fresh, _rule = refresh_kernel(kernel, graph)
             if fresh is None:
-                cut_drops += 1
+                dropped += 1
             else:
                 replayed += len(fresh.steps)
-                revalidated.append((level, fresh))
+                revalidated.append((key, fresh))
         with self._lock:
-            new_fp = record.new_fingerprint
-            resident = any(
-                e.fingerprint == new_fp for e in self._entries.values()
-            )
-            if not resident:
-                cut_drops += len(revalidated)
+            content = self._contents.get(new_fp)
+            if content is None:
+                dropped += len(revalidated)
                 revalidated = []
                 replayed = 0
-            for level, fresh in revalidated:
-                self._kernels.setdefault((new_fp, level), fresh)
-                record.kernels_revalidated += 1
-                self.stats.inc("kernels_revalidated")
-            record.kernels_dropped += cut_drops
-            record.reductions_replayed += replayed
-            self.stats.inc("kernels_dropped_on_mutate", cut_drops)
+            else:
+                if oracle is not None:
+                    content.derived.setdefault(_ORACLE, oracle)
+                for key, fresh in revalidated:
+                    content.derived.setdefault(key, fresh)
+            record.kernels_revalidated = len(revalidated)
+            record.kernels_dropped = dropped
+            record.reductions_replayed = replayed
+            self.stats.inc("kernels_revalidated", len(revalidated))
+            self.stats.inc("kernels_dropped_on_mutate", dropped)
             self.stats.inc("reductions_replayed", replayed)
         return entry, record
 
     # ------------------------------------------------------------------
-    # Kernelization cache
+    # Derived state: kernels and the Gomory–Hu oracle
     # ------------------------------------------------------------------
     def kernel_for(self, entry: GraphEntry, level: str) -> "CutKernel":
         """The cached :class:`~repro.preprocess.CutKernel` of an entry.
@@ -449,9 +479,8 @@ class GraphStore:
     def kcut_kernel_for(self, entry: GraphEntry, k: int, level: str):
         """The cached :class:`~repro.preprocess.KCutKernel` of an entry.
 
-        Same contract as :meth:`kernel_for`, keyed by ``(fingerprint,
-        ("kcut", k, level))`` so the eviction sweep (which matches on
-        the fingerprint element) releases both kinds of kernel.
+        Same contract as :meth:`kernel_for`, keyed by ``("kcut", k,
+        level)`` within the content's record.
         """
         from ..preprocess import kernelize_for_kcut, validate_level
 
@@ -461,59 +490,57 @@ class GraphStore:
             lambda g: kernelize_for_kcut(g, k, level=level),
         )
 
-    def _cached_or_built(self, entry: GraphEntry, level_key, build):
+    def oracle_for(
+        self, entry: GraphEntry, build: Callable[[Graph], "CutOracle"]
+    ) -> "CutOracle":
+        """The Gomory–Hu oracle of ``entry``'s content, made by
+        ``build(graph)`` on first use; same contract as
+        :meth:`kernel_for`, except that :meth:`apply_delta` hands the
+        oracle the delta instead of dropping it."""
+        return self._cached_or_built(entry, _ORACLE, build)
+
+    def _cached_or_built(self, entry: GraphEntry, key, build):
         fp = entry.fingerprint  # captured: a concurrent mutation moves it
-        key = (fp, level_key)
+        counted = key != _ORACLE  # the kernel_* counters count kernels
         with self._lock:
-            kernel = self._kernels.get(key)
-            if kernel is not None:
-                self.stats.inc("kernel_hits")
-                return kernel
-        # Kernelize outside the lock: reductions are O(m) per round and
+            content = self._contents.get(fp)
+            found = content.derived.get(key) if content is not None else None
+            if found is not None:
+                if counted:
+                    self.stats.inc("kernel_hits")
+                return found
+        # Build outside the lock: reductions are O(m) per round and
         # must not wedge concurrent store lookups.
-        kernel = build(entry.graph)
+        built = build(entry.graph)
         with self._lock:
-            self.stats.inc("kernel_builds")
+            if counted:
+                self.stats.inc("kernel_builds")
             # Cache only while the fingerprint is still resident — the
             # entry may have been evicted (or mutated) mid-build, and
-            # caching then would pin a stale kernel forever (same rule
-            # as the oracle cache in CutService.oracle_for).
-            if any(
-                e.fingerprint == fp for e in self._entries.values()
-            ):
-                self._kernels.setdefault(key, kernel)
-                kernel = self._kernels[key]
-        return kernel
-
-    def has_kernel(self, fingerprint: str, level_key) -> bool:
-        """Whether a kernel is cached under ``(fingerprint, level_key)``.
-
-        ``level_key`` is a level name for min-cut kernels or the
-        ``("kcut", k, level)`` tuple — the ``/kernelize`` endpoint and
-        the mutation path's result-rekey test use this to observe cache
-        state without building anything.
-        """
-        with self._lock:
-            return (fingerprint, level_key) in self._kernels
+            # caching then would pin a stale object forever.
+            content = self._contents.get(fp)
+            if content is not None:
+                built = content.derived.setdefault(key, built)
+        return built
 
     def cached_kernel(self, fingerprint: str, level_key):
-        """The cached kernel under ``(fingerprint, level_key)`` or None."""
-        with self._lock:
-            return self._kernels.get((fingerprint, level_key))
+        """The cached kernel under ``(fingerprint, level_key)`` or None.
 
-    def _drop_orphan_kernels(self, evicted: list[GraphEntry]) -> None:
-        """Drop kernels whose fingerprint no longer has a resident entry.
-
-        Caller must hold ``self._lock``.
+        ``level_key`` is a level name for min-cut kernels or the
+        ``("kcut", k, level)`` tuple; nothing is built.
         """
-        if not self._kernels or not evicted:
-            return
-        resident = {e.fingerprint for e in self._entries.values()}
-        for entry in evicted:
-            if entry.fingerprint in resident:
-                continue
-            for key in [k for k in self._kernels if k[0] == entry.fingerprint]:
-                del self._kernels[key]
+        with self._lock:
+            content = self._contents.get(fingerprint)
+            return content.derived.get(level_key) if content else None
+
+    def oracles(self) -> dict[str, "CutOracle"]:
+        """Snapshot of the resident oracles, by fingerprint."""
+        with self._lock:
+            return {
+                fp: content.derived[_ORACLE]
+                for fp, content in self._contents.items()
+                if _ORACLE in content.derived
+            }
 
     def describe(self) -> dict:
         """JSON-able store summary (the ``/stats`` section)."""
@@ -521,6 +548,9 @@ class GraphStore:
             return {
                 "resident": len(self._entries),
                 "capacity": self.capacity,
-                "kernels_resident": len(self._kernels),
+                "kernels_resident": sum(
+                    len(c.derived) - (_ORACLE in c.derived)
+                    for c in self._contents.values()
+                ),
                 **self.stats.as_dict(),
             }

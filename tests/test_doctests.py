@@ -19,6 +19,7 @@ MODULES = [
     "repro.obs.metrics",
     "repro.obs.tracing",
     "repro.preprocess",
+    "repro.preprocess.dynamic",
     "repro.preprocess.kernel",
     "repro.service",
     "repro.service.cache",
@@ -39,6 +40,7 @@ MUST_HAVE_EXAMPLES = {
     "repro.obs.loadgen",
     "repro.obs.metrics",
     "repro.obs.tracing",
+    "repro.preprocess.dynamic",
     "repro.preprocess.kernel",
     "repro.service.cache",
     "repro.service.deltas",

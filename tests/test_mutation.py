@@ -335,7 +335,7 @@ class TestStoreApplyDelta:
             "g", GraphDelta.from_json({"removes": [[3, 4]]})
         )
         assert record.kernels_revalidated == 1
-        assert store.has_kernel(entry.fingerprint, "safe")
+        assert store.cached_kernel(entry.fingerprint, "safe") is not None
         fresh = store.kernel_for(entry, "safe")
         assert fresh.is_solved and fresh.solved.weight == 0.0
         assert store.stats.kernels_revalidated == 1
@@ -354,7 +354,7 @@ class TestStoreApplyDelta:
         assert record.kernels_revalidated == 1
         assert record.kernels_dropped == 0
         assert record.reductions_replayed == 0  # no reductions fired
-        assert store.has_kernel(entry.fingerprint, "safe")
+        assert store.cached_kernel(entry.fingerprint, "safe") is not None
 
     def test_kernel_dropped_when_certificate_broken(self):
         # A heavy chord (>= the min weighted degree) can certify a
@@ -367,7 +367,7 @@ class TestStoreApplyDelta:
             "g", GraphDelta.from_json({"adds": [[0, 4, 5.0]]})
         )
         assert record.kernels_dropped == 1
-        assert not store.has_kernel(entry.fingerprint, "safe")
+        assert store.cached_kernel(entry.fingerprint, "safe") is None
 
 
 # ======================================================================

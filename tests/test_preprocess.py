@@ -330,25 +330,57 @@ def test_kcut_kernel_noop_cases():
 # Service integration: kernels cached per fingerprint, stats exposed
 # ----------------------------------------------------------------------
 def test_graphstore_kernel_cache_and_eviction():
+    from repro.service import CutOracle
+    from repro.service.deltas import GraphDelta
+
     store = GraphStore(capacity=2)
     g1 = dict(CONNECTED)["planted16"]
     g2 = dict(CONNECTED)["grid4x5"]
     e1 = store.register("a", g1)
+    fp = e1.fingerprint
     k1 = store.kernel_for(e1, "safe")
     assert store.kernel_for(e1, "safe") is k1  # cached, same object
     assert store.stats.kernel_builds == 1 and store.stats.kernel_hits == 1
-    # same content under another name shares the kernel (per fingerprint)
+    oracle = store.oracle_for(e1, CutOracle)
+    assert store.oracle_for(e1, CutOracle) is oracle
+    # the oracle lives beside the kernels but is not counted as one
+    assert store.stats.kernel_builds == 1
+    assert store.describe()["kernels_resident"] == 1
+    # same content under another name shares kernel and oracle
     e1b = store.register("a2", g1)
     assert store.kernel_for(e1b, "safe") is k1
+    assert store.oracle_for(e1b, CutOracle) is oracle
     # distinct levels build distinct kernels
     assert store.kernel_for(e1, "aggressive") is not k1
-    # evicting the last holder of the fingerprint drops its kernels
+    assert store.describe()["kernels_resident"] == 2
+    # evicting one of two holders keeps the content's kernels and oracle
     store.register("b", g2)  # capacity 2: evicts LRU "a"
     assert "a" not in store
-    assert store.describe()["kernels_resident"] > 0
+    assert store.cached_kernel(fp, "safe") is k1
+    assert store.oracles() == {fp: oracle}
+    # evicting the last holder drops them together
     store.evict("a2")
-    remaining = {fp for fp, _ in store._kernels}
-    assert e1.fingerprint not in remaining
+    assert store.cached_kernel(fp, "safe") is None
+    assert store.cached_kernel(fp, "aggressive") is None
+    assert store.oracles() == {}
+    assert store.describe()["kernels_resident"] == 0
+
+    # an unshared mutation moves kernel and oracle to the new fingerprint
+    e2 = store.get("b")
+    old_fp = e2.fingerprint
+    store.kernel_for(e2, "safe")
+    oracle = store.oracle_for(e2, CutOracle)
+    oracle.st_min_cut(0, 19)  # build the tree
+    e2, record = store.apply_delta(
+        "b", GraphDelta.from_json({"adds": [[0, 6, 0.5]]})
+    )
+    assert e2.fingerprint != old_fp
+    assert record.oracle == "masked" and record.kernels_revalidated == 1
+    assert store.cached_kernel(old_fp, "safe") is None
+    assert store.cached_kernel(e2.fingerprint, "safe") is not None
+    assert store.oracles() == {e2.fingerprint: oracle}
+    assert store.describe()["kernels_resident"] == 1
+    assert oracle.st_min_cut(0, 19) == CutOracle(e2.graph).st_min_cut(0, 19)
 
 
 def test_service_mincut_preprocess_differential():

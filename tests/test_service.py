@@ -86,14 +86,14 @@ class TestGraphStore:
         assert store.stats.misses == 1
 
     def test_capacity_evicts_least_recently_queried(self):
-        evicted = []
-        store = GraphStore(capacity=2, on_evict=lambda e: evicted.append(e.name))
+        store = GraphStore(capacity=2)
         store.register("a", two_triangles())
         store.register("b", Graph(edges=[(0, 1, 1.0)]))
         store.get("a")  # b becomes LRU
         store.register("c", Graph(edges=[(1, 2, 1.0)]))
         assert store.names() == ["a", "c"]
-        assert evicted == ["b"]
+        assert "b" not in store
+        assert store.describe()["resident"] == 2
         assert store.describe()["evictions"] == 1
 
     def test_reregister_replaces_without_eviction(self):
@@ -176,16 +176,7 @@ class TestTrialExecutor:
         g = two_triangles()
         ex = TrialExecutor(workers=4)
         ex.run_kcut(g, 2, trials=1, seed=0)
-        assert len(ex._ref_memo) == 0
         assert ex.stats()["pool_live"] is False
-
-    def test_forget_releases_blob_memo(self):
-        g = planted_cut(24, seed=1).graph
-        with TrialExecutor(workers=2) as ex:
-            ex.run_mincut(g, trials=2, seed=0)
-            assert len(ex._ref_memo) == 1
-            ex.forget(g)
-            assert len(ex._ref_memo) == 0
 
 
 # ======================================================================
@@ -214,10 +205,6 @@ class TestCutOracle:
         assert oracle.st_min_cut(1, 5) == 1.0
         assert oracle.builds == 1
         assert oracle.tree_queries == 2
-
-    def test_global_min_cut_is_lightest_tree_edge(self):
-        oracle = CutOracle(two_triangles())
-        assert oracle.global_min_cut() == 1.0
 
     def test_rejects_s_equals_t(self):
         oracle = CutOracle(two_triangles())
