@@ -8,6 +8,7 @@ benchmarked kernel is the distributed sort at n=4096.
 
 import random
 
+import numpy as np
 from conftest import emit
 
 from repro.ampc import AMPCConfig, RoundLedger
@@ -18,7 +19,6 @@ from repro.ampc.primitives import (
     ampc_sort,
 )
 from repro.analysis.harness import ExperimentReport
-from repro.core.intervals import TimeInterval
 from repro.core.sweep import min_interval_overlap_ampc
 from repro.workloads import random_tree
 
@@ -62,8 +62,10 @@ def test_e10_primitive_rounds_report(report_sink, benchmark):
         )
     cfg = AMPCConfig(n_input=512, eps=0.5)
     led = RoundLedger()
-    ivs = [TimeInterval(i, i + 5, 1.0) for i in range(0, 500, 2)]
-    min_interval_overlap_ampc(cfg, ivs, 510, ledger=led)
+    starts = np.arange(0, 500, 2)
+    min_interval_overlap_ampc(
+        cfg, starts, starts + 5, np.ones(starts.size), 510, ledger=led
+    )
     report.rows.append(
         ["interval sweep (Lem 14)", 512, led.rounds, led.local_peak,
          cfg.local_memory_words]

@@ -21,9 +21,11 @@ from __future__ import annotations
 
 from typing import Hashable
 
+import numpy as np
+
 from ..core.intervals import edge_intervals
 from ..core.keys import ContractionKeys
-from ..core.ldr import build_level_structure
+from ..core.ldr import build_level_structure, index_tree
 from ..graph import Graph
 from ..trees.heavy_light import HeavyLight, heavy_light_decomposition
 from ..trees.low_depth import low_depth_decomposition
@@ -125,15 +127,18 @@ def render_figure3() -> str:
     ]
     level = decomp.label[v]
     struct = build_level_structure(
-        decomp, keys, level, max_tree_key=6
+        index_tree(decomp, keys, g.vertices(), max_tree_key=6), level
     )
     if v in struct.ldr_time:
         lines.append(f"ldr_time({v}) = {struct.ldr_time[v]}")
-        grouped = edge_intervals(g, struct)
-        for iv in sorted(grouped.get(v, []), key=lambda i: (i.start, i.end)):
-            lines.append(
-                f"  interval [{iv.start}, {iv.end}] weight {iv.weight:g}"
-            )
+        iv = edge_intervals(g, [struct])
+        slot = struct.leader_slot[g.index_of(v)]
+        rows = np.flatnonzero(iv.segment == slot)
+        rows = rows[np.lexsort((iv.edge[rows], iv.end[rows], iv.start[rows]))]
+        for a, b, w in zip(
+            iv.start[rows].tolist(), iv.end[rows].tolist(), iv.weight[rows].tolist()
+        ):
+            lines.append(f"  interval [{a}, {b}] weight {w:g}")
     else:
         lines.append(f"vertex {v} leads no bag at its level (degenerate draw)")
     return "\n".join(lines)

@@ -3,10 +3,16 @@
 
 from .bags import ReplayResult, boundary_profile, replay_min_singleton
 from .contraction import bag_at, bag_boundary_weight, contract_to_size, mst_of_keys
-from .intervals import TimeInterval, edge_intervals
+from .intervals import IntervalColumns, edge_intervals
 from .kcut import KCutResult, apx_split_kcut
 from .keys import ContractionKeys, draw_contraction_keys, draw_uniform_keys
-from .ldr import LevelStructure, all_level_structures, build_level_structure
+from .ldr import (
+    IndexedTree,
+    LevelStructure,
+    all_level_structures,
+    build_level_structure,
+    index_tree,
+)
 from .mincut import (
     BOOST_SEED_STRIDE,
     MinCutResult,
@@ -26,6 +32,8 @@ from .sweep import min_interval_overlap, min_interval_overlap_ampc
 __all__ = [
     "BOOST_SEED_STRIDE",
     "ContractionKeys",
+    "IndexedTree",
+    "IntervalColumns",
     "KCutResult",
     "LevelStructure",
     "MinCutResult",
@@ -33,7 +41,6 @@ __all__ = [
     "ReplayResult",
     "ScheduleLevel",
     "SingletonCutResult",
-    "TimeInterval",
     "all_level_structures",
     "ampc_min_cut",
     "ampc_min_cut_boosted",
@@ -47,6 +54,7 @@ __all__ = [
     "draw_contraction_keys",
     "draw_uniform_keys",
     "edge_intervals",
+    "index_tree",
     "min_interval_overlap",
     "min_interval_overlap_ampc",
     "mst_of_keys",

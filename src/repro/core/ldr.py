@@ -6,10 +6,10 @@ vertex of label ``i`` — its **leader**.  For every vertex ``x`` in a
 leadered component we need:
 
 * ``join_time(x)`` — the first ``t`` with ``x ∈ bag(r, t)``; equals the
-  *maximum* key on the tree path from the leader ``r`` to ``x``
-  (DESIGN.md errata: the paper's Lemma 13 says "minimum", but under
-  Definition 6 a vertex joins when the whole connecting path is
-  contracted);
+  *maximum* key on the tree path from the leader ``r`` to ``x``.  This
+  is an erratum to the paper, whose Lemma 13 says "minimum": under
+  Definition 6 a vertex joins a bag only once the whole connecting
+  path is contracted, i.e. at the path's largest key;
 * ``ldr_time(r)`` — the last ``t`` at which ``r`` still leads its bag:
   one less than the first time the bag absorbs a lower-label vertex,
   i.e. ``min`` over the (≤ 2, Lemma 10) boundary tree edges ``(x, y)``
@@ -18,20 +18,82 @@ leadered component we need:
   becomes all of ``V``; its ``ldr_time`` is capped at
   ``max_mst_key - 1`` so only proper subsets are scored.
 
+The intervals built from these times (Lemma 13) carry a second
+erratum: an edge whose endpoints share a leader stops crossing the bag
+once both have joined, so its closed interval ends at
+``max(t_x, t_y) - 1``, not at ``max(t_x, t_y)``.
+
+Layout: :func:`index_tree` fixes a vertex order once per decomposition
+and keyed tree (Algorithm 3 uses the graph's own vertex order, so edge
+columns index the level arrays directly).  :func:`build_level_structure`
+then returns, per level, index arrays in that order — each vertex's
+leader slot (``-1`` when leaderless) and join time, and each leader's
+vertex index and ``ldr_time`` in slot order, which is the
+decomposition's label order.  The vertex-keyed dicts ``leader_of``,
+``join_time`` and ``ldr_time`` are derived views for tests and figures.
+
 Everything is computed with one DFS per component (``O(n)`` per level;
 the model-cost accounting lives in :mod:`repro.core.singleton`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Hashable
+from dataclasses import dataclass
+from typing import Hashable, Sequence
+
+import numpy as np
 
 from ..trees.low_depth import LowDepthDecomposition
-from .contraction import mst_of_keys
 from .keys import ContractionKeys
 
 Vertex = Hashable
+
+
+@dataclass(frozen=True)
+class IndexedTree:
+    """A decomposed, keyed spanning tree over a fixed vertex order."""
+
+    #: index -> vertex
+    vertices: list[Vertex]
+    #: index -> decomposition label
+    label: list[int]
+    #: index -> [(neighbour index, key of the tree edge), ...]
+    adjacency: list[list[tuple[int, int]]]
+    #: level -> indices of its label vertices, in decomposition order
+    leaders: dict[int, list[int]]
+    #: largest tree-edge key (caps the unbounded leader's ldr_time)
+    max_tree_key: int
+    height: int
+
+
+def index_tree(
+    decomp: LowDepthDecomposition,
+    keys: ContractionKeys,
+    vertices: Sequence[Vertex],
+    *,
+    max_tree_key: int,
+) -> IndexedTree:
+    """Index ``decomp``'s tree by ``vertices`` (which must be its vertex set)."""
+    vertices = list(vertices)
+    index = {v: i for i, v in enumerate(vertices)}
+    label = [decomp.label[v] for v in vertices]
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in vertices]
+    for child, parent in decomp.tree.edges():
+        c, p = index[child], index[parent]
+        k = keys.of(child, parent)
+        adjacency[c].append((p, k))
+        adjacency[p].append((c, k))
+    leaders: dict[int, list[int]] = {}
+    for v, l in decomp.label.items():
+        leaders.setdefault(l, []).append(index[v])
+    return IndexedTree(
+        vertices=vertices,
+        label=label,
+        adjacency=adjacency,
+        leaders=leaders,
+        max_tree_key=max_tree_key,
+        height=decomp.height,
+    )
 
 
 @dataclass
@@ -39,80 +101,89 @@ class LevelStructure:
     """Leaders, join times and ldr_times for one decomposition level."""
 
     level: int
-    #: vertex -> leader of its component (only vertices in leadered comps)
-    leader_of: dict[Vertex, Vertex]
-    #: vertex -> first time it belongs to its leader's bag (0 for leaders)
-    join_time: dict[Vertex, int]
-    #: leader -> last time it still leads
-    ldr_time: dict[Vertex, int]
-    #: leader -> component vertices (for witnesses/tests)
-    component_of: dict[Vertex, list[Vertex]] = field(default_factory=dict)
+    #: index -> vertex (the :class:`IndexedTree` order)
+    vertices: list[Vertex]
+    #: vertex index -> slot of its leader, or -1 outside leadered comps
+    leader_slot: np.ndarray
+    #: vertex index -> first time it belongs to its leader's bag
+    #: (0 for leaders and for leaderless vertices)
+    join_times: np.ndarray
+    #: slot -> leader's vertex index
+    leaders: np.ndarray
+    #: slot -> last time the leader still leads
+    ldr_times: np.ndarray
+
+    @property
+    def leader_of(self) -> dict[Vertex, Vertex]:
+        """vertex -> leader of its component (leadered components only)."""
+        V = self.vertices
+        return {
+            V[x]: V[self.leaders[s]]
+            for x, s in enumerate(self.leader_slot.tolist())
+            if s >= 0
+        }
+
+    @property
+    def join_time(self) -> dict[Vertex, int]:
+        """vertex -> join time (leadered components only)."""
+        V = self.vertices
+        slots = self.leader_slot.tolist()
+        return {
+            V[x]: t
+            for x, t in enumerate(self.join_times.tolist())
+            if slots[x] >= 0
+        }
+
+    @property
+    def ldr_time(self) -> dict[Vertex, int]:
+        """leader -> ldr_time, in slot order."""
+        V = self.vertices
+        return {
+            V[r]: t
+            for r, t in zip(self.leaders.tolist(), self.ldr_times.tolist())
+        }
 
 
-def build_level_structure(
-    decomp: LowDepthDecomposition,
-    keys: ContractionKeys,
-    level: int,
-    *,
-    max_tree_key: int,
-) -> LevelStructure:
-    """Compute the Lemma-11 quantities for one level.
-
-    ``max_tree_key`` is the largest MST-edge key (caps the unbounded
-    leader's ``ldr_time``).
-    """
-    tree = decomp.tree
-    label = decomp.label
-
+def build_level_structure(tree: IndexedTree, level: int) -> LevelStructure:
+    """Compute the Lemma-11 quantities for one level."""
+    label = tree.label
+    adjacency = tree.adjacency
+    leaders = tree.leaders.get(level, [])
+    slot = [-1] * len(label)
+    join = [0] * len(label)
+    ldr: list[int] = []
     # Components of T_level, discovered by DFS from each level-`level`
     # vertex through vertices of label >= level.
-    leader_of: dict[Vertex, Vertex] = {}
-    join_time: dict[Vertex, int] = {}
-    ldr_time: dict[Vertex, int] = {}
-    component_of: dict[Vertex, list[Vertex]] = {}
-
-    leaders = [v for v, l in label.items() if l == level]
-    for r in leaders:
-        comp = [r]
-        leader_of[r] = r
-        join_time[r] = 0
+    for s, r in enumerate(leaders):
+        slot[r] = s
         stack = [r]
         first_crossing: int | None = None
         while stack:
             v = stack.pop()
-            t_v = join_time[v]
-            neighbours = list(tree.children[v])
-            p = tree.parent[v]
-            if p is not None:
-                neighbours.append(p)
-            for u in neighbours:
-                k = keys.of(u, v)
+            t_v = join[v]
+            for u, k in adjacency[v]:
+                t_u = t_v if t_v > k else k
                 if label[u] >= level:
                     # Trees have unique paths, so each vertex is
-                    # discovered once; the membership test also skips
-                    # the DFS parent.
-                    if u not in join_time:
-                        leader_of[u] = r
-                        join_time[u] = max(t_v, k)
-                        comp.append(u)
+                    # discovered once; the slot test also skips the
+                    # DFS parent.
+                    if slot[u] < 0:
+                        slot[u] = s
+                        join[u] = t_u
                         stack.append(u)
-                else:
+                elif first_crossing is None or t_u < first_crossing:
                     # Boundary edge (Lemma 10: at most two per component).
-                    crossing = max(t_v, k)
-                    if first_crossing is None or crossing < first_crossing:
-                        first_crossing = crossing
-        if first_crossing is None:
-            ldr_time[r] = max_tree_key - 1
-        else:
-            ldr_time[r] = first_crossing - 1
-        component_of[r] = comp
-
+                    first_crossing = t_u
+        ldr.append(
+            tree.max_tree_key - 1 if first_crossing is None else first_crossing - 1
+        )
     return LevelStructure(
         level=level,
-        leader_of=leader_of,
-        join_time=join_time,
-        ldr_time=ldr_time,
-        component_of=component_of,
+        vertices=tree.vertices,
+        leader_slot=np.array(slot, dtype=np.int64),
+        join_times=np.array(join, dtype=np.int64),
+        leaders=np.array(leaders, dtype=np.int64),
+        ldr_times=np.array(ldr, dtype=np.int64),
     )
 
 
@@ -120,19 +191,13 @@ def all_level_structures(
     decomp: LowDepthDecomposition, keys: ContractionKeys
 ) -> list[LevelStructure]:
     """Level structures for every level ``1..height`` (Lemma 9's tuples)."""
-    graph_max = max(
-        (k for k, _, _ in _tree_keys(decomp, keys)),
-        default=0,
+    max_tree_key = max(
+        (keys.of(c, p) for c, p in decomp.tree.edges()), default=0
     )
-    return [
-        build_level_structure(decomp, keys, i, max_tree_key=graph_max)
-        for i in range(1, decomp.height + 1)
-    ]
-
-
-def _tree_keys(decomp: LowDepthDecomposition, keys: ContractionKeys):
-    for child, parent in decomp.tree.edges():
-        yield keys.of(child, parent), child, parent
+    tree = index_tree(
+        decomp, keys, decomp.tree.vertices(), max_tree_key=max_tree_key
+    )
+    return [build_level_structure(tree, i) for i in range(1, tree.height + 1)]
 
 
 def leaders_are_unique(decomp: LowDepthDecomposition) -> bool:

@@ -12,6 +12,12 @@ during the keyed contraction process, in ``O(1/eps)`` AMPC rounds:
    minimum via the sweep (Lemma 14, Theorem 5);
 4. the global minimum over levels (Lemma 15 / Observation 7).
 
+Host-side, steps 3–4 are columnar (:func:`sweep_levels`): every
+level's intervals are built for all edges at once as masks over the
+edge columns, with one segment per (level, leader), and a single
+segmented sweep returns each segment's exact minimum; the first
+minimal segment is the witness.
+
 Differential guarantee (tested): the returned weight equals the naive
 replay oracle's (:func:`repro.core.bags.replay_min_singleton`) on every
 input.  The returned *witness* ``(leader, time)`` reconstructs the
@@ -22,7 +28,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable
+from typing import Hashable, NamedTuple
+
+import numpy as np
 
 from ..ampc import AMPCConfig, RoundLedger
 from ..graph import Cut, Graph
@@ -30,9 +38,9 @@ from ..trees.low_depth import LowDepthDecomposition, low_depth_decomposition
 from ..trees.rooted import root_tree
 from .bags import replay_min_singleton
 from .contraction import bag_at, mst_of_keys
-from .intervals import edge_intervals
+from .intervals import IntervalColumns, edge_intervals
 from .keys import ContractionKeys, draw_contraction_keys
-from .ldr import LevelStructure, build_level_structure
+from .ldr import build_level_structure, index_tree
 from .sweep import min_interval_overlap
 
 Vertex = Hashable
@@ -66,10 +74,11 @@ def smallest_singleton_cut(
     each citing its lemma.
 
     With ``execute_on_simulator=True`` the MST (distributed sample sort
-    + consolidation) and the *representative* level's interval sweep
-    (the level with the most intervals — levels run in parallel, so the
-    parallel group costs its max sibling) genuinely execute on the AMPC
-    runtime, making those rounds *measured* instead of charged.
+    + consolidation) and the *representative* interval sweep (the
+    (level, leader) segment with the most intervals, the first on ties
+    — segments run in parallel, so the parallel group costs its max
+    sibling) genuinely execute on the AMPC runtime, making those rounds
+    *measured* instead of charged.
     """
     n = graph.num_vertices
     if n < 2:
@@ -121,33 +130,32 @@ def smallest_singleton_cut(
     # model; the round cost is the *maximum* per-level cost, which is
     # O(1/eps) (Lemmas 11 + 13 + 14), at a log^2 n blowup in total
     # space (Lemma 9).
-    best_weight = math.inf
-    best_leader: Vertex | None = None
-    best_time = 0
-    representative: tuple[list, int] | None = None  # biggest (intervals, domain)
-    for level_index in range(1, decomp.height + 1):
-        level = build_level_structure(
-            decomp, keys, level_index, max_tree_key=max_tree_key
-        )
-        if not level.ldr_time:
-            continue
-        grouped = edge_intervals(graph, level)
-        for leader, intervals in grouped.items():
-            weight, t = min_interval_overlap(intervals, level.ldr_time[leader])
-            if weight < best_weight:
-                best_weight, best_leader, best_time = weight, leader, t
-            if representative is None or len(intervals) > len(representative[0]):
-                representative = (intervals, level.ldr_time[leader])
-    if execute_on_simulator and representative is not None:
+    swept = sweep_levels(graph, keys, decomp, max_tree_key=max_tree_key)
+    # First occurrence: ties go to the lowest (level, leader) segment.
+    best = int(np.argmin(swept.weight))
+    best_weight = float(swept.weight[best])
+    best_leader = graph.vertices()[int(swept.leader[best])]
+    best_time = int(swept.time[best])
+    if execute_on_simulator:
         # Levels (and leaders within a level) run in parallel; the
         # parallel group's measured cost is its largest sibling's, so
         # execute exactly that sibling's sweep on the runtime.
         from .sweep import min_interval_overlap_ampc
 
+        iv = swept.intervals
+        sizes = np.bincount(iv.segment, minlength=swept.leader.size)
+        rep = int(np.argmax(sizes))  # the first largest segment
+        rows = np.flatnonzero(iv.segment == rep)
+        rows = rows[np.argsort(iv.edge[rows], kind="stable")]
         measured = min_interval_overlap_ampc(
-            config, representative[0], representative[1], ledger=ledger
+            config,
+            iv.start[rows],
+            iv.end[rows],
+            iv.weight[rows],
+            int(swept.domain_end[rep]),
+            ledger=ledger,
         )
-        host, _ = min_interval_overlap(representative[0], representative[1])
+        host = float(swept.weight[rep])
         if abs(measured - host) > 1e-9:
             raise AssertionError(
                 f"simulator sweep {measured} != host sweep {host}"
@@ -162,7 +170,6 @@ def smallest_singleton_cut(
             total_peak=(n + graph.num_edges) * log2n * log2n,
         )
 
-    assert best_leader is not None
     side = bag_at(graph, keys, best_leader, best_time)
     cut = Cut.of(graph, side)
     ledger.charge(
@@ -172,8 +179,8 @@ def smallest_singleton_cut(
         total_peak=n,
     )
     # The sweep minimum is the bag's boundary weight by construction;
-    # the Cut re-evaluation cross-checks it.
-    if abs(cut.weight - best_weight) > 1e-6 * max(1.0, abs(best_weight)):
+    # the Cut re-evaluation cross-checks it, relative to its magnitude.
+    if abs(cut.weight - best_weight) > 1e-6 * abs(best_weight):
         raise AssertionError(
             f"sweep minimum {best_weight} != witness cut weight {cut.weight}"
         )
@@ -185,6 +192,38 @@ def smallest_singleton_cut(
         decomposition=decomp,
         ledger=ledger,
     )
+
+
+class LevelSweep(NamedTuple):
+    """Steps 3–4's columns: one segment per (level, leader), in order."""
+
+    intervals: IntervalColumns
+    #: segment -> its leader's ldr_time
+    domain_end: np.ndarray
+    #: segment -> its leader's graph vertex index
+    leader: np.ndarray
+    #: segment -> minimum boundary weight over its domain
+    weight: np.ndarray
+    #: segment -> the first time attaining that minimum
+    time: np.ndarray
+
+
+def sweep_levels(
+    graph: Graph,
+    keys: ContractionKeys,
+    decomp: LowDepthDecomposition,
+    *,
+    max_tree_key: int,
+) -> LevelSweep:
+    """Steps 3–4 host-side: every level's intervals as masks over the
+    edge columns, then one sweep over every (level, leader) segment."""
+    tree = index_tree(decomp, keys, graph.vertices(), max_tree_key=max_tree_key)
+    levels = [build_level_structure(tree, i) for i in range(1, decomp.height + 1)]
+    intervals = edge_intervals(graph, levels)
+    domain_end = np.concatenate([level.ldr_times for level in levels])
+    weight, time = min_interval_overlap(intervals, domain_end)
+    leader = np.concatenate([level.leaders for level in levels])
+    return LevelSweep(intervals, domain_end, leader, weight, time)
 
 
 def smallest_singleton_cut_value(

@@ -7,10 +7,11 @@ queries to global memory — one sparse-table lookup per heavy path the
 query path crosses (Observation 1 bounds those by ``O(log n)``).
 
 Section 4 uses this twice: Lemma 11 needs path *maxima* to compute
-``ldr_time`` (the paper writes "minimum"; see the DESIGN.md errata —
-under Definition 6, a vertex joins a bag when the **largest** key on
-the connecting path has been contracted), and Lemma 13 needs the same
-for the ``mw(x)`` values.
+``ldr_time``, and Lemma 13 needs the same for the ``mw(x)`` values.
+Maxima, not the "minimum" the paper's Lemma 13 writes, are an erratum:
+under Definition 6 a vertex joins a bag only when the **largest** key
+on the connecting path has been contracted, so a join time is a path
+maximum.
 
 Implemented as numpy sparse tables per heavy path.  ``query_count``
 tracks segment lookups so tests can assert the ``O(log n)`` bound.

@@ -2,17 +2,16 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ampc import AMPCConfig, RoundLedger
-from repro.core import draw_contraction_keys, mst_of_keys
-from repro.core.intervals import TimeInterval, edge_intervals
-from repro.core.ldr import build_level_structure
+from repro.core import bag_at, draw_contraction_keys, mst_of_keys
+from repro.core.intervals import IntervalColumns, edge_intervals
+from repro.core.ldr import build_level_structure, index_tree
 from repro.core.sweep import min_interval_overlap, min_interval_overlap_ampc
-from repro.core import bag_at
-from repro.graph import Graph
 from repro.trees import low_depth_decomposition
 from repro.workloads import erdos_renyi
 
@@ -27,14 +26,48 @@ def setup(g, seed=0):
     return keys, decomp, max_key
 
 
-class TestTimeInterval:
+def levels(g, keys, decomp, max_key):
+    tree = index_tree(decomp, keys, g.vertices(), max_tree_key=max_key)
+    for level in range(1, decomp.height + 1):
+        yield build_level_structure(tree, level)
+
+
+def by_leader(g, struct):
+    """``{leader: [(start, end, weight), ...]}`` in edge order."""
+    iv = edge_intervals(g, [struct])
+    out = {r: [] for r in struct.ldr_time}
+    leaders = [g.vertices()[r] for r in struct.leaders.tolist()]
+    for row in np.argsort(iv.edge, kind="stable").tolist():
+        out[leaders[iv.segment[row]]].append(
+            (int(iv.start[row]), int(iv.end[row]), float(iv.weight[row]))
+        )
+    return out
+
+
+def columns(intervals, segments=None):
+    """``IntervalColumns`` from ``(start, end, weight)`` triples."""
+    k = len(intervals)
+    start = np.array([a for a, _, _ in intervals], dtype=np.int64)
+    end = np.array([b for _, b, _ in intervals], dtype=np.int64)
+    weight = np.array([w for _, _, w in intervals], dtype=np.float64)
+    segment = np.zeros(k, np.int64) if segments is None else np.array(segments, np.int64)
+    return IntervalColumns(segment, start, end, weight, np.arange(k))
+
+
+def sweep(intervals, domain):
+    """One-segment sweep as a ``(weight, t)`` pair of Python scalars."""
+    w, t = min_interval_overlap(columns(intervals), np.array([domain]))
+    return float(w[0]), int(t[0])
+
+
+class TestColumnValidation:
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError):
-            TimeInterval(start=5, end=4, weight=1.0)
+            sweep([(5, 4, 1.0)], 8)
 
     def test_negative_start_rejected(self):
         with pytest.raises(ValueError):
-            TimeInterval(start=-1, end=4, weight=1.0)
+            sweep([(-1, 4, 1.0)], 8)
 
 
 class TestLemma12and13:
@@ -43,108 +76,116 @@ class TestLemma12and13:
         bag(r, t) for t in [a, b] and not at a-1 / b+1 (within domain).
         This is the Lemma 12+13 semantics checked against Definition 6.
         """
-        rng = random.Random(0)
         for trial in range(6):
             g = erdos_renyi(12, 0.4, weighted=True, seed=trial)
             keys, decomp, max_key = setup(g, trial)
-            for level in range(1, decomp.height + 1):
-                struct = build_level_structure(
-                    decomp, keys, level, max_tree_key=max_key
-                )
+            for struct in levels(g, keys, decomp, max_key):
                 if not struct.ldr_time:
                     continue
-                grouped = edge_intervals(g, struct)
-                for r, ivs in grouped.items():
+                for r, ivs in by_leader(g, struct).items():
                     ldr = struct.ldr_time[r]
                     # total coverage at sampled t == boundary weight
                     for t in sorted({0, ldr, ldr // 2, max(0, ldr - 1)}):
                         bag = bag_at(g, keys, r, t)
                         boundary = g.cut_weight(bag) if len(bag) < g.num_vertices else 0.0
-                        covered = sum(
-                            iv.weight for iv in ivs if iv.start <= t <= iv.end
-                        )
+                        covered = sum(w for a, b, w in ivs if a <= t <= b)
                         assert abs(covered - boundary) < 1e-9, (
-                            trial, level, r, t, covered, boundary
+                            trial, struct.level, r, t, covered, boundary
                         )
 
     def test_intervals_clipped_to_domain(self):
         g = erdos_renyi(15, 0.35, seed=9)
         keys, decomp, max_key = setup(g, 9)
-        for level in range(1, decomp.height + 1):
-            struct = build_level_structure(decomp, keys, level, max_tree_key=max_key)
-            for r, ivs in edge_intervals(g, struct).items():
-                for iv in ivs:
-                    assert 0 <= iv.start <= iv.end <= struct.ldr_time[r]
+        for struct in levels(g, keys, decomp, max_key):
+            for r, ivs in by_leader(g, struct).items():
+                for a, b, _ in ivs:
+                    assert 0 <= a <= b <= struct.ldr_time[r]
 
     def test_leader_degree_covered_at_zero(self):
         """Delta bag(r, 0) = weighted degree of r (Observation sanity)."""
         g = erdos_renyi(14, 0.4, weighted=True, seed=10)
         keys, decomp, max_key = setup(g, 10)
-        for level in range(1, decomp.height + 1):
-            struct = build_level_structure(decomp, keys, level, max_tree_key=max_key)
-            for r, ivs in edge_intervals(g, struct).items():
-                at_zero = sum(iv.weight for iv in ivs if iv.start == 0)
+        for struct in levels(g, keys, decomp, max_key):
+            for r, ivs in by_leader(g, struct).items():
+                at_zero = sum(w for a, _, w in ivs if a == 0)
                 assert abs(at_zero - g.degree(r)) < 1e-9
+
+    def test_one_interval_per_edge_and_leader(self):
+        g = erdos_renyi(16, 0.4, weighted=True, seed=11)
+        keys, decomp, max_key = setup(g, 11)
+        for struct in levels(g, keys, decomp, max_key):
+            iv = edge_intervals(g, [struct])
+            pairs = set(zip(iv.segment.tolist(), iv.edge.tolist()))
+            assert len(pairs) == iv.segment.size
 
 
 class TestSweep:
     def test_simple_overlap(self):
-        ivs = [
-            TimeInterval(0, 5, 1.0),
-            TimeInterval(2, 3, 1.0),
-            TimeInterval(4, 8, 1.0),
-        ]
-        w, t = min_interval_overlap(ivs, 8)
+        w, t = sweep([(0, 5, 1.0), (2, 3, 1.0), (4, 8, 1.0)], 8)
         assert w == 1.0
         assert t in (0, 6)
 
     def test_min_at_leading_gap(self):
-        ivs = [TimeInterval(3, 5, 2.0)]
-        w, t = min_interval_overlap(ivs, 5)
-        assert (w, t) == (0.0, 0)
+        assert sweep([(3, 5, 2.0)], 5) == (0.0, 0)
 
     def test_empty_intervals(self):
-        assert min_interval_overlap([], 10) == (0.0, 0)
+        assert sweep([], 10) == (0.0, 0)
 
     def test_weighted_overlap(self):
-        ivs = [TimeInterval(0, 4, 2.5), TimeInterval(2, 4, 1.0)]
-        w, t = min_interval_overlap(ivs, 4)
-        assert w == 2.5
-        assert t == 0
+        assert sweep([(0, 4, 2.5), (2, 4, 1.0)], 4) == (2.5, 0)
 
     def test_negative_domain_rejected(self):
         with pytest.raises(ValueError):
-            min_interval_overlap([], -1)
+            sweep([], -1)
 
     def test_argmin_is_smallest_t(self):
-        ivs = [TimeInterval(0, 2, 1.0), TimeInterval(1, 4, 1.0)]
-        w, t = min_interval_overlap(ivs, 4)
-        assert (w, t) == (1.0, 0)
+        assert sweep([(0, 2, 1.0), (1, 4, 1.0)], 4) == (1.0, 0)
+
+    def test_events_past_the_domain_are_dropped(self):
+        assert sweep([(0, 9, 1.0), (2, 3, 0.5)], 4) == (1.0, 0)
+
+    def test_small_weights_keep_the_exact_minimum(self):
+        """An absolute record tolerance kept 3e-13 here; the minimum is 1e-13."""
+        assert sweep([(0, 0, 3e-13), (1, 1, 1e-13)], 1) == (1e-13, 1)
+
+    def test_segments_sweep_independently(self):
+        ivs = [(0, 5, 1.0), (0, 1, 4.0), (2, 3, 1.0), (3, 5, 2.0), (9, 9, 1.0)]
+        segments = [0, 1, 0, 1, 3]
+        w, t = min_interval_overlap(
+            columns(ivs, segments), np.array([5, 5, 7, 9])
+        )
+        assert w.tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert t.tolist() == [0, 2, 0, 0]
 
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(
-            st.tuples(st.integers(0, 30), st.integers(0, 30), st.integers(1, 5)),
+            st.tuples(
+                st.integers(0, 30), st.integers(0, 30), st.integers(1, 5),
+                st.integers(0, 3),
+            ),
             max_size=25,
         ),
-        st.integers(0, 40),
+        st.lists(st.integers(0, 40), min_size=4, max_size=4),
     )
-    def test_property_matches_bruteforce(self, raw, domain):
+    def test_property_matches_bruteforce(self, raw, domains):
+        """Several segments in one call, each against a brute force."""
         ivs = [
-            TimeInterval(min(a, b), max(a, b), float(w))
-            for a, b, w in raw
-            if min(a, b) <= domain
+            (min(a, b), min(max(a, b), domains[s]), float(w), s)
+            for a, b, w, s in raw
+            if min(a, b) <= domains[s]
         ]
-        ivs = [
-            TimeInterval(iv.start, min(iv.end, domain), iv.weight) for iv in ivs
-        ]
-        got_w, got_t = min_interval_overlap(ivs, domain)
-        brute = [
-            sum(iv.weight for iv in ivs if iv.start <= t <= iv.end)
-            for t in range(domain + 1)
-        ]
-        assert abs(got_w - min(brute)) < 1e-9
-        assert brute[got_t] == min(brute)
+        got_w, got_t = min_interval_overlap(
+            columns([iv[:3] for iv in ivs], [iv[3] for iv in ivs]),
+            np.array(domains),
+        )
+        for s, domain in enumerate(domains):
+            brute = [
+                sum(w for a, b, w, seg in ivs if seg == s and a <= t <= b)
+                for t in range(domain + 1)
+            ]
+            assert got_w[s] == min(brute)
+            assert got_t[s] == brute.index(min(brute))
 
 
 class TestSweepAMPC:
@@ -152,16 +193,21 @@ class TestSweepAMPC:
         rng = random.Random(1)
         for trial in range(5):
             ivs = [
-                TimeInterval(a, a + rng.randint(0, 10), float(rng.randint(1, 4)))
+                (a, a + rng.randint(0, 10), float(rng.randint(1, 4)))
                 for a in (rng.randint(0, 20) for _ in range(15))
             ]
-            domain = max(iv.end for iv in ivs)
-            host_w, _ = min_interval_overlap(ivs, domain)
-            dist_w = min_interval_overlap_ampc(CFG, ivs, domain)
+            domain = max(b for _, b, _ in ivs)
+            host_w, _ = sweep(ivs, domain)
+            iv = columns(ivs)
+            dist_w = min_interval_overlap_ampc(
+                CFG, iv.start, iv.end, iv.weight, domain
+            )
             assert abs(host_w - dist_w) < 1e-9
 
     def test_measured_rounds_recorded(self):
         led = RoundLedger()
-        ivs = [TimeInterval(i, i + 3, 1.0) for i in range(30)]
-        min_interval_overlap_ampc(CFG, ivs, 40, ledger=led)
+        starts = np.arange(30)
+        min_interval_overlap_ampc(
+            CFG, starts, starts + 3, np.ones(30), 40, ledger=led
+        )
         assert led.measured_rounds >= 6  # sort + prefix pipelines

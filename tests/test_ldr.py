@@ -5,7 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import bag_at, draw_contraction_keys, mst_of_keys
-from repro.core.ldr import all_level_structures, build_level_structure, leaders_are_unique
+from repro.core.ldr import (
+    all_level_structures,
+    build_level_structure,
+    index_tree,
+    leaders_are_unique,
+)
 from repro.graph import Graph
 from repro.trees import low_depth_decomposition
 from repro.workloads import cycle, erdos_renyi, grid
@@ -21,6 +26,11 @@ def setup(g, seed=0):
     return keys, decomp, max_key
 
 
+def level_structure(g, keys, decomp, max_key, level):
+    tree = index_tree(decomp, keys, g.vertices(), max_tree_key=max_key)
+    return build_level_structure(tree, level)
+
+
 class TestLemma8:
     def test_leaders_unique_on_random_graphs(self):
         for seed in range(5):
@@ -32,7 +42,7 @@ class TestLemma8:
         g = erdos_renyi(25, 0.3, seed=1)
         keys, decomp, max_key = setup(g, 1)
         for level in range(1, decomp.height + 1):
-            struct = build_level_structure(decomp, keys, level, max_tree_key=max_key)
+            struct = level_structure(g, keys, decomp, max_key, level)
             for r in struct.ldr_time:
                 assert decomp.label[r] == level
                 assert struct.leader_of[r] == r
@@ -42,12 +52,12 @@ class TestLemma8:
 class TestJoinTimes:
     def test_join_time_is_path_max(self):
         """join_time(x) must equal the max key on the leader->x tree path
-        (the DESIGN.md erratum: path-max, not path-min)."""
+        (the erratum in repro.core.ldr: path-max, not path-min)."""
         g = erdos_renyi(20, 0.35, seed=2)
         keys, decomp, max_key = setup(g, 2)
         tree = decomp.tree
         for level in range(1, decomp.height + 1):
-            struct = build_level_structure(decomp, keys, level, max_tree_key=max_key)
+            struct = level_structure(g, keys, decomp, max_key, level)
             for x, r in struct.leader_of.items():
                 if x == r:
                     continue
@@ -79,7 +89,7 @@ class TestJoinTimes:
         g = erdos_renyi(15, 0.4, seed=3)
         keys, decomp, max_key = setup(g, 3)
         for level in range(1, decomp.height + 1):
-            struct = build_level_structure(decomp, keys, level, max_tree_key=max_key)
+            struct = level_structure(g, keys, decomp, max_key, level)
             for r in struct.ldr_time:
                 for x, rr in struct.leader_of.items():
                     if rr != r:
@@ -98,7 +108,7 @@ class TestLdrTime:
         keys, decomp, max_key = setup(g, 4)
         label = decomp.label
         for level in range(1, decomp.height + 1):
-            struct = build_level_structure(decomp, keys, level, max_tree_key=max_key)
+            struct = level_structure(g, keys, decomp, max_key, level)
             for r, ldr in struct.ldr_time.items():
                 bag_now = bag_at(g, keys, r, ldr)
                 assert all(label[x] >= level for x in bag_now), (
@@ -113,7 +123,7 @@ class TestLdrTime:
     def test_global_leader_capped_below_max_key(self):
         g = cycle(12)
         keys, decomp, max_key = setup(g, 5)
-        struct = build_level_structure(decomp, keys, 1, max_tree_key=max_key)
+        struct = level_structure(g, keys, decomp, max_key, 1)
         (r,) = list(struct.ldr_time)
         assert struct.ldr_time[r] == max_key - 1
         # at that time the bag is still a proper subset
@@ -124,7 +134,7 @@ class TestLdrTime:
         keys, decomp, max_key = setup(g, 6)
         label = decomp.label
         for level in range(2, decomp.height + 1):
-            struct = build_level_structure(decomp, keys, level, max_tree_key=max_key)
+            struct = level_structure(g, keys, decomp, max_key, level)
             for r, ldr in struct.ldr_time.items():
                 if ldr + 1 > max_key:
                     continue
