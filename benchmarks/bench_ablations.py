@@ -1,4 +1,4 @@
-"""Ablation experiments for the paper's design choices (DESIGN.md).
+"""Ablation experiments for the paper's design choices.
 
 A1 — **binarized paths** (Definition 5): without them, heavy paths are
 labelled by position and the decomposition height degrades from
@@ -135,7 +135,7 @@ def test_a3_bfs_depth_strawman(report_sink, benchmark):
 def test_a4_weighted_key_scheme_ablation(report_sink, benchmark):
     """A4 — exponential clocks vs the paper's literal uniform keys.
 
-    DESIGN.md's fourth erratum: on *weighted* graphs, contracting a
+    An erratum to the paper's phrasing: on *weighted* graphs, contracting a
     uniformly random edge permutation is not Karger's process — heavy
     intra-community edges and light cross edges are contracted at the
     same rate, so planted min cuts die early.  Exponential clocks

@@ -3,8 +3,8 @@
 The Adaptive Massively Parallel Computation model (Behnezhad et al.,
 SPAA 2019) extends MPC with mid-round adaptive read access to a
 distributed hash table.  This package simulates it with exact round,
-local-memory and total-space accounting; see DESIGN.md for the
-fidelity statement.
+local-memory and total-space accounting; :mod:`repro.ampc.ledger`
+states what is executed (measured rounds) and what is charged.
 
 Rounds execute on a pluggable backend (:mod:`repro.ampc.backends`):
 the serial reference, or the ``shm`` pool that runs columnar round

@@ -16,8 +16,9 @@ kinds of entries exist:
 ``charged``
     produced by composite algorithm steps that perform their computation
     at numpy speed but account the round cost *proven* for that step by
-    a cited lemma (see DESIGN.md section 5).  Every charge must carry a
-    citation; tests audit this.
+    a cited lemma — black boxes the paper takes from its citations
+    (MST, graph connectivity) and composite steps whose round bound a
+    lemma proves.  Every charge must carry a citation; tests audit this.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Connected components.
 
-Two entry points with different fidelity, per DESIGN.md section 5:
+Two entry points with different fidelity (measured vs charged rounds,
+see :mod:`repro.ampc.ledger`):
 
 * :func:`ampc_forest_components` — **genuinely executed**: components
   of a forest via the Euler-tour rooting machinery (component id =

@@ -11,8 +11,9 @@ Pipeline (and its accounting):
    (:func:`~repro.ampc.primitives.sort.ampc_sort`, measured rounds);
 2. **Kruskal consolidation** over the sorted stream with union–find —
    charged ``O(1/eps)`` rounds against the adaptive-connectivity result
-   of Behnezhad et al. [4] (see DESIGN.md substitution table: the paper
-   itself consumes MST as a black box built from its citations [2–5]).
+   of Behnezhad et al. [4] — a substitution, not a simplification: the
+   paper itself consumes MST as a black box built from its citations
+   [2–5].
 
 The output is exact, which is all the downstream algorithms need.
 """

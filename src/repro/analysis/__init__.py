@@ -8,7 +8,6 @@ from .sparsest import (
     approx_sparsest_cut,
     cut_sparsity,
     exact_sparsest_cut,
-    lift_side,
     sparsest_kernel,
 )
 
@@ -21,7 +20,6 @@ __all__ = [
     "exact_sparsest_cut",
     "figures",
     "harness",
-    "lift_side",
     "metrics",
     "partition_summary",
     "sparsest",

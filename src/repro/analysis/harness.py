@@ -1,4 +1,5 @@
-"""Shared experiment runners (one per DESIGN.md experiment).
+"""Shared experiment runners (one per experiment E1–E15; the claim each
+one checks is stated in ``_CLAIMS`` of :mod:`repro.analysis.writer`).
 
 Benchmarks call these; each returns structured rows *and* a rendered
 table so `pytest benchmarks/ --benchmark-only` output contains the

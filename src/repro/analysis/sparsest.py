@@ -299,11 +299,3 @@ def sparsest_kernel(graph: Graph, *, upper: float,
         v: sum(mu[orig] for orig in blocks[v]) for v in current.vertices()
     }
     return current, kernel_sizes, blocks
-
-
-def lift_side(side: Iterable, blocks: Mapping) -> frozenset:
-    """Expand a kernel-side answer back to original vertices."""
-    out: set = set()
-    for v in side:
-        out.update(blocks[v])
-    return frozenset(out)

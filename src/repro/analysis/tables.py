@@ -1,8 +1,9 @@
 """Fixed-width table rendering for benchmark reports.
 
 The benchmark harness prints the rows each experiment reports (the
-paper has no tables of its own — these are the theorem-validation
-tables defined in DESIGN.md), and EXPERIMENTS.md embeds the output
+paper has no tables of its own — these are theorem-validation
+tables, one per experiment of :mod:`repro.analysis.harness`), and
+EXPERIMENTS.md embeds the output
 verbatim, so the renderer is deliberately plain ASCII.
 """
 

@@ -20,16 +20,17 @@ _HEADER = """\
 
 Generated by ``python -m repro.analysis.writer`` (live runs on this
 machine; regenerate after any algorithmic change).  The paper is
-theory-only, so each "experiment" validates one theorem/lemma per the
-index in DESIGN.md §3.  Measured numbers come from the AMPC simulator's
-round/memory ledgers; approximation ratios use the library's own exact
-baselines (Stoer–Wagner, exact k-cut, the replay oracle).
+theory-only, so each "experiment" validates one theorem or lemma,
+named in its section's claim below.  Measured numbers come from the
+AMPC simulator's round/memory ledgers; approximation ratios use the
+library's own exact baselines (Stoer–Wagner, exact k-cut, the replay
+oracle).
 
 Conventions: ``eps = 0.5`` unless stated; k-cut weights count each
 crossing edge **once** (the paper's ``sum_i delta(V_i)`` counts twice —
 ratios are unaffected); "rounds" mixes measured rounds (primitives
-executing on the simulator) and charged rounds (lemma-cited costs, see
-DESIGN.md §5).
+executing on the simulator) and charged rounds (the proven cost of a
+step computed at host speed, each citing its lemma).
 
 """
 

@@ -537,6 +537,13 @@ def _json_vertex(v):
     return v if isinstance(v, (int, str)) else str(v)
 
 
+def _trial_count(text: str) -> int:
+    """``--trials``: the booster's own check, made at parse time."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError("need at least one trial")
+    return int(text)
+
+
 def _add_preprocess_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--preprocess",
@@ -587,7 +594,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="ampc = paper Algorithm 1 (default)",
     )
     p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--trials", type=int, default=None, help="boosting trials")
+    p.add_argument("--trials", type=_trial_count, default=None,
+                   help="boosting trials (>= 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--verify", action="store_true", help="compare with exact")
     _add_preprocess_flag(p)

@@ -1,10 +1,12 @@
 """The paper's contribution: Algorithms 1 (AMPC-MinCut), 3
-(SmallestSingletonCut) and 4 (APX-SPLIT), with their substrates."""
+(SmallestSingletonCut) and 4 (APX-SPLIT), with their substrates; every
+boosted solve runs through :func:`boost_min_cut` or :func:`boost_kcut`."""
 
 from .bags import ReplayResult, boundary_profile, replay_min_singleton
+from .boost import BOOST_SEED_STRIDE, default_boost_trials
 from .contraction import bag_at, bag_boundary_weight, contract_to_size, mst_of_keys
 from .intervals import IntervalColumns, edge_intervals
-from .kcut import KCutResult, apx_split_kcut
+from .kcut import KCutResult, apx_split_kcut, boost_kcut
 from .keys import ContractionKeys, draw_contraction_keys, draw_uniform_keys
 from .ldr import (
     IndexedTree,
@@ -14,11 +16,10 @@ from .ldr import (
     index_tree,
 )
 from .mincut import (
-    BOOST_SEED_STRIDE,
     MinCutResult,
     ampc_min_cut,
     ampc_min_cut_boosted,
-    default_boost_trials,
+    boost_min_cut,
 )
 from .schedule import RecursionSchedule, ScheduleLevel, schedule_for
 from .singleton import (
@@ -47,6 +48,8 @@ __all__ = [
     "apx_split_kcut",
     "bag_at",
     "bag_boundary_weight",
+    "boost_kcut",
+    "boost_min_cut",
     "boundary_profile",
     "build_level_structure",
     "contract_to_size",

@@ -16,11 +16,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable
+from functools import partial
+from typing import TYPE_CHECKING, Hashable
 
-from ..ampc import AMPCConfig, RoundLedger
+from ..ampc import RoundLedger
 from ..graph import Graph, KCut
+from ..obs.tracing import NULL_TRACER, Tracer
+from .boost import TrialRunner, boost, run_in_process
 from .mincut import ampc_min_cut
+
+if TYPE_CHECKING:
+    from ..preprocess import KCutKernel
 
 Vertex = Hashable
 
@@ -76,18 +82,8 @@ def apx_split_kcut(
         from ..preprocess import kernelize_for_kcut
 
         kernel = kernelize_for_kcut(graph, k, level=preprocess)
-        inner = apx_split_kcut(
-            kernel.graph if kernel.reduced else graph,
-            k,
-            eps=eps,
-            seed=seed,
-            max_copies=max_copies,
-            exact_below=exact_below,
-        )
-        inner.kernel_stats = kernel.stats()
-        if kernel.reduced:
-            inner.kcut = kernel.lift(inner.kcut.parts)
-        return inner
+        return boost_kcut(graph, k, kernel=kernel, eps=eps, seed=seed,
+                          max_copies=max_copies, exact_below=exact_below)
     ledger = RoundLedger()
     working = graph.copy()
     removed: list[tuple[tuple[Vertex, Vertex], ...]] = []
@@ -169,3 +165,35 @@ def apx_split_kcut(
         ledger=ledger,
         iterations=iterations,
     )
+
+
+def boost_kcut(
+    graph: Graph,
+    k: int,
+    *,
+    kernel: KCutKernel | None = None,
+    eps: float = 0.5,
+    trials: int = 1,
+    seed: int = 0,
+    max_copies: int = 2,
+    exact_below: int = 16,
+    run: TrialRunner | None = None,
+    tracer: Tracer = NULL_TRACER,
+) -> KCutResult:
+    """Boosted APX-SPLIT (trials through ``run``, default in process) on
+    ``graph``, or on a reducing ``kernel`` with the winner lifted back."""
+    reduced = kernel is not None and kernel.reduced
+    result = boost(
+        run or partial(run_in_process, apx_split_kcut),
+        dict(graph=kernel.graph if reduced else graph, k=k, eps=eps,
+             max_copies=max_copies, exact_below=exact_below),
+        trials=trials,
+        seed=seed,
+        label=f"APX-SPLIT boosting over {trials} parallel trials",
+    )
+    if reduced:
+        with tracer.span("lift"):
+            result.kcut = kernel.lift(result.kcut.parts)
+    if kernel is not None:
+        result.kernel_stats = kernel.stats()
+    return result

@@ -130,8 +130,9 @@ def draw_uniform_keys(graph: Graph, *, seed: int = 0) -> ContractionKeys:
     taken literally on a weighted graph — the ablation arm of A4.  On
     unweighted inputs it coincides in distribution with
     :func:`draw_contraction_keys`; on skewed weights it contracts light
-    cross edges far too early, which is why the erratum in DESIGN.md
-    replaces it with exponential clocks for the weighted case.
+    cross edges far too early, which is why weighted graphs use
+    exponential clocks instead (an erratum to the paper's phrasing;
+    ablation A4 in ``benchmarks/bench_ablations.py`` measures it).
     """
     rng = random.Random(seed)
     n = graph.num_vertices

@@ -23,37 +23,29 @@ siblings, ``absorb_parallel``); levels are sequential; the schedule's
 
 Guarantee: every returned cut is a valid cut of the input; Lemma 2
 makes it a ``(2+eps)``-approximation w.h.p. once boosted over
-independent trials (:func:`ampc_min_cut_boosted`).
+independent trials (:func:`boost_min_cut`, over :mod:`repro.core.boost`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable
+from functools import partial
+from typing import TYPE_CHECKING, Hashable
 
 from ..ampc import AMPCConfig, RoundLedger
-from ..graph import Cut, Graph
+from ..graph import Cut, Graph, lift_cut
+from ..obs.tracing import NULL_TRACER, Tracer
+from .boost import TrialRunner, boost, default_boost_trials, run_in_process
 from .contraction import contract_to_size
 from .keys import draw_contraction_keys
 from .schedule import RecursionSchedule, schedule_for
 from .singleton import smallest_singleton_cut
 
+if TYPE_CHECKING:
+    from ..preprocess import CutKernel
+
 Vertex = Hashable
-
-#: seed stride between boosting trials — trial ``t`` runs at
-#: ``seed + t * BOOST_SEED_STRIDE``.  The serving layer's TrialExecutor
-#: replicates this schedule, so it lives here as the single source.
-BOOST_SEED_STRIDE = 7919
-
-
-def default_boost_trials(n: int) -> int:
-    """The booster's default trial count: ``ceil(log2(n)^2 / 4)``.
-
-    The paper runs ``Theta(log^2 n)`` instances for the w.h.p. claim;
-    the constant is a simulation knob (E2 measures the success curve).
-    """
-    return max(1, math.ceil(math.log2(max(4, n)) ** 2 / 4))
 
 
 @dataclass
@@ -144,7 +136,7 @@ def ampc_min_cut(
             singleton = smallest_singleton_cut(
                 pg, keys, config=sub_config, ledger=copy_ledger
             )
-            lifted = _lift(graph, parent.blocks, singleton.cut.side)
+            lifted = Cut.of(graph, lift_cut(parent.blocks, singleton.cut.side))
             if best is None or lifted.weight < best.weight:
                 best = lifted
 
@@ -177,7 +169,7 @@ def ampc_min_cut(
             continue
         base_solves += 1
         cut = _exact_base_case(inst.graph)
-        lifted = _lift(graph, inst.blocks, cut.side)
+        lifted = Cut.of(graph, lift_cut(inst.blocks, cut.side))
         if best is None or lifted.weight < best.weight:
             best = lifted
     ledger.charge(
@@ -203,14 +195,6 @@ def ampc_min_cut(
     )
 
 
-def _lift(original: Graph, blocks: dict, side) -> Cut:
-    """Lift a quotient cut side back to the original graph."""
-    lifted: set = set()
-    for rep in side:
-        lifted.update(blocks[rep])
-    return Cut.of(original, lifted)
-
-
 def _compose_blocks(parent_blocks: dict, new_blocks: dict) -> dict:
     """Compose two levels of quotient maps (new reps -> original ids)."""
     return {
@@ -223,6 +207,64 @@ def _exact_base_case(graph: Graph) -> Cut:
     from ..baselines.stoer_wagner import stoer_wagner_min_cut
 
     return stoer_wagner_min_cut(graph)
+
+
+def min_cut_trials(
+    graph: Graph | None, kernel: CutKernel | None = None, trials: int | None = None
+) -> int:
+    """``trials``, or when omitted: 0 if ``kernel`` solves the instance,
+    else :func:`default_boost_trials` of the kernel's graph (or of
+    ``graph`` without a kernel)."""
+    if trials is not None:
+        return trials
+    if kernel is not None and kernel.is_solved:
+        return 0
+    return default_boost_trials((graph if kernel is None else kernel.graph).num_vertices)
+
+
+def boost_min_cut(
+    graph: Graph | None,
+    *,
+    kernel: CutKernel | None = None,
+    eps: float = 0.5,
+    trials: int | None = None,
+    seed: int = 0,
+    max_copies: int = 4,
+    run: TrialRunner | None = None,
+    tracer: Tracer = NULL_TRACER,
+) -> MinCutResult:
+    """Boosted Algorithm 1 on ``graph``, or on ``kernel`` and lifted back.
+
+    A solved kernel answers outright (no trial, 0 rounds).  Otherwise
+    :func:`~repro.core.boost.boost` runs :func:`min_cut_trials` trials
+    through ``run`` (default: in process) and the winner is lifted
+    through the kernel in a ``lift`` span.
+    """
+    if kernel is not None and kernel.is_solved:
+        return MinCutResult(
+            cut=kernel.trivial_cut(),  # raises for n < 2, like the solver
+            ledger=RoundLedger(),
+            schedule=schedule_for(max(2, kernel.original.num_vertices), eps=eps),
+            base_solves=0,
+            singleton_runs=0,
+            kernel_stats=kernel.stats(),
+        )
+    trials = min_cut_trials(graph, kernel, trials)
+    result = boost(
+        run or partial(run_in_process, ampc_min_cut),
+        dict(graph=graph if kernel is None else kernel.graph, eps=eps,
+             max_copies=max_copies),
+        trials=trials,
+        seed=seed,
+        label=f"boosting over {trials} parallel trials",
+    )
+    if kernel is not None:
+        with tracer.span("lift") as sp:
+            result.cut = kernel.lift(result.cut.side)
+            if sp:
+                sp.set(side=len(result.cut.side))
+        result.kernel_stats = kernel.stats()
+    return result
 
 
 def ampc_min_cut_boosted(
@@ -238,9 +280,10 @@ def ampc_min_cut_boosted(
 
     The paper runs ``Theta(log^2 n)`` instances for the w.h.p. claim;
     ``trials`` defaults to ``ceil(log2(n)^2 / 4)`` (the constant is a
-    simulation knob — E2 measures the success curve explicitly).
-    Trials are independent, hence parallel in the model: the boosted
-    round count is the max over trials, not the sum.
+    simulation knob — E2 measures the success curve explicitly) and
+    must be at least 1 when given.  Trials are independent, hence
+    parallel in the model: the boosted round count is the max over
+    trials, not the sum.
 
     ``preprocess`` (``"off"``/``"safe"``/``"aggressive"``, default off)
     runs the exact kernelization pipeline of :mod:`repro.preprocess`
@@ -249,77 +292,14 @@ def ampc_min_cut_boosted(
     lifted back — weight re-evaluated against the original, candidate
     cuts recorded by the reductions folded in.  A disconnected input,
     which the unpreprocessed path rejects, kernelizes to the exact
-    weight-0 cut without running any trial.
+    weight-0 cut without running any trial (0 rounds).
     """
+    kernel = None
     if preprocess is not None and preprocess != "off":
-        return _boosted_on_kernel(
-            graph,
-            level=preprocess,
-            eps=eps,
-            trials=trials,
-            seed=seed,
-            max_copies=max_copies,
-        )
-    n = graph.num_vertices
-    if trials is None:
-        trials = default_boost_trials(n)
-    best: MinCutResult | None = None
-    ledgers: list[RoundLedger] = []
-    for t in range(trials):
-        res = ampc_min_cut(
-            graph,
-            eps=eps,
-            seed=seed + BOOST_SEED_STRIDE * t,
-            max_copies=max_copies,
-        )
-        ledgers.append(res.ledger)
-        if best is None or res.weight < best.weight:
-            best = res
-    assert best is not None
-    combined = RoundLedger()
-    combined.absorb_parallel(ledgers, f"boosting over {trials} parallel trials")
-    best.ledger = combined
-    return best
+        from ..preprocess import kernelize
 
-
-def _boosted_on_kernel(
-    graph: Graph,
-    *,
-    level: str,
-    eps: float,
-    trials: int | None,
-    seed: int,
-    max_copies: int,
-) -> MinCutResult:
-    """Kernelize, boost on the kernel, lift the winner."""
-    from ..preprocess import kernelize
-
-    kernel = kernelize(graph, level=level)
-    if kernel.is_solved:
-        cut = kernel.trivial_cut()  # raises for n < 2, matching the solver
-        ledger = RoundLedger()
-        ledger.charge(
-            1,
-            "preprocess: kernelization solved the instance outright "
-            "(no AMPC trial ran)",
-            local_peak=graph.num_vertices,
-            total_peak=graph.num_vertices + graph.num_edges,
-        )
-        return MinCutResult(
-            cut=cut,
-            ledger=ledger,
-            schedule=schedule_for(max(2, graph.num_vertices), eps=eps),
-            base_solves=0,
-            singleton_runs=0,
-            kernel_stats=kernel.stats(),
-        )
-    result = ampc_min_cut_boosted(
-        kernel.graph,
-        eps=eps,
-        trials=trials,
-        seed=seed,
+        kernel = kernelize(graph, level=preprocess)
+    return boost_min_cut(
+        graph, kernel=kernel, eps=eps, trials=trials, seed=seed,
         max_copies=max_copies,
     )
-    result.cut = kernel.lift(result.cut.side)
-    result.kernel_stats = kernel.stats()
-    return result

@@ -68,7 +68,7 @@ from typing import Callable, Hashable, Iterable
 
 import numpy as np
 
-from ..graph import Cut, Graph, KCut
+from ..graph import Cut, Graph, KCut, lift_cut
 from ..graph.sparsify import ni_edge_starts, sparsify_preserving_min_cut
 
 Vertex = Hashable
@@ -562,13 +562,9 @@ class KCutKernel:
 
     def lift(self, parts: Iterable[Iterable[Vertex]]) -> KCut:
         """Lift a kernel partition; folds the candidate if lighter."""
-        expanded = [
-            frozenset(
-                orig for rep in part for orig in self.blocks[rep]
-            )
-            for part in parts
-        ]
-        lifted = KCut.of(self.original, expanded)
+        lifted = KCut.of(
+            self.original, [lift_cut(self.blocks, part) for part in parts]
+        )
         if self.candidate is not None and self.candidate.weight < lifted.weight:
             return self.candidate
         return lifted

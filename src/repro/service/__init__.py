@@ -32,7 +32,7 @@ from .deltas import (
     apply_delta,
     chain_fingerprint,
 )
-from .executor import TrialExecutor, default_trials, trial_seeds
+from .executor import TrialExecutor
 from .oracle import CutOracle
 from .service import CutService
 from .store import GraphEntry, GraphStore
@@ -75,12 +75,10 @@ __all__ = [
     "TrialExecutor",
     "apply_delta",
     "chain_fingerprint",
-    "default_trials",
     "load_any",
     "make_frontend",
     "make_server",
     "request_json",
     "request_status_json",
     "serve",
-    "trial_seeds",
 ]

@@ -1,27 +1,28 @@
-"""TrialExecutor — deterministic fan-out of boosting trials.
+"""TrialExecutor — a deterministic process pool for boosting trials.
 
-Algorithm 1's w.h.p. guarantee comes from boosting: many independent
-trials, best cut wins (:func:`repro.core.ampc_min_cut_boosted` runs
-them in a Python loop).  The trials share nothing, so a serving layer
-can fan them out over a ``concurrent.futures`` process pool — the
-engineering move Henzinger et al.'s practical min-cut study makes with
-shared-memory parallel Karger trials.
+Boosting (seed schedule, trial-count check, best-of, ledger merge) lives
+once, in :mod:`repro.core.boost`.  Trials share nothing, so the service
+hands the booster a trial runner backed by a ``concurrent.futures``
+process pool — the engineering move Henzinger et al.'s practical
+min-cut study makes with shared-memory parallel Karger trials.  This
+module owns only that pool: its lazy start, :meth:`TrialExecutor.run`
+(futures collected in submission order, never ``as_completed``), the
+``executor.fanout`` span and the ``executor.*`` counters.  Its served
+trials resolve ``ampc_min_cut``/``apx_split_kcut`` through this
+module's globals, so a profiler can wrap the served trials alone.
 
-Determinism is the contract here: results must not depend on worker
-count or completion order.  Achieved by
+Any worker count gives the library's answer, bit for bit:
 
-* deriving the per-trial seed from the trial *index* (the same
-  ``seed + 7919 * t`` schedule the serial booster uses),
-* collecting futures in submission order (never ``as_completed``),
-* breaking weight ties by the earliest trial index — exactly the
-  ``res.weight < best.weight`` rule of the serial loop,
-* merging the per-trial ledgers with the model's parallel-group rule
-  (:meth:`~repro.ampc.ledger.RoundLedger.absorb_parallel`, max rounds /
-  summed total space), in trial order.
-
-So ``workers=8`` returns bit-identical cut weights, sides, and ledger
-aggregates to ``workers=1`` for the same seed list, and ``workers=1``
-is bit-identical to ``ampc_min_cut_boosted`` itself.
+>>> from functools import partial
+>>> from repro.core import ampc_min_cut_boosted, boost_min_cut
+>>> from repro.workloads import planted_cut
+>>> g = planted_cut(24, seed=3).graph
+>>> with TrialExecutor(workers=2) as ex:
+...     served = boost_min_cut(g, trials=2, seed=5,
+...                            run=partial(ex.run, mincut_trial))
+>>> library = ampc_min_cut_boosted(g, trials=2, seed=5)
+>>> (served.cut, served.ledger.rounds) == (library.cut, library.ledger.rounds)
+True
 """
 
 from __future__ import annotations
@@ -29,59 +30,21 @@ from __future__ import annotations
 import signal
 import threading
 from concurrent.futures import Executor, ProcessPoolExecutor
-from typing import Callable, Sequence
+from typing import Callable
 
-from ..ampc import RoundLedger
-from ..core import (
-    BOOST_SEED_STRIDE,
-    ampc_min_cut,
-    apx_split_kcut,
-    default_boost_trials,
-)
-from ..core.kcut import KCutResult
-from ..core.mincut import MinCutResult
-from ..graph import Graph
+from ..core import ampc_min_cut, apx_split_kcut
 from ..obs.metrics import MetricsRegistry, MetricsScope
 from ..obs.tracing import NULL_TRACER, Tracer
 
-#: re-exported under the serving layer's historical names; the single
-#: source of truth is ``repro.core.mincut`` (shared with the booster)
-SEED_STRIDE = BOOST_SEED_STRIDE
-default_trials = default_boost_trials
+
+# Served trials: module-level so the process pool can pickle them; a
+# pooled trial ships the graph itself, well under 1% of one trial.
+def mincut_trial(**params):
+    return ampc_min_cut(**params)
 
 
-def trial_seeds(seed: int, trials: int) -> list[int]:
-    """The boosting seed schedule: ``seed + BOOST_SEED_STRIDE * t``.
-
-    >>> trial_seeds(3, 4)
-    [3, 7922, 15841, 23760]
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    return [seed + SEED_STRIDE * t for t in range(trials)]
-
-
-# ----------------------------------------------------------------------
-# Module-level trial kernels (must be picklable for the process pool).
-# A pooled trial ships the graph itself: pickling it costs well under 1%
-# of one trial.
-# ----------------------------------------------------------------------
-def _mincut_trial(graph: Graph, eps: float, seed: int) -> MinCutResult:
-    return ampc_min_cut(graph, eps=eps, seed=seed)
-
-
-def _kcut_trial(graph: Graph, k: int, eps: float, seed: int) -> KCutResult:
-    return apx_split_kcut(graph, k, eps=eps, seed=seed)
-
-
-def _best_of(results: list, label: str):
-    """The lightest trial (first on ties), charged every trial's rounds
-    as one parallel step."""
-    best = min(results, key=lambda res: res.weight)
-    combined = RoundLedger()
-    combined.absorb_parallel([r.ledger for r in results], label)
-    best.ledger = combined
-    return best
+def kcut_trial(**params):
+    return apx_split_kcut(**params)
 
 
 def _worker_init() -> None:
@@ -92,7 +55,7 @@ def _worker_init() -> None:
 
 
 class TrialExecutor:
-    """Runs independent boosting trials serially or on a process pool.
+    """Runs independent boosting trials in-process or on a process pool.
 
     ``workers=1`` (default) executes in-process with zero overhead;
     ``workers>1`` lazily spins up a ``ProcessPoolExecutor`` that is
@@ -118,31 +81,24 @@ class TrialExecutor:
         self._batches = metrics.counter("batches")
         self._tracer = tracer
 
-    @property
-    def trials_run(self) -> int:
-        return self._trials_run.value
-
-    @property
-    def batches(self) -> int:
-        return self._batches.value
-
     # ------------------------------------------------------------------
-    def _run_batch(self, fn: Callable, arg_tuples: Sequence[tuple]) -> list:
-        """Run ``fn(*args)`` for each tuple, preserving input order."""
+    def run(self, trial: Callable, trials: list[dict]) -> list:
+        """Run ``trial(**kwargs)`` per trial, results in input order.
+
+        Bound to a trial (``partial(executor.run, mincut_trial)``) this
+        is a :data:`repro.core.boost.TrialRunner`.  One trial, or one
+        worker, runs in-process: nothing is pickled and no pool starts.
+        """
         self._batches.inc()
-        self._trials_run.inc(len(arg_tuples))
-        pooled = self.workers > 1 and len(arg_tuples) > 1
+        self._trials_run.inc(len(trials))
+        pooled = self.workers > 1 and len(trials) > 1
         with self._tracer.span("executor.fanout") as sp:
             if sp:
-                sp.set(
-                    trials=len(arg_tuples),
-                    workers=self.workers,
-                    pooled=pooled,
-                )
+                sp.set(trials=len(trials), workers=self.workers, pooled=pooled)
             if not pooled:
-                return [fn(*args) for args in arg_tuples]
+                return [trial(**kwargs) for kwargs in trials]
             pool = self._ensure_pool()
-            futures = [pool.submit(fn, *args) for args in arg_tuples]
+            futures = [pool.submit(trial, **kwargs) for kwargs in trials]
             # submission order, not completion
             return [f.result() for f in futures]
 
@@ -155,56 +111,14 @@ class TrialExecutor:
             return self._pool
 
     # ------------------------------------------------------------------
-    def run_mincut(
-        self,
-        graph: Graph,
-        *,
-        eps: float = 0.5,
-        trials: int | None = None,
-        seed: int = 0,
-    ) -> MinCutResult:
-        """Boosted Algorithm 1 over the pool; best trial wins.
-
-        Matches ``ampc_min_cut_boosted(graph, eps=eps, trials=trials,
-        seed=seed)`` bit for bit.
-        """
-        if trials is None:
-            trials = default_trials(graph.num_vertices)
-        results: list[MinCutResult] = self._run_batch(
-            _mincut_trial,
-            [(graph, eps, s) for s in trial_seeds(seed, trials)],
-        )
-        return _best_of(results, f"boosting over {trials} parallel trials")
-
-    def run_kcut(
-        self,
-        graph: Graph,
-        k: int,
-        *,
-        eps: float = 0.5,
-        trials: int = 1,
-        seed: int = 0,
-    ) -> KCutResult:
-        """Best APX-SPLIT run over ``trials`` independent seeds."""
-        results: list[KCutResult] = self._run_batch(
-            _kcut_trial,
-            [(graph, k, eps, s) for s in trial_seeds(seed, trials)],
-        )
-        if trials == 1:
-            return results[0]
-        return _best_of(
-            results, f"APX-SPLIT boosting over {trials} parallel trials"
-        )
-
-    # ------------------------------------------------------------------
     def stats(self) -> dict:
         with self._lock:
             pool_live = self._pool is not None
         return {
             "workers": self.workers,
             "pool_live": pool_live,
-            "batches": self.batches,
-            "trials_run": self.trials_run,
+            "batches": self._batches.value,
+            "trials_run": self._trials_run.value,
         }
 
     def shutdown(self) -> None:

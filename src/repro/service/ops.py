@@ -36,13 +36,15 @@ from __future__ import annotations
 import numbers
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Any, Callable
 
-from ..graph import DSU
+from ..core import boost_kcut, boost_min_cut
+from ..core.mincut import min_cut_trials
+from ..graph import DSU, lift_cut
 from ..preprocess import LEVELS, validate_level
 from .deltas import GraphDelta, MutationRecord, resolve_vertex
-from .executor import default_trials
+from .executor import kcut_trial, mincut_trial
 
 
 class BadRequest(ValueError):
@@ -188,35 +190,25 @@ def _mincut_prepare(svc, entry, p):
                     shrink=kernel.graph.num_vertices
                     / max(1, entry.num_vertices),
                 )
-    if p["trials"] is None:
-        if kernel is not None and kernel.is_solved:
-            p["trials"] = 0
-        else:
-            target = kernel.graph if kernel is not None else entry.graph
-            p["trials"] = default_trials(max(2, target.num_vertices))
+    # the count is part of the result-cache key, so resolve it first
+    p["trials"] = min_cut_trials(entry.graph, kernel, p["trials"])
     return kernel
 
 
 def _mincut(svc, entry, p, kernel):
-    if kernel is not None and kernel.is_solved:
-        cut, rounds = kernel.trivial_cut(), 0
-    else:
-        result = svc.executor.run_mincut(
-            entry.graph if kernel is None else kernel.graph,
-            eps=p["eps"], trials=p["trials"], seed=p["seed"],
-        )
-        cut, rounds = result.cut, result.ledger.rounds
-        if kernel is not None:
-            with svc.tracer.span("lift") as sp:
-                cut = kernel.lift(cut.side)
-                if sp:
-                    sp.set(side=len(cut.side))
+    result = boost_min_cut(
+        None if entry is None else entry.graph, kernel=kernel,
+        eps=p["eps"], trials=p["trials"], seed=p["seed"],
+        run=partial(svc.executor.run, mincut_trial), tracer=svc.tracer,
+    )
+    cut = result.cut
     out = {
-        "weight": cut.weight, "side": vertex_list(cut.side), "rounds": rounds,
+        "weight": cut.weight, "side": vertex_list(cut.side),
+        "rounds": result.ledger.rounds,
         "trials": p["trials"], "seed": p["seed"], "eps": p["eps"],
     }
     if kernel is not None:
-        out["preprocess"] = kernel.stats()
+        out["preprocess"] = result.kernel_stats
     return out
 
 
@@ -249,15 +241,12 @@ def _kcut_prepare(svc, entry, p):
 
 
 def _kcut(svc, entry, p, kernel):
-    reduced = kernel is not None and kernel.reduced
-    result = svc.executor.run_kcut(
-        kernel.graph if reduced else entry.graph, p["k"],
+    result = boost_kcut(
+        entry.graph, p["k"], kernel=kernel,
         eps=p["eps"], trials=p["trials"], seed=p["seed"],
+        run=partial(svc.executor.run, kcut_trial), tracer=svc.tracer,
     )
     kcut = result.kcut
-    if reduced:
-        with svc.tracer.span("lift"):
-            kcut = kernel.lift(kcut.parts)
     out = {
         "weight": kcut.weight,
         "k": p["k"],
@@ -269,7 +258,7 @@ def _kcut(svc, entry, p, kernel):
         "trials": p["trials"], "seed": p["seed"], "eps": p["eps"],
     }
     if kernel is not None:
-        out["preprocess"] = kernel.stats()
+        out["preprocess"] = result.kernel_stats
     return out
 
 
@@ -402,7 +391,6 @@ def _sparsestcut(svc, entry, p, _):
         EXACT_LIMIT,
         approx_sparsest_cut,
         exact_sparsest_cut,
-        lift_side,
         sparsest_kernel,
     )
 
@@ -442,7 +430,7 @@ def _sparsestcut(svc, entry, p, _):
             )
         if sp:
             sp.set(method=result.method, solve_vertices=target.num_vertices)
-    side = result.side if blocks is None else lift_side(result.side, blocks)
+    side = result.side if blocks is None else lift_cut(blocks, result.side)
     out = {
         "sparsity": result.sparsity, "weight": result.weight,
         "demand": result.demand, "side": vertex_list(side),

@@ -1,7 +1,8 @@
 """Graph workload generators for the experiments.
 
-Each generator documents which experiment(s) it serves (see DESIGN.md
-experiment index).  Planted instances return both the graph and the
+Each generator documents which experiment(s) it serves; the
+experiments (E1–E15) are indexed by ``_CLAIMS`` in
+:mod:`repro.analysis.writer` and run by :mod:`repro.analysis.harness`.  Planted instances return both the graph and the
 planted optimum so approximation ratios can be computed without an
 exact solver on large inputs.
 """

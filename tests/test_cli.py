@@ -48,6 +48,14 @@ class TestMincut:
         out = capsys.readouterr().out
         assert "reason" in out
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_fewer_than_one_trial_rejected(self, planted_file, capsys, trials):
+        path, _ = planted_file
+        with pytest.raises(SystemExit) as exc:
+            main(["mincut", str(path), "--trials", trials])
+        assert exc.value.code == 2
+        assert "need at least one trial" in capsys.readouterr().err
+
 
 class TestKcut:
     def test_basic_run(self, tmp_path, capsys):

@@ -2,9 +2,11 @@
 
 Every relative link target (file or directory) in the top-level
 markdown docs must exist in the repo, and intra-document anchors must
-point at a real heading.  External (http/https/mailto) links are out
-of scope for an offline test; the CI docs leg runs this module, so a
-doc rename or file move that orphans a link fails the build.
+point at a real heading.  Every ``*.md`` file a module under ``src/``
+names must exist too (``EXPERIMENTS.md`` is exempt: the program
+writes it).  External (http/https/mailto) links are out of scope for
+an offline test; the CI docs leg runs this module, so a doc rename or
+file move that orphans a link fails the build.
 """
 
 import re
@@ -21,6 +23,9 @@ DOCS = sorted(
 )
 
 LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+MD_NAME = re.compile(r"[\w./-]+\.md\b")
+#: generated by ``repro.analysis.writer``, so absent from a checkout
+GENERATED = {"EXPERIMENTS.md"}
 HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 
 
@@ -64,3 +69,24 @@ def test_link_resolves(doc: Path, target: str):
 def test_docs_corpus_nonempty():
     names = {p.name for p in DOCS}
     assert {"README.md", "ARCHITECTURE.md", "HTTP_API.md"} <= names
+
+
+def iter_md_names():
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for name in sorted(set(MD_NAME.findall(path.read_text()))):
+            if name not in GENERATED:
+                yield path.relative_to(ROOT), name
+
+
+@pytest.mark.parametrize(
+    "source, name",
+    [pytest.param(s, n, id=f"{s}:{n}") for s, n in iter_md_names()],
+)
+def test_md_named_in_src_exists(source: Path, name: str):
+    """A bare name may live at the repo root or in docs/."""
+    candidates = [ROOT / name]
+    if "/" not in name:
+        candidates.append(ROOT / "docs" / name)
+    assert any(c.exists() for c in candidates), (
+        f"{source} names {name}, which does not exist"
+    )

@@ -1,7 +1,8 @@
 """Doctest leg: the examples in the docs must actually run.
 
-Every public module of :mod:`repro.service` and :mod:`repro.preprocess`
-is swept with :func:`doctest.testmod`; docstring examples are part of
+Every public module of :mod:`repro.service`, :mod:`repro.preprocess`
+and :mod:`repro.obs`, plus the booster :mod:`repro.core.boost`, is
+swept with :func:`doctest.testmod`; docstring examples are part of
 the documented contract (the satellite of the PR 5 docs overhaul), so a
 drifting example fails tier-1 the same way a drifting assertion would.
 The CI docs leg additionally runs ``pytest --doctest-modules`` over the
@@ -14,6 +15,7 @@ import importlib
 import pytest
 
 MODULES = [
+    "repro.core.boost",
     "repro.obs",
     "repro.obs.loadgen",
     "repro.obs.metrics",
@@ -37,6 +39,7 @@ MODULES = [
 #: docstring-audit satellite's enforcement hook (purely wiring modules
 #: like http.py may legitimately have none)
 MUST_HAVE_EXAMPLES = {
+    "repro.core.boost",
     "repro.obs.loadgen",
     "repro.obs.metrics",
     "repro.obs.tracing",

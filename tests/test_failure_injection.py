@@ -169,7 +169,7 @@ class TestPrimitivesUnderPressure:
 class TestLedgerIntegrity:
     def test_every_charge_carries_a_citation(self):
         # End-to-end Algorithm 1 run: each charged entry must cite its
-        # lemma/algorithm line (the DESIGN.md §5 contract).
+        # lemma/algorithm line (the contract in repro.ampc.ledger).
         from repro.core import ampc_min_cut
         from repro.workloads import planted_cut
 

@@ -36,10 +36,9 @@ from repro.analysis.sparsest import (
     approx_sparsest_cut,
     cut_sparsity,
     exact_sparsest_cut,
-    lift_side,
     sparsest_kernel,
 )
-from repro.graph import Graph
+from repro.graph import Graph, lift_cut
 from repro.service import CutService
 from repro.workloads import clustered_community
 
@@ -287,7 +286,7 @@ def test_sparsest_kernel_preserves_optimum(scenario_summary):
     full = exact_sparsest_cut(graph)
     folded = exact_sparsest_cut(kernel, sizes=ksizes)
     assert folded.sparsity == full.sparsity
-    lifted = lift_side(folded.side, blocks)
+    lifted = lift_cut(blocks, folded.side)
     assert cut_sparsity(graph, lifted) == full.sparsity
     scenario_summary.append(
         {"check": "sparsest_kernel", "instance": "viecut_cc16",

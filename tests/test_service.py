@@ -7,11 +7,13 @@ flows, and an end-to-end HTTP round trip on an ephemeral port.
 
 import itertools
 import threading
+from functools import partial
 
 import pytest
 
 from repro import CutService
-from repro.core import ampc_min_cut_boosted
+from repro.core import ampc_min_cut_boosted, boost_kcut, boost_min_cut
+from repro.core.boost import trial_seeds
 from repro.flow import DinicSolver
 from repro.graph import Graph
 from repro.service import (
@@ -21,8 +23,8 @@ from repro.service import (
     TrialExecutor,
     make_server,
     request_json,
-    trial_seeds,
 )
+from repro.service.executor import kcut_trial, mincut_trial
 from repro.workloads import erdos_renyi, planted_cut
 
 
@@ -127,12 +129,21 @@ class TestGraphStore:
 # TrialExecutor — parallel vs serial parity
 # ======================================================================
 class TestTrialExecutor:
+    @staticmethod
+    def mincut(ex, g, **kw):
+        """Boosted min cut with ``ex`` as the trial runner."""
+        return boost_min_cut(g, run=partial(ex.run, mincut_trial), **kw)
+
+    @staticmethod
+    def kcut(ex, g, k, **kw):
+        return boost_kcut(g, k, run=partial(ex.run, kcut_trial), **kw)
+
     def test_seed_schedule_matches_booster(self):
         assert trial_seeds(3, 4) == [3, 3 + 7919, 3 + 2 * 7919, 3 + 3 * 7919]
 
     def test_serial_matches_ampc_min_cut_boosted(self):
         g = planted_cut(40, seed=2).graph
-        ours = TrialExecutor(workers=1).run_mincut(g, trials=3, seed=2)
+        ours = self.mincut(TrialExecutor(workers=1), g, trials=3, seed=2)
         ref = ampc_min_cut_boosted(g, trials=3, seed=2)
         assert ours.weight == ref.weight
         assert ours.cut.side == ref.cut.side
@@ -141,9 +152,9 @@ class TestTrialExecutor:
 
     def test_parallel_bit_identical_to_serial(self):
         g = planted_cut(40, seed=7).graph
-        serial = TrialExecutor(workers=1).run_mincut(g, trials=4, seed=11)
+        serial = self.mincut(TrialExecutor(workers=1), g, trials=4, seed=11)
         with TrialExecutor(workers=3) as ex:
-            par = ex.run_mincut(g, trials=4, seed=11)
+            par = self.mincut(ex, g, trials=4, seed=11)
         assert par.weight == serial.weight
         assert par.cut.side == serial.cut.side
         assert par.ledger.rounds == serial.ledger.rounds
@@ -152,9 +163,9 @@ class TestTrialExecutor:
 
     def test_parallel_kcut_matches_serial(self):
         g = planted_cut(24, seed=5).graph
-        serial = TrialExecutor(workers=1).run_kcut(g, 3, trials=3, seed=1)
+        serial = self.kcut(TrialExecutor(workers=1), g, 3, trials=3, seed=1)
         with TrialExecutor(workers=2) as ex:
-            par = ex.run_kcut(g, 3, trials=3, seed=1)
+            par = self.kcut(ex, g, 3, trials=3, seed=1)
         assert par.weight == serial.weight
         assert par.kcut.parts == serial.kcut.parts
         assert par.ledger.rounds == serial.ledger.rounds
@@ -162,7 +173,7 @@ class TestTrialExecutor:
     def test_trial_counters(self):
         g = two_triangles()
         ex = TrialExecutor(workers=1)
-        ex.run_mincut(g, trials=2, seed=0)
+        self.mincut(ex, g, trials=2, seed=0)
         assert ex.stats()["trials_run"] == 2
         assert ex.stats()["batches"] == 1
 
@@ -175,7 +186,7 @@ class TestTrialExecutor:
         # graph must pass through unpickled and spawn no pool.
         g = two_triangles()
         ex = TrialExecutor(workers=4)
-        ex.run_kcut(g, 2, trials=1, seed=0)
+        self.kcut(ex, g, 2, trials=1, seed=0)
         assert ex.stats()["pool_live"] is False
 
 
