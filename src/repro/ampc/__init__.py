@@ -6,28 +6,21 @@ distributed hash table.  This package simulates it with exact round,
 local-memory and total-space accounting; :mod:`repro.ampc.ledger`
 states what is executed (measured rounds) and what is charged.
 
-Rounds execute on a pluggable backend (:mod:`repro.ampc.backends`):
-the serial reference, or the ``shm`` pool that runs columnar round
-specs over shared-memory snapshots — selected per
-:class:`~repro.ampc.config.AMPCConfig` (``backend=``), per runtime
-(``AMPCRuntime(..., backend=...)``), or globally via the
-``AMPC_BACKEND`` environment variable.  Backend choice never changes
-observable results, ledger accounting, or traces; the differential
-harness in ``tests/test_backend_equivalence.py`` enforces that.
+:class:`~repro.ampc.runtime.AMPCRuntime` is the one round executor,
+and it runs every round in-process.  A round is either a list of
+machine programs (the object path) or a columnar round spec from
+:mod:`repro.ampc.columnar` over array snapshots.  The primitives take
+the columnar path whenever their input fits its contract (plain ints,
+or finite floats for sort) and keep the object path as the reference
+for everything else; both paths enforce the same local-memory budget
+and produce the same outputs and round structure, which the
+differential harnesses in ``tests/test_columnar_equivalence.py`` and
+``tests/test_backend_equivalence.py`` enforce.
 
 Where this package sits relative to the graph core, the kernelization
 pipeline and the serving layer is mapped in ``docs/ARCHITECTURE.md``.
 """
 
-from .backends import (
-    BACKENDS,
-    MachineResult,
-    RoundBackend,
-    SerialBackend,
-    ShmBackend,
-    available_backends,
-    resolve_backend,
-)
 from .config import AMPCConfig, DEFAULT_EPS
 from .dht import (
     ColumnSnapshot,
@@ -58,7 +51,6 @@ from .trace import (
 
 __all__ = [
     "AMPCConfig",
-    "BACKENDS",
     "DEFAULT_EPS",
     "AMPCError",
     "AMPCRuntime",
@@ -73,18 +65,12 @@ __all__ = [
     "HashTable",
     "LedgerEntry",
     "MachineContext",
-    "MachineResult",
     "MemoryLimitExceeded",
     "MissingKeyError",
     "ProtocolError",
-    "RoundBackend",
     "RoundLedger",
-    "SerialBackend",
-    "ShmBackend",
     "TableSnapshot",
     "TotalSpaceExceeded",
-    "available_backends",
     "merge_writes",
-    "resolve_backend",
     "word_size",
 ]

@@ -1,12 +1,13 @@
 """Columnar round specs: the vectorized execution path of the runtime.
 
 The object path runs machine *programs* — Python closures reading and
-writing one key at a time.  Closures cannot cross a spawn boundary, and
-every element pays interpreter dispatch.  The columnar path replaces the closures with **round
-specs**: a named op from the registry below plus a small picklable
-``params`` dict.  Round state lives in a :class:`~repro.ampc.dht.ColumnTable`
-whose two int64/float64 columns are the entire snapshot — exactly what
-the shm backend publishes zero-copy to its persistent spawn pool.
+writing one key at a time, so every element pays interpreter dispatch.
+The columnar path replaces the closures with **round specs**: a named
+op from the registry below plus a small ``params`` dict.  Round state
+lives in a :class:`~repro.ampc.dht.ColumnTable` whose two
+int64/float64 columns are the entire snapshot, and
+:meth:`repro.ampc.runtime.AMPCRuntime.column_round` runs a spec's
+machines over those columns in one vectorized slice.
 
 Identity packing
 ----------------
@@ -27,27 +28,54 @@ peak_words, reads)`` executes virtual machines ``lo..hi`` of the round
 against the snapshot columns and returns its buffered writes plus
 ledger stats.  Ops must only *read* the snapshot (the arrays are
 flagged read-only) and must emit writes in machine order, mirroring
-the object path's per-machine write buffers — the runtime merges slice
-results in machine-index order, same canonical rule as
-:func:`repro.ampc.dht.merge_writes`.
+the object path's per-machine write buffers — the same canonical rule
+as :func:`repro.ampc.dht.merge_writes`.  ``peak_words`` is the largest
+local memory any machine in the slice needs; the runtime holds it to
+the same ``local_memory_words`` budget as the object path.
 
 Every op mirrors its object-path counterpart's *round structure*: the
 same host control flow issues the same number of rounds with the same
 reason strings, and outputs are bit-identical — that is what the
-differential harness (``tests/test_columnar_equivalence.py``) checks.
-Ledger *words/queries* are recomputed from array sizes and may differ
-from the object path within a documented tolerance.
+differential harness (``tests/test_columnar_equivalence.py``) checks
+against the object reference.  ``peak_words`` is the object machine's
+exact peak: the words its payload, held values, reads and writes
+occupy under :func:`repro.ampc.dht.word_size`, with one word per
+numeric scalar.  A columnar round therefore exceeds the budget exactly
+when its object twin does, and in the same round.  Ledger total words
+and queries are recomputed from array sizes and may differ from the
+object path's counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
+from .dht import word_size
+
 #: bits reserved for the element index inside a packed int64 key
 IDX_BITS = 38
+
+#: words per sample-sort segment piece.  Small pieces let the merge
+#: rounds stream a bucket holding only one piece per source, keeping the
+#: bucket machine within O(n^eps) even under pivot skew.
+PIECE_WORDS = 4
+
+
+def merge_fan_in(local_memory_words: int) -> int:
+    """Sources one sample-sort merge machine streams at once.
+
+    Each live source costs about ``PIECE_WORDS + 2`` words (a piece
+    plus its bookkeeping) and the output buffer takes the other half of
+    the budget.  Both sort paths size their merge tree by this rule.
+    """
+    return max(2, (local_memory_words // 2) // (PIECE_WORDS + 2))
+
+
+def _scalar_write(key: tuple) -> int:
+    """Words of writing one scalar under an object-path ``key``."""
+    return word_size(key) + 1
 
 _SENTINEL = np.int64(np.iinfo(np.int64).min // 2)
 
@@ -101,18 +129,6 @@ def _masked_get(keys, values, tag, idx, default):
     return np.where(idx < 0, np.asarray(default, dtype=out.dtype), out)
 
 
-@dataclass
-class ColumnSliceResult:
-    """One machine slice's contribution to a columnar round."""
-
-    lo: int
-    hi: int
-    write_keys: np.ndarray
-    write_values: np.ndarray
-    peak_words: int = 0
-    reads: int = 0
-
-
 ColumnOp = Callable[
     [np.ndarray, np.ndarray, dict, int, int],
     tuple[np.ndarray, np.ndarray, int, int],
@@ -137,12 +153,7 @@ def execute_column_slice(
     lo: int,
     hi: int,
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Run machines ``lo..hi`` of a columnar round spec.
-
-    The single entry point shared by the shm backend's pool workers and
-    its in-process fast path — a spawn worker needs to import only this
-    module (plus numpy) to execute any round.
-    """
+    """Run machines ``lo..hi`` of a columnar round spec."""
     if op not in OPS:
         raise KeyError(f"unknown columnar op {op!r}")
     wk, wv, peak, reads = OPS[op](keys, values, params, lo, hi)
@@ -216,7 +227,9 @@ def _prefix_chunk_stats(keys, values, params, lo, hi):
     machine = np.arange(lo, hi, dtype=np.int64)
     wk = np.concatenate([pack(T_TOT_BASE + 0, machine), pack(T_LOCMIN, machine)])
     wv = np.concatenate([totals, locmin])
-    peak = int(np.diff(np.asarray(bounds[lo : hi + 1])).max()) + 4
+    # payload + the held chunk list + the ("tot", 0, j) write
+    c = int(np.diff(np.asarray(bounds[lo : hi + 1])).max())
+    peak = 1 + (c + 1) + _scalar_write(("tot", 0, 0))
     return wk, wv, peak, int(seg.size)
 
 
@@ -232,7 +245,8 @@ def _prefix_group_sum(keys, values, params, lo, hi):
     starts = np.arange(0, child_hi - child_lo, cap, dtype=np.int64)
     totals = np.add.reduceat(seg, starts)
     wk = pack(T_TOT_BASE + params["dst_level"], np.arange(lo, hi, dtype=np.int64))
-    return wk, totals, cap + 2, int(seg.size)
+    # payload + one ("tot", lvl, g) write; child totals are read one by one
+    return wk, totals, 1 + _scalar_write(("tot", 0, 0)), int(seg.size)
 
 
 @columnar_op("prefix_top_scan")
@@ -243,7 +257,8 @@ def _prefix_top_scan(keys, values, params, lo, hi):
     tot = column(keys, values, T_TOT_BASE + top)
     off = np.concatenate([[0], np.cumsum(tot[:-1])]) if tot.size else tot
     wk = pack(T_OFF_BASE + top, np.arange(tot.size, dtype=np.int64))
-    return wk, np.asarray(off, dtype=values.dtype), int(tot.size) + 2, int(tot.size)
+    peak = _scalar_write(("off", 0, 0))
+    return wk, np.asarray(off, dtype=values.dtype), peak, int(tot.size)
 
 
 @columnar_op("prefix_push_down")
@@ -267,7 +282,8 @@ def _prefix_push_down(keys, values, params, lo, hi):
         T_OFF_BASE + (lvl - 1),
         np.arange(child_lo, child_hi, dtype=np.int64),
     )
-    return wk, child_off, cap + 4, int(seg.size) + (hi - lo)
+    peak = 1 + _scalar_write(("off", 0, 0))
+    return wk, child_off, peak, int(seg.size) + (hi - lo)
 
 
 @columnar_op("prefix_finalize")
@@ -293,7 +309,9 @@ def _prefix_finalize(keys, values, params, lo, hi):
         [pack(T_PREF, np.arange(elo, ehi, dtype=np.int64)), pack(T_GLOBMIN, machine)]
     )
     wv = np.concatenate([pref, off + locmin])
-    peak = int(sizes.max()) * 2 + 4
+    # payload + the held chunk + the ("pref", "chunk", j) list write
+    c = int(sizes.max())
+    peak = 1 + (c + 1) + word_size(("pref", "chunk", 0)) + (c + 1)
     return wk, wv, peak, int(seg.size) + 2 * (hi - lo)
 
 
@@ -303,7 +321,8 @@ def _prefix_min_reduce(keys, values, params, lo, hi):
         return _empty(values.dtype)
     gm = column(keys, values, T_GLOBMIN)
     wk = pack(T_MINPREF, np.zeros(1, dtype=np.int64))
-    return wk, np.asarray([gm.min()], dtype=values.dtype), 2, int(gm.size)
+    peak = _scalar_write(("minprefix",))
+    return wk, np.asarray([gm.min()], dtype=values.dtype), peak, int(gm.size)
 
 
 # ======================================================================
@@ -317,7 +336,6 @@ def _sort_local(keys, values, params, lo, hi):
         return _empty(values.dtype)
     x = column(keys, values, T_IN)
     wk_parts, wv_parts = [], []
-    peak = 0
     reads = 0
     for j in range(lo, hi):
         run = np.sort(x[bounds[j] : bounds[j + 1]], kind="stable")
@@ -329,8 +347,10 @@ def _sort_local(keys, values, params, lo, hi):
             pack(T_SAMP, samp_off[j] + np.arange(samples.size, dtype=np.int64))
         )
         wv_parts.append(samples)
-        peak = max(peak, run.size + samples.size)
         reads += run.size
+    # payload + the ("run", j) list write (the samples write is smaller)
+    c = max(bounds[j + 1] - bounds[j] for j in range(lo, hi))
+    peak = 1 + word_size(("run", 0)) + (c + 1)
     return np.concatenate(wk_parts), np.concatenate(wv_parts), peak, reads
 
 
@@ -343,7 +363,9 @@ def _sort_pivots(keys, values, params, lo, hi):
     step = max(1, samples.size // n_buckets)
     pivots = samples[step::step][: n_buckets - 1]
     wk = pack(T_PIV, np.arange(pivots.size, dtype=np.int64))
-    return wk, pivots, int(samples.size) + 2, int(samples.size)
+    # every sample held, plus the ("pivots",) list write
+    peak = int(samples.size) + word_size(("pivots",)) + int(pivots.size) + 1
+    return wk, pivots, peak, int(samples.size)
 
 
 @columnar_op("sort_partition")
@@ -355,8 +377,8 @@ def _sort_partition(keys, values, params, lo, hi):
     run_col = column(keys, values, T_RUN)
     pivots = column(keys, values, T_PIV)
     wk_parts, wv_parts = [], []
-    peak = 0
     reads = 0
+    longest_seg = 0
     for j in range(lo, hi):
         run = run_col[bounds[j] : bounds[j + 1]]
         cuts = np.searchsorted(run, pivots, side="right")
@@ -366,8 +388,16 @@ def _sort_partition(keys, values, params, lo, hi):
             pack(T_SEGSZ, np.arange(n_buckets, dtype=np.int64) * n_chunks + j)
         )
         wv_parts.append(sizes)
-        peak = max(peak, run.size + pivots.size + n_buckets)
+        longest_seg = max(longest_seg, int(sizes.max()))
         reads += run.size + pivots.size
+    # payload + the held run + the pivots read, or payload + one
+    # ("seg", b, j, k) piece write; the segsize/segpieces writes are smaller
+    r = max(bounds[j + 1] - bounds[j] for j in range(lo, hi))
+    piece = min(PIECE_WORDS, longest_seg)
+    peak = max(
+        1 + (r + 1) + (int(pivots.size) + 1),
+        1 + word_size(("seg", 0, 0, 0)) + (piece + 1),
+    )
     return np.concatenate(wk_parts), np.concatenate(wv_parts), peak, reads
 
 
@@ -384,7 +414,8 @@ def _sort_bucket_offsets(keys, values, params, lo, hi):
     )
     off = np.concatenate([[0], np.cumsum(totals[:-1])])
     wk = pack(T_BOFF, np.arange(n_buckets, dtype=np.int64))
-    return wk, np.asarray(off, dtype=values.dtype), n_buckets * 2, int(segsz.size)
+    peak = n_buckets + _scalar_write(("bucketoff", 0))
+    return wk, np.asarray(off, dtype=values.dtype), peak, int(segsz.size)
 
 
 def _gather_sources(keys, values, sources):
@@ -395,6 +426,48 @@ def _gather_sources(keys, values, sources):
     return np.concatenate(parts) if parts else np.empty(0, dtype=values.dtype)
 
 
+def _merge(keys, values, sources):
+    """Stable k-way merge of ``sources``: ``(merged, live, loaded)``.
+
+    The object merge streams each source as pieces of ``PIECE_WORDS``
+    scalars and holds only the current piece of each live source
+    (``len + 1`` words; none once the source is exhausted).  Its emit
+    buffer is not held, so its peak is either the moment every first
+    piece is loaded or a full output piece's write on top of the pieces
+    live at that moment.  ``live`` is the held words just after each
+    element is emitted (refill included); ``loaded`` is the words held
+    once every first piece is in.
+    """
+    cat = _gather_sources(keys, values, sources)
+    order = np.argsort(cat, kind="stable")
+    lengths = np.asarray([length for _, _, length in sources], dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    src = np.repeat(np.arange(lengths.size), lengths)[order]
+    consumed = order - starts[src] + 1
+    src_len = lengths[src]
+
+    def held(c):
+        piece = np.minimum(PIECE_WORDS, src_len - (c // PIECE_WORDS) * PIECE_WORDS)
+        return np.where(c == src_len, 0, piece + 1)
+
+    loaded = int((np.minimum(PIECE_WORDS, lengths) + 1).sum())
+    live = loaded + np.cumsum(held(consumed) - held(consumed - 1))
+    return cat[order], live, loaded
+
+
+def _merge_peak(live, loaded, out_piece: int, key_words: int) -> int:
+    """Object merge peak emitting ``out_piece``-scalar pieces under keys
+    of ``key_words``: a full piece is written when emitting element
+    ``out_piece``, ``2 * out_piece``, ...; the last, partial piece once
+    every source is released."""
+    peak = loaded
+    if live.size > out_piece:
+        at_writes = int(live[out_piece::out_piece].max())
+        peak = max(peak, at_writes + key_words + out_piece + 1)
+    last = (live.size - 1) % out_piece + 1
+    return max(peak, key_words + last + 1)
+
+
 @columnar_op("sort_merge_level")
 def _sort_merge_level(keys, values, params, lo, hi):
     groups, out_tag = params["groups"], params["out_tag"]
@@ -403,14 +476,15 @@ def _sort_merge_level(keys, values, params, lo, hi):
     wk_parts, wv_parts = [], []
     peak = 0
     reads = 0
+    mseg_key = word_size(("mseg", 0, 0, 0, 0))
     for g in range(lo, hi):
         sources, out_start = groups[g]
-        merged = np.sort(_gather_sources(keys, values, sources), kind="stable")
+        merged, live, loaded = _merge(keys, values, sources)
         wk_parts.append(
             pack(out_tag, out_start + np.arange(merged.size, dtype=np.int64))
         )
         wv_parts.append(merged)
-        peak = max(peak, merged.size + len(sources))
+        peak = max(peak, _merge_peak(live, loaded, PIECE_WORDS, mseg_key))
         reads += merged.size
     return np.concatenate(wk_parts), np.concatenate(wv_parts), peak, reads
 
@@ -418,19 +492,23 @@ def _sort_merge_level(keys, values, params, lo, hi):
 @columnar_op("sort_final_merge")
 def _sort_final_merge(keys, values, params, lo, hi):
     buckets = params["buckets"]  # machine b -> list of sources
+    out_chunk = params["out_chunk"]
     if hi <= lo:
         return _empty(values.dtype)
     boff = column(keys, values, T_BOFF)
+    outpiece_key = word_size(("outpiece", 0))
     wk_parts, wv_parts = [], []
-    peak = 0
+    peak = 2  # payload + the ("bucketoff", b) read
     reads = 0
     for b in range(lo, hi):
-        merged = np.sort(_gather_sources(keys, values, buckets[b]), kind="stable")
-        if merged.size:
-            start = int(boff[b])
-            wk_parts.append(pack(T_OUT, start + np.arange(merged.size, dtype=np.int64)))
-            wv_parts.append(merged)
-        peak = max(peak, merged.size + 2)
+        if not buckets[b]:
+            reads += 1
+            continue
+        merged, live, loaded = _merge(keys, values, buckets[b])
+        start = int(boff[b])
+        wk_parts.append(pack(T_OUT, start + np.arange(merged.size, dtype=np.int64)))
+        wv_parts.append(merged)
+        peak = max(peak, 1 + _merge_peak(live, loaded, out_chunk, outpiece_key))
         reads += merged.size + 1
     if not wk_parts:
         return _empty(values.dtype)
@@ -445,13 +523,15 @@ def _sort_final_merge(keys, values, params, lo, hi):
 def _lr_mark(keys, values, params, lo, hi):
     idxs = np.asarray(params["idxs"], dtype=np.int64)[lo:hi]
     wk = pack(params["out_tag"], idxs)
-    return wk, np.ones(idxs.size, dtype=np.int64), 2, 0
+    peak = 1 + _scalar_write(("anchor", 0, 0))
+    return wk, np.ones(idxs.size, dtype=np.int64), peak, 0
 
 
 @columnar_op("lr_zero_rank")
 def _lr_zero_rank(keys, values, params, lo, hi):
     idxs = np.asarray(params["idxs"], dtype=np.int64)[lo:hi]
-    return pack(T_RANK, idxs), np.zeros(idxs.size, dtype=np.int64), 2, 0
+    peak = 1 + _scalar_write(("rank", 0))
+    return pack(T_RANK, idxs), np.zeros(idxs.size, dtype=np.int64), peak, 0
 
 
 @columnar_op("lr_contract")
@@ -489,7 +569,8 @@ def _lr_contract(keys, values, params, lo, hi):
         [pack(params["out_succ_tag"], v), pack(params["out_w_tag"], v)]
     )
     wv = np.concatenate([u, tot])
-    return wk, wv, 8, int(reads)
+    # payload + one ("succ"/"w", lvl, v) write; the walk reads scalars
+    return wk, wv, 1 + _scalar_write(("succ", 0, 0)), int(reads)
 
 
 @columnar_op("lr_base")
@@ -516,7 +597,9 @@ def _lr_base(keys, values, params, lo, hi):
         nxt[ai] = nxt_a
     else:
         raise ValueError("list has a cycle; input must be acyclic")
-    return pack(T_RANK, top), tot, 3 * int(top.size) + 2, int(reads)
+    # the object machine holds 3 words per node, then writes each rank
+    peak = 3 * int(top.size) + _scalar_write(("rank", 0))
+    return pack(T_RANK, top), tot, peak, int(reads)
 
 
 @columnar_op("lr_unwind")
@@ -551,4 +634,4 @@ def _lr_unwind(keys, values, params, lo, hi):
         di = pending[done]
         res[di] = tot[di] + np.where(tail[done], 0, rk[done])
         pending = pending[~done]
-    return pack(T_RANK, v), res, 8, int(reads)
+    return pack(T_RANK, v), res, 1 + _scalar_write(("rank", 0)), int(reads)

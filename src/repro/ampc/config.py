@@ -17,7 +17,7 @@ benchmarks can report measured/budget ratios.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def _ceil_pow(n: int, exponent: float) -> int:
@@ -54,12 +54,6 @@ class AMPCConfig:
         is 2.
     total_constant:
         Multiplier hidden in the total-space ``O(.)``.
-    backend:
-        Round-execution backend name (``"serial"`` or ``"shm"``; see
-        :mod:`repro.ampc.backends`).  ``None`` defers to the
-        ``AMPC_BACKEND`` environment variable, then serial.
-        Backend choice never changes observable results — only how the
-        round's machines execute on the host.
     """
 
     n_input: int
@@ -68,7 +62,6 @@ class AMPCConfig:
     local_constant: int = 8
     total_log_power: int = 2
     total_constant: int = 16
-    backend: str | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 < self.eps < 1.0):
@@ -137,7 +130,6 @@ class AMPCConfig:
             local_constant=self.local_constant,
             total_log_power=self.total_log_power,
             total_constant=self.total_constant,
-            backend=self.backend,
         )
 
 

@@ -116,14 +116,13 @@ class HashTable:
 class TableSnapshot:
     """Read-only view of one hash table at a round boundary.
 
-    Round backends hand machine programs a snapshot of ``H_{i-1}``
-    instead of the table itself, so parallel machines can only ever
-    *read* the previous round's state — the write surface (``put``)
-    simply does not exist here.  The snapshot shares the underlying
-    shard dicts without copying: the runtime guarantees nothing writes
-    ``H_{i-1}`` while the round's programs execute (writes are buffered
-    per machine and merged into ``H_i`` afterwards), so concurrent
-    reads are safe in threads and consistent across forked processes.
+    The runtime hands machine programs a snapshot of ``H_{i-1}``
+    instead of the table itself, so a machine can only ever *read* the
+    previous round's state — the write surface (``put``) simply does
+    not exist here.  The snapshot shares the underlying shard dicts
+    without copying: the runtime guarantees nothing writes ``H_{i-1}``
+    while the round's programs execute (writes are buffered per
+    machine and merged into ``H_i`` afterwards).
     """
 
     __slots__ = ("name", "_shards", "num_shards")
@@ -350,10 +349,8 @@ class ColumnSnapshot:
     """Read-only columnar view of one table at a round boundary.
 
     The columnar analogue of :class:`TableSnapshot`: the runtime hands
-    machine slices this instead of the table, so parallel workers can
-    only read.  The arrays are shared zero-copy (flagged read-only) —
-    the shm backend publishes exactly these two columns as a
-    shared-memory block.
+    a round spec this instead of the table, so its machines can only
+    read.  The arrays are shared zero-copy and flagged read-only.
     """
 
     __slots__ = ("name", "_keys", "_values")
@@ -417,9 +414,8 @@ def merge_writes(
     the machine's own write order).  Conflicting writes to the same key
     resolve last-writer-wins, or through ``combiner`` folded in that
     same canonical order — which is why the merged table is identical
-    no matter which order the machines actually *executed* in: backends
-    may run machines concurrently, but every backend hands its buffers
-    to this function sorted by machine index.
+    no matter which order the machines actually *executed* in, as long
+    as their buffers are handed over sorted by machine index.
     """
     for writes in write_lists:
         for key, value in writes:

@@ -39,7 +39,7 @@ class MemoryLimitExceeded(AMPCError):
 
     def __reduce__(self):
         # Exceptions with multi-arg __init__ need explicit reduction to
-        # survive the pickle hop from a shm pool worker.
+        # survive a pickle hop out of a worker process.
         return (type(self), (self.used, self.limit, self.machine))
 
 

@@ -16,10 +16,10 @@ machine cannot read more words than fit in its memory, mirroring the
 model's "reading and writing is limited by machine local memory".
 
 ``readable`` is normally an immutable
-:class:`~repro.ampc.dht.TableSnapshot` handed out by the runtime's
-round backend — contexts never get a handle that could write the
-previous table, which is what makes parallel backends sound.  Machines
-run isolated: a program must communicate only through ``ctx`` (reads,
+:class:`~repro.ampc.dht.TableSnapshot` handed out by the runtime —
+contexts never get a handle that could write the previous table, so
+no machine can observe another's writes mid-round.  Machines run
+isolated: a program must communicate only through ``ctx`` (reads,
 writes, payload), never by mutating host objects it closed over —
 in the model, machines share nothing but the DHT.
 """

@@ -20,7 +20,6 @@ from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
-from ..backends import resolve_backend
 from ..config import AMPCConfig
 from ..ledger import RoundLedger
 from .euler import ampc_root_forest
@@ -50,18 +49,26 @@ def ampc_graph_components(
     Charged per Behnezhad et al. [4]: ``O(1/eps)`` rounds, ``O(n^eps)``
     local memory, ``O(n + m)`` total space.
 
-    When the selected backend is columnar-capable and the vertices are
-    plain ints, the components are computed by vectorized array hooking
-    + pointer doubling (the PR 4 DSU idiom) instead of the per-edge
-    Python union–find — same charged budget, same representatives
-    (the union rule makes every component's representative its
-    ``_stable_key`` minimum, which the vectorized path computes
-    directly), interpreter-speed dispatch removed.
+    When the vertices are plain ints, the components are computed by
+    vectorized array hooking + pointer doubling instead of the per-edge
+    Python union–find of the reference, :func:`_graph_components_object`
+    — same charged budget, same representatives (the union rule makes
+    every component's representative its ``_stable_key`` minimum, which
+    the vectorized path computes directly).
     """
-    backend = resolve_backend(None, config_backend=getattr(config, "backend", None))
-    if backend.supports_columnar and all(type(v) is int for v in vertices):
+    if all(type(v) is int for v in vertices):
         return _graph_components_vectorized(config, vertices, edges, ledger=ledger)
+    return _graph_components_object(config, vertices, edges, ledger=ledger)
 
+
+def _graph_components_object(
+    config: AMPCConfig,
+    vertices: Sequence[Hashable],
+    edges: Iterable[tuple[Hashable, Hashable]],
+    *,
+    ledger: RoundLedger | None = None,
+) -> dict[Hashable, Hashable]:
+    """The reference: per-edge union–find under the same charge."""
     parent: dict[Hashable, Hashable] = {v: v for v in vertices}
 
     def find(v: Hashable) -> Hashable:

@@ -68,15 +68,3 @@ def read_meta(ctx: MachineContext, name: str) -> tuple[int, int, int]:
     """Read a chunked value's manifest: ``(n, n_chunks, chunk_size)``."""
     n, n_chunks, size = ctx.read((name, "meta"))
     return int(n), int(n_chunks), int(size)
-
-
-def gather_chunks(runtime: AMPCRuntime, name: str) -> list[Any]:
-    """Host-side: reassemble a chunked value from the current table."""
-    meta = runtime.table.get_default((name, "meta"))
-    if meta is None:
-        return []
-    _, n_chunks, _ = meta
-    out: list[Any] = []
-    for j in range(int(n_chunks)):
-        out.extend(runtime.table.get((name, "chunk", j)))
-    return out

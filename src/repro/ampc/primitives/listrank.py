@@ -59,8 +59,25 @@ def ampc_list_rank(
     Returns
     -------
     dict node -> rank, where tails have rank 0 and each predecessor is
-    one higher.
+    one higher.  Lists over plain int nodes run as columnar round
+    specs; everything else runs the object reference,
+    :func:`_list_rank_object`.
     """
+    nodes = list(successor.keys())
+    if nodes and _listrank_columnar_ok(successor, nodes):
+        runtime = AMPCRuntime(config, ledger=ledger)
+        return _listrank_columnar(runtime, successor, nodes, random.Random(seed))
+    return _list_rank_object(config, successor, ledger=ledger, seed=seed)
+
+
+def _list_rank_object(
+    config: AMPCConfig,
+    successor: Mapping[Hashable, Hashable | None],
+    *,
+    ledger: RoundLedger | None = None,
+    seed: int = 0,
+) -> dict[Hashable, int]:
+    """The object-path anchor sampling: one machine program per node."""
     nodes = list(successor.keys())
     runtime = AMPCRuntime(config, ledger=ledger)
     if not nodes:
@@ -73,9 +90,6 @@ def ampc_list_rank(
 
     rng = random.Random(seed)
     capacity = max(4, config.local_memory_words // 8)
-
-    if runtime.backend.supports_columnar and _listrank_columnar_ok(successor, nodes):
-        return _listrank_columnar(runtime, successor, nodes, rng)
 
     # H_0 holds the level-0 list: successor and hop weight per node.
     items: list[tuple] = []

@@ -144,12 +144,23 @@ def _prefix_impl(
     *,
     ledger: RoundLedger | None,
 ) -> tuple[list[int], int]:
+    """``(prefix sums, minimum prefix)``: columnar for plain ints."""
+    if len(values) > 0 and _columnar_ok(values):
+        return _prefix_columnar(AMPCRuntime(config, ledger=ledger), values)
+    return _prefix_object(config, values, ledger=ledger)
+
+
+def _prefix_object(
+    config: AMPCConfig,
+    values: Sequence[int],
+    *,
+    ledger: RoundLedger | None = None,
+) -> tuple[list[int], int]:
+    """The object-path scan: one machine program per machine."""
     runtime = AMPCRuntime(config, ledger=ledger)
     n = len(values)
     if n == 0:
         return [], 0
-    if runtime.backend.supports_columnar and _columnar_ok(values):
-        return _prefix_columnar(runtime, values)
     n_chunks, _ = seed_chunks(runtime, "x", values)
     capacity = max(2, chunk_size_for(config))
 

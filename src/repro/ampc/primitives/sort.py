@@ -45,11 +45,6 @@ from .distribute import chunk_size_for, seed_chunks
 #: samples taken from each chunk in round 1
 _SAMPLES_PER_CHUNK = 8
 
-#: words per segment piece (round 3).  Small pieces let the merge round
-#: stream a bucket holding only one piece per source chunk, keeping the
-#: bucket machine within O(n^eps) even under pivot skew.
-_PIECE_WORDS = 4
-
 
 def ampc_sort(
     config: AMPCConfig,
@@ -62,8 +57,23 @@ def ampc_sort(
 
     Returns the sorted list.  Rounds/memory/queries are recorded in
     ``ledger`` (a fresh one is created when omitted; pass the pipeline's
-    ledger to accumulate).
+    ledger to accumulate).  Plain int or finite float inputs without a
+    ``key`` run as columnar round specs; everything else runs the
+    object reference, :func:`_sort_object`.
     """
+    if key is None and len(values) > 1 and _sort_columnar_ok(values):
+        return _sort_columnar(AMPCRuntime(config, ledger=ledger), values)
+    return _sort_object(config, values, key=key, ledger=ledger)
+
+
+def _sort_object(
+    config: AMPCConfig,
+    values: Sequence[Any],
+    *,
+    key: Callable[[Any], Any] | None = None,
+    ledger: RoundLedger | None = None,
+) -> list[Any]:
+    """The object-path sample sort: one machine program per machine."""
     keyf = key if key is not None else (lambda x: x)
     n = len(values)
     runtime = AMPCRuntime(config, ledger=ledger)
@@ -75,9 +85,6 @@ def ampc_sort(
             "sample sort: trivial input",
         )
         return list(values)
-
-    if runtime.backend.supports_columnar and key is None and _sort_columnar_ok(values):
-        return _sort_columnar(runtime, values)
 
     n_chunks, _ = seed_chunks(runtime, "in", values)
     decorated_key = keyf
@@ -153,7 +160,7 @@ def ampc_sort(
             piece_words = 0
             for x in seg:
                 w = word_size(x)
-                if piece and piece_words + w > _PIECE_WORDS:
+                if piece and piece_words + w > col.PIECE_WORDS:
                     ctx.write(("seg", b, j, n_pieces), piece)
                     n_pieces += 1
                     piece, piece_words = [], 0
@@ -193,10 +200,9 @@ def ampc_sort(
     )
 
     # ---------------------------------------------------- rounds 5..5+L
-    # Tree merge of each bucket's piece streams.  Fan-in is derived from
-    # the machine budget: each live source costs ~(_PIECE_WORDS + 2)
-    # words, and the output buffer another piece.
-    fan_in = max(2, (config.local_memory_words // 2) // (_PIECE_WORDS + 2))
+    # Tree merge of each bucket's piece streams, fan-in sized by the
+    # machine budget.
+    fan_in = col.merge_fan_in(config.local_memory_words)
 
     # Host control-plane: piece counts per (bucket, source) decide the
     # merge-tree shape; the pieces themselves stay in the DHT.
@@ -371,7 +377,7 @@ def _make_group_merger(
         def emit(x: Any) -> None:
             nonlocal n_out, piece, piece_words
             w = word_size(x)
-            if piece and piece_words + w > _PIECE_WORDS:
+            if piece and piece_words + w > col.PIECE_WORDS:
                 ctx.write(out_prefix + (n_out,), piece)
                 n_out += 1
                 piece, piece_words = [], 0
@@ -499,7 +505,7 @@ def _sort_columnar(runtime: AMPCRuntime, values: Sequence[Any]) -> list[Any]:
     cuts = np.zeros((n_buckets + 1, n_chunks), dtype=np.int64)
     np.cumsum(segsz, axis=0, out=cuts[1:])
 
-    fan_in = max(2, (config.local_memory_words // 2) // (_PIECE_WORDS + 2))
+    fan_in = col.merge_fan_in(config.local_memory_words)
     sources_of: dict[int, list[tuple[int, int, int]]] = {
         b: [
             (col.T_RUN, bounds[j] + int(cuts[b, j]), int(segsz[b, j]))
@@ -542,7 +548,10 @@ def _sort_columnar(runtime: AMPCRuntime, values: Sequence[Any]) -> list[Any]:
 
     runtime.column_round(
         "sort_final_merge",
-        {"buckets": [sources_of[b] for b in range(n_buckets)]},
+        {
+            "buckets": [sources_of[b] for b in range(n_buckets)],
+            "out_chunk": budget,
+        },
         n_buckets,
         "sample sort: final streaming merge",
         carry_forward=True,

@@ -1,33 +1,31 @@
 """The AMPC round executor.
 
-:class:`AMPCRuntime` owns the hash-table chain and the ledger.  One call
-to :meth:`AMPCRuntime.round` executes a full synchronous round:
+:class:`AMPCRuntime` owns the hash-table chain and the ledger, and runs
+every round in-process.  One call to :meth:`AMPCRuntime.round` (object
+programs) or :meth:`AMPCRuntime.column_round` (columnar round specs)
+executes a full synchronous round:
 
-1. every machine program runs to completion with adaptive read access
-   to an **immutable snapshot** of the previous table.  How the
-   machines execute on the host — sequentially, or (for columnar
-   round specs) partitioned over a persistent shared-memory worker
-   pool — is delegated to a pluggable
-   :class:`~repro.ampc.backends.RoundBackend`; the model
-   forbids intra-round machine-to-machine communication, so every
-   backend is observationally equivalent (and differentially tested to
-   be bit-identical) to the serial reference;
+1. every machine runs to completion with adaptive read access to an
+   **immutable snapshot** of the previous table (a
+   :class:`~repro.ampc.dht.TableSnapshot` or
+   :class:`~repro.ampc.dht.ColumnSnapshot`), so no machine can write
+   the previous table or see another machine's writes mid-round.
+   Object machines run one by one in index order; a columnar spec runs
+   all its machines in one vectorized slice;
 2. buffered writes are merged into the next table canonically by
    machine index (:func:`~repro.ampc.dht.merge_writes`); conflicting
    writes to the same key are resolved by last-writer-wins unless a
-   ``combiner`` is supplied (e.g. ``min`` for reduce trees) — either
-   way the merged table never depends on which machine finished first;
-3. round counters and memory high-water marks land in the ledger,
-   identically across backends.
+   ``combiner`` is supplied (e.g. ``min`` for reduce trees);
+3. round counters and memory high-water marks land in the ledger.
+
+Both paths enforce the same local-memory budget: an object machine
+raises :class:`~repro.ampc.errors.MemoryLimitExceeded` from
+:meth:`MachineContext.hold`, and a columnar round raises it when the
+slice's peak exceeds ``local_memory_words``.
 
 Programs are dispatched as ``(program, payload)`` pairs; the payload is
 the machine's "incoming message" for the round and is charged against
 its local memory.
-
-Backend selection: pass ``backend=`` (a name or a live
-:class:`~repro.ampc.backends.RoundBackend`), set
-:attr:`AMPCConfig.backend`, or export ``AMPC_BACKEND``; the default is
-the serial reference.
 """
 
 from __future__ import annotations
@@ -36,9 +34,10 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .backends import RoundBackend, resolve_backend
+from .columnar import execute_column_slice
 from .config import AMPCConfig
 from .dht import ColumnTable, DHTChain, HashTable, merge_writes
+from .errors import MemoryLimitExceeded
 from .ledger import RoundLedger
 from .machine import MachineContext
 
@@ -54,14 +53,10 @@ class AMPCRuntime:
         ledger: RoundLedger | None = None,
         *,
         num_shards: int = 16,
-        backend: str | RoundBackend | None = None,
     ):
         self.config = config
         self.ledger = ledger if ledger is not None else RoundLedger()
         self.chain = DHTChain(config.total_space_words, num_shards=num_shards)
-        self.backend = resolve_backend(
-            backend, config_backend=getattr(config, "backend", None)
-        )
         self._rounds_run = 0
 
     # ------------------------------------------------------------------
@@ -117,17 +112,18 @@ class AMPCRuntime:
         readable = self.chain.current
         snapshot = readable.snapshot()
         next_table = self.chain.make_next()
-
-        results = self.backend.run_round(
-            list(programs), snapshot, self.config.local_memory_words
-        )
+        limit = self.config.local_memory_words
 
         local_peak = 0
         queries = 0
-        for res in results:  # machine-index order, whatever ran when
-            local_peak = max(local_peak, res.peak_words)
-            queries += res.reads
-        merge_writes(next_table, (res.writes for res in results), combiner)
+        write_lists = []
+        for machine_id, (program, payload) in enumerate(programs):
+            ctx = MachineContext(machine_id, snapshot, limit, payload=payload)
+            program(ctx)
+            local_peak = max(local_peak, ctx.peak_words)
+            queries += ctx.reads
+            write_lists.append(ctx.drain_writes())
+        merge_writes(next_table, write_lists, combiner)
 
         if carry_forward:
             for key, value in readable.items():
@@ -158,32 +154,29 @@ class AMPCRuntime:
         """Run one synchronous round over columnar state.
 
         The columnar twin of :meth:`round`: instead of closures, the
-        round is a picklable spec — an op name registered in
-        :mod:`repro.ampc.columnar` plus ``params`` — executed over the
-        previous table's two array columns by a columnar-capable
-        backend (``backend.supports_columnar``).  Merge, carry-forward,
-        chain advancement and ledger accounting follow the exact same
-        canonical rules as the object path; only the representation of
-        machine state changes.
+        round is a spec — an op name registered in
+        :mod:`repro.ampc.columnar` plus ``params`` — executed for
+        machines ``0..n_machines`` over the previous table's two array
+        columns in one in-process slice.  Merge, carry-forward, chain
+        advancement, ledger accounting and the local-memory check follow
+        the same rules as the object path; only the representation of
+        machine state changes.  A slice reports only its largest
+        machine's peak, so an over-budget round's
+        :class:`MemoryLimitExceeded` names the op, not a machine index.
         """
         readable = self.chain.current
         snapshot = readable.snapshot()
         keys, values = snapshot.columns()
+
+        write_keys, write_values, local_peak, queries = execute_column_slice(
+            op, keys, values, params, 0, max(0, int(n_machines))
+        )
+        limit = self.config.local_memory_words
+        if local_peak > limit:
+            raise MemoryLimitExceeded(local_peak, limit, op)
+
         next_table = self.chain.make_next_column(readable.value_dtype)
-
-        results = self.backend.run_column_round(
-            op, params, n_machines, keys, values, self.config.local_memory_words
-        )
-
-        local_peak = 0
-        queries = 0
-        for res in results:  # machine-index (lo) order
-            local_peak = max(local_peak, res.peak_words)
-            queries += res.reads
-        next_table.merge_columns(
-            [(res.write_keys, res.write_values) for res in results], combiner
-        )
-
+        next_table.merge_columns([(write_keys, write_values)], combiner)
         if carry_forward:
             next_table.carry_forward(snapshot)
 
@@ -192,22 +185,12 @@ class AMPCRuntime:
         self.ledger.measure(
             1,
             reason,
-            local_peak=min(local_peak, self.config.local_memory_words),
+            local_peak=local_peak,
             total_peak=self.chain.high_water,
             queries=queries,
         )
 
     # ------------------------------------------------------------------
-    def run_plan(
-        self,
-        plan: Iterable[tuple[Sequence[tuple[MachineProgram, Any]], str]],
-        *,
-        combiner: Callable[[Any, Any], Any] | None = None,
-    ) -> None:
-        """Execute a sequence of rounds."""
-        for programs, reason in plan:
-            self.round(programs, reason, combiner=combiner)
-
     def collect(self, prefix: str | None = None) -> dict[Any, Any]:
         """Gather results out of the final table (host-side, not a round).
 

@@ -400,12 +400,6 @@ class CutService:
             {f"oracle.{f}": v for f, v in sorted(agg.items())}
         )
         snap["counters"]["oracle.pair_hits"] = pair_hits
-        # Fold in the shm round backend's process-wide counters so the
-        # serving tier exposes pool/segment health (attaches, warm
-        # rounds, bytes shared) without a second scrape target.
-        from ..ampc.backends.shm import METRICS as shm_metrics
-
-        snap["counters"].update(shm_metrics.snapshot()["counters"])
         snap["gauges"]["oracles.resident"] = len(oracles)
         snap["gauges"]["uptime_s"] = time.time() - self.started_at
         return snap

@@ -1,12 +1,4 @@
-"""Shared fixtures for the tier-1 suite.
-
-The AMPC runtime resolves its round backend from the ``AMPC_BACKEND``
-environment variable when nothing more specific is configured
-(:func:`repro.ampc.backends.resolve_backend`), so exporting it runs the
-*entire* suite under that backend — the CI matrix does exactly that for
-``serial`` and ``shm:2``.  The header line below makes a log
-unambiguous about which backend a run exercised.
-"""
+"""Shared fixtures for the tier-1 suite: the JSON artifact sinks."""
 
 from __future__ import annotations
 
@@ -14,14 +6,6 @@ import json
 import os
 
 import pytest
-
-
-def _backend_under_test() -> str:
-    return os.environ.get("AMPC_BACKEND", "").strip().lower() or "serial"
-
-
-def pytest_report_header(config) -> str:
-    return f"ampc round backend: {_backend_under_test()} (AMPC_BACKEND)"
 
 
 @pytest.fixture(scope="session")
@@ -41,7 +25,6 @@ def kernel_shrinkage():
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(
                 {
-                    "suite_backend": _backend_under_test(),
                     "comparisons": records,
                     "all_identical": all(r["identical"] for r in records),
                     "max_vertex_shrink": max(shrinks),
@@ -70,7 +53,6 @@ def dynamic_stream_summary():
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(
                 {
-                    "suite_backend": _backend_under_test(),
                     "streams": records,
                     "all_identical": all(r["identical"] for r in records),
                     "total_steps": sum(r["steps"] for r in records),
@@ -103,7 +85,6 @@ def scenario_summary():
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(
                 {
-                    "suite_backend": _backend_under_test(),
                     "checks": records,
                     "all_ok": all(r["ok"] for r in records),
                     "max_sparsest_ratio": max(ratios) if ratios else None,
@@ -116,10 +97,10 @@ def scenario_summary():
 
 @pytest.fixture(scope="session")
 def equivalence_summary():
-    """Sink for backend-equivalence records, dumped as a JSON artifact.
+    """Sink for library-vs-reference records, dumped as a JSON artifact.
 
     ``tests/test_backend_equivalence.py`` appends one record per
-    (workload, backend) comparison.  When ``EQUIVALENCE_SUMMARY`` names
+    workload comparison.  When ``EQUIVALENCE_SUMMARY`` names
     a path, the records are written there at session end — CI uploads
     that file as the equivalence-harness artifact.
     """
@@ -130,7 +111,6 @@ def equivalence_summary():
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(
                 {
-                    "suite_backend": _backend_under_test(),
                     "comparisons": records,
                     "all_identical": all(r["identical"] for r in records),
                 },

@@ -1,5 +1,6 @@
 """Tests for machine contexts and the round executor."""
 
+import numpy as np
 import pytest
 
 from repro.ampc import AMPCConfig, AMPCRuntime, MemoryLimitExceeded, RoundLedger
@@ -147,3 +148,66 @@ class TestRuntime:
             "emit",
         )
         assert rt.collect("out") == {0: 0, 1: 1, 2: 4}
+
+
+class TestColumnRound:
+    """Columnar rounds run under the object path's memory check."""
+
+    @staticmethod
+    def _bucket_offsets(n_buckets: int):
+        from repro.ampc.columnar import T_SEGSZ, pack
+
+        cfg = AMPCConfig(n_input=100)
+        rt = AMPCRuntime(cfg)
+        # sort_bucket_offsets holds one total per bucket, then writes a
+        # ("bucketoff", b) scalar: n_buckets + 5 words.
+        rt.seed_columns(
+            pack(T_SEGSZ, np.arange(n_buckets)),
+            np.ones(n_buckets, dtype=np.int64),
+        )
+        rt.column_round(
+            "sort_bucket_offsets",
+            {"n_buckets": n_buckets, "n_chunks": 1},
+            1,
+            "offsets",
+        )
+        return rt, cfg.local_memory_words
+
+    def test_over_budget_column_round_raises(self):
+        budget = AMPCConfig(n_input=100).local_memory_words
+        with pytest.raises(MemoryLimitExceeded) as exc:
+            self._bucket_offsets(budget - 4)
+        assert (exc.value.used, exc.value.limit) == (budget + 1, budget)
+
+    def test_column_round_at_budget_records_true_peak(self):
+        budget = AMPCConfig(n_input=100).local_memory_words
+        rt, limit = self._bucket_offsets(budget - 5)
+        assert rt.rounds_run == 1
+        assert rt.ledger.local_peak == limit
+
+    @pytest.mark.parametrize("eps", [0.2, 0.3, 0.5, 0.8])
+    def test_columnar_primitives_stay_within_budget(self, eps):
+        from repro.ampc.primitives import (
+            ampc_list_rank,
+            ampc_prefix_sums,
+            ampc_sort,
+        )
+
+        n = 400
+        cfg = AMPCConfig(n_input=n, eps=eps)
+        rng = np.random.default_rng(7)
+        values = [int(v) for v in rng.integers(-1000, 1000, n)]
+        successor = {i: i + 1 for i in range(n - 1)}
+        successor[n - 1] = None
+        for run in (
+            lambda led: ampc_sort(cfg, values, ledger=led),
+            lambda led: ampc_prefix_sums(cfg, values, ledger=led),
+            lambda led: ampc_list_rank(cfg, successor, ledger=led),
+        ):
+            ledger = RoundLedger()
+            try:
+                run(ledger)
+            except MemoryLimitExceeded as exc:
+                assert exc.used > exc.limit == cfg.local_memory_words
+                continue
+            assert 0 < ledger.local_peak <= cfg.local_memory_words

@@ -1,21 +1,24 @@
-"""Differential harness: the shm round backend vs. the serial reference.
+"""Differential harness: the library primitives vs. their object reference.
 
 Each workload below runs one AMPC primitive (sort, reduce, broadcast,
 list rank, Euler-tour rooting, connectivity, MST) on seeded input, once
-on the serial reference and once on ``shm:2``, and demands
+as the library runs it — columnar round specs wherever the input fits
+the columnar contract — and once with every primitive forced onto its
+object reference (:func:`ampc_reference.object_reference`), and demands
 **bit-identical**
 
 * outputs (whatever the workload returns, compared with ``==`` on a
   canonical representation),
 * ledger round counts (measured and charged), and
 * round structure — a SHA-256 over ``(rounds, kind, reason)`` per
-  ledger entry, so a backend cannot reorder or re-label rounds without
-  failing.
+  ledger entry, so the columnar path cannot reorder or re-label rounds
+  without failing.
 
-The shm backend is pinned to two workers so its spawn pool really
-partitions machines even on a single-core CI runner.  Only the
-primitives are compared: the core min-cut and k-cut solvers charge
-their rounds by lemma and execute none, so no backend can change them.
+Word/query accounting is array-sized on the columnar path rather than
+object-sized (documented in ``repro.ampc.columnar``), so the full trace
+digest legitimately differs and only the structure digest is compared.
+Only the primitives are compared: the core min-cut and k-cut solvers
+charge their rounds by lemma and execute none.
 
 Every comparison also lands in the session's ``equivalence_summary``
 fixture; with ``EQUIVALENCE_SUMMARY=<path>`` the records are written as
@@ -30,6 +33,7 @@ import random
 
 import pytest
 
+from ampc_reference import object_reference
 from repro.ampc import AMPCConfig, RoundLedger, export_trace
 from repro.ampc.primitives import (
     ampc_broadcast,
@@ -43,15 +47,6 @@ from repro.ampc.primitives import (
 )
 from repro.workloads import erdos_renyi, random_tree
 
-REFERENCE = "serial"
-#: columnar backend: outputs and round structure must match serial
-#: bit-for-bit, but word/query accounting is array-sized rather than
-#: object-sized (documented in ``repro.ampc.columnar``), so the full
-#: trace digest legitimately differs — a structure digest over
-#: ``(rounds, kind, reason)`` is compared instead.
-COLUMNAR_BACKENDS = ["shm:2"]
-
-
 def _digest(ledger: RoundLedger) -> str:
     payload = json.dumps(export_trace(ledger), sort_keys=True, default=repr)
     return hashlib.sha256(payload.encode()).hexdigest()
@@ -64,52 +59,52 @@ def _structure_digest(ledger: RoundLedger) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _cfg(n: int, backend: str) -> AMPCConfig:
-    return AMPCConfig(n_input=n, backend=backend)
+def _cfg(n: int) -> AMPCConfig:
+    return AMPCConfig(n_input=n)
 
 
 # ----------------------------------------------------------------------
-# Workloads: name -> callable(backend) -> (output, rounds, digest).
+# Workloads: name -> callable() -> (output, ledger).
 # Outputs must be canonical (sorted dicts/lists) so == is bit-exact.
 # ----------------------------------------------------------------------
-def _run_sort(backend: str):
+def _run_sort():
     rng = random.Random(101)
     values = [rng.randrange(100_000) for _ in range(500)]
     ledger = RoundLedger()
-    out = ampc_sort(_cfg(500, backend), values, ledger=ledger)
+    out = ampc_sort(_cfg(500), values, ledger=ledger)
     return out, ledger
 
 
-def _run_reduce(backend: str):
+def _run_reduce():
     rng = random.Random(202)
     values = [rng.randrange(-1000, 1000) for _ in range(700)]
     ledger = RoundLedger()
-    out = ampc_reduce(_cfg(700, backend), values, min, ledger=ledger)
+    out = ampc_reduce(_cfg(700), values, min, ledger=ledger)
     return out, ledger
 
 
-def _run_broadcast(backend: str):
+def _run_broadcast():
     ledger = RoundLedger()
-    out = ampc_broadcast(_cfg(100, backend), {"pivot": 17}, 25, ledger=ledger)
+    out = ampc_broadcast(_cfg(100), {"pivot": 17}, 25, ledger=ledger)
     return out, ledger
 
 
-def _run_listrank(backend: str):
+def _run_listrank():
     rng = random.Random(303)
     order = list(range(150))
     rng.shuffle(order)
     successor = {order[i]: order[i + 1] for i in range(len(order) - 1)}
     successor[order[-1]] = None
     ledger = RoundLedger()
-    ranks = ampc_list_rank(_cfg(150, backend), successor, ledger=ledger, seed=7)
+    ranks = ampc_list_rank(_cfg(150), successor, ledger=ledger, seed=7)
     return sorted(ranks.items()), ledger
 
 
-def _run_euler(backend: str):
+def _run_euler():
     vertices, edges = random_tree(60, seed=11)
     ledger = RoundLedger()
     rooted = ampc_root_forest(
-        _cfg(60, backend), vertices, edges, ledger=ledger
+        _cfg(60), vertices, edges, ledger=ledger
     )
     out = {
         "parent": sorted(rooted.parent.items(), key=repr),
@@ -120,7 +115,7 @@ def _run_euler(backend: str):
     return out, ledger
 
 
-def _run_connectivity(backend: str):
+def _run_connectivity():
     # A three-tree forest (genuinely executed) plus a general graph
     # (charged per [4]) — both come back as vertex -> representative.
     forest_edges = []
@@ -132,11 +127,11 @@ def _run_connectivity(backend: str):
     vertices = list(range(offset))
     ledger = RoundLedger()
     comp = ampc_forest_components(
-        _cfg(offset, backend), vertices, forest_edges, ledger=ledger
+        _cfg(offset), vertices, forest_edges, ledger=ledger
     )
     graph = erdos_renyi(40, 0.08, seed=5)
     gcomp = ampc_graph_components(
-        _cfg(40, backend),
+        _cfg(40),
         list(graph.vertices()),
         [(u, v) for u, v, _ in graph.edges()],
         ledger=ledger,
@@ -144,13 +139,13 @@ def _run_connectivity(backend: str):
     return (sorted(comp.items()), sorted(gcomp.items())), ledger
 
 
-def _run_mst(backend: str):
+def _run_mst():
     graph = erdos_renyi(48, 0.15, seed=13)
     edges = [(u, v, i) for i, (u, v, _) in enumerate(graph.edges())]
     ledger = RoundLedger()
     # m_input sizes the local budget off the real edge volume (edge
     # tuples are the sort records here).
-    config = AMPCConfig(n_input=48, m_input=4 * len(edges), backend=backend)
+    config = AMPCConfig(n_input=48, m_input=4 * len(edges))
     forest = ampc_minimum_spanning_forest(
         config, list(graph.vertices()), edges, ledger=ledger
     )
@@ -170,8 +165,8 @@ WORKLOADS = {
 _reference_cache: dict[str, tuple] = {}
 
 
-def _observe(workload: str, backend: str) -> tuple:
-    output, ledger = WORKLOADS[workload](backend)
+def _observe(workload: str) -> tuple:
+    output, ledger = WORKLOADS[workload]()
     return (
         output,
         ledger.rounds,
@@ -182,18 +177,20 @@ def _observe(workload: str, backend: str) -> tuple:
     )
 
 
+def _observe_reference(workload: str) -> tuple:
+    with object_reference():
+        return _observe(workload)
+
+
 def _reference(workload: str) -> tuple:
     if workload not in _reference_cache:
-        _reference_cache[workload] = _observe(workload, REFERENCE)
+        _reference_cache[workload] = _observe_reference(workload)
     return _reference_cache[workload]
 
 
-@pytest.mark.parametrize("backend", COLUMNAR_BACKENDS)
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_columnar_backend_matches_serial_structure(
-    workload, backend, equivalence_summary
-):
-    """The shm backend's columnar fast paths vs. the object reference.
+def test_library_matches_object_reference(workload, equivalence_summary):
+    """The library's columnar fast paths vs. the object reference.
 
     Outputs, ledger round counts, and round *structure* (rounds, kind,
     reason per entry) must be bit-identical; word/query accounting
@@ -208,7 +205,7 @@ def test_columnar_backend_matches_serial_structure(
         _,
         ref_structure,
     ) = _reference(workload)
-    out, rounds, measured, charged, _, structure = _observe(workload, backend)
+    out, rounds, measured, charged, _, structure = _observe(workload)
 
     identical = (
         out == ref_out
@@ -219,8 +216,6 @@ def test_columnar_backend_matches_serial_structure(
     equivalence_summary.append(
         {
             "workload": workload,
-            "backend": backend,
-            "reference": REFERENCE,
             "rounds": rounds,
             "reference_rounds": ref_rounds,
             "trace_digest": structure,
@@ -229,20 +224,23 @@ def test_columnar_backend_matches_serial_structure(
         }
     )
 
-    assert out == ref_out, f"{workload}: {backend} output diverged from serial"
+    assert out == ref_out, f"{workload}: output diverged from the object reference"
     assert (rounds, measured, charged) == (
         ref_rounds,
         ref_measured,
         ref_charged,
-    ), f"{workload}: {backend} ledger round counts diverged"
+    ), f"{workload}: ledger round counts diverged"
     assert structure == ref_structure, (
-        f"{workload}: {backend} round structure diverged from serial"
+        f"{workload}: round structure diverged from the object reference"
     )
 
 
 def test_serial_reference_is_deterministic():
-    """The harness is meaningless if the reference itself drifts."""
+    """The harness is meaningless if the reference itself drifts.
+
+    The reference runs every machine program one by one in index order.
+    """
     for workload in sorted(WORKLOADS):
-        assert _observe(workload, REFERENCE) == _observe(workload, REFERENCE), (
-            f"{workload}: serial reference not deterministic"
+        assert _observe_reference(workload) == _observe_reference(workload), (
+            f"{workload}: object reference not deterministic"
         )

@@ -154,54 +154,6 @@ class TestFormatsAndSparsify:
         assert "ncut=" in out and "Q=" in out
 
 
-class TestShmPoolFreshInterpreter:
-    def test_sort_spawns_shm_pool_from_fresh_interpreter(self):
-        """A fresh ``python -c`` brings the shm spawn pool up and exits clean.
-
-        The spawn pool must start from a new interpreter (no fork, no
-        warm state), actually execute rounds (``ampc.pool.cold_starts``
-        counts pool start-ups), and leave no shared-memory segment for
-        the resource tracker to report at exit.
-        """
-        import json
-        import os
-        import subprocess
-        import sys
-
-        import repro
-
-        script = (
-            "import json, random\n"
-            "from repro.ampc import AMPCConfig\n"
-            "from repro.ampc.backends.shm import METRICS\n"
-            "from repro.ampc.primitives import ampc_sort\n"
-            "rng = random.Random(5)\n"
-            "values = [rng.randrange(10**6) for _ in range(2000)]\n"
-            "out = ampc_sort(AMPCConfig(n_input=2000, backend='shm:2'), values)\n"
-            "print(json.dumps({'values': values, 'out': out,\n"
-            "                  'metrics': METRICS.snapshot()['counters']}))\n"
-        )
-        src_dir = str(pathlib.Path(repro.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env.pop("AMPC_BACKEND", None)
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (
-            src_dir + os.pathsep + existing if existing else src_dir
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=180,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "leaked shared_memory" not in proc.stderr, proc.stderr
-        report = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert report["metrics"]["ampc.pool.cold_starts"] >= 1
-        assert report["out"] == sorted(report["values"])
-
-
 class TestServeAndQuery:
     @pytest.fixture
     def live_service(self):

@@ -210,7 +210,7 @@ class TestSplitterProperty:
     def test_columnar_sort_adversarial_distributions(self, name, values):
         ledger = RoundLedger()
         out = ampc_sort(
-            AMPCConfig(n_input=len(values), backend="shm:2"),
+            AMPCConfig(n_input=len(values)),
             values,
             ledger=ledger,
         )

@@ -1,7 +1,7 @@
 """Property-style fuzz tests for DHT write merging.
 
-The round contract says: backends may execute machines in any order,
-but every backend hands its per-machine write buffers to
+The round contract says: machines may execute in any order, but their
+per-machine write buffers reach
 :func:`repro.ampc.dht.merge_writes` sorted by machine index, and the
 merge folds conflicts (last-writer-wins, or through a ``combiner``) in
 that canonical order.  Consequence — the property fuzzed here — the
@@ -13,11 +13,9 @@ Two layers are fuzzed:
 
 * ``merge_writes`` directly, against randomly generated conflicting
   write batches whose execution order is shuffled;
-* the full runtime round, where the same conflicting-write programs run
-  under the serial and ``shm:2`` backends and must leave identical
-  tables (entries, insertion order, and word accounting).  The shm
-  backend executes these closure programs inline, so this leg pins that
-  its object path really is the serial reference.
+* the full runtime round, where the same conflicting-write programs
+  must leave the table ``merge_writes`` builds from the batches
+  (entries and insertion order).
 """
 
 from __future__ import annotations
@@ -65,7 +63,7 @@ def test_merge_independent_of_execution_order(combiner):
         batches = _random_batches(rng)
         reference = _merged(batches, combiner)
         for _ in range(4):
-            # Execute in a random order (what a parallel backend does),
+            # Execute in a random order (what parallel machines do),
             # then hand buffers over in index order (what the contract
             # requires) — the merge must not notice.
             order = list(range(len(batches)))
@@ -78,16 +76,13 @@ def test_merge_independent_of_execution_order(combiner):
 
 
 @pytest.mark.parametrize("combiner", [None, min, _chain], ids=["lww", "min", "chain"])
-@pytest.mark.parametrize("backend", ["serial", "shm:2"])
-def test_runtime_round_merge_identical_across_backends(backend, combiner):
+def test_runtime_round_merge_matches_merge_writes(combiner):
     for trial in range(8):
         rng = random.Random(2000 + trial)
         batches = _random_batches(rng)
         expected_items, _ = _merged(batches, combiner)
 
-        rt = AMPCRuntime(
-            AMPCConfig(n_input=500, backend=backend), num_shards=4
-        )
+        rt = AMPCRuntime(AMPCConfig(n_input=500), num_shards=4)
         rt.seed([("seed", 0)])
 
         def emitter(ctx):
@@ -101,7 +96,7 @@ def test_runtime_round_merge_identical_across_backends(backend, combiner):
         )
         got = [(k, v) for k, v in rt.table.items() if k != "seed"]
         assert got == expected_items, (
-            f"trial {trial}: backend {backend} merged table diverged"
+            f"trial {trial}: runtime merged table diverged"
         )
 
 

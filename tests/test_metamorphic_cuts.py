@@ -64,7 +64,7 @@ CORPUS_IDS = [name for name, _ in CORPUS]
 
 # The perturbation metamorphics run the randomized solvers twice per
 # instance; restrict them to a representative slice to keep the suite
-# fast under the process round-backend in CI.
+# fast.
 PERTURB = [
     (n, g) for n, g in CORPUS
     if n in {"planted16", "planted24", "cycle12", "grid4x5", "wheel9",

@@ -17,7 +17,7 @@ Three strata, matching the tentpole's guarantees:
 3. **Edge cases** — deltas that disconnect the graph, collapse it
    below 3 vertices, remove nonexistent edges (ValueError naming the
    endpoints), reweight-to-zero canonicalization, and interleaved
-   mutate/query sequences under every AMPC round backend.
+   mutate/query sequences.
 """
 
 import random

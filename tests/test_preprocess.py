@@ -125,7 +125,7 @@ def test_ampc_boosted_differential(name, graph, kernel_shrinkage):
 
     Both paths land on the exact minimum (boosting is reliable at these
     sizes and seeds), so the kernelized run is weight-identical to the
-    unkernelized one under every round backend the suite runs with.
+    unkernelized one.
     """
     exact = stoer_wagner_min_cut(graph).weight
     raw = ampc_min_cut_boosted(graph, seed=11, trials=4)

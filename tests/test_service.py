@@ -307,12 +307,10 @@ class TestCutService:
 def test_served_ops_execute_no_ampc_rounds(monkeypatch):
     """Every served op charges its AMPC rounds by lemma and executes none.
 
-    This premise is why the service, the trial executor and the CLI take
-    no round-backend option: with zero executed rounds a backend can
-    change neither an answer nor a timing.  A change that makes a
-    served op execute rounds must bring back backend selection only
-    where rounds run.  The ``ampc_sort`` call at the end is a positive
-    control showing the counters do see executed rounds.
+    With zero executed rounds, how the runtime executes a round can
+    change neither a served answer nor a served timing.  The
+    ``ampc_sort`` call at the end is a positive control showing the
+    counters do see executed rounds.
     """
     from repro.ampc import AMPCConfig, AMPCRuntime
     from repro.ampc.primitives import ampc_sort
