@@ -3,7 +3,7 @@
 Times the four hot primitives (sample sort, prefix scan, list ranking,
 graph connectivity) at E12-ish scales twice: as the library runs them
 (columnar round specs, every machine of a round in one vectorized
-in-process slice) and on their object reference (one Python closure
+in-process call) and on their object reference (one Python closure
 per machine, executed in index order).  Correctness is asserted
 (bit-identical outputs) — the timing answers only "what did the
 columnar runtime buy".

@@ -36,7 +36,6 @@ from .errors import (
     AMPCUsageError,
     MemoryLimitExceeded,
     MissingKeyError,
-    ProtocolError,
     TotalSpaceExceeded,
 )
 from .ledger import LedgerEntry, RoundLedger
@@ -67,7 +66,6 @@ __all__ = [
     "MachineContext",
     "MemoryLimitExceeded",
     "MissingKeyError",
-    "ProtocolError",
     "RoundLedger",
     "TableSnapshot",
     "TotalSpaceExceeded",

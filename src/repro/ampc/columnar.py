@@ -6,8 +6,8 @@ The columnar path replaces the closures with **round specs**: a named
 op from the registry below plus a small ``params`` dict.  Round state
 lives in a :class:`~repro.ampc.dht.ColumnTable` whose two
 int64/float64 columns are the entire snapshot, and
-:meth:`repro.ampc.runtime.AMPCRuntime.column_round` runs a spec's
-machines over those columns in one vectorized slice.
+:meth:`repro.ampc.runtime.AMPCRuntime.column_round` runs all of a
+spec's machines over those columns in one vectorized call.
 
 Identity packing
 ----------------
@@ -19,19 +19,23 @@ pack a small integer *tag* (which logical column) and an *index*
 
 A whole logical column is therefore one contiguous slice of the sorted
 key column (:func:`column`), and sparse lookups are one
-``searchsorted`` (:func:`column_get`).
+``searchsorted`` (:func:`column_get`, through the same
+:func:`repro.ampc.dht.sorted_get` the column tables read with).
 
 Op contract
 -----------
-``op(keys, values, params, lo, hi) -> (write_keys, write_values,
-peak_words, reads)`` executes virtual machines ``lo..hi`` of the round
-against the snapshot columns and returns its buffered writes plus
-ledger stats.  Ops must only *read* the snapshot (the arrays are
-flagged read-only) and must emit writes in machine order, mirroring
-the object path's per-machine write buffers — the same canonical rule
-as :func:`repro.ampc.dht.merge_writes`.  ``peak_words`` is the largest
-local memory any machine in the slice needs; the runtime holds it to
-the same ``local_memory_words`` budget as the object path.
+``op(keys, values, params, n_machines) -> (write_keys, write_values,
+peak_words, reads)`` executes all ``n_machines`` virtual machines of
+the round against the snapshot columns and returns the round's
+buffered writes plus ledger stats.  The runtime calls an op only when
+``n_machines >= 1``; a round with no machines writes nothing, like an
+object round with no programs.  Ops must only *read* the snapshot (the
+arrays are flagged read-only) and must emit writes in machine order,
+mirroring the object path's per-machine write buffers — the same
+canonical rule as :func:`repro.ampc.dht.merge_writes`.
+``peak_words`` is the largest local memory any machine of the round
+needs; the runtime holds it to the same ``local_memory_words`` budget
+as the object path.
 
 Every op mirrors its object-path counterpart's *round structure*: the
 same host control flow issues the same number of rounds with the same
@@ -52,7 +56,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .dht import word_size
+from .dht import sorted_get, word_size
 
 #: bits reserved for the element index inside a packed int64 key
 IDX_BITS = 38
@@ -87,9 +91,9 @@ def pack(tag: int, idx: Any) -> Any:
 
 def column(keys: np.ndarray, values: np.ndarray, tag: int) -> np.ndarray:
     """The contiguous value slice of logical column ``tag`` (index order)."""
-    lo = np.searchsorted(keys, np.int64(tag) << IDX_BITS)
-    hi = np.searchsorted(keys, np.int64(tag + 1) << IDX_BITS)
-    return values[lo:hi]
+    start = np.searchsorted(keys, np.int64(tag) << IDX_BITS)
+    stop = np.searchsorted(keys, np.int64(tag + 1) << IDX_BITS)
+    return values[start:stop]
 
 
 def column_get(
@@ -101,24 +105,12 @@ def column_get(
 ) -> np.ndarray:
     """Sparse lookup of ``column[tag][idx]``; missing keys get ``default``.
 
-    With ``default=None`` a missing key raises ``KeyError`` — columnar
-    ops only look up identities the mirrored object program would have
-    read, so a miss is a bug, not data.
+    With ``default=None`` a missing key raises
+    :class:`~repro.ampc.errors.MissingKeyError` (a ``KeyError``) —
+    columnar ops only look up identities the mirrored object program
+    would have read, so a miss is a bug, not data.
     """
-    want = pack(tag, idx)
-    pos = np.searchsorted(keys, want)
-    pos_c = np.minimum(pos, max(0, keys.size - 1))
-    if keys.size:
-        found = (pos < keys.size) & (keys[pos_c] == want)
-    else:
-        found = np.zeros(want.shape, dtype=bool)
-    if found.all():
-        return values[pos_c]
-    if default is None:
-        raise KeyError(int(want[~found][0]))
-    out = np.full(want.shape, default, dtype=values.dtype)
-    out[found] = values[pos_c[found]]
-    return out
+    return sorted_get(keys, values, pack(tag, idx), default)
 
 
 def _masked_get(keys, values, tag, idx, default):
@@ -130,7 +122,7 @@ def _masked_get(keys, values, tag, idx, default):
 
 
 ColumnOp = Callable[
-    [np.ndarray, np.ndarray, dict, int, int],
+    [np.ndarray, np.ndarray, dict, int],
     tuple[np.ndarray, np.ndarray, int, int],
 ]
 
@@ -143,26 +135,6 @@ def columnar_op(name: str) -> Callable[[ColumnOp], ColumnOp]:
         return fn
 
     return register
-
-
-def execute_column_slice(
-    op: str,
-    keys: np.ndarray,
-    values: np.ndarray,
-    params: dict,
-    lo: int,
-    hi: int,
-) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Run machines ``lo..hi`` of a columnar round spec."""
-    if op not in OPS:
-        raise KeyError(f"unknown columnar op {op!r}")
-    wk, wv, peak, reads = OPS[op](keys, values, params, lo, hi)
-    return (
-        np.asarray(wk, dtype=np.int64),
-        np.asarray(wv),
-        int(peak),
-        int(reads),
-    )
 
 
 def _empty(dtype=np.int64):
@@ -204,55 +176,46 @@ T_ANCH_BASE = 30_000   # + level
 # Prefix scan ops (mirrors primitives/prefix.py round for round)
 # ======================================================================
 
-@columnar_op("prefix_chunk_stats")
-def _prefix_chunk_stats(keys, values, params, lo, hi):
-    bounds = params["bounds"]
-    if hi <= lo:
-        return _empty(values.dtype)
-    x = column(keys, values, T_X)
-    elo, ehi = bounds[lo], bounds[hi]
-    seg = x[elo:ehi]
-    starts = np.asarray(bounds[lo:hi], dtype=np.int64) - elo
+def _running_within(seg: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Each element's inclusive prefix sum within its chunk.
+
+    The global cumsum minus the cumsum just before the chunk's start,
+    which is exact for int64.
+    """
     cs = np.cumsum(seg)
-    # running prefix within each chunk: global cumsum minus the cumsum
-    # at the chunk's start (exact for int64)
-    chunk_base = np.repeat(
-        np.concatenate([[0], cs[starts[1:] - 1]]) if starts.size > 1 else [0],
-        np.diff(np.append(starts, ehi - elo)),
-    )
-    running = cs - chunk_base
-    ends = np.append(starts[1:], ehi - elo) - 1
-    totals = running[ends]
-    locmin = np.minimum.reduceat(running, starts)
-    machine = np.arange(lo, hi, dtype=np.int64)
+    base = np.concatenate([[0], cs[bounds[1:-1] - 1]])
+    return cs - np.repeat(base, np.diff(bounds))
+
+
+@columnar_op("prefix_chunk_stats")
+def _prefix_chunk_stats(keys, values, params, n_machines):
+    bounds = np.asarray(params["bounds"][: n_machines + 1], dtype=np.int64)
+    seg = column(keys, values, T_X)[: bounds[-1]]
+    running = _running_within(seg, bounds)
+    totals = running[bounds[1:] - 1]
+    locmin = np.minimum.reduceat(running, bounds[:-1])
+    machine = np.arange(n_machines, dtype=np.int64)
     wk = np.concatenate([pack(T_TOT_BASE + 0, machine), pack(T_LOCMIN, machine)])
     wv = np.concatenate([totals, locmin])
     # payload + the held chunk list + the ("tot", 0, j) write
-    c = int(np.diff(np.asarray(bounds[lo : hi + 1])).max())
+    c = int(np.diff(bounds).max())
     peak = 1 + (c + 1) + _scalar_write(("tot", 0, 0))
     return wk, wv, peak, int(seg.size)
 
 
 @columnar_op("prefix_group_sum")
-def _prefix_group_sum(keys, values, params, lo, hi):
+def _prefix_group_sum(keys, values, params, n_machines):
     cap = params["capacity"]
-    src_count = params["src_count"]
-    if hi <= lo:
-        return _empty(values.dtype)
-    src = column(keys, values, T_TOT_BASE + params["src_level"])
-    child_lo, child_hi = lo * cap, min(hi * cap, src_count)
-    seg = src[child_lo:child_hi]
-    starts = np.arange(0, child_hi - child_lo, cap, dtype=np.int64)
-    totals = np.add.reduceat(seg, starts)
-    wk = pack(T_TOT_BASE + params["dst_level"], np.arange(lo, hi, dtype=np.int64))
+    child_hi = min(n_machines * cap, params["src_count"])
+    seg = column(keys, values, T_TOT_BASE + params["src_level"])[:child_hi]
+    totals = np.add.reduceat(seg, np.arange(0, child_hi, cap, dtype=np.int64))
+    wk = pack(T_TOT_BASE + params["dst_level"], np.arange(n_machines, dtype=np.int64))
     # payload + one ("tot", lvl, g) write; child totals are read one by one
     return wk, totals, 1 + _scalar_write(("tot", 0, 0)), int(seg.size)
 
 
 @columnar_op("prefix_top_scan")
-def _prefix_top_scan(keys, values, params, lo, hi):
-    if hi <= lo:
-        return _empty(values.dtype)
+def _prefix_top_scan(keys, values, params, n_machines):
     top = params["top_level"]
     tot = column(keys, values, T_TOT_BASE + top)
     off = np.concatenate([[0], np.cumsum(tot[:-1])]) if tot.size else tot
@@ -262,63 +225,43 @@ def _prefix_top_scan(keys, values, params, lo, hi):
 
 
 @columnar_op("prefix_push_down")
-def _prefix_push_down(keys, values, params, lo, hi):
+def _prefix_push_down(keys, values, params, n_machines):
     cap = params["capacity"]
     lvl = params["level"]
-    child_count = params["child_count"]
-    if hi <= lo:
-        return _empty(values.dtype)
-    off = column(keys, values, T_OFF_BASE + lvl)[lo:hi]
-    tot = column(keys, values, T_TOT_BASE + (lvl - 1))
-    child_lo, child_hi = lo * cap, min(hi * cap, child_count)
-    seg = tot[child_lo:child_hi]
-    starts = np.arange(0, child_hi - child_lo, cap, dtype=np.int64)
-    cs = np.cumsum(seg)
-    excl = cs - seg                      # inclusive -> exclusive
-    group_sizes = np.diff(np.append(starts, child_hi - child_lo))
+    off = column(keys, values, T_OFF_BASE + lvl)[:n_machines]
+    child_hi = min(n_machines * cap, params["child_count"])
+    seg = column(keys, values, T_TOT_BASE + (lvl - 1))[:child_hi]
+    starts = np.arange(0, child_hi, cap, dtype=np.int64)
+    excl = np.cumsum(seg) - seg          # inclusive -> exclusive
+    group_sizes = np.diff(np.append(starts, child_hi))
     group_base = np.repeat(excl[starts], group_sizes)
     child_off = np.repeat(off, group_sizes) + (excl - group_base)
-    wk = pack(
-        T_OFF_BASE + (lvl - 1),
-        np.arange(child_lo, child_hi, dtype=np.int64),
-    )
+    wk = pack(T_OFF_BASE + (lvl - 1), np.arange(child_hi, dtype=np.int64))
     peak = 1 + _scalar_write(("off", 0, 0))
-    return wk, child_off, peak, int(seg.size) + (hi - lo)
+    return wk, child_off, peak, int(seg.size) + n_machines
 
 
 @columnar_op("prefix_finalize")
-def _prefix_finalize(keys, values, params, lo, hi):
-    bounds = params["bounds"]
-    if hi <= lo:
-        return _empty(values.dtype)
-    x = column(keys, values, T_X)
-    off = column(keys, values, T_OFF_BASE + 0)[lo:hi]
-    locmin = column(keys, values, T_LOCMIN)[lo:hi]
-    elo, ehi = bounds[lo], bounds[hi]
-    seg = x[elo:ehi]
-    starts = np.asarray(bounds[lo:hi], dtype=np.int64) - elo
-    cs = np.cumsum(seg)
-    chunk_base = np.repeat(
-        np.concatenate([[0], cs[starts[1:] - 1]]) if starts.size > 1 else [0],
-        np.diff(np.append(starts, ehi - elo)),
-    )
-    sizes = np.diff(np.append(starts, ehi - elo))
-    pref = (cs - chunk_base) + np.repeat(off, sizes)
-    machine = np.arange(lo, hi, dtype=np.int64)
+def _prefix_finalize(keys, values, params, n_machines):
+    bounds = np.asarray(params["bounds"][: n_machines + 1], dtype=np.int64)
+    seg = column(keys, values, T_X)[: bounds[-1]]
+    off = column(keys, values, T_OFF_BASE + 0)[:n_machines]
+    locmin = column(keys, values, T_LOCMIN)[:n_machines]
+    sizes = np.diff(bounds)
+    pref = _running_within(seg, bounds) + np.repeat(off, sizes)
+    machine = np.arange(n_machines, dtype=np.int64)
     wk = np.concatenate(
-        [pack(T_PREF, np.arange(elo, ehi, dtype=np.int64)), pack(T_GLOBMIN, machine)]
+        [pack(T_PREF, np.arange(bounds[-1], dtype=np.int64)), pack(T_GLOBMIN, machine)]
     )
     wv = np.concatenate([pref, off + locmin])
     # payload + the held chunk + the ("pref", "chunk", j) list write
     c = int(sizes.max())
     peak = 1 + (c + 1) + word_size(("pref", "chunk", 0)) + (c + 1)
-    return wk, wv, peak, int(seg.size) + 2 * (hi - lo)
+    return wk, wv, peak, int(seg.size) + 2 * n_machines
 
 
 @columnar_op("prefix_min_reduce")
-def _prefix_min_reduce(keys, values, params, lo, hi):
-    if hi <= lo:
-        return _empty(values.dtype)
+def _prefix_min_reduce(keys, values, params, n_machines):
     gm = column(keys, values, T_GLOBMIN)
     wk = pack(T_MINPREF, np.zeros(1, dtype=np.int64))
     peak = _scalar_write(("minprefix",))
@@ -330,14 +273,12 @@ def _prefix_min_reduce(keys, values, params, lo, hi):
 # ======================================================================
 
 @columnar_op("sort_local")
-def _sort_local(keys, values, params, lo, hi):
+def _sort_local(keys, values, params, n_machines):
     bounds, spc, samp_off = params["bounds"], params["spc"], params["samp_off"]
-    if hi <= lo:
-        return _empty(values.dtype)
     x = column(keys, values, T_IN)
     wk_parts, wv_parts = [], []
     reads = 0
-    for j in range(lo, hi):
+    for j in range(n_machines):
         run = np.sort(x[bounds[j] : bounds[j + 1]], kind="stable")
         wk_parts.append(pack(T_RUN, np.arange(bounds[j], bounds[j + 1], dtype=np.int64)))
         wv_parts.append(run)
@@ -349,15 +290,13 @@ def _sort_local(keys, values, params, lo, hi):
         wv_parts.append(samples)
         reads += run.size
     # payload + the ("run", j) list write (the samples write is smaller)
-    c = max(bounds[j + 1] - bounds[j] for j in range(lo, hi))
+    c = max(bounds[j + 1] - bounds[j] for j in range(n_machines))
     peak = 1 + word_size(("run", 0)) + (c + 1)
     return np.concatenate(wk_parts), np.concatenate(wv_parts), peak, reads
 
 
 @columnar_op("sort_pivots")
-def _sort_pivots(keys, values, params, lo, hi):
-    if hi <= lo:
-        return _empty(values.dtype)
+def _sort_pivots(keys, values, params, n_machines):
     n_buckets = params["n_buckets"]
     samples = np.sort(column(keys, values, T_SAMP), kind="stable")
     step = max(1, samples.size // n_buckets)
@@ -369,17 +308,15 @@ def _sort_pivots(keys, values, params, lo, hi):
 
 
 @columnar_op("sort_partition")
-def _sort_partition(keys, values, params, lo, hi):
+def _sort_partition(keys, values, params, n_machines):
     bounds, n_chunks = params["bounds"], params["n_chunks"]
     n_buckets = params["n_buckets"]
-    if hi <= lo:
-        return _empty(values.dtype)
     run_col = column(keys, values, T_RUN)
     pivots = column(keys, values, T_PIV)
     wk_parts, wv_parts = [], []
     reads = 0
     longest_seg = 0
-    for j in range(lo, hi):
+    for j in range(n_machines):
         run = run_col[bounds[j] : bounds[j + 1]]
         cuts = np.searchsorted(run, pivots, side="right")
         edges = np.concatenate([[0], cuts, [run.size]])
@@ -392,7 +329,7 @@ def _sort_partition(keys, values, params, lo, hi):
         reads += run.size + pivots.size
     # payload + the held run + the pivots read, or payload + one
     # ("seg", b, j, k) piece write; the segsize/segpieces writes are smaller
-    r = max(bounds[j + 1] - bounds[j] for j in range(lo, hi))
+    r = max(bounds[j + 1] - bounds[j] for j in range(n_machines))
     piece = min(PIECE_WORDS, longest_seg)
     peak = max(
         1 + (r + 1) + (int(pivots.size) + 1),
@@ -402,9 +339,7 @@ def _sort_partition(keys, values, params, lo, hi):
 
 
 @columnar_op("sort_bucket_offsets")
-def _sort_bucket_offsets(keys, values, params, lo, hi):
-    if hi <= lo:
-        return _empty(values.dtype)
+def _sort_bucket_offsets(keys, values, params, n_machines):
     n_buckets, n_chunks = params["n_buckets"], params["n_chunks"]
     segsz = column(keys, values, T_SEGSZ)
     totals = (
@@ -469,15 +404,13 @@ def _merge_peak(live, loaded, out_piece: int, key_words: int) -> int:
 
 
 @columnar_op("sort_merge_level")
-def _sort_merge_level(keys, values, params, lo, hi):
+def _sort_merge_level(keys, values, params, n_machines):
     groups, out_tag = params["groups"], params["out_tag"]
-    if hi <= lo:
-        return _empty(values.dtype)
     wk_parts, wv_parts = [], []
     peak = 0
     reads = 0
     mseg_key = word_size(("mseg", 0, 0, 0, 0))
-    for g in range(lo, hi):
+    for g in range(n_machines):
         sources, out_start = groups[g]
         merged, live, loaded = _merge(keys, values, sources)
         wk_parts.append(
@@ -490,17 +423,15 @@ def _sort_merge_level(keys, values, params, lo, hi):
 
 
 @columnar_op("sort_final_merge")
-def _sort_final_merge(keys, values, params, lo, hi):
+def _sort_final_merge(keys, values, params, n_machines):
     buckets = params["buckets"]  # machine b -> list of sources
     out_chunk = params["out_chunk"]
-    if hi <= lo:
-        return _empty(values.dtype)
     boff = column(keys, values, T_BOFF)
     outpiece_key = word_size(("outpiece", 0))
     wk_parts, wv_parts = [], []
     peak = 2  # payload + the ("bucketoff", b) read
     reads = 0
-    for b in range(lo, hi):
+    for b in range(n_machines):
         if not buckets[b]:
             reads += 1
             continue
@@ -520,27 +451,25 @@ def _sort_final_merge(keys, values, params, lo, hi):
 # ======================================================================
 
 @columnar_op("lr_mark")
-def _lr_mark(keys, values, params, lo, hi):
-    idxs = np.asarray(params["idxs"], dtype=np.int64)[lo:hi]
+def _lr_mark(keys, values, params, n_machines):
+    idxs = np.asarray(params["idxs"], dtype=np.int64)
     wk = pack(params["out_tag"], idxs)
     peak = 1 + _scalar_write(("anchor", 0, 0))
     return wk, np.ones(idxs.size, dtype=np.int64), peak, 0
 
 
 @columnar_op("lr_zero_rank")
-def _lr_zero_rank(keys, values, params, lo, hi):
-    idxs = np.asarray(params["idxs"], dtype=np.int64)[lo:hi]
+def _lr_zero_rank(keys, values, params, n_machines):
+    idxs = np.asarray(params["idxs"], dtype=np.int64)
     peak = 1 + _scalar_write(("rank", 0))
     return pack(T_RANK, idxs), np.zeros(idxs.size, dtype=np.int64), peak, 0
 
 
 @columnar_op("lr_contract")
-def _lr_contract(keys, values, params, lo, hi):
+def _lr_contract(keys, values, params, n_machines):
     succ_tag, w_tag = params["succ_tag"], params["w_tag"]
     anchor_tag = params["anchor_tag"]
-    v = np.asarray(params["next_idxs"], dtype=np.int64)[lo:hi]
-    if v.size == 0:
-        return _empty(values.dtype)
+    v = np.asarray(params["next_idxs"], dtype=np.int64)
     # Mirrors the object walk: u = succ[v]; w = w[v]; while u is not an
     # anchor (tails are always anchors, so u only hits None when v is a
     # tail itself): total += w; w = w[u]; u = succ[u]; finally add w.
@@ -574,10 +503,10 @@ def _lr_contract(keys, values, params, lo, hi):
 
 
 @columnar_op("lr_base")
-def _lr_base(keys, values, params, lo, hi):
+def _lr_base(keys, values, params, n_machines):
     succ_tag, w_tag = params["succ_tag"], params["w_tag"]
     top = np.asarray(params["top_idxs"], dtype=np.int64)
-    if hi <= lo or top.size == 0:
+    if top.size == 0:
         return _empty(values.dtype)
     # rank[v] = sum of w along the chain from v, excluding the tail's 0.
     cur = top.copy()
@@ -603,11 +532,9 @@ def _lr_base(keys, values, params, lo, hi):
 
 
 @columnar_op("lr_unwind")
-def _lr_unwind(keys, values, params, lo, hi):
+def _lr_unwind(keys, values, params, n_machines):
     succ_tag, w_tag = params["succ_tag"], params["w_tag"]
-    v = np.asarray(params["pending_idxs"], dtype=np.int64)[lo:hi]
-    if v.size == 0:
-        return _empty(values.dtype)
+    v = np.asarray(params["pending_idxs"], dtype=np.int64)
     # Mirrors: total = 0; u = v; while rank[u] unknown: total += w[u];
     # u = succ[u]; if u is None -> rank 0 tail; else rank[v] = total + rank[u].
     res = np.zeros(v.size, dtype=np.int64)

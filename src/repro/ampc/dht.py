@@ -1,10 +1,12 @@
 """Distributed hash tables ``H_0, ..., H_k`` of the AMPC model.
 
 Each round ``i`` of an AMPC computation reads (adaptively, mid-round)
-from ``H_{i-1}`` and writes (at end of round) to ``H_i``.  The simulator
-represents a table as a dict sharded across :attr:`num_shards` buckets —
-the sharding has no semantic effect but lets tests observe that keys
-spread across machines, and gives the word-accounting a place to live.
+from ``H_{i-1}`` and writes (at end of round) to ``H_i``.  A table has
+two representations: :class:`HashTable`, one dict of arbitrary keys
+for the object path, and :class:`ColumnTable`, sorted int64 key and
+value columns for columnar round specs.  Each extends a read-only
+snapshot type (:class:`TableSnapshot`, :class:`ColumnSnapshot`) with
+its write surface, so each representation has one reader.
 
 Sizes are measured in **words**; see :func:`word_size` for the
 convention (numbers/None = 1 word, containers = len + contents).  Exact
@@ -46,130 +48,189 @@ def word_size(value: Any) -> int:
     return 4  # opaque objects: flat fee
 
 
-class HashTable:
-    """One hash table ``H_i``: a sharded key/value store with accounting."""
-
-    def __init__(self, name: str, num_shards: int = 16):
-        if num_shards < 1:
-            raise ValueError("num_shards must be positive")
-        self.name = name
-        self.num_shards = num_shards
-        self._shards: list[dict[Any, Any]] = [{} for _ in range(num_shards)]
-        self._words = 0
-
-    # ------------------------------------------------------------------
-    def _shard_of(self, key: Any) -> dict[Any, Any]:
-        return self._shards[hash(key) % self.num_shards]
-
-    def get(self, key: Any) -> Any:
-        shard = self._shard_of(key)
-        try:
-            return shard[key]
-        except KeyError:
-            raise MissingKeyError(key, self.name) from None
-
-    def get_default(self, key: Any, default: Any = None) -> Any:
-        return self._shard_of(key).get(key, default)
-
-    def contains(self, key: Any) -> bool:
-        return key in self._shard_of(key)
-
-    def put(self, key: Any, value: Any) -> None:
-        # Single shard probe: a sentinel default tells "absent" apart
-        # from a stored None without a second ``key in shard`` lookup.
-        shard = self._shard_of(key)
-        old = shard.get(key, _MISSING)
-        if old is not _MISSING:
-            self._words -= word_size(key) + word_size(old)
-        shard[key] = value
-        self._words += word_size(key) + word_size(value)
-
-    def put_many(self, items: Iterable[tuple[Any, Any]]) -> None:
-        for key, value in items:
-            self.put(key, value)
-
-    # ------------------------------------------------------------------
-    @property
-    def words(self) -> int:
-        """Total words stored (keys + values)."""
-        return self._words
-
-    def __len__(self) -> int:
-        return sum(len(s) for s in self._shards)
-
-    def keys(self) -> Iterator[Any]:
-        for shard in self._shards:
-            yield from shard.keys()
-
-    def items(self) -> Iterator[tuple[Any, Any]]:
-        for shard in self._shards:
-            yield from shard.items()
-
-    def snapshot(self) -> "TableSnapshot":
-        """An immutable read view of this table (see :class:`TableSnapshot`)."""
-        return TableSnapshot(self.name, self._shards)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"HashTable({self.name!r}, entries={len(self)}, words={self.words})"
-
-
 class TableSnapshot:
     """Read-only view of one hash table at a round boundary.
 
     The runtime hands machine programs a snapshot of ``H_{i-1}``
     instead of the table itself, so a machine can only ever *read* the
     previous round's state — the write surface (``put``) simply does
-    not exist here.  The snapshot shares the underlying shard dicts
-    without copying: the runtime guarantees nothing writes ``H_{i-1}``
-    while the round's programs execute (writes are buffered per
-    machine and merged into ``H_i`` afterwards).
+    not exist here.  The snapshot shares the table's dict without
+    copying: the runtime guarantees nothing writes ``H_{i-1}`` while
+    the round's programs execute (writes are buffered per machine and
+    merged into ``H_i`` afterwards).  :class:`HashTable` inherits these
+    read methods, so the two never disagree.
     """
 
-    __slots__ = ("name", "_shards", "num_shards")
+    __slots__ = ("name", "_entries")
 
-    def __init__(self, name: str, shards: list[dict[Any, Any]]):
+    def __init__(self, name: str, entries: dict[Any, Any]):
         self.name = name
-        self._shards = shards
-        self.num_shards = len(shards)
-
-    def _shard_of(self, key: Any) -> dict[Any, Any]:
-        return self._shards[hash(key) % self.num_shards]
+        self._entries = entries
 
     def get(self, key: Any) -> Any:
-        shard = self._shard_of(key)
         try:
-            return shard[key]
+            return self._entries[key]
         except KeyError:
             raise MissingKeyError(key, self.name) from None
 
     def get_default(self, key: Any, default: Any = None) -> Any:
-        return self._shard_of(key).get(key, default)
+        return self._entries.get(key, default)
 
     def contains(self, key: Any) -> bool:
-        return key in self._shard_of(key)
+        return key in self._entries
 
     def __len__(self) -> int:
-        return sum(len(s) for s in self._shards)
+        return len(self._entries)
 
     def keys(self) -> Iterator[Any]:
-        for shard in self._shards:
-            yield from shard.keys()
+        return iter(self._entries.keys())
 
     def items(self) -> Iterator[tuple[Any, Any]]:
-        for shard in self._shards:
-            yield from shard.items()
+        return iter(self._entries.items())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TableSnapshot({self.name!r}, entries={len(self)})"
+        return f"{type(self).__name__}({self.name!r}, entries={len(self)})"
 
 
-class ColumnTable:
+class HashTable(TableSnapshot):
+    """One hash table ``H_i``: a key/value dict with word accounting."""
+
+    __slots__ = ("_words",)
+
+    def __init__(self, name: str):
+        super().__init__(name, {})
+        self._words = 0
+
+    def put(self, key: Any, value: Any) -> None:
+        # Single probe: a sentinel default tells "absent" apart from a
+        # stored None without a second ``key in entries`` lookup.
+        old = self._entries.get(key, _MISSING)
+        if old is not _MISSING:
+            self._words -= word_size(key) + word_size(old)
+        self._entries[key] = value
+        self._words += word_size(key) + word_size(value)
+
+    def put_many(self, items: Iterable[tuple[Any, Any]]) -> None:
+        for key, value in items:
+            self.put(key, value)
+
+    def carry_forward(self, snapshot: TableSnapshot) -> None:
+        """Copy keys of the previous table that nothing overwrote."""
+        for key, value in snapshot.items():
+            if key not in self._entries:
+                self.put(key, value)
+
+    @property
+    def words(self) -> int:
+        """Total words stored (keys + values)."""
+        return self._words
+
+    def snapshot(self) -> TableSnapshot:
+        """An immutable read view of this table."""
+        return TableSnapshot(self.name, self._entries)
+
+
+def sorted_lookup(
+    keys: np.ndarray, want: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Find ``want`` in a sorted, unique key column.
+
+    Returns ``(pos, found)``: ``found[i]`` says whether ``want[i]`` is
+    present, and where it is, ``keys[pos[i]] == want[i]``.  Every
+    sorted-column read of the columnar tier goes through here.
+    """
+    pos = np.searchsorted(keys, want)
+    if keys.size == 0:
+        return pos, np.zeros(want.shape, dtype=bool)
+    pos = np.minimum(pos, keys.size - 1)
+    return pos, keys[pos] == want
+
+
+def sorted_get(
+    keys: np.ndarray,
+    values: np.ndarray,
+    want: Any,
+    default: Any = None,
+    table: str = "",
+) -> np.ndarray:
+    """Values stored under ``want`` in sorted ``(keys, values)`` columns.
+
+    Missing keys get ``default``; with ``default=None`` the first one
+    raises :class:`~repro.ampc.errors.MissingKeyError`.
+    """
+    want = np.asarray(want, dtype=np.int64)
+    pos, found = sorted_lookup(keys, want)
+    if found.all():
+        return values[pos]
+    if default is None:
+        raise MissingKeyError(int(want[~found][0]), table)
+    out = np.full(want.shape, default, dtype=values.dtype)
+    out[found] = values[pos[found]]
+    return out
+
+
+class ColumnSnapshot:
+    """Read-only columnar view of one table at a round boundary.
+
+    The columnar analogue of :class:`TableSnapshot`: keys are an
+    ``int64`` column kept sorted and unique, values one homogeneous
+    column.  The runtime hands a round spec this instead of the table,
+    so its machines can only read; the arrays are shared zero-copy and
+    flagged read-only.  :class:`ColumnTable` inherits these read
+    methods.
+    """
+
+    __slots__ = ("name", "_keys", "_values")
+
+    def __init__(self, name: str, keys: np.ndarray, values: np.ndarray):
+        self.name = name
+        keys = keys.view()
+        values = values.view()
+        keys.flags.writeable = False
+        values.flags.writeable = False
+        self._keys = keys
+        self._values = values
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (keys, values) columns."""
+        return self._keys, self._values
+
+    @property
+    def value_dtype(self) -> np.dtype:
+        return self._values.dtype
+
+    def get_many(self, keys: Any, default: Any = None) -> np.ndarray:
+        """Vectorized lookup.  Missing keys raise unless ``default`` set."""
+        return sorted_get(self._keys, self._values, keys, default, self.name)
+
+    def get(self, key: int) -> Any:
+        return self.get_many(np.array([key], dtype=np.int64))[0]
+
+    def contains_many(self, keys: Any) -> np.ndarray:
+        return sorted_lookup(self._keys, np.asarray(keys, dtype=np.int64))[1]
+
+    def __len__(self) -> int:
+        return int(self._keys.size)
+
+    def keys(self) -> Iterator[int]:
+        return iter(self._keys.tolist())
+
+    def items(self) -> Iterator[tuple[int, Any]]:
+        return zip(self._keys.tolist(), self._values.tolist())
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"{type(self).__name__}({self.name!r}, entries={len(self)}, "
+            f"dtype={self.value_dtype})"
+        )
+
+
+class ColumnTable(ColumnSnapshot):
     """One hash table ``H_i`` held as homogeneous key/value *columns*.
 
     The columnar sibling of :class:`HashTable` for rounds whose state is
-    numeric: keys are an ``int64`` column kept sorted and unique, values
-    a single homogeneous column (``int64`` or ``float64``).  Primitives
-    pack ``(tag, index)`` identities into the int64 key space (see
+    numeric: values are ``int64`` or ``float64``.  Primitives pack
+    ``(tag, index)`` identities into the int64 key space (see
     :mod:`repro.ampc.columnar`), so a whole logical column is one
     contiguous slice and :meth:`get_many`/:meth:`put_many` are single
     vectorized ``searchsorted``/merge passes instead of per-key dict
@@ -182,18 +243,19 @@ class ColumnTable:
     every :meth:`DHTChain.advance`.
     """
 
+    __slots__ = ()
+
     def __init__(self, name: str, value_dtype: Any = np.int64):
-        self.name = name
-        self.value_dtype = np.dtype(value_dtype)
-        if self.value_dtype not in (np.dtype(np.int64), np.dtype(np.float64)):
+        value_dtype = np.dtype(value_dtype)
+        if value_dtype not in (np.dtype(np.int64), np.dtype(np.float64)):
             raise ValueError(
                 f"ColumnTable values must be int64 or float64, "
-                f"got {self.value_dtype}"
+                f"got {value_dtype}"
             )
+        self.name = name
         self._keys = np.empty(0, dtype=np.int64)
-        self._values = np.empty(0, dtype=self.value_dtype)
+        self._values = np.empty(0, dtype=value_dtype)
 
-    # ------------------------------------------------------------------
     def put_many(self, keys: Any, values: Any) -> None:
         """Vectorized upsert; later entries of ``keys`` win on duplicates."""
         keys = np.asarray(keys, dtype=np.int64)
@@ -215,120 +277,44 @@ class ColumnTable:
         self._keys = sk[keep]
         self._values = sv[keep]
 
-    def get_many(self, keys: Any, default: Any = None) -> np.ndarray:
-        """Vectorized lookup.  Missing keys raise unless ``default`` set."""
-        keys = np.asarray(keys, dtype=np.int64)
-        idx = np.searchsorted(self._keys, keys)
-        idx_c = np.minimum(idx, max(0, self._keys.size - 1))
-        found = (
-            (idx < self._keys.size) & (self._keys[idx_c] == keys)
-            if self._keys.size
-            else np.zeros(keys.shape, dtype=bool)
-        )
-        if not found.all():
-            if default is None:
-                missing = keys[~found]
-                raise MissingKeyError(int(missing[0]), self.name)
-            out = np.full(keys.shape, default, dtype=self.value_dtype)
-            out[found] = self._values[idx_c[found]]
-            return out
-        return self._values[idx_c]
-
-    def contains_many(self, keys: Any) -> np.ndarray:
-        keys = np.asarray(keys, dtype=np.int64)
-        if self._keys.size == 0:
-            return np.zeros(keys.shape, dtype=bool)
-        idx = np.searchsorted(self._keys, keys)
-        idx_c = np.minimum(idx, self._keys.size - 1)
-        return (idx < self._keys.size) & (self._keys[idx_c] == keys)
-
-    # ------------------------------------------------------------------
-    # Scalar conveniences (same surface as HashTable where it is cheap)
-    # ------------------------------------------------------------------
-    def put(self, key: int, value: Any) -> None:
-        self.put_many(np.array([key], dtype=np.int64), np.array([value]))
-
-    def get(self, key: int) -> Any:
-        return self.get_many(np.array([key], dtype=np.int64))[0]
-
-    def get_default(self, key: int, default: Any = None) -> Any:
-        if not self.contains(key):
-            return default
-        return self.get(key)
-
-    def contains(self, key: int) -> bool:
-        return bool(self.contains_many(np.array([key], dtype=np.int64))[0])
-
-    # ------------------------------------------------------------------
     @property
     def words(self) -> int:
         """Total words stored: one per key plus one per value."""
         return int(self._keys.size + self._values.size)
 
-    def __len__(self) -> int:
-        return int(self._keys.size)
-
-    def keys(self) -> Iterator[int]:
-        return iter(self._keys.tolist())
-
-    def items(self) -> Iterator[tuple[int, Any]]:
-        return zip(self._keys.tolist(), self._values.tolist())
-
-    def snapshot(self) -> "ColumnSnapshot":
+    def snapshot(self) -> ColumnSnapshot:
         return ColumnSnapshot(self.name, self._keys, self._values)
 
-    # ------------------------------------------------------------------
     def merge_columns(
-        self,
-        write_lists: Iterable[tuple[Any, Any]],
-        combiner: str | None = None,
+        self, writes: tuple[Any, Any], combiner: str | None = None
     ) -> None:
-        """Merge per-machine columnar write buffers canonically.
+        """Merge one round's ``(keys, values)`` write buffer canonically.
 
-        ``write_lists`` must be ordered by machine index, mirroring
+        The buffer holds the writes in machine order, mirroring
         :func:`merge_writes`.  Conflicts resolve last-writer-wins in
-        that canonical order, or through ``combiner`` (``"min"`` /
-        ``"sum"``, the order-independent reductions the primitives
-        use) — so the merged table never depends on which machine
-        actually executed first.
+        that order, or through ``combiner`` (``"min"`` / ``"sum"``, the
+        order-independent reductions the primitives use).
         """
-        parts_k = [np.asarray(k, dtype=np.int64) for k, _ in write_lists]
-        parts_v = [np.asarray(v, dtype=self.value_dtype) for _, v in write_lists]
-        if not parts_k:
-            return
-        keys = np.concatenate(parts_k) if len(parts_k) > 1 else parts_k[0]
-        values = np.concatenate(parts_v) if len(parts_v) > 1 else parts_v[0]
-        if combiner is None:
-            self.put_many(keys, values)
-            return
-        if keys.size:
+        keys = np.asarray(writes[0], dtype=np.int64)
+        values = np.asarray(writes[1], dtype=self.value_dtype)
+        if combiner is not None and keys.size:
+            if combiner == "min":
+                reduce = np.minimum
+            elif combiner == "sum":
+                reduce = np.add
+            else:
+                raise ValueError(f"unknown columnar combiner {combiner!r}")
             order = np.argsort(keys, kind="stable")
             sk, sv = keys[order], values[order]
             starts = np.ones(sk.size, dtype=bool)
             np.not_equal(sk[1:], sk[:-1], out=starts[1:])
             run_starts = np.flatnonzero(starts)
-            if combiner == "min":
-                reduced = np.minimum.reduceat(sv, run_starts)
-            elif combiner == "sum":
-                reduced = np.add.reduceat(sv, run_starts)
-            else:
-                raise ValueError(f"unknown columnar combiner {combiner!r}")
-            keys, values = sk[run_starts], reduced
-            if combiner == "min":
-                old = self.contains_many(keys)
-                if old.any():
-                    values = values.copy()
-                    values[old] = np.minimum(
-                        values[old], self.get_many(keys[old])
-                    )
-            elif combiner == "sum":
-                old = self.contains_many(keys)
-                if old.any():
-                    values = values.copy()
-                    values[old] = values[old] + self.get_many(keys[old])
+            keys, values = sk[run_starts], reduce.reduceat(sv, run_starts)
+            old = self.contains_many(keys)
+            values[old] = reduce(values[old], self.get_many(keys[old]))
         self.put_many(keys, values)
 
-    def carry_forward(self, snapshot: "ColumnSnapshot") -> None:
+    def carry_forward(self, snapshot: ColumnSnapshot) -> None:
         """Copy keys of the previous table that nothing overwrote."""
         prev_k, prev_v = snapshot.columns()
         if prev_k.size == 0:
@@ -337,70 +323,6 @@ class ColumnTable:
         if overwritten.all():
             return
         self.put_many(prev_k[~overwritten], prev_v[~overwritten])
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ColumnTable({self.name!r}, entries={len(self)}, "
-            f"dtype={self.value_dtype}, words={self.words})"
-        )
-
-
-class ColumnSnapshot:
-    """Read-only columnar view of one table at a round boundary.
-
-    The columnar analogue of :class:`TableSnapshot`: the runtime hands
-    a round spec this instead of the table, so its machines can only
-    read.  The arrays are shared zero-copy and flagged read-only.
-    """
-
-    __slots__ = ("name", "_keys", "_values")
-
-    def __init__(self, name: str, keys: np.ndarray, values: np.ndarray):
-        self.name = name
-        keys = keys.view()
-        values = values.view()
-        keys.flags.writeable = False
-        values.flags.writeable = False
-        self._keys = keys
-        self._values = values
-
-    def columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (keys, values) columns, read-only."""
-        return self._keys, self._values
-
-    @property
-    def value_dtype(self) -> np.dtype:
-        return self._values.dtype
-
-    def get_many(self, keys: Any, default: Any = None) -> np.ndarray:
-        idx = np.searchsorted(self._keys, np.asarray(keys, dtype=np.int64))
-        idx_c = np.minimum(idx, max(0, self._keys.size - 1))
-        keys = np.asarray(keys, dtype=np.int64)
-        found = (
-            (idx < self._keys.size) & (self._keys[idx_c] == keys)
-            if self._keys.size
-            else np.zeros(keys.shape, dtype=bool)
-        )
-        if not found.all():
-            if default is None:
-                raise MissingKeyError(int(keys[~found][0]), self.name)
-            out = np.full(keys.shape, default, dtype=self._values.dtype)
-            out[found] = self._values[idx_c[found]]
-            return out
-        return self._values[idx_c]
-
-    def get(self, key: int) -> Any:
-        return self.get_many(np.array([key], dtype=np.int64))[0]
-
-    def contains(self, key: int) -> bool:
-        idx = int(np.searchsorted(self._keys, np.int64(key)))
-        return idx < self._keys.size and int(self._keys[idx]) == int(key)
-
-    def __len__(self) -> int:
-        return int(self._keys.size)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ColumnSnapshot({self.name!r}, entries={len(self)})"
 
 
 def merge_writes(
@@ -437,10 +359,9 @@ class DHTChain:
     ones, tracking the high-water mark for the ledger.
     """
 
-    def __init__(self, total_space_words: int, num_shards: int = 16):
+    def __init__(self, total_space_words: int):
         self.total_space_words = int(total_space_words)
-        self.num_shards = num_shards
-        self._tables: list[HashTable | ColumnTable] = [HashTable("H0", num_shards)]
+        self._tables: list[HashTable | ColumnTable] = [HashTable("H0")]
         self._high_water = 0
         self._rounds_advanced = 0
 
@@ -471,7 +392,7 @@ class DHTChain:
             self._tables = self._tables[-2:]
 
     def make_next(self) -> HashTable:
-        return HashTable(f"H{self.round_index + 1}", self.num_shards)
+        return HashTable(f"H{self.round_index + 1}")
 
     def make_next_column(self, value_dtype: Any = np.int64) -> ColumnTable:
         return ColumnTable(f"H{self.round_index + 1}", value_dtype=value_dtype)

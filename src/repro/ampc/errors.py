@@ -58,14 +58,6 @@ class TotalSpaceExceeded(AMPCError):
         return (type(self), (self.used, self.limit))
 
 
-class ProtocolError(AMPCError):
-    """An operation violated the AMPC round protocol.
-
-    Examples: reading from the *current* round's table (only the previous
-    round's table is readable mid-round), or writing outside a round.
-    """
-
-
 class AMPCUsageError(AMPCError):
     """The simulator API was used in a way that has no model meaning.
 

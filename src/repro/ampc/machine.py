@@ -15,10 +15,11 @@ Reads and writes are themselves accounted against local memory: a
 machine cannot read more words than fit in its memory, mirroring the
 model's "reading and writing is limited by machine local memory".
 
-``readable`` is normally an immutable
-:class:`~repro.ampc.dht.TableSnapshot` handed out by the runtime —
-contexts never get a handle that could write the previous table, so
-no machine can observe another's writes mid-round.  Machines run
+``readable`` is a :class:`~repro.ampc.dht.TableSnapshot`: the runtime
+hands out an immutable snapshot of the previous table, so contexts
+never get a handle that could write it and no machine can observe
+another's writes mid-round.  (A :class:`~repro.ampc.dht.HashTable`
+shares the snapshot's read methods, so tests may pass one directly.)  Machines run
 isolated: a program must communicate only through ``ctx`` (reads,
 writes, payload), never by mutating host objects it closed over —
 in the model, machines share nothing but the DHT.
@@ -26,12 +27,10 @@ in the model, machines share nothing but the DHT.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Union
+from typing import Any, Iterable
 
-from .dht import HashTable, TableSnapshot, word_size
+from .dht import TableSnapshot, word_size
 from .errors import MemoryLimitExceeded
-
-ReadableTable = Union[HashTable, TableSnapshot]
 
 
 class MachineContext:
@@ -40,7 +39,7 @@ class MachineContext:
     def __init__(
         self,
         machine_id: int,
-        readable: ReadableTable,
+        readable: TableSnapshot,
         local_limit: int,
         *,
         payload: Any = None,

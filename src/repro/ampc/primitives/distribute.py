@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from ..config import AMPCConfig
-from ..machine import MachineContext
 from ..runtime import AMPCRuntime
 
 #: Fraction of local memory a chunk may occupy (the rest is headroom
@@ -25,11 +24,6 @@ CHUNK_FRACTION = 6
 def chunk_size_for(config: AMPCConfig) -> int:
     """Words per chunk so a machine can hold a chunk plus working space."""
     return max(8, config.local_memory_words // CHUNK_FRACTION)
-
-
-def chunk_bounds(n: int, size: int) -> list[tuple[int, int]]:
-    """Half-open ``(lo, hi)`` ranges covering ``range(n)`` in ``size`` steps."""
-    return [(lo, min(lo + size, n)) for lo in range(0, max(n, 0), size)]
 
 
 def seed_chunks(
@@ -62,9 +56,3 @@ def seed_chunks(
     items.append(((name, "meta"), (len(values), len(chunks), budget)))
     runtime.seed(items)
     return len(chunks), budget
-
-
-def read_meta(ctx: MachineContext, name: str) -> tuple[int, int, int]:
-    """Read a chunked value's manifest: ``(n, n_chunks, chunk_size)``."""
-    n, n_chunks, size = ctx.read((name, "meta"))
-    return int(n), int(n_chunks), int(size)

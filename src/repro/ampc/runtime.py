@@ -10,18 +10,21 @@ executes a full synchronous round:
    :class:`~repro.ampc.dht.TableSnapshot` or
    :class:`~repro.ampc.dht.ColumnSnapshot`), so no machine can write
    the previous table or see another machine's writes mid-round.
-   Object machines run one by one in index order; a columnar spec runs
-   all its machines in one vectorized slice;
+   Object machines run one by one in index order; a columnar op runs
+   all the round's machines in one vectorized call;
 2. buffered writes are merged into the next table canonically by
-   machine index (:func:`~repro.ampc.dht.merge_writes`); conflicting
+   machine index (:func:`~repro.ampc.dht.merge_writes`,
+   :meth:`~repro.ampc.dht.ColumnTable.merge_columns`); conflicting
    writes to the same key are resolved by last-writer-wins unless a
    ``combiner`` is supplied (e.g. ``min`` for reduce trees);
-3. round counters and memory high-water marks land in the ledger.
+3. one shared epilogue carries unwritten keys forward (on request),
+   advances the chain, and lands the round counter and memory
+   high-water marks in the ledger.
 
 Both paths enforce the same local-memory budget: an object machine
 raises :class:`~repro.ampc.errors.MemoryLimitExceeded` from
 :meth:`MachineContext.hold`, and a columnar round raises it when the
-slice's peak exceeds ``local_memory_words``.
+op's peak exceeds ``local_memory_words``.
 
 Programs are dispatched as ``(program, payload)`` pairs; the payload is
 the machine's "incoming message" for the round and is charged against
@@ -34,9 +37,16 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .columnar import execute_column_slice
+from . import columnar
 from .config import AMPCConfig
-from .dht import ColumnTable, DHTChain, HashTable, merge_writes
+from .dht import (
+    ColumnSnapshot,
+    ColumnTable,
+    DHTChain,
+    HashTable,
+    TableSnapshot,
+    merge_writes,
+)
 from .errors import MemoryLimitExceeded
 from .ledger import RoundLedger
 from .machine import MachineContext
@@ -47,16 +57,10 @@ MachineProgram = Callable[[MachineContext], None]
 class AMPCRuntime:
     """Executes machine programs round by round against the DHT chain."""
 
-    def __init__(
-        self,
-        config: AMPCConfig,
-        ledger: RoundLedger | None = None,
-        *,
-        num_shards: int = 16,
-    ):
+    def __init__(self, config: AMPCConfig, ledger: RoundLedger | None = None):
         self.config = config
         self.ledger = ledger if ledger is not None else RoundLedger()
-        self.chain = DHTChain(config.total_space_words, num_shards=num_shards)
+        self.chain = DHTChain(config.total_space_words)
         self._rounds_run = 0
 
     # ------------------------------------------------------------------
@@ -65,7 +69,7 @@ class AMPCRuntime:
         return self._rounds_run
 
     @property
-    def table(self) -> HashTable:
+    def table(self) -> HashTable | ColumnTable:
         """The currently readable hash table."""
         return self.chain.current
 
@@ -109,9 +113,7 @@ class AMPCRuntime:
             standard "re-emit your state" idiom without forcing every
             program to spell it out.
         """
-        readable = self.chain.current
-        snapshot = readable.snapshot()
-        next_table = self.chain.make_next()
+        snapshot = self.chain.current.snapshot()
         limit = self.config.local_memory_words
 
         local_peak = 0
@@ -123,21 +125,10 @@ class AMPCRuntime:
             local_peak = max(local_peak, ctx.peak_words)
             queries += ctx.reads
             write_lists.append(ctx.drain_writes())
+        next_table = self.chain.make_next()
         merge_writes(next_table, write_lists, combiner)
-
-        if carry_forward:
-            for key, value in readable.items():
-                if not next_table.contains(key):
-                    next_table.put(key, value)
-
-        self.chain.advance(next_table)
-        self._rounds_run += 1
-        self.ledger.measure(
-            1,
-            reason,
-            local_peak=local_peak,
-            total_peak=self.chain.high_water,
-            queries=queries,
+        self._finish_round(
+            snapshot, next_table, carry_forward, reason, local_peak, queries
         )
 
     # ------------------------------------------------------------------
@@ -155,31 +146,51 @@ class AMPCRuntime:
 
         The columnar twin of :meth:`round`: instead of closures, the
         round is a spec — an op name registered in
-        :mod:`repro.ampc.columnar` plus ``params`` — executed for
-        machines ``0..n_machines`` over the previous table's two array
-        columns in one in-process slice.  Merge, carry-forward, chain
-        advancement, ledger accounting and the local-memory check follow
-        the same rules as the object path; only the representation of
-        machine state changes.  A slice reports only its largest
-        machine's peak, so an over-budget round's
-        :class:`MemoryLimitExceeded` names the op, not a machine index.
+        :mod:`repro.ampc.columnar` plus ``params`` — and the op runs
+        all ``n_machines`` machines over the previous table's two array
+        columns in one call.  Merge, carry-forward, chain advancement,
+        ledger accounting and the local-memory check follow the same
+        rules as the object path; only the representation of machine
+        state changes.  An op reports only its largest machine's peak,
+        so an over-budget round's :class:`MemoryLimitExceeded` names
+        the op, not a machine index.
         """
-        readable = self.chain.current
-        snapshot = readable.snapshot()
+        try:
+            run = columnar.OPS[op]
+        except KeyError:
+            raise KeyError(f"unknown columnar op {op!r}") from None
+        snapshot = self.chain.current.snapshot()
         keys, values = snapshot.columns()
 
-        write_keys, write_values, local_peak, queries = execute_column_slice(
-            op, keys, values, params, 0, max(0, int(n_machines))
-        )
+        write_keys, write_values, local_peak, queries = (), (), 0, 0
+        if n_machines > 0:
+            write_keys, write_values, local_peak, queries = run(
+                keys, values, params, int(n_machines)
+            )
         limit = self.config.local_memory_words
         if local_peak > limit:
             raise MemoryLimitExceeded(local_peak, limit, op)
 
-        next_table = self.chain.make_next_column(readable.value_dtype)
-        next_table.merge_columns([(write_keys, write_values)], combiner)
+        next_table = self.chain.make_next_column(snapshot.value_dtype)
+        next_table.merge_columns((write_keys, write_values), combiner)
+        self._finish_round(
+            snapshot, next_table, carry_forward, reason,
+            int(local_peak), int(queries),
+        )
+
+    def _finish_round(
+        self,
+        snapshot: TableSnapshot | ColumnSnapshot,
+        next_table: HashTable | ColumnTable,
+        carry_forward: bool,
+        reason: str,
+        local_peak: int,
+        queries: int,
+    ) -> None:
+        """The round epilogue both paths share: carry forward, advance
+        the chain, count the round and record it in the ledger."""
         if carry_forward:
             next_table.carry_forward(snapshot)
-
         self.chain.advance(next_table)
         self._rounds_run += 1
         self.ledger.measure(

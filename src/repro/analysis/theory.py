@@ -59,11 +59,6 @@ def singleton_aware_lower_bound(t: float, eps: float) -> float:
     return 1.0 / (t ** (1.0 - eps / 3.0))
 
 
-def karger_stein_success_bound(n: int) -> float:
-    """Karger–Stein: one invocation succeeds w.p. Omega(1/log n)."""
-    return 1.0 / max(1.0, math.log2(max(2, n)))
-
-
 def mincut_approx_bound(eps: float) -> float:
     """Theorem 1 approximation factor."""
     return 2.0 + eps

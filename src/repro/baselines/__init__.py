@@ -6,7 +6,6 @@ subsystem map."""
 
 from .exact_kcut import exact_min_kcut, exact_min_kcut_weight
 from .gn_mpc import (
-    RoundComparison,
     gn_mpc_kcut_rounds,
     gn_mpc_min_cut,
     gn_mpc_rounds,
@@ -20,7 +19,6 @@ from .stoer_wagner import exact_min_cut_weight, stoer_wagner_min_cut
 
 __all__ = [
     "MatulaResult",
-    "RoundComparison",
     "contraction_preserves_cut",
     "exact_min_cut_weight",
     "exact_min_kcut",

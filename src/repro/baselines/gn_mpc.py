@@ -19,7 +19,6 @@ way by :func:`gn_mpc_kcut_rounds`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ..ampc import RoundLedger
 from ..core.mincut import MinCutResult, ampc_min_cut
@@ -82,16 +81,3 @@ def gn_mpc_kcut_rounds(n: int, k: int, *, eps: float = 0.5) -> int:
     schedule = schedule_for(max(2, n), eps=eps)
     per_iteration = gn_mpc_rounds(schedule) + 1  # +1: pick lightest cut
     return max(1, k - 1) * per_iteration
-
-
-@dataclass(frozen=True)
-class RoundComparison:
-    """One row of the E1 table."""
-
-    n: int
-    ampc_rounds: int
-    mpc_rounds: int
-
-    @property
-    def speedup(self) -> float:
-        return self.mpc_rounds / max(1, self.ampc_rounds)

@@ -39,6 +39,7 @@ from typing import Hashable
 import numpy as np
 
 from ..graph import Cut, Graph
+from ..graph.dsu import contract_in_order
 from ..graph.sparsify import ni_edge_starts
 
 Vertex = Hashable
@@ -97,25 +98,9 @@ def matula_min_cut(graph: Graph, *, eps: float = 0.5) -> MatulaResult:
             raise AssertionError(
                 "Matula invariant violated: no contractible edge found"
             )
-        work_vertices = work.vertices()
-        dsu_parent = list(range(work.num_vertices))
-
-        def find(x: int) -> int:
-            while dsu_parent[x] != x:
-                dsu_parent[x] = dsu_parent[dsu_parent[x]]
-                x = dsu_parent[x]
-            return x
-
         # The first certified edge always merges (fresh DSU, distinct
         # endpoints), so a non-empty hit set guarantees progress.
-        for iu, iv in zip(us[hit].tolist(), vs[hit].tolist()):
-            ru, rv = find(iu), find(iv)
-            if ru != rv:
-                dsu_parent[ru] = rv
-        rep = {
-            v: work_vertices[find(i)] for i, v in enumerate(work_vertices)
-        }
-        work, new_blocks = work.quotient(rep)
+        work, new_blocks, _ = contract_in_order(work, us[hit], vs[hit])
         blocks = {
             r: [orig for member in members for orig in blocks[member]]
             for r, members in new_blocks.items()

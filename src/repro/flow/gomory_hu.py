@@ -24,8 +24,20 @@ from typing import Hashable, Iterable
 
 from ..graph import Graph
 from .dinic import DinicSolver
+from .push_relabel import PushRelabelSolver
 
 Vertex = Hashable
+
+#: max-flow solver classes by ``engine`` name
+_FLOW_ENGINES = {"dinic": DinicSolver, "push_relabel": PushRelabelSolver}
+
+
+def _flow_engine(engine: str) -> type:
+    """The max-flow solver class named ``engine``."""
+    try:
+        return _FLOW_ENGINES[engine]
+    except KeyError:
+        raise ValueError(f"unknown flow engine {engine!r}") from None
 
 
 @dataclass(frozen=True)
@@ -181,14 +193,7 @@ def gomory_hu_tree(graph: Graph, *, engine: str = "dinic") -> GomoryHuTree:
         raise ValueError("need n >= 2")
     if len(graph.components()) != 1:
         raise ValueError("graph must be connected")
-    if engine == "dinic":
-        solver = DinicSolver(graph)
-    elif engine == "push_relabel":
-        from .push_relabel import PushRelabelSolver
-
-        solver = PushRelabelSolver(graph)
-    else:
-        raise ValueError(f"unknown flow engine {engine!r}")
+    solver = _flow_engine(engine)(graph)
     root = vertices[0]
     parent: dict[Vertex, Vertex] = {v: root for v in vertices[1:]}
     weight: dict[Vertex, float] = {}
@@ -214,7 +219,6 @@ def repair_gomory_hu(
     graph: Graph,
     changed: Iterable[tuple[Vertex, Vertex, float, float]],
     *,
-    engine: str = "dinic",
     max_flows: int | None = None,
 ) -> tuple[GomoryHuTree, tuple[Vertex, ...]] | None:
     """Localized Gomory–Hu repair after a mixed-sign weight delta.
@@ -278,14 +282,7 @@ def repair_gomory_hu(
     if max_flows is not None and len(decreased) > max_flows:
         return None
 
-    if engine == "dinic":
-        solver = DinicSolver(graph)
-    elif engine == "push_relabel":
-        from .push_relabel import PushRelabelSolver
-
-        solver = PushRelabelSolver(graph)
-    else:
-        raise ValueError(f"unknown flow engine {engine!r}")
+    solver = DinicSolver(graph)
 
     # One max-flow per decreased pair establishes L; the flow results
     # are kept so a recomputed tree edge whose endpoints *are* a
@@ -366,14 +363,7 @@ def gomory_hu_tree_contracted(
         raise ValueError("need n >= 2")
     if len(graph.components()) != 1:
         raise ValueError("graph must be connected")
-    if engine == "dinic":
-        solver_cls = DinicSolver
-    elif engine == "push_relabel":
-        from .push_relabel import PushRelabelSolver
-
-        solver_cls = PushRelabelSolver
-    else:
-        raise ValueError(f"unknown flow engine {engine!r}")
+    solver_cls = _flow_engine(engine)
 
     # Tree over supernodes: nodes[i] is a set of original vertices.
     nodes: list[set] = [set(vertices)]

@@ -2,11 +2,18 @@
 
 Used by the contraction-process replay (the differential oracle for
 Algorithm 3), Kruskal consolidation, and quotient-graph construction.
+:func:`contract_in_order` is the ordered edge-contraction loop the
+certified-edge rules share.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
+from typing import TYPE_CHECKING, Hashable, Iterable
+
+import numpy as np
+
+if TYPE_CHECKING:
+    from .graph import Graph
 
 
 class DSU:
@@ -71,3 +78,41 @@ class DSU:
         for x in self._parent:
             out.setdefault(self.find(x), []).append(x)
         return out
+
+
+def contract_in_order(
+    graph: "Graph", us: np.ndarray, vs: np.ndarray, *, floor: int = 1
+) -> tuple["Graph", dict[Hashable, list[Hashable]], int] | None:
+    """Contract the edges ``(us[i], vs[i])`` of ``graph`` in order.
+
+    ``us``/``vs`` are vertex indices.  A path-halving union-find merges
+    each edge's two sets, hanging the ``u`` root under the ``v`` root,
+    so the edge order alone fixes which vertex names each block.
+    Contraction stops once only ``floor`` vertices remain (the default
+    never stops early).  Returns :meth:`Graph.quotient`'s ``(quotient,
+    blocks)`` plus the number of vertices removed, or ``None`` when no
+    edge merged two sets.
+    """
+    n = graph.num_vertices
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    remaining = n
+    for iu, iv in zip(us.tolist(), vs.tolist()):
+        if remaining <= floor:
+            break
+        ru, rv = find(iu), find(iv)
+        if ru != rv:
+            parent[ru] = rv
+            remaining -= 1
+    if remaining == n:
+        return None
+    vertices = graph.vertices()
+    rep = {v: vertices[find(i)] for i, v in enumerate(vertices)}
+    quotient, blocks = graph.quotient(rep)
+    return quotient, blocks, n - remaining

@@ -69,6 +69,7 @@ from typing import Callable, Hashable, Iterable
 import numpy as np
 
 from ..graph import Cut, Graph, KCut, lift_cut
+from ..graph.dsu import contract_in_order
 from ..graph.sparsify import ni_edge_starts, sparsify_preserving_min_cut
 
 Vertex = Hashable
@@ -458,27 +459,10 @@ def _contract_certified_edges(kernel: CutKernel, *, use_ni: bool) -> int:
     # certified edges is exact).
     hit = hit[np.lexsort((hit, us[hit], -certs[hit]))]
 
-    vertices = g.vertices()
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    remaining = n
-    for iu, iv in zip(us[hit].tolist(), vs[hit].tolist()):
-        if remaining <= 2:
-            break
-        ru, rv = find(iu), find(iv)
-        if ru != rv:
-            parent[ru] = rv
-            remaining -= 1
-    if remaining == n:
+    contracted = contract_in_order(g, us[hit], vs[hit], floor=2)
+    if contracted is None:
         return 0
-    rep = {v: vertices[find(i)] for i, v in enumerate(vertices)}
-    quotient, new_blocks = g.quotient(rep)
+    quotient, new_blocks, removed = contracted
     kernel.blocks = {
         r: [orig for member in members for orig in kernel.blocks[member]]
         for r, members in new_blocks.items()
@@ -487,17 +471,17 @@ def _contract_certified_edges(kernel: CutKernel, *, use_ni: bool) -> int:
     kernel.steps.append(
         ReductionStep(
             name="ni-contraction" if use_ni else "heavy-edge",
-            vertices_removed=n - remaining,
+            vertices_removed=removed,
             edges_removed=g.num_edges - quotient.num_edges,
             candidates_recorded=1,
             detail=(
-                f"contracted {n - remaining} vertices via edges certified "
+                f"contracted {removed} vertices via edges certified "
                 f">= lambda_hat={lam:g}"
             ),
             certificate=("lambda_hat", lam),
         )
     )
-    return n - remaining
+    return removed
 
 
 # ----------------------------------------------------------------------
@@ -619,25 +603,7 @@ def kernelize_for_kcut(
         return kernel
     # Heaviest first, ties by endpoint indices — the (-w, iu, iv) sort.
     hit = hit[np.lexsort((vs[hit], us[hit], -ws[hit]))]
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    remaining = n
-    for iu, iv in zip(us[hit].tolist(), vs[hit].tolist()):
-        if remaining <= k:
-            break
-        ru, rv = find(iu), find(iv)
-        if ru != rv:
-            parent[ru] = rv
-            remaining -= 1
-    if remaining == n:
-        return kernel
-    rep = {v: vertices[find(i)] for i, v in enumerate(vertices)}
-    kernel.graph, kernel.blocks = graph.quotient(rep)
-    kernel.contracted = n - remaining
+    contracted = contract_in_order(graph, us[hit], vs[hit], floor=k)
+    if contracted is not None:
+        kernel.graph, kernel.blocks, kernel.contracted = contracted
     return kernel

@@ -171,20 +171,23 @@ class AdmissionGate:
         self.queue_depth_peak = 0
 
     def configure(self, **limits) -> None:
+        # Validate every field before setting any, so a rejected update
+        # leaves the gate exactly as it was.
+        updates = {}
+        for key in (
+            "max_inflight", "max_queue", "queue_timeout_s", "retry_after_s"
+        ):
+            if limits.get(key) is None:
+                continue
+            value = float(limits[key])
+            if value < 0 or not math.isfinite(value):
+                raise ValueError(f"{key} must be >= 0 and finite")
+            updates[key] = (
+                int(value) if key in ("max_inflight", "max_queue") else value
+            )
         with self._cond:
-            for key in (
-                "max_inflight", "max_queue", "queue_timeout_s", "retry_after_s"
-            ):
-                if limits.get(key) is None:
-                    continue
-                value = float(limits[key])
-                if value < 0 or not math.isfinite(value):
-                    raise ValueError(f"{key} must be >= 0 and finite")
-                setattr(
-                    self, key,
-                    int(value) if key in ("max_inflight", "max_queue")
-                    else value,
-                )
+            for key, value in updates.items():
+                setattr(self, key, value)
             self._cond.notify_all()
 
     def _shed_message(self) -> str:

@@ -72,21 +72,17 @@ class TestHashTable:
         t.put("k", 7)  # now key 1 + value 1
         assert t.words == 2
 
-    def test_len_counts_entries_across_shards(self):
-        t = HashTable("H0", num_shards=4)
+    def test_len_counts_entries(self):
+        t = HashTable("H0")
         for i in range(100):
             t.put(i, i)
         assert len(t) == 100
 
-    def test_items_cover_all_shards(self):
-        t = HashTable("H0", num_shards=8)
+    def test_items_cover_all_entries(self):
+        t = HashTable("H0")
         for i in range(50):
             t.put(i, i * 2)
         assert dict(t.items()) == {i: i * 2 for i in range(50)}
-
-    def test_invalid_shard_count(self):
-        with pytest.raises(ValueError):
-            HashTable("H0", num_shards=0)
 
     def test_overwriting_stored_none_keeps_words_exact(self):
         # Regression: a plain ``shard.get(key)`` probe cannot tell a

@@ -20,14 +20,7 @@ import numpy as np
 import pytest
 
 from repro.ampc import AMPCConfig, MissingKeyError, RoundLedger
-from repro.ampc.columnar import (
-    T_IN,
-    T_PIV,
-    T_RUN,
-    T_SEGSZ,
-    execute_column_slice,
-    pack,
-)
+from repro.ampc.columnar import OPS, T_IN, T_PIV, T_RUN, T_SEGSZ, pack
 from repro.ampc.dht import ColumnTable
 from repro.ampc.primitives import ampc_sort
 
@@ -39,6 +32,14 @@ def _random_batch(rng: random.Random, key_pool: int):
     keys = [rng.randrange(key_pool) for _ in range(size)]
     values = [rng.randrange(-500, 500) for _ in range(size)]
     return keys, values
+
+
+def _round_buffer(batches):
+    """One round's write buffer: per-machine batches in machine order."""
+    return (
+        [k for keys, _ in batches for k in keys],
+        [v for _, values in batches for v in values],
+    )
 
 
 class TestColumnTableFuzz:
@@ -75,7 +76,7 @@ class TestColumnTableFuzz:
             table = ColumnTable("H")
             table.put_many(pre_keys, pre_values)
             ref = dict(zip(pre_keys, pre_values))
-            table.merge_columns(batches, combiner=combiner)
+            table.merge_columns(_round_buffer(batches), combiner=combiner)
 
             fold = {None: lambda a, b: b, "min": min, "sum": lambda a, b: a + b}[
                 combiner
@@ -98,8 +99,10 @@ class TestColumnTableFuzz:
             def merged(batch_order):
                 t = ColumnTable("H")
                 executed = {m: batches[m] for m in batch_order}
-                t.merge_columns([executed[m] for m in range(len(batches))],
-                                combiner=combiner)
+                t.merge_columns(
+                    _round_buffer([executed[m] for m in range(len(batches))]),
+                    combiner=combiner,
+                )
                 return list(t.items())
 
             reference = merged(list(range(len(batches))))
@@ -167,12 +170,10 @@ class TestSplitterProperty:
                 entries.append((int(pack(T_PIV, i)), p))
             keys, values = self._columns(entries)
 
-            wk, wv, _, _ = execute_column_slice(
-                "sort_partition",
+            wk, wv, _, _ = OPS["sort_partition"](
                 keys,
                 values,
                 {"bounds": bounds, "n_chunks": n_chunks, "n_buckets": n_buckets},
-                0,
                 n_chunks,
             )
             segsz = dict(zip(wk.tolist(), wv.tolist()))

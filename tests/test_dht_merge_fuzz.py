@@ -51,7 +51,7 @@ def _random_batches(rng: random.Random) -> list[list[tuple[str, int]]]:
 
 
 def _merged(batches, combiner) -> tuple[list, int]:
-    table = HashTable("H", num_shards=4)
+    table = HashTable("H")
     merge_writes(table, batches, combiner)
     return list(table.items()), table.words
 
@@ -82,7 +82,7 @@ def test_runtime_round_merge_matches_merge_writes(combiner):
         batches = _random_batches(rng)
         expected_items, _ = _merged(batches, combiner)
 
-        rt = AMPCRuntime(AMPCConfig(n_input=500), num_shards=4)
+        rt = AMPCRuntime(AMPCConfig(n_input=500))
         rt.seed([("seed", 0)])
 
         def emitter(ctx):

@@ -263,6 +263,12 @@ class TestAdmissionOverHTTP:
             server.url, "/frontend", {"bogus_knob": 1}
         )
         assert status == 400 and "bogus_knob" in resp["error"]
+        # a rejected update applies none of its fields
+        status, _ = request_status_json(
+            server.url, "/frontend", {"max_inflight": 4, "max_queue": -1}
+        )
+        assert status == 400
+        assert request_json(server.url, "/frontend") == updated
         # exempt from admission: reconfigure works even at capacity 0
         request_json(server.url, "/frontend", {"max_inflight": 0, "max_queue": 0})
         status, _ = request_status_json(server.url, "/stcut", {"graph": "x"})
