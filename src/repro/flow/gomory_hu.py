@@ -20,6 +20,7 @@ pairs on small random graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Iterable
 
 from ..graph import Graph
@@ -52,56 +53,45 @@ class GomoryHuEdge:
 
 @dataclass
 class GomoryHuTree:
-    """The tree plus query helpers."""
+    """The tree plus query helpers.
+
+    Every s–t query is one walk over the tree path; the min cut is the
+    lightest label on it:
+
+    >>> from repro.graph import Graph
+    >>> g = Graph(edges=[(0, 1, 2.0), (1, 2, 2.0), (2, 0, 2.0),
+    ...                  (3, 4, 2.0), (4, 5, 2.0), (5, 3, 2.0),
+    ...                  (2, 3, 1.0)])
+    >>> tree = gomory_hu_tree(g)
+    >>> tree.min_cut_between(0, 5)
+    1.0
+    >>> min(e.weight for e in tree.path_edges(0, 5))
+    1.0
+    """
 
     graph: Graph
     edges: tuple[GomoryHuEdge, ...]
 
+    @cached_property
+    def _up(self) -> dict[Vertex, GomoryHuEdge]:
+        """child -> its tree edge, built once per tree instance."""
+        return {e.child: e for e in self.edges}
+
     def min_cut_between(self, s: Vertex, t: Vertex) -> float:
         """Min s-t cut = minimum edge weight on the tree path."""
-        if s == t:
-            raise ValueError("s == t")
-        parent = {e.child: (e.parent, e.weight) for e in self.edges}
-        # climb both to the root collecting path minima
-        def path_to_root(v: Vertex) -> list[tuple[Vertex, float]]:
-            out = [(v, float("inf"))]
-            while v in parent:
-                v, w = parent[v][0], parent[v][1]
-                out.append((v, w))
-            return out
-
-        ps = path_to_root(s)
-        pt = path_to_root(t)
-        on_s = {v: i for i, (v, _) in enumerate(ps)}
-        best_t = float("inf")
-        meet = None
-        for v, w in pt:
-            best_t = min(best_t, w)
-            if v in on_s:
-                meet = v
-                break
-        assert meet is not None
-        best_s = float("inf")
-        for v, w in ps:
-            # ``w`` is the weight of the edge *entering* ``v`` from the
-            # s side, which lies on the s->meet path even when v==meet.
-            best_s = min(best_s, w)
-            if v == meet:
-                break
-        return min(best_s, best_t)
+        return min(e.weight for e in self.path_edges(s, t))
 
     def path_edges(self, s: Vertex, t: Vertex) -> list[GomoryHuEdge]:
         """The tree edges on the s–t path (min label = min s–t cut).
 
-        :meth:`min_cut_between` only needs the running minimum; this
-        returns the concrete :class:`GomoryHuEdge` records so callers
-        can inspect the argmin edges' recorded cut sides — the serving
-        layer's incremental oracle certifies retained answers against
-        them after graph mutations (:mod:`repro.service.oracle`).
+        The concrete :class:`GomoryHuEdge` records let callers inspect
+        the argmin edges' recorded cut sides — the serving layer's
+        incremental oracle certifies retained answers against them
+        after graph mutations (:mod:`repro.service.oracle`).
         """
         if s == t:
             raise ValueError("s == t")
-        up = {e.child: e for e in self.edges}
+        up = self._up
         path_s: list[GomoryHuEdge] = []
         v = s
         seen = {v: 0}

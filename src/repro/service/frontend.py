@@ -85,13 +85,22 @@ def parse_registration(body: dict) -> tuple[str, Graph]:
     Weights are validated here — a NaN or infinite weight would poison
     the graph fingerprint (NaN != NaN breaks cache keys) and every cut
     comparison downstream, so registration rejects them with 400 just
-    like ``/mutate`` does (see ``deltas._edge_row``).
+    like ``/mutate`` does (see ``deltas._edge_row``).  So are the
+    ``name`` (every later op addresses the graph by a string) and the
+    ``vertices`` list (a string would register its characters).
     """
     name = require(body, "name")
+    if not isinstance(name, str):
+        raise BadRequest(f"field 'name' must be a string, got {name!r}")
     if "path" in body:
         return name, load_any(body["path"])
     edges = require(body, "edges")
-    graph = Graph(vertices=body.get("vertices", ()))
+    vertices = body.get("vertices", [])
+    if not isinstance(vertices, list):
+        raise BadRequest(
+            f"field 'vertices' must be a list, got {vertices!r}"
+        )
+    graph = Graph(vertices=vertices)
     for edge in edges:
         if not isinstance(edge, (list, tuple)) or len(edge) not in (2, 3):
             raise BadRequest(f"bad edge {edge!r}: want [u, v] or [u, v, w]")
@@ -300,6 +309,13 @@ class QueryCoalescer:
 # ----------------------------------------------------------------------
 # Consistent-hash ring
 # ----------------------------------------------------------------------
+#: virtual nodes per shard on the :class:`HashRing`
+RING_REPLICAS = 64
+
+#: how :class:`ShardPool` starts its worker processes
+SHARD_START_METHOD = "spawn"
+
+
 class HashRing:
     """Consistent hashing over shard ids (sha256, virtual nodes).
 
@@ -323,14 +339,13 @@ class HashRing:
     True
     """
 
-    def __init__(self, shards: int, *, replicas: int = 64):
+    def __init__(self, shards: int):
         if shards < 1:
             raise ValueError("ring needs at least one shard")
         self.shards = int(shards)
-        self.replicas = int(replicas)
         points = []
         for shard in range(self.shards):
-            for replica in range(self.replicas):
+            for replica in range(RING_REPLICAS):
                 points.append((self._hash(f"shard-{shard}-{replica}"), shard))
         points.sort()
         self._points = [p for p, _ in points]
@@ -463,7 +478,6 @@ class ShardPool:
         *,
         service_kwargs: dict | None = None,
         request_timeout_s: float = 300.0,
-        start_method: str | None = None,
     ):
         if shards < 2:
             raise ValueError("ShardPool needs >= 2 shards (use InlineBackend)")
@@ -473,7 +487,7 @@ class ShardPool:
         self.ring = HashRing(self.shards)
         self._routes: dict[str, _Route] = {}
         self._routes_lock = threading.Lock()
-        ctx = multiprocessing.get_context(start_method or "spawn")
+        ctx = multiprocessing.get_context(SHARD_START_METHOD)
         self._conns = []
         self._procs = []
         self._locks = [threading.Lock() for _ in range(self.shards)]
@@ -918,7 +932,6 @@ def make_frontend(
     retry_after_s: float = 1.0,
     coalesce: bool = True,
     tracer: Tracer | None = None,
-    start_method: str | None = None,
 ) -> Frontend:
     """Build a frontend: inline for ``shards <= 1``, sharded otherwise.
 
@@ -936,9 +949,7 @@ def make_frontend(
             "pass service_kwargs (not a live service) in sharded mode"
         )
     else:
-        backend = ShardPool(
-            shards, service_kwargs=service_kwargs, start_method=start_method
-        )
+        backend = ShardPool(shards, service_kwargs=service_kwargs)
     return Frontend(
         backend,
         max_inflight=max_inflight,

@@ -8,14 +8,15 @@ long-lived serving process: the first query on a graph pays the build,
 every later query on the same graph is near-free.
 
 The oracle is lazy (no tree until the first query) and thread-safe
-with two locks: ``_build_lock`` serialises the expensive tree build /
-repair, while ``_lock`` guards only counters, state snapshots and the
-pair memo — so ``stats()`` (the ``/stats`` liveness path) never blocks
-behind a build in progress.  ``builds``, ``tree_queries`` (answered by
-walking an already-built tree) and ``pair_hits`` (answered from the
-bounded per-pair memo without even walking) feed ``/stats``, which is
-how the acceptance test verifies the second query was served from
-cache.
+with one lock.  Its graph, tree, touched-edge mask, pending net and
+flags live in one frozen state record: writers (build, delta, mask,
+repair, fallback) replace the record whole under ``_build_lock``,
+while readers take one reference to it and never lock — so a query
+always sees a consistent state, and ``stats()`` (the ``/stats``
+liveness path) never waits behind a build in progress.  ``builds`` and
+``tree_queries`` (one per answered ``st_min_cut`` walk or
+``all_pairs`` call) feed ``/stats``, which is how the acceptance test
+verifies the second query was served without a second build.
 
 Surviving mutations — the fully dynamic story
 ---------------------------------------------
@@ -54,31 +55,72 @@ triangle inequality.  Check (b) matters because Gusfield trees are
 only flow-equivalent: recorded sides need not match tree bipartitions,
 which is also why repaired trees keep certifying every answer (an
 uncertifiable query falls back to a full rebuild, counted in
-``mask_rebuilds``).  ``mask_hits`` counts certificate saves;
+``mask_rebuilds``).  ``mask_hits`` counts the pairs a certificate
+answered, in ``st_min_cut`` and ``all_pairs`` alike;
 ``repairs`` / ``repaired_edges`` count localized repairs and the tree
 edges they recomputed.
+
+An increase away from the bridge keeps the tree, and the next answer
+is certified instead of rebuilt:
+
+>>> from repro.graph import Graph
+>>> g = Graph(edges=[(0, 1, 2.0), (1, 2, 2.0), (2, 0, 2.0),
+...                  (3, 4, 2.0), (4, 5, 2.0), (5, 3, 2.0),
+...                  (2, 3, 1.0)])
+>>> oracle = CutOracle(g)
+>>> oracle.st_min_cut(0, 5)  # the first query builds the tree
+1.0
+>>> old = g.set_edge_weight(0, 1, 9.0)  # inside a triangle
+>>> oracle.apply_delta(g, [(0, 1, old, 9.0)], has_new_vertices=False)
+'masked'
+>>> oracle.st_min_cut(0, 5)
+1.0
+>>> oracle.builds, oracle.mask_hits
+(1, 1)
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
-from typing import Hashable, Iterable
+from dataclasses import dataclass, field, replace
+from typing import Callable, Hashable, Iterable
 
 from ..flow import GomoryHuTree, gomory_hu_tree, repair_gomory_hu
 from ..graph import Graph
 from ..obs.metrics import MetricsRegistry, MetricsScope
 from ..obs.tracing import NULL_TRACER, Tracer
-from .cache import LRUCache
 from .deltas import _pair_key
 
 Vertex = Hashable
 
-#: pairs memoised per graph; bounded so a server answering diverse
-#: pairs on a big graph cannot grow O(n^2) state (the tree walk behind
-#: a memo miss is O(n) anyway)
-PAIR_MEMO_CAPACITY = 4096
 
-_MISS = object()
+@dataclass(frozen=True)
+class _State:
+    """One consistent oracle state; every transition makes a new one."""
+
+    graph: Graph
+    tree: GomoryHuTree | None = None
+    #: children of tree edges whose labels may be stale (their recorded
+    #: cut is crossed by some net change); None = every query may skip
+    #: certificates (fresh full build, no pending net).  A *repaired*
+    #: tree keeps an **empty** set here: all labels are exact, but
+    #: certificates stay required because repaired sides need not be
+    #: tree bipartitions.
+    touched: frozenset | None = None
+    #: net weight change per pair since the last exactness point:
+    #: pair_key -> (u, v, base, new).  Pairs whose change cancels out
+    #: are removed, so masking / repair never pays for reverted edits.
+    #: Never mutated once the record is published.
+    net: dict = field(default_factory=dict)
+    #: the net changed since the last settle; queries settle (mask or
+    #: repair) before answering
+    dirty: bool = False
+    #: the net contains a decrease, so the settle is a repair
+    has_decrease: bool = False
+    #: the tree's exactness point was a repair (certificates required
+    #: even with an empty net)
+    repaired: bool = False
 
 
 class CutOracle:
@@ -106,9 +148,7 @@ class CutOracle:
         metrics: MetricsScope | None = None,
         tracer: Tracer = NULL_TRACER,
     ):
-        self.graph = graph
-        self._tree: GomoryHuTree | None = None
-        self._lock = threading.Lock()
+        self._state = _State(graph)
         self._build_lock = threading.Lock()
         if metrics is None:
             metrics = MetricsRegistry().scope("oracle")
@@ -116,33 +156,6 @@ class CutOracle:
             f: metrics.counter(f) for f in self.COUNTER_FIELDS
         }
         self._tracer = tracer
-        self._pair_memo = LRUCache(
-            PAIR_MEMO_CAPACITY, metrics=metrics.scope("pairs")
-        )
-        #: bumped by every absorbed delta, repair and rebuild; a query
-        #: memoises its value only if the epoch it computed under is
-        #: still current, so an in-flight query racing a mutation can
-        #: never re-populate the just-cleared memo with a pre-mutation
-        #: answer.
-        self._epoch = 0
-        #: children of tree edges whose labels may be stale (their
-        #: recorded cut is crossed by some net change); None = every
-        #: query may skip certificates (fresh full build, no pending
-        #: net).  A *repaired* tree keeps an **empty** set here: all
-        #: labels are exact, but certificates stay required because
-        #: repaired sides need not be tree bipartitions.
-        self._touched: set[Vertex] | None = None
-        #: net weight change per pair since the last exactness point:
-        #: pair_key -> (u, v, base, new).  Pairs whose change cancels
-        #: out are removed, so masking / repair never pays for
-        #: reverted edits.  Guarded by ``_build_lock`` for writes.
-        self._net: dict = {}
-        #: True when ``_net`` changed since the last settle; queries
-        #: settle (mask or repair) before answering.
-        self._dirty = False
-        #: True when the current tree's exactness point was a repair
-        #: (certificates required even with an empty net).
-        self._repaired_base = False
 
     def __getattr__(self, name: str) -> int:
         # counter reads stay plain ints (``oracle.builds``), matching
@@ -152,38 +165,12 @@ class CutOracle:
         except KeyError:
             raise AttributeError(name) from None
 
-    def _inc(self, name: str) -> None:
-        self._counters[name].inc()
-
-    # ------------------------------------------------------------------
-    def tree(self) -> GomoryHuTree:
-        """The Gomory–Hu tree, built on first demand.
-
-        Concurrent first queries serialise on the build lock; only the
-        winner builds.  The counter lock is never held during the
-        ``n - 1`` max-flows, so ``stats()`` stays responsive.
-        """
-        tree = self._tree
-        if tree is not None:
-            return tree
-        with self._build_lock:
-            if self._tree is None:
-                with self._tracer.span("oracle.build") as sp:
-                    if sp:
-                        sp.set(num_vertices=self.graph.num_vertices)
-                    built = gomory_hu_tree(self.graph)
-                with self._lock:
-                    self._tree = built
-                    self._touched = None
-                    self._net = {}
-                    self._dirty = False
-                    self._repaired_base = False
-                    self._inc("builds")
-            return self._tree
+    def _inc(self, name: str, n: int = 1) -> None:
+        self._counters[name].inc(n)
 
     @property
     def built(self) -> bool:
-        return self._tree is not None
+        return self._state.tree is not None
 
     # ------------------------------------------------------------------
     # Mutation
@@ -214,28 +201,19 @@ class CutOracle:
 
         Settling is lazy in every retained case: ``apply_delta`` only
         folds the changes into the running per-pair net (so reverted
-        edits cancel instead of accumulating) and marks the oracle
-        dirty.  The pair memo is cleared in every case except
-        ``"unbuilt"`` — memoised values were computed for the old
-        content.
+        edits cancel instead of accumulating) and marks the state
+        dirty.
         """
         with self._build_lock:
-            self.graph = graph
-            with self._lock:
-                self._epoch += 1
-                self._pair_memo.clear()
-            if self._tree is None:
+            state = self._state
+            if state.tree is None:
+                self._state = _State(graph)
                 return "unbuilt"
             if has_new_vertices:
-                with self._lock:
-                    self._tree = None
-                    self._touched = None
-                    self._net = {}
-                    self._dirty = False
-                    self._repaired_base = False
-                    self._inc("deltas_dropped")
+                self._state = _State(graph)
+                self._inc("deltas_dropped")
                 return "dropped"
-            net = self._net
+            net = dict(state.net)
             for u, v, old, new in changed:
                 key = _pair_key(u, v)
                 prior = net.get(key)
@@ -247,14 +225,41 @@ class CutOracle:
             has_decrease = any(
                 new < base for _, _, base, new in net.values()
             )
-            with self._lock:
-                self._dirty = True
-                self._inc("deltas_retained")
+            self._state = replace(
+                state, graph=graph, net=net, dirty=True,
+                has_decrease=has_decrease,
+            )
+            self._inc("deltas_retained")
             return "repair-pending" if has_decrease else "masked"
 
     # ------------------------------------------------------------------
-    def _settle(self) -> None:
-        """Fold the pending net into the tree (mask or repair).
+    # Transitions
+    # ------------------------------------------------------------------
+    def _build(self, seen: _State) -> None:
+        """Build a fresh tree from ``seen``'s graph, unless another
+        writer replaced ``seen`` first (the caller then re-reads).
+
+        The first build counts ``builds``; a build that replaces a
+        masked or repaired tree (an uncertifiable answer) also counts
+        ``mask_rebuilds``.
+        """
+        with self._build_lock:
+            if self._state is not seen:
+                return
+            rebuild = seen.tree is not None
+            with self._tracer.span("oracle.build") as sp:
+                if sp:
+                    sp.set(num_vertices=seen.graph.num_vertices)
+                    if rebuild:
+                        sp.set(rebuild=True)
+                built = gomory_hu_tree(seen.graph)
+            self._state = _State(seen.graph, built)
+            self._inc("builds")
+            if rebuild:
+                self._inc("mask_rebuilds")
+
+    def _settle(self, seen: _State) -> None:
+        """Fold ``seen``'s pending net into its tree (mask or repair).
 
         Runs under the build lock on the first query after a retained
         mutation.  Increase-only nets just recompute the touched-edge
@@ -263,42 +268,33 @@ class CutOracle:
         cannot beat one (``repair_fallbacks``).
         """
         with self._build_lock:
-            if not self._dirty or self._tree is None:
+            if self._state is not seen:
                 return
-            tree = self._tree
-            net = self._net
-            has_decrease = any(
-                new < base for _, _, base, new in net.values()
-            )
-            if not has_decrease:
-                if not net and not self._repaired_base:
+            tree, net, graph = seen.tree, seen.net, seen.graph
+            if not seen.has_decrease:
+                if not net and not seen.repaired:
                     touched = None
                 else:
                     pairs = [(u, v) for u, v, _, _ in net.values()]
-                    touched = {
+                    touched = frozenset(
                         e.child
                         for e in tree.edges
                         if any(
                             (u in e.child_side) != (v in e.child_side)
                             for u, v in pairs
                         )
-                    }
-                with self._lock:
-                    self._touched = touched
-                    self._dirty = False
+                    )
+                self._state = replace(seen, touched=touched, dirty=False)
                 return
             # Net contains a decrease: repair.  A disconnecting delta
             # cannot be repaired — drop, so the next build raises the
             # same "graph must be connected" a cold upload would.
-            n = self.graph.num_vertices
+            n = graph.num_vertices
             repaired = None
-            if len(self.graph.components()) == 1:
+            if len(graph.components()) == 1:
                 with self._tracer.span("oracle.repair") as sp:
                     repaired = repair_gomory_hu(
-                        tree,
-                        self.graph,
-                        net.values(),
-                        max_flows=max(n - 2, 0),
+                        tree, graph, net.values(), max_flows=max(n - 2, 0)
                     )
                     if sp:
                         sp.set(
@@ -309,83 +305,49 @@ class CutOracle:
                             ),
                         )
             if repaired is None:
-                with self._lock:
-                    self._tree = None
-                    self._touched = None
-                    self._net = {}
-                    self._dirty = False
-                    self._repaired_base = False
-                    self._epoch += 1
-                    self._inc("repair_fallbacks")
+                self._state = _State(graph)
+                self._inc("repair_fallbacks")
                 return
             new_tree, recomputed = repaired
-            with self._lock:
-                self._tree = new_tree
-                self._touched = set()
-                self._net = {}
-                self._dirty = False
-                self._repaired_base = True
-                self._epoch += 1
-                self._inc("repairs")
-                self._counters["repaired_edges"].inc(len(recomputed))
+            self._state = _State(
+                graph, new_tree, touched=frozenset(), repaired=True
+            )
+            self._inc("repairs")
+            self._inc("repaired_edges", len(recomputed))
 
-    def _rebuild(self) -> GomoryHuTree:
-        """Rebuild from the (mutated) graph; clears mask and net.
-
-        Bumps the epoch: a concurrent query that fetched the old masked
-        tree and then observed ``_touched is None`` would otherwise
-        skip certification against a stale tree *and* pass the memo
-        guard — the epoch bump makes its (pre-mutation-exact) value
-        non-memoisable.
-        """
-        with self._build_lock:
-            if (
-                self._tree is not None
-                and self._touched is None
-                and not self._dirty
-            ):
-                return self._tree  # another thread rebuilt first
-            with self._tracer.span("oracle.build") as sp:
-                if sp:
-                    sp.set(num_vertices=self.graph.num_vertices, rebuild=True)
-                built = gomory_hu_tree(self.graph)
-            with self._lock:
-                self._tree = built
-                self._touched = None
-                self._net = {}
-                self._dirty = False
-                self._repaired_base = False
-                self._epoch += 1
-                self._inc("builds")
-                self._inc("mask_rebuilds")
-            return built
-
-    def _snapshot(
-        self,
-    ) -> tuple[GomoryHuTree | None, set | None, int, bool]:
-        """Consistent (tree, touched, epoch, dirty) tuple.
-
-        Tree and mask must be read together: ``_rebuild`` / ``_settle``
-        swap them as a pair, and a torn read (old tree + cleared mask)
-        would serve uncertified stale labels.  Every writer updates
-        both under ``_lock``.
-        """
-        with self._lock:
-            return self._tree, self._touched, self._epoch, self._dirty
-
-    def _current(self) -> tuple[GomoryHuTree, set | None, int]:
-        """A built, settled, consistent (tree, touched, epoch) —
-        building / settling lazily and retrying if a concurrent delta
-        dirties the state mid-read."""
+    def _current(self) -> _State:
+        """A built, settled state — building / settling lazily and
+        re-reading if a concurrent writer replaced the state."""
         while True:
-            tree, touched, epoch, dirty = self._snapshot()
-            if tree is not None and not dirty:
-                return tree, touched, epoch
-            if tree is None:
-                self.tree()
+            state = self._state
+            if state.tree is not None and not state.dirty:
+                return state
+            if state.tree is None:
+                self._build(state)
             else:
-                self._settle()
+                self._settle(state)
 
+    def _answer(
+        self,
+        walk: Callable[[GomoryHuTree], object],
+        certify: Callable[[_State], object],
+    ) -> tuple[object, str]:
+        """``(answer, tier)``: ``walk`` a fresh tree, or ``certify`` a
+        masked or repaired one; an uncertifiable answer (``None``)
+        rebuilds the tree and walks that."""
+        tier = "tree"
+        while True:
+            state = self._current()
+            if state.touched is None:
+                return walk(state.tree), tier
+            answer = certify(state)
+            if answer is not None:
+                return answer, "certified"
+            self._build(state)
+            tier = "rebuild"
+
+    # ------------------------------------------------------------------
+    # Queries
     # ------------------------------------------------------------------
     def st_min_cut(self, s: Vertex, t: Vertex) -> float:
         """Min s–t cut value = min edge weight on the tree path.
@@ -398,117 +360,82 @@ class CutOracle:
         """
         if s == t:
             raise ValueError("s == t")
-        key = (s, t) if repr(s) <= repr(t) else (t, s)
         with self._tracer.span("oracle.query") as sp:
-            value = self._pair_memo.get(key, _MISS)
-            if value is not _MISS:
-                if sp:
-                    sp.set(tier="memo")
-                return value
-            tree, touched, epoch = self._current()
-            if touched is None:
-                value = tree.min_cut_between(s, t)
-                tier = "tree"
-            else:
-                value = self._certified_value(tree, touched, s, t)
-                if value is None:
-                    value = self._rebuild().min_cut_between(s, t)
-                    tier = "rebuild"
-                else:
-                    tier = "certified"
-                    with self._lock:
-                        self._inc("mask_hits")
+            value, tier = self._answer(
+                lambda tree: tree.min_cut_between(s, t),
+                lambda state: self._certified_value(state, s, t),
+            )
+            if tier == "certified":
+                self._inc("mask_hits")
             if sp:
                 sp.set(tier=tier)
-            with self._lock:
-                self._inc("tree_queries")
-                # Memoise only if no delta arrived while computing: the
-                # value describes the graph as of `epoch`, and a
-                # concurrent apply_delta has already cleared the memo
-                # for good reason.
-                if self._epoch == epoch:
-                    self._pair_memo.put(key, value)
+            self._inc("tree_queries")
             return value
 
-    def _certified_value(
-        self, tree: GomoryHuTree, touched: set, s: Vertex, t: Vertex
-    ) -> float | None:
+    @staticmethod
+    def _certified_value(state: _State, s: Vertex, t: Vertex) -> float | None:
         """Path minimum, if some argmin edge certifies it; else None."""
-        path = tree.path_edges(s, t)
+        path = state.tree.path_edges(s, t)
         value = min(e.weight for e in path)
         for e in path:
-            if e.weight != value or e.child in touched:
+            if e.weight != value or e.child in state.touched:
                 continue
             if (s in e.child_side) != (t in e.child_side):
                 return value
         return None
+
+    def _certified_pairs(self, state: _State) -> dict | None:
+        """Every pair certified on ``state``'s tree, or None at the
+        first uncertifiable pair; the pairs certified before it still
+        count as ``mask_hits``."""
+        vs = state.graph.vertices()
+        out: dict = {v: {} for v in vs}
+        certified = 0
+        for s, t in itertools.combinations(vs, 2):
+            value = self._certified_value(state, s, t)
+            if value is None:
+                break
+            out[s][t] = out[t][s] = value
+            certified += 1
+        self._inc("mask_hits", certified)
+        return out if certified == len(vs) * (len(vs) - 1) // 2 else None
 
     def all_pairs(self) -> dict:
         """Every pairwise min-cut value ``{u: {v: value}}`` — exact on
         every settle path.
 
         A fresh tree answers the whole matrix with one ``O(n^2)`` walk
-        (:meth:`GomoryHuTree.all_pairs_min_cuts`).  Masked or repaired
-        trees fall back to per-pair :meth:`st_min_cut`, whose
-        certify-or-rebuild contract keeps each value exact — and whose
-        first uncertifiable pair upgrades the oracle to a fresh tree,
-        so the remaining pairs are plain walks.  Either way the values
-        are the unique min-cut values of the current graph, which is
-        what lets ``/gomoryhu`` promise bit-identical payloads across
-        the fresh, masked and repaired paths.
+        (:meth:`GomoryHuTree.all_pairs_min_cuts`).  A masked or
+        repaired tree certifies pair by pair over its indexed path
+        walk; the first uncertifiable pair rebuilds the tree and the
+        fresh tree answers the matrix.  Either way the values are the
+        unique min-cut values of the current graph, which is what lets
+        ``/gomoryhu`` promise bit-identical payloads across the fresh,
+        masked and repaired paths.
         """
         with self._tracer.span("oracle.allpairs") as sp:
-            tree, touched, _ = self._current()
-            if touched is None:
-                if sp:
-                    sp.set(tier="tree",
-                           num_vertices=self.graph.num_vertices)
-                with self._lock:
-                    self._inc("tree_queries")
-                return tree.all_pairs_min_cuts()
+            values, tier = self._answer(
+                GomoryHuTree.all_pairs_min_cuts, self._certified_pairs
+            )
             if sp:
-                sp.set(tier="pairwise",
-                       num_vertices=self.graph.num_vertices)
-            vs = self.graph.vertices()
-            out: dict = {v: {} for v in vs}
-            for i, s in enumerate(vs):
-                for t in vs[i + 1:]:
-                    value = self.st_min_cut(s, t)
-                    out[s][t] = value
-                    out[t][s] = value
-            return out
-
-    @property
-    def pair_hits(self) -> int:
-        return self._pair_memo.hits
+                sp.set(tier=tier, num_vertices=len(values))
+            self._inc("tree_queries")
+            return values
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        with self._lock:
-            built = self._tree is not None
-            if self._dirty:
-                mode = "pending"
-            elif self._touched is None:
-                mode = "fresh"
-            elif self._repaired_base and not self._touched:
-                mode = "repaired"
-            else:
-                mode = "masked"
-            stats = {
-                "built": built,
-                "mode": mode,
-                "builds": self.builds,
-                "tree_queries": self.tree_queries,
-                "mask_hits": self.mask_hits,
-                "mask_rebuilds": self.mask_rebuilds,
-                "deltas_retained": self.deltas_retained,
-                "deltas_dropped": self.deltas_dropped,
-                "repairs": self.repairs,
-                "repaired_edges": self.repaired_edges,
-                "repair_fallbacks": self.repair_fallbacks,
-                "pending_pairs": len(self._net),
-            }
-        memo = self._pair_memo.stats()
-        stats["pair_hits"] = memo["hits"]
-        stats["memoised_pairs"] = memo["size"]
-        return stats
+        state = self._state
+        if state.dirty:
+            mode = "pending"
+        elif state.touched is None:
+            mode = "fresh"
+        elif state.repaired and not state.touched:
+            mode = "repaired"
+        else:
+            mode = "masked"
+        return {
+            "built": state.tree is not None,
+            "mode": mode,
+            **{f: self._counters[f].value for f in self.COUNTER_FIELDS},
+            "pending_pairs": len(state.net),
+        }

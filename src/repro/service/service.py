@@ -391,15 +391,12 @@ class CutService:
         snap = self.metrics.snapshot()
         oracles = self.store.oracles().values()
         agg = {f: 0 for f in CutOracle.COUNTER_FIELDS}
-        pair_hits = 0
         for oracle in oracles:
             for f in CutOracle.COUNTER_FIELDS:
                 agg[f] += getattr(oracle, f)
-            pair_hits += oracle.pair_hits
         snap["counters"].update(
             {f"oracle.{f}": v for f, v in sorted(agg.items())}
         )
-        snap["counters"]["oracle.pair_hits"] = pair_hits
         snap["gauges"]["oracles.resident"] = len(oracles)
         snap["gauges"]["uptime_s"] = time.time() - self.started_at
         return snap

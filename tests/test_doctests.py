@@ -1,10 +1,11 @@
 """Doctest leg: the examples in the docs must actually run.
 
 Every public module of :mod:`repro.service`, :mod:`repro.preprocess`
-and :mod:`repro.obs`, plus the booster :mod:`repro.core.boost`, is
-swept with :func:`doctest.testmod`; docstring examples are part of
-the documented contract (the satellite of the PR 5 docs overhaul), so a
-drifting example fails tier-1 the same way a drifting assertion would.
+and :mod:`repro.obs`, plus the booster :mod:`repro.core.boost` and the
+Gomory–Hu trees :mod:`repro.flow.gomory_hu`, is swept with
+:func:`doctest.testmod`; docstring examples are part of the documented
+contract (the satellite of the PR 5 docs overhaul), so a drifting
+example fails tier-1 the same way a drifting assertion would.
 The CI docs leg additionally runs ``pytest --doctest-modules`` over the
 same trees.
 """
@@ -16,6 +17,7 @@ import pytest
 
 MODULES = [
     "repro.core.boost",
+    "repro.flow.gomory_hu",
     "repro.obs",
     "repro.obs.loadgen",
     "repro.obs.metrics",
@@ -40,6 +42,7 @@ MODULES = [
 #: like http.py may legitimately have none)
 MUST_HAVE_EXAMPLES = {
     "repro.core.boost",
+    "repro.flow.gomory_hu",
     "repro.obs.loadgen",
     "repro.obs.metrics",
     "repro.obs.tracing",
@@ -50,6 +53,7 @@ MUST_HAVE_EXAMPLES = {
     "repro.service.executor",
     "repro.service.frontend",
     "repro.service.ops",
+    "repro.service.oracle",
     "repro.service.service",
     "repro.service.store",
 }

@@ -444,6 +444,14 @@ def _corpus_session(url: str) -> list:
         do("/mutate", {"graph": name, "adds": [[u, v, 1.5]]})
         do("/mincut", {"graph": name, "seed": 0, "trials": 2})  # post-delta
         do("/stcut", {"graph": name, "s": vs[0], "t": vs[-1]})
+    # registrations no op could address are refused, naming the field
+    for field, bad in (("name", {"name": 5}), ("vertices", {"vertices": "xyz"})):
+        status, resp = request_status_json(
+            url, "/graphs", {"name": "v", "edges": [[0, 1, 2.0]], **bad},
+            timeout=120,
+        )
+        transcript.append((status, _strip_volatile(resp)))
+        assert status == 400 and f"'{field}'" in resp["error"], resp
     # cross-graph traffic: listing, a batch, and error paths.  The
     # listing is normalised by name: inline lists in LRU order, the
     # shard fan-out merges name-sorted — same rows, different order.

@@ -445,24 +445,16 @@ class TestOracleDelta:
         assert oracle.stats()["repair_fallbacks"] == 1
 
     def test_stale_query_cannot_repopulate_cleared_memo(self):
-        # A query that computed its value under an old epoch must not
-        # memoise it after a mutation cleared the memo — otherwise the
-        # pre-mutation value would be served forever (the memo key has
-        # no fingerprint in it, unlike the result cache).
+        # A pair answered before a mutation must not be served from
+        # that earlier answer afterwards.
         g = two_triangles()
         oracle = CutOracle(g)
         assert oracle.st_min_cut(0, 5) == 1.0
-        value = oracle._pair_memo.get((0, 5))
-        assert value == 1.0
-        # simulate the race: the delta lands between compute and put
-        epoch_before = oracle._epoch
         g.remove_edge(2, 3)
         g.add_edge(2, 3, 6.0)
         oracle.apply_delta(
             g, [(2, 3, 1.0, 6.0)], has_new_vertices=False
         )
-        assert oracle._epoch == epoch_before + 1
-        assert len(oracle._pair_memo) == 0
         # the fresh query recomputes from the mutated graph
         from repro.flow import DinicSolver
 
@@ -499,6 +491,122 @@ class TestOracleDelta:
             for t in vertices[-4:]:
                 if s != t:
                     assert oracle.st_min_cut(s, t) == fresh.st_min_cut(s, t)
+
+    def test_readers_never_wait_on_builds_or_see_torn_state(
+        self, monkeypatch
+    ):
+        import sys
+        import threading
+        import time
+
+        import repro.service.oracle as oracle_module
+        from repro.flow import DinicSolver
+
+        # (1) stats() returns while another thread holds a build.
+        real_build = oracle_module.gomory_hu_tree
+        building, release = threading.Event(), threading.Event()
+
+        def blocked_build(graph):
+            building.set()
+            release.wait(timeout=30)
+            return real_build(graph)
+
+        monkeypatch.setattr(oracle_module, "gomory_hu_tree", blocked_build)
+        oracle = CutOracle(two_triangles())
+        builder = threading.Thread(target=oracle.st_min_cut, args=(0, 5))
+        builder.start()
+        assert building.wait(timeout=10)
+        stats = []
+        reader = threading.Thread(target=lambda: stats.append(oracle.stats()))
+        reader.start()
+        reader.join(timeout=5)
+        returned = not reader.is_alive()
+        release.set()
+        builder.join(timeout=30)
+        assert returned, "stats() waited on the build"
+        assert not builder.is_alive()
+        assert stats[0]["built"] is False and stats[0]["builds"] == 0
+        monkeypatch.setattr(oracle_module, "gomory_hu_tree", real_build)
+
+        # (2) queries racing apply_delta answer for one whole graph
+        # state: the one before or the one after the delta in flight.
+        # The deltas alternate an increase (bridge and a triangle edge
+        # doubled) with its dyadic decrease (both halved back).
+        low = two_triangles()
+        high = low.copy()
+        high.set_edge_weight(2, 3, 2.0)
+        high.set_edge_weight(0, 1, 4.0)
+        up = [(2, 3, 1.0, 2.0), (0, 1, 2.0, 4.0)]
+        down = [(u, v, new, old) for u, v, old, new in up]
+        vertices = low.vertices()
+        refs = []
+        for g in (low, high):
+            solver = DinicSolver(g)
+            refs.append({
+                s: {t: solver.max_flow(s, t).value
+                    for t in vertices if t != s}
+                for s in vertices
+            })
+        oracle = CutOracle(low)
+        oracle.all_pairs()
+        done = threading.Event()
+        bad, answered = [], []
+        # delta k leaves `high` when k is even, `low` when odd; k = -1
+        # is the initial `low`.  A query that began after delta `lo`
+        # was applied and ended before delta `hi + 1` began must answer
+        # for the state after some delta in lo..hi.
+        started, applied = [-1], [-1]
+
+        def allowed(lo, hi):
+            return [refs[k % 2 == 0] for k in range(lo, hi + 1)]
+
+        def query_pairs():
+            rng = random.Random(1)
+            while not done.is_set():
+                s, t = rng.sample(vertices, 2)
+                lo = applied[0]
+                value = oracle.st_min_cut(s, t)
+                if value not in [r[s][t] for r in allowed(lo, started[0])]:
+                    bad.append((s, t, value))
+                answered.append(1)
+
+        def query_matrix():
+            while not done.is_set():
+                lo = applied[0]
+                matrix = oracle.all_pairs()
+                if matrix not in allowed(lo, started[0]):
+                    bad.append(matrix)
+                answered.append(1)
+
+        readers = [threading.Thread(target=f)
+                   for f in (query_pairs, query_pairs, query_matrix)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        for r in readers:
+            r.start()
+        try:
+            for step in range(40):
+                graph, delta = (high, up) if step % 2 == 0 else (low, down)
+                started[0] = step
+                oracle.apply_delta(graph, delta, has_new_vertices=False)
+                applied[0] = step
+                # each reader finishes at most one query that began
+                # before the delta, so one more answer than readers
+                # means some query read the post-delta state
+                target = len(answered) + len(readers) + 1
+                deadline = time.monotonic() + 10
+                while len(answered) < target and time.monotonic() < deadline:
+                    time.sleep(0.001)
+        finally:
+            done.set()
+            for r in readers:
+                r.join(timeout=30)
+            sys.setswitchinterval(switch)
+        assert not any(r.is_alive() for r in readers)
+        assert bad == []
+        stats = oracle.stats()
+        assert stats["deltas_retained"] == 40
+        assert stats["mask_hits"] + stats["mask_rebuilds"] > 0
 
 
 # ======================================================================
