@@ -26,16 +26,39 @@ Everything here is a pure function of graph *content* (vertex order,
 edge rows, weights): no randomness escapes the seeded local search, so
 repeated calls — and calls on bit-identical warm/cold replicas — return
 bit-identical results.
+
+The local search is deterministic, so :func:`approx_sparsest_cut`
+refines each *distinct* start once.  Within a refinement it scores
+every single-vertex flip at once from the CSR rows: a flip of ``v``
+moves the cut weight by ``w(v -> same side) - w(v -> other side)`` and
+the demand by ``mu(v)``.  That estimate only **screens**: a flip is
+skipped when a lower bound on its sparsity — the estimate slackened by
+the worst-case float error of both the estimate and the exact
+evaluation (``(2m + 2 deg + 16) eps`` times the total weight for the
+weight, a relative ``(4n + 16) eps mu(V) / min mu`` for the demand) —
+is still at least the best sparsity so far, so the exact evaluation
+could not have accepted it either.  Every flip that survives the
+screen is **confirmed** by the exact evaluation (a full
+``Graph.cut_weight`` and a re-summed demand, on the same frozenset the
+plain climb builds), and the accept test is ``phi < best`` on those
+exact floats.  Every accepted flip therefore compares the same floats
+as the plain climb, the state resets to the exact values after it, and
+the answer is bit-identical to scoring every flip exactly
+(``tests/sparsest_reference.py`` keeps that plain climb).  When the
+sizes are too badly scaled for the demand bound (a relative slack above
+``1e-6``, or sizes outside ``[1e-150, 1e150]``), every flip is
+confirmed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..flow import gomory_hu_tree
+from ..flow import GomoryHuTree, gomory_hu_tree
 from ..graph import Graph
 
 EXACT_LIMIT = 16
@@ -51,6 +74,8 @@ class SparsestCutResult:
     sparsity: float
     method: str
     candidates: int
+    #: distinct refine starts (0 for exact enumeration)
+    starts: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -63,11 +88,21 @@ class SparsestCutResult:
 
 
 def _size_map(graph: Graph, sizes: Optional[Mapping] = None) -> Dict:
+    """Every vertex's size as a float; rejects a missing vertex and a
+    size that is not finite and positive, naming the vertex."""
     if sizes is None:
         return {v: 1.0 for v in graph.vertices()}
-    out = {v: float(sizes[v]) for v in graph.vertices()}
-    if any(s <= 0 for s in out.values()):
-        raise ValueError("node sizes must be positive")
+    out = {}
+    for v in graph.vertices():
+        try:
+            size = float(sizes[v])
+        except KeyError:
+            raise ValueError(f"no node size for vertex {v!r}") from None
+        if not (math.isfinite(size) and size > 0):
+            raise ValueError(
+                f"node size of vertex {v!r} must be positive and finite, "
+                f"got {size!r}")
+        out[v] = size
     return out
 
 
@@ -164,29 +199,102 @@ def _evaluate(graph: Graph, mu: Mapping, total: float,
     return weight, demand, weight / demand
 
 
+class _FlipScreen:
+    """Scores every single-vertex flip of one side at once (O(m)).
+
+    Built once per graph and size map.  :meth:`live` marks the flips
+    whose sparsity *might* beat ``best``; the rest provably cannot
+    (see the module docstring for the slack), so the climb evaluates
+    only the live ones exactly.
+    """
+
+    #: absolute headroom on the bound, above any subnormal rounding
+    _TINY = 1e-300
+
+    def __init__(self, graph: Graph, mu: Mapping, total: float):
+        indptr, nbr, wt, _ = graph.csr()
+        vs = graph.vertices()
+        n, eps = len(vs), float(np.finfo(np.float64).eps)
+        deg = np.diff(indptr)
+        self.n, self.total = n, total
+        self.src = np.repeat(np.arange(n), deg)
+        self.nbr, self.wt = nbr, wt
+        self.mu = np.array([mu[v] for v in vs], dtype=np.float64)
+        # wt lists each edge twice: twice the total weight, so the
+        # weight slack over-covers both sums' error bounds.
+        abs_weight = float(np.abs(wt).sum())
+        self.weight_slack = (2 * graph.num_edges + 2 * deg + 16) * eps * abs_weight
+        low = float(self.mu.min())
+        rel = (4 * n + 16) * eps * total / low
+        self.on = (rel <= 1e-6 and low >= 1e-150 and total <= 1e150
+                   and abs_weight <= 1e150)
+        self.demand_scale = 1.0 + 4 * rel
+
+    def live(self, sign: np.ndarray, weight: float, inside: float,
+             best: float) -> np.ndarray:
+        """Flips of the side ``sign`` (+1 inside, -1 outside; cut weight
+        ``weight`` and size sum ``inside``, both exact) that an exact
+        check could accept."""
+        if not self.on:
+            return np.ones(self.n, dtype=bool)
+        # w(v -> same side) - w(v -> other side) = sign[v] * sum w sign[u]
+        delta = sign * np.bincount(self.src, weights=self.wt * sign[self.nbr],
+                                   minlength=self.n)
+        flipped = inside - self.mu * sign
+        floor = (weight - self.weight_slack) + delta
+        bound = flipped * (self.total - flipped) * (best * self.demand_scale)
+        # every term is finite (see ``on``), so no NaN reads as "skip"
+        return floor <= bound + self._TINY
+
+
 def _local_refine(graph: Graph, mu: Mapping, total: float,
-                  side: frozenset, *, max_rounds: int = 8) -> frozenset:
-    """Deterministic single-vertex hill climbing from ``side``."""
+                  side: frozenset, screen: _FlipScreen, *,
+                  max_rounds: int = 8) -> frozenset:
+    """Deterministic single-vertex hill climbing from ``side``.
+
+    Scans the vertices in order and takes every flip that lowers the
+    sparsity, for up to ``max_rounds`` passes.  ``screen`` skips the
+    flips that provably lose; the rest are evaluated exactly, so the
+    climb is the one that evaluates every flip exactly.
+    """
     vs = graph.vertices()
+    n = len(vs)
     universe = frozenset(vs)
     current = side
-    _, _, best = _evaluate(graph, mu, total, current)
+    sign = np.full(n, -1.0)
+    sign[[graph.index_of(v) for v in current]] = 1.0
+    weight, _, best = _evaluate(graph, mu, total, current)
+    inside = sum(mu[v] for v in current)
     for _ in range(max_rounds):
         improved = False
-        for v in vs:
-            candidate = (current - {v}) if v in current else (current | {v})
-            if not candidate or candidate == universe:
-                continue
-            _, _, phi = _evaluate(graph, mu, total, candidate)
-            if phi < best:
-                best, current, improved = phi, candidate, True
+        i = 0
+        while i < n:
+            # Between accepted flips the side is fixed, so one screen
+            # covers the pass from ``i`` up to the next acceptance.
+            live = np.nonzero(screen.live(sign, weight, inside, best)[i:])[0] + i
+            for j in live.tolist():
+                v = vs[j]
+                candidate = (current - {v}) if v in current else (current | {v})
+                if not candidate or candidate == universe:
+                    continue
+                cand_weight, _, phi = _evaluate(graph, mu, total, candidate)
+                if phi < best:
+                    best, current, improved = phi, candidate, True
+                    weight = cand_weight
+                    inside = sum(mu[u] for u in current)
+                    sign[j] = -sign[j]
+                    i = j + 1
+                    break
+            else:
+                i = n
         if not improved:
             break
     return current
 
 
 def approx_sparsest_cut(graph: Graph, *, sizes: Optional[Mapping] = None,
-                        seed: int = 0, trials: int = 2) -> SparsestCutResult:
+                        seed: int = 0, trials: int = 2,
+                        tree: Optional[GomoryHuTree] = None) -> SparsestCutResult:
     """Single-commodity sparsest-cut sweep with seeded local refinement.
 
     Candidate cuts come from ``n - 1`` max-flows (each Gomory–Hu tree
@@ -195,6 +303,13 @@ def approx_sparsest_cut(graph: Graph, *, sizes: Optional[Mapping] = None,
     and ``trials`` seeded random restarts of a deterministic local
     search.  The returned cut is the sparsest candidate; ties break on
     the canonical side ordering, so the answer is reproducible.
+
+    ``tree`` is a Gomory–Hu tree of ``graph`` built by
+    :func:`~repro.flow.gomory_hu_tree` on this very content (same
+    vertex order and edge rows), for callers that keep one; without
+    it, a connected graph gets a fresh one.  Each distinct candidate
+    is refined once; ``candidates`` counts them with repeats and
+    ``starts`` without.
     """
     import random as _random
 
@@ -204,6 +319,11 @@ def approx_sparsest_cut(graph: Graph, *, sizes: Optional[Mapping] = None,
         raise ValueError("need n >= 2")
     mu = _size_map(graph, sizes)
     total = float(sum(mu.values()))
+    screen = _FlipScreen(graph, mu, total)
+
+    def refine(side: frozenset) -> frozenset:
+        return _canonical_side(
+            graph, _local_refine(graph, mu, total, side, screen))
 
     candidates = []
 
@@ -212,7 +332,8 @@ def approx_sparsest_cut(graph: Graph, *, sizes: Optional[Mapping] = None,
         # Zero-weight cut: any union of components is optimal.
         candidates.append(_canonical_side(graph, components[0]))
     else:
-        tree = gomory_hu_tree(graph)
+        if tree is None:
+            tree = gomory_hu_tree(graph)
         for edge in tree.edges:
             if edge.child_side:
                 candidates.append(_canonical_side(graph, edge.child_side))
@@ -225,11 +346,12 @@ def approx_sparsest_cut(graph: Graph, *, sizes: Optional[Mapping] = None,
         start = frozenset(v for v in vs[1:] if rng.random() < 0.5)
         if not start:
             start = frozenset([vs[-1]])
-        candidates.append(
-            _canonical_side(graph, _local_refine(graph, mu, total, start)))
+        candidates.append(refine(start))
 
-    refined = [_canonical_side(graph, _local_refine(graph, mu, total, c))
-               for c in candidates]
+    # Refinement is deterministic: a repeated start (a Gomory–Hu side
+    # that is also a singleton, say) would climb to the same side.
+    starts = dict.fromkeys(candidates)
+    refined = [refine(c) for c in starts]
 
     def rank(side: frozenset):
         weight, demand, phi = _evaluate(graph, mu, total, side)
@@ -244,7 +366,8 @@ def approx_sparsest_cut(graph: Graph, *, sizes: Optional[Mapping] = None,
         demand=demand,
         sparsity=phi,
         method="gh-sweep" + (f"+local{trials}" if trials else ""),
-        candidates=len(refined),
+        candidates=len(candidates),
+        starts=len(starts),
     )
 
 

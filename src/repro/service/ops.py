@@ -391,6 +391,7 @@ def _sparsestcut(svc, entry, p, _):
         EXACT_LIMIT,
         approx_sparsest_cut,
         exact_sparsest_cut,
+        gomory_hu_tree,
         sparsest_kernel,
     )
 
@@ -400,11 +401,17 @@ def _sparsestcut(svc, entry, p, _):
         raise ValueError("need n >= 2")
     svc.metrics.scope("scenarios").counter("sparsestcut").inc()
     seed, trials, tracer = p["seed"], p["trials"], svc.tracer
+    # The GH sweep of a connected graph seeds its candidates from a
+    # tree built once per content (the store drops it on /mutate).
+    tree, tree_use = None, "none"
+    if (p["kernel"] or n > EXACT_LIMIT) and len(graph.components()) == 1:
+        tree, resident = svc.store.candidate_tree_for(entry, gomory_hu_tree)
+        tree_use = "cached" if resident else "built"
     target, sizes, blocks, kstats = graph, None, None, None
     if p["kernel"]:
         with tracer.span("sparsest.kernel") as sp:
             bound = approx_sparsest_cut(
-                graph, seed=seed, trials=max(1, trials)
+                graph, seed=seed, trials=max(1, trials), tree=tree
             )
             target, sizes, blocks = sparsest_kernel(
                 graph, upper=bound.sparsity
@@ -424,12 +431,17 @@ def _sparsestcut(svc, entry, p, _):
     with tracer.span("sparsest.solve") as sp:
         if target.num_vertices <= EXACT_LIMIT:
             result = exact_sparsest_cut(target, sizes=sizes)
+            tree_use = "none"
         else:
+            if target is not graph:  # a contracted kernel gets its own tree
+                tree_use = "built" if tree is not None else "none"
+                tree = None
             result = approx_sparsest_cut(
-                target, sizes=sizes, seed=seed, trials=trials
+                target, sizes=sizes, seed=seed, trials=trials, tree=tree
             )
         if sp:
-            sp.set(method=result.method, solve_vertices=target.num_vertices)
+            sp.set(method=result.method, solve_vertices=target.num_vertices,
+                   starts=result.starts, tree=tree_use)
     side = result.side if blocks is None else lift_cut(blocks, result.side)
     out = {
         "sparsity": result.sparsity, "weight": result.weight,
