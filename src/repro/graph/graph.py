@@ -59,6 +59,7 @@ would have produced.
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -68,6 +69,19 @@ Edge = tuple[Hashable, Hashable, float]
 
 _EMPTY_I = np.empty(0, dtype=np.int64)
 _EMPTY_F = np.empty(0, dtype=np.float64)
+
+
+#: weights must lie strictly between 0 and this; NaN fails both sides
+_INF = math.inf
+
+
+def _bad_weight(u: Vertex, v: Vertex, weight: float) -> ValueError:
+    """The error for a non-positive, NaN or infinite weight on ``{u, v}``
+    (NaN fails every comparison, so ``weight <= 0`` alone lets it in)."""
+    return ValueError(
+        f"edge weight must be positive and finite, got {weight} "
+        f"for {u!r} -- {v!r}"
+    )
 
 
 class Graph:
@@ -169,11 +183,15 @@ class Graph:
             self._invalidate()  # CSR/degree vectors are sized to n
 
     def add_edge(self, u: Vertex, v: Vertex, weight: float = 1.0) -> None:
-        """Add (or reinforce) edge ``{u, v}`` with positive weight."""
+        """Add (or reinforce) edge ``{u, v}`` with positive, finite weight.
+
+        Raises :class:`ValueError` naming the weight and the endpoints
+        for a self-loop or a non-positive, NaN or infinite weight.
+        """
         if u == v:
             raise ValueError(f"self-loop on {u!r} rejected")
-        if weight <= 0:
-            raise ValueError(f"edge weight must be positive, got {weight}")
+        if not 0 < weight < _INF:
+            raise _bad_weight(u, v, weight)
         self.add_vertex(u)
         self.add_vertex(v)
         iu, iv = self._index[u], self._index[v]
@@ -181,7 +199,10 @@ class Graph:
         pos = self._pos_map()
         row = pos.get(key)
         if row is not None:
-            self._ws[row] += float(weight)
+            merged = float(self._ws[row]) + float(weight)
+            if merged == _INF:  # a sum of finite weights can overflow
+                raise _bad_weight(u, v, merged)
+            self._ws[row] = merged
         else:
             if self._m == len(self._us):
                 self._grow()
@@ -219,15 +240,12 @@ class Graph:
         mutation path.  The row keeps its storage position, so edge
         insertion order (the determinism contract above) is untouched.
         Raises :class:`ValueError` naming the endpoints when the edge
-        is absent or the weight is not positive (reweight-to-zero is
-        canonicalized into a remove by the caller, mirroring the
-        zero-weight-drop rule of the file readers).
+        is absent or the weight is not positive and finite
+        (reweight-to-zero is canonicalized into a remove by the caller,
+        mirroring the zero-weight-drop rule of the file readers).
         """
-        if weight <= 0:
-            raise ValueError(
-                f"edge weight must be positive, got {weight} "
-                f"for {u!r} -- {v!r}"
-            )
+        if not 0 < weight < _INF:
+            raise _bad_weight(u, v, weight)
         row = self._edge_row(u, v)
         if row is None:
             raise ValueError(f"no edge {u!r} -- {v!r} to reweight")

@@ -13,13 +13,15 @@ Stdlib only (``collections.OrderedDict`` + a lock); safe under the
 Counters live on a :class:`~repro.obs.metrics.MetricsRegistry` scope
 (``results.hits`` etc. in ``GET /metrics``); a cache constructed
 without one gets a private scope, so standalone use needs no wiring.
+The ``bytes`` gauge sums ``weigh(value)`` over the resident entries
+(the result cache weighs each entry by its stored JSON encoding).
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Hashable, Iterator
+from typing import Any, Callable, Hashable, Iterator
 
 from ..obs.metrics import MetricsRegistry, MetricsScope
 
@@ -44,7 +46,11 @@ class LRUCache:
     """
 
     def __init__(
-        self, capacity: int = 128, *, metrics: MetricsScope | None = None
+        self,
+        capacity: int = 128,
+        *,
+        metrics: MetricsScope | None = None,
+        weigh: Callable[[Any], int] | None = None,
     ):
         self.capacity = int(capacity)
         self._data: OrderedDict[Hashable, Any] = OrderedDict()
@@ -54,6 +60,10 @@ class LRUCache:
         self._hits = metrics.counter("hits")
         self._misses = metrics.counter("misses")
         self._evictions = metrics.counter("evictions")
+        self._weigh = weigh if weigh is not None else (lambda value: 0)
+        self._bytes = 0
+        self._bytes_gauge = metrics.gauge("bytes")
+        self._bytes_gauge.set(0)
 
     # counters stay readable as plain ints (``cache.hits``) — the
     # pre-registry attribute contract the oracle and tests rely on
@@ -84,13 +94,19 @@ class LRUCache:
         """Insert/overwrite ``key``, evicting the LRU entry if full."""
         if self.capacity <= 0:
             return
+        weigh = self._weigh
         with self._lock:
-            if key in self._data:
+            old = self._data.get(key, _MISSING)
+            if old is not _MISSING:
+                self._bytes -= weigh(old)
                 self._data.move_to_end(key)
             self._data[key] = value
+            self._bytes += weigh(value)
             while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
+                _, evicted = self._data.popitem(last=False)
+                self._bytes -= weigh(evicted)
                 self._evictions.inc()
+            self._bytes_gauge.set(self._bytes)
 
     def pop(self, key: Hashable, default: Any = None) -> Any:
         """Remove and return ``key``'s value (no hit/miss accounting).
@@ -101,7 +117,11 @@ class LRUCache:
         """
         with self._lock:
             value = self._data.pop(key, _MISSING)
-            return default if value is _MISSING else value
+            if value is _MISSING:
+                return default
+            self._bytes -= self._weigh(value)
+            self._bytes_gauge.set(self._bytes)
+            return value
 
     def __contains__(self, key: Hashable) -> bool:
         with self._lock:
@@ -118,6 +138,8 @@ class LRUCache:
     def clear(self) -> None:
         with self._lock:
             self._data.clear()
+            self._bytes = 0
+            self._bytes_gauge.set(0)
 
     def stats(self) -> dict:
         """Counters as a JSON-able dict (rendered by ``/stats``)."""
@@ -128,4 +150,5 @@ class LRUCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
+                "bytes": self._bytes,
             }

@@ -59,6 +59,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Tracer
 from .deltas import FingerprintMismatch
 from .ops import BadRequest, parse_request
+from .reply import CachedReply, encode_reply
 from .service import CutService, observe_request, request_summary
 
 
@@ -82,12 +83,13 @@ def require(body: dict, key: str):
 def parse_registration(body: dict) -> tuple[str, Graph]:
     """``POST /graphs`` body -> ``(name, Graph)``.
 
-    Weights are validated here — a NaN or infinite weight would poison
-    the graph fingerprint (NaN != NaN breaks cache keys) and every cut
-    comparison downstream, so registration rejects them with 400 just
-    like ``/mutate`` does (see ``deltas._edge_row``).  So are the
-    ``name`` (every later op addresses the graph by a string) and the
-    ``vertices`` list (a string would register its characters).
+    A NaN or infinite weight would poison the graph fingerprint (NaN !=
+    NaN breaks cache keys) and every cut comparison downstream;
+    :meth:`Graph.add_edge` rejects it with a ``ValueError`` naming the
+    weight and endpoints, which the wire answers with 400 just like
+    ``/mutate`` does (see ``deltas._edge_row``).  The ``name`` (every
+    later op addresses the graph by a string) and the ``vertices`` list
+    (a string would register its characters) are validated here.
     """
     name = require(body, "name")
     if not isinstance(name, str):
@@ -104,20 +106,20 @@ def parse_registration(body: dict) -> tuple[str, Graph]:
     for edge in edges:
         if not isinstance(edge, (list, tuple)) or len(edge) not in (2, 3):
             raise BadRequest(f"bad edge {edge!r}: want [u, v] or [u, v, w]")
-        u, v = edge[0], edge[1]
         w = float(edge[2]) if len(edge) == 3 else 1.0
-        if not math.isfinite(w):
-            raise BadRequest(
-                f"edge weight for {u!r} -- {v!r} must be finite, got {w}"
-            )
-        graph.add_edge(u, v, w)
+        graph.add_edge(edge[0], edge[1], w)
     return name, graph
 
 
-def safe_dispatch(service: CutService, op: str | None, body) -> tuple[int, dict]:
+def safe_dispatch(
+    service: CutService, op: str | None, body
+) -> tuple[int, dict | bytes]:
     """Parse a wire op against its :class:`~repro.service.ops.OpSpec` and
     call the :class:`CutService` method of that name (``graphs``
     registers), with every failure mapped to a JSON ``(status, body)``.
+    A result-cached reply comes back as its encoded JSON bytes
+    (:class:`~repro.service.reply.CachedReply`), which the shard pipe,
+    the frontend and the wire pass through untouched.
 
     A handler (or shard worker) must never die without replying — a
     thread killed by an uncaught exception drops the connection
@@ -130,7 +132,10 @@ def safe_dispatch(service: CutService, op: str | None, body) -> tuple[int, dict]
         if op == "graphs":
             return 200, service.register(*parse_registration(body))
         _, params = parse_request(op, body)
-        return 200, getattr(service, op)(params.pop("graph"), **params)
+        reply = getattr(service, op)(params.pop("graph"), **params)
+        if isinstance(reply, CachedReply):
+            return 200, reply.encode()
+        return 200, reply
     except FingerprintMismatch as exc:
         return 409, {
             "error": str(exc),
@@ -271,7 +276,9 @@ class _Flight:
     def __init__(self):
         self.done = threading.Event()
         self.status = 500
-        self.payload: dict = {"error": "coalesced leader never completed"}
+        self.payload: dict | bytes = {
+            "error": "coalesced leader never completed"
+        }
 
 
 class QueryCoalescer:
@@ -292,7 +299,7 @@ class QueryCoalescer:
             return True, flight
 
     def finish(
-        self, key: tuple, flight: _Flight, status: int, payload: dict
+        self, key: tuple, flight: _Flight, status: int, payload: dict | bytes
     ) -> None:
         """Publish the leader's result and release followers."""
         with self._lock:
@@ -304,6 +311,13 @@ class QueryCoalescer:
     def __len__(self) -> int:
         with self._lock:
             return len(self._flights)
+
+
+def _own(status: int, payload: dict | bytes) -> dict | bytes:
+    """A flight's payload for one of its callers.  The HTTP layer
+    stamps each caller's trace_id into an error payload in place, so an
+    error is shallow-copied per caller; a reply is shared as it is."""
+    return dict(payload) if status >= 400 else payload
 
 
 # ----------------------------------------------------------------------
@@ -377,7 +391,9 @@ class InlineBackend:
     def __init__(self, service: CutService):
         self.service = service
 
-    def dispatch(self, op: str | None, body, tracer: Tracer) -> tuple[int, dict]:
+    def dispatch(
+        self, op: str | None, body, tracer: Tracer
+    ) -> tuple[int, dict | bytes]:
         return safe_dispatch(self.service, op, body)
 
     def fingerprint_of(self, name: str) -> str | None:
@@ -403,7 +419,9 @@ def _shard_main(shard_id: int, conn, service_kwargs: dict) -> None:
     level for the ``spawn`` start method).  The protocol is
     ``(request_id, op, body)`` in, ``(request_id, status, payload)``
     out, strictly serial per shard — which is exactly what keeps
-    sharded answers bit-identical to the single-process service.  The
+    sharded answers bit-identical to the single-process service.  A
+    result-cached reply's payload is its encoded JSON ``bytes``, so the
+    pipe carries the stored encoding, not a pickled dict.  The
     id comes back untouched so the parent can discard a late reply to a
     request it already timed out.  Control ops are prefixed with
     ``__``: ``__graphs__``, ``__stats__``, ``__metrics__``,
@@ -519,7 +537,7 @@ class ShardPool:
     # ------------------------------------------------------------------
     def _roundtrip(
         self, shard: int, op: str, body, timeout_s: float | None = None
-    ) -> tuple[int, dict]:
+    ) -> tuple[int, dict | bytes]:
         """One request/reply on a shard's pipe, under its lock.
 
         Replies carry their request's id.  A request that timed out
@@ -567,7 +585,9 @@ class ShardPool:
         return route.fingerprint if route else None
 
     # ------------------------------------------------------------------
-    def dispatch(self, op: str | None, body, tracer: Tracer) -> tuple[int, dict]:
+    def dispatch(
+        self, op: str | None, body, tracer: Tracer
+    ) -> tuple[int, dict | bytes]:
         """Parse against the op's spec, route by graph, ship the params.
 
         Parsing before routing gives the inline backend's 400s for a
@@ -728,8 +748,10 @@ class Frontend:
     # ------------------------------------------------------------------
     # Request path
     # ------------------------------------------------------------------
-    def handle(self, op: str, body) -> tuple[int, dict, dict]:
-        """Admit, coalesce, dispatch.  Returns (status, payload, headers)."""
+    def handle(self, op: str, body) -> tuple[int, dict | bytes, dict]:
+        """Admit, coalesce, dispatch.  Returns (status, payload, headers);
+        a payload is a dict, or the encoded JSON bytes of a result-cached
+        reply or a ``/batch`` body."""
         if op in self.EXEMPT_OPS:
             status, payload = self._admin(body)
             return status, payload, {}
@@ -768,7 +790,7 @@ class Frontend:
                 sp.set(waited_s=round(waited, 6), depth=gate.waiting)
             return waited
 
-    def _dispatch_coalesced(self, op: str, body) -> tuple[int, dict]:
+    def _dispatch_coalesced(self, op: str, body) -> tuple[int, dict | bytes]:
         key = self._coalesce_key(op, body)
         if key is None:
             return self.backend.dispatch(op, body, self.tracer)
@@ -779,16 +801,14 @@ class Frontend:
                     sp.set(op=op)
                 flight.done.wait(timeout=600.0)
             self._coalesced_hits.inc()
-            # Shallow copy: the HTTP layer stamps trace_id into error
-            # payloads in place, and each follower must stamp its own.
-            return flight.status, dict(flight.payload)
+            return flight.status, _own(flight.status, flight.payload)
         self._coalesce_leaders.inc()
         status, payload = 500, {"error": "internal error: leader crashed"}
         try:
             status, payload = self.backend.dispatch(op, body, self.tracer)
         finally:
             self.coalescer.finish(key, flight, status, payload)
-        return status, dict(payload)
+        return status, _own(status, payload)
 
     def _coalesce_key(self, op: str, body) -> tuple | None:
         if not (self.coalesce and isinstance(body, dict)):
@@ -805,8 +825,11 @@ class Frontend:
         # coalescable ops take scalar params only, so the values hash
         return (op, fingerprint, tuple(params.values()))
 
-    def _handle_batch(self, body) -> tuple[int, dict]:
-        """``/batch``: dispatch each item, errors inline (with trace_id)."""
+    def _handle_batch(self, body) -> tuple[int, dict | bytes]:
+        """``/batch``: dispatch each item, errors inline (with trace_id).
+
+        The body is built from each item's encoding, so a result-cached
+        item goes in as its stored bytes."""
         if not isinstance(body, dict):
             return 400, {"error": "request body must be a JSON object"}
         requests = body.get("requests")
@@ -828,7 +851,8 @@ class Frontend:
             if status >= 400:
                 payload["trace_id"] = root.trace_id if root else None
             responses.append(payload)
-        return 200, {"responses": responses}
+        items = b", ".join([encode_reply(p) for p in responses])
+        return 200, b'{"responses": [' + items + b"]}"
 
     # ------------------------------------------------------------------
     # Admin + observability

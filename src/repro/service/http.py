@@ -75,6 +75,7 @@ import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .frontend import Frontend, make_frontend
+from .reply import encode_reply
 from .service import CutService
 
 _MAX_BODY = 64 * 1024 * 1024
@@ -196,7 +197,9 @@ class _Handler(BaseHTTPRequestHandler):
                 return 400, {"error": f"limit must be >= 0, got {limit}"}, {}
         return 200, frontend.trace_payload(limit), {}
 
-    def _post(self, frontend: Frontend, op: str) -> tuple[int, dict, dict]:
+    def _post(
+        self, frontend: Frontend, op: str
+    ) -> tuple[int, dict | bytes, dict]:
         try:
             with frontend.tracer.span("http.parse") as sp:
                 body = self._read_json()
@@ -242,11 +245,16 @@ class _Handler(BaseHTTPRequestHandler):
             raise ValueError(f"invalid JSON: {exc}") from exc
 
     def _reply(
-        self, status: int, payload: dict, headers: dict[str, str] | None = None
+        self,
+        status: int,
+        payload: dict | bytes,
+        headers: dict[str, str] | None = None,
     ) -> None:
-        """Serialise and send; a client that already hung up is counted
+        """Send one reply: already-encoded bytes (a result-cached reply,
+        a ``/batch`` body) as they are, anything else through
+        ``json.dumps``.  A client that already hung up is counted
         (``http.client_disconnects``), not a handler-thread traceback."""
-        data = json.dumps(payload).encode()
+        data = encode_reply(payload)
         try:
             self.send_response(status)
             self.send_header("Content-Type", "application/json")

@@ -12,7 +12,9 @@ Composition (each piece independently testable):
   queries;
 * :class:`~repro.service.cache.LRUCache` — finished query results keyed
   by ``(fingerprint, op, params)``, the params an op's
-  :class:`~repro.service.ops.OpSpec` names as its key.
+  :class:`~repro.service.ops.OpSpec` names as its key; each entry is a
+  :class:`~repro.service.reply.CachedResult`, the payload and its JSON
+  encoding (made once, spliced into every reply built from it).
 
 Each served op is declared once, in :data:`repro.service.ops.OPS`; the
 public methods below are thin calls into one skeleton
@@ -37,7 +39,9 @@ cold re-upload of the mutated edge list would (see
 
 Every public query method returns a JSON-able ``dict`` — the same
 payload the HTTP layer ships — with a ``"cached"`` flag so clients and
-tests can observe amortisation directly.
+tests can observe amortisation directly.  A result-cached op's dict is
+a :class:`~repro.service.reply.CachedReply`, which the wire sends as
+the cache entry's stored bytes.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from .deltas import MutationRecord
 from .executor import TrialExecutor
 from .ops import OPS
 from .oracle import CutOracle
+from .reply import CachedReply, CachedResult
 from .store import GraphEntry, GraphStore
 
 Vertex = Hashable
@@ -101,8 +106,11 @@ class CutService:
             metrics=self.metrics.scope("executor"),
             tracer=self.tracer,
         )
+        #: result cache; its ``bytes`` gauge sums the stored encodings,
+        #: exactly what the cached replies send
         self.results = LRUCache(
-            result_cache_capacity, metrics=self.metrics.scope("results")
+            result_cache_capacity, metrics=self.metrics.scope("results"),
+            weigh=lambda result: len(result.body),
         )
         #: default kernelization level for mincut/kcut queries; each
         #: query may override it with its own ``preprocess`` field.
@@ -272,7 +280,9 @@ class CutService:
         Binds the op's params, then (for a query) the ``query.<op>``
         span, ``store.lookup``, ``prepare``, ``cache.lookup``, compute,
         ``put``.  A content-addressed hit may carry a payload computed
-        under another name, so the caller's name is written back.
+        under another name, so the caller's name is written back: a
+        cached entry holds the payload without ``graph`` and ``cached``,
+        and each reply is built from it (:class:`CachedReply`).
         """
         spec = OPS[op]
         p = spec.bind(dict(params, graph=name))
@@ -301,22 +311,22 @@ class CutService:
                 if qsp:
                     qsp.set(cached=cached is not None)
                 if cached is not None:
-                    return {**cached, "graph": name, "cached": True}
+                    return CachedReply(cached, name, True)
             t0 = time.perf_counter()
-            payload = {
-                "graph": name,
+            fields = {
                 "fingerprint": entry.fingerprint,
                 "algorithm": spec.algorithm,
                 **spec.compute(self, entry, p, prepared),
             }
-            payload["elapsed_s"] = time.perf_counter() - t0
+            fields["elapsed_s"] = time.perf_counter() - t0
             if key is None:
                 # not result-cached: compute reported "cached" itself
                 if qsp:
-                    qsp.set(cached=payload["cached"])
-                return payload
-            self.results.put(key, payload)
-            return {**payload, "cached": False}
+                    qsp.set(cached=fields["cached"])
+                return {"graph": name, **fields}
+            result = CachedResult.of(fields)
+            self.results.put(key, result)
+            return CachedReply(result, name, False)
 
     def absorb_mutation(self, record: MutationRecord) -> None:
         """Result-cache invalidation for one applied delta.
@@ -345,13 +355,12 @@ class CutService:
             if spec.rekey is not None:
                 fresh = spec.rekey(self, dict(zip(spec.key, values)), new_fp)
             if fresh is not None:
-                self.results.put((new_fp, op, values), {
-                    "graph": "",  # rewritten with the caller's name on hits
+                self.results.put((new_fp, op, values), CachedResult.of({
                     "fingerprint": new_fp,
                     "algorithm": spec.algorithm,
                     **fresh,
                     "elapsed_s": 0.0,
-                })
+                }))
                 rekeyed += 1
             else:
                 dropped += 1

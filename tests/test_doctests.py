@@ -33,6 +33,7 @@ MODULES = [
     "repro.service.http",
     "repro.service.ops",
     "repro.service.oracle",
+    "repro.service.reply",
     "repro.service.service",
     "repro.service.store",
 ]
@@ -54,6 +55,7 @@ MUST_HAVE_EXAMPLES = {
     "repro.service.frontend",
     "repro.service.ops",
     "repro.service.oracle",
+    "repro.service.reply",
     "repro.service.service",
     "repro.service.store",
 }

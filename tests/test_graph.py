@@ -32,6 +32,50 @@ class TestConstruction:
         with pytest.raises(ValueError):
             g.add_edge(1, 2, -3.0)
 
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf"), 0.0, -1.5]
+    )
+    def test_non_finite_weight_rejected_naming_weight_and_endpoints(self, bad):
+        """NaN fails ``weight <= 0``, so a bare sign check let it (and
+        +inf) into the edge columns."""
+        with pytest.raises(ValueError, match=rf"{bad}.*'a' -- 'b'"):
+            Graph(edges=[("a", "b", bad)])
+        g = Graph(edges=[("x", "y", 1.0)])
+        with pytest.raises(ValueError, match=rf"{bad}.*'a' -- 'b'"):
+            g.add_edge("a", "b", bad)
+        with pytest.raises(ValueError, match=rf"{bad}.*'x' -- 'y'"):
+            g.add_edge("x", "y", bad)
+        assert g.weight("x", "y") == 1.0 and g.num_edges == 1
+
+    def test_set_edge_weight_rejects_non_finite(self):
+        g = Graph(edges=[(0, 1, 2.0), (1, 2, 1.0)])
+        for bad in (float("nan"), float("inf"), float("-inf"), 0.0):
+            with pytest.raises(ValueError, match=rf"{bad}.*0 -- 1"):
+                g.set_edge_weight(0, 1, bad)
+        assert g.weight(0, 1) == 2.0
+
+    def test_reinforcing_to_overflow_rejected(self):
+        g = Graph(edges=[(0, 1, 1e308)])
+        with pytest.raises(ValueError, match="finite"):
+            g.add_edge(1, 0, 1e308)
+        assert g.weight(0, 1) == 1e308
+
+    def test_service_register_never_sees_a_non_finite_weight(self):
+        """The library path: a triangle with one NaN edge used to
+        register, and ``mincut`` then died with a bare IndexError."""
+        from repro.service import CutService
+
+        with CutService() as svc:
+            with pytest.raises(ValueError, match=r"nan.*1 -- 2"):
+                svc.register(
+                    "g", Graph(edges=[(0, 1, 1.0), (1, 2, float("nan")),
+                                      (2, 0, 1.0)])
+                )
+            assert svc.graphs() == []
+            svc.register("g", Graph(edges=[(0, 1, 1.0), (1, 2, 2.0),
+                                           (2, 0, 1.0)]))
+            assert svc.mincut("g", trials=1)["weight"] == 2.0
+
     def test_edge_registers_vertices(self):
         g = Graph()
         g.add_edge(7, 8)

@@ -67,6 +67,31 @@ class TestLRUCache:
         assert c.get("a") is None
         assert len(c) == 0
 
+    def test_bytes_gauge_follows_every_entry_change(self):
+        from repro.obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        c = LRUCache(capacity=2, metrics=registry.scope("results"), weigh=len)
+
+        def nbytes():
+            gauge = registry.snapshot()["gauges"]["results.bytes"]
+            assert gauge == c.stats()["bytes"]
+            return gauge
+
+        assert nbytes() == 0
+        c.put("a", b"xxx")
+        c.put("b", b"yyyyy")
+        assert nbytes() == 8
+        c.put("a", b"z")            # overwrite: the old weight leaves
+        assert nbytes() == 6
+        c.put("c", b"wwww")         # evicts "b", the LRU entry
+        assert "b" not in c and nbytes() == 5
+        assert c.pop("a") == b"z" and nbytes() == 4
+        assert c.pop("missing") is None and nbytes() == 4
+        c.clear()
+        assert nbytes() == 0
+        assert LRUCache(capacity=1).stats()["bytes"] == 0  # unweighed
+
 
 # ======================================================================
 # GraphStore
