@@ -7,12 +7,58 @@ a k-cut quality reference.  Works on the same undirected weighted
 directed residual arcs of the full capacity each (the standard
 undirected reduction).
 
+The loop
+--------
+Each phase labels vertices by BFS distance over residual arcs, then
+saturates the level graph with one blocking flow.  The blocking flow
+walks an explicit path stack, never recursion:
+
+* from the path's tip ``v``, scan ``v``'s arcs from ``it[v]`` for the
+  first residual arc into level ``level[v] + 1``; descend along it and
+  leave ``it[v]`` on it;
+* a tip with no such arc is a dead end: pop it and advance its
+  parent's ``it`` past the arc that led there;
+* at ``t``, push the path's bottleneck along every arc, then retreat to
+  the tail of the first arc left with residual ``<= _EPS``.
+
+Equivalence with the recursive DFS
+----------------------------------
+The textbook recursive blocking flow restarts from ``s`` after every
+push.  Its ``it`` pointers stay on the arcs of the path just pushed, so
+the restart re-walks that path until the first arc the push drained,
+and resumes scanning at that arc's tail — exactly where the loop above
+retreats to.  The ``it`` pointers move the same way (kept on a
+successful push, advanced past a dead end), so the two perform the same
+augmentations in the same order and every float operation (the
+bottleneck ``min``, each ``cap[a] -= f``, ``cap[a ^ 1] += f``,
+``total += f``) is the same, and so is each result bit for bit.  Four
+more changes keep that push sequence:
+
+* arcs live in per-vertex ``(arc, head)`` tuples in linked-list order
+  (newest first), the order a head/next list would scan;
+* the phase BFS stops at ``t``'s level: levels up to ``level[t]`` are
+  unchanged, and the vertices it leaves unlabelled cannot reach ``t``
+  in the level graph, so the DFS would only have visited them as dead
+  ends;
+* a dead end loses its label for the rest of the phase: its ``it`` is
+  exhausted, so a recursive visit would return at once and its caller
+  would advance past the arc, which is what skipping it does;
+* the last BFS, the one that fails to reach ``t``, never stops early:
+  it is the full residual reachability from ``s``, so the source side
+  of the min cut is read from its labels.
+
+``tests/dinic_reference.py`` keeps the recursive solver, and
+``tests/test_dinic_reference.py`` checks value and side equality
+against it.  The path stack's depth is bounded by ``n`` in a list, so
+long paths need no recursion-limit change, and ``max_flow`` keeps all
+its state in locals: concurrent calls, on one solver or many, share
+nothing mutable.
+
 Differentially tested against ``networkx.maximum_flow``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Hashable
 
@@ -36,21 +82,19 @@ class DinicSolver:
     def __init__(self, graph: Graph):
         self.graph = graph
         self._vertices = graph.vertices()
-        self._vid = {v: i for i, v in enumerate(self._vertices)}
-        # CSR-ish arc storage: to[], cap[], head/next adjacency.
-        self._arc_to: list[int] = []
-        self._arc_cap_template: list[float] = []
-        self._head: list[int] = [-1] * len(self._vertices)
-        self._next: list[int] = []
+        vid = {v: i for i, v in enumerate(self._vertices)}
+        self._vid = vid
+        # Arc 2k runs u -> v and arc 2k + 1 (= 2k ^ 1) runs v -> u for
+        # the k-th edge; both start at the full weight.
+        arcs: list[list[tuple[int, int]]] = [[] for _ in self._vertices]
+        caps: list[float] = []
         for u, v, w in graph.edges():
-            self._add_pair(self._vid[u], self._vid[v], w)
-
-    def _add_pair(self, iu: int, iv: int, cap: float) -> None:
-        for a, b in ((iu, iv), (iv, iu)):
-            self._arc_to.append(b)
-            self._arc_cap_template.append(cap)  # undirected: both full
-            self._next.append(self._head[a])
-            self._head[a] = len(self._arc_to) - 1
+            iu, iv = vid[u], vid[v]
+            arcs[iu].append((len(caps), iv))
+            arcs[iv].append((len(caps) + 1, iu))
+            caps += (w, w)
+        self._arcs = [tuple(reversed(row)) for row in arcs]
+        self._cap_template = caps
 
     # ------------------------------------------------------------------
     def max_flow(self, s: Vertex, t: Vertex) -> FlowResult:
@@ -59,73 +103,67 @@ class DinicSolver:
             raise ValueError("source equals sink")
         n = len(self._vertices)
         si, ti = self._vid[s], self._vid[t]
-        cap = list(self._arc_cap_template)
+        arcs = self._arcs
+        cap = list(self._cap_template)
         total = 0.0
-        level = [0] * n
-        it = [0] * n
-
-        def bfs() -> bool:
-            for i in range(n):
-                level[i] = -1
+        while True:
+            # Phase BFS, stopped once the queue reaches t's level.
+            level = [-1] * n
             level[si] = 0
-            dq = deque([si])
-            while dq:
-                v = dq.popleft()
-                a = self._head[v]
-                while a != -1:
-                    if cap[a] > _EPS and level[self._arc_to[a]] < 0:
-                        level[self._arc_to[a]] = level[v] + 1
-                        dq.append(self._arc_to[a])
-                    a = self._next[a]
-            return level[ti] >= 0
-
-        def dfs(v: int, pushed: float) -> float:
-            if v == ti:
-                return pushed
-            while it[v] != -1:
-                a = it[v]
-                u = self._arc_to[a]
-                if cap[a] > _EPS and level[u] == level[v] + 1:
-                    got = dfs(u, min(pushed, cap[a]))
-                    if got > _EPS:
-                        cap[a] -= got
-                        cap[a ^ 1] += got
-                        return got
-                it[v] = self._next[a]
-            return 0.0
-
-        import sys
-
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, 4 * n + 100))
-        try:
-            while bfs():
-                for i in range(n):
-                    it[i] = self._head[i]
-                while True:
-                    pushed = dfs(si, float("inf"))
-                    if pushed <= _EPS:
+            queue = [si]
+            for v in queue:
+                lv = level[v]
+                if lv == level[ti]:
+                    break
+                for a, u in arcs[v]:
+                    if level[u] < 0 and cap[a] > _EPS:
+                        level[u] = lv + 1
+                        queue.append(u)
+            if level[ti] < 0:
+                break
+            # Blocking flow over the level graph.
+            it = [0] * n
+            path: list[int] = []  # arcs from s to the tip
+            tips = [si]  # vertices from s to the tip
+            v = si
+            while True:
+                if v == ti:
+                    f = min([cap[a] for a in path])
+                    for a in path:
+                        cap[a] -= f
+                        cap[a ^ 1] += f
+                    total += f
+                    k = 0
+                    while cap[path[k]] > _EPS:
+                        k += 1
+                    del path[k:]
+                    del tips[k + 1:]
+                    v = tips[k]
+                    continue
+                row = arcs[v]
+                end = len(row)
+                i = it[v]
+                want = level[v] + 1
+                while i < end:
+                    a, u = row[i]
+                    if level[u] == want and cap[a] > _EPS:
                         break
-                    total += pushed
-        finally:
-            sys.setrecursionlimit(old_limit)
-
-        # Source side of the min cut: vertices reachable in the residual.
-        seen = [False] * n
-        seen[si] = True
-        dq = deque([si])
-        while dq:
-            v = dq.popleft()
-            a = self._head[v]
-            while a != -1:
-                u = self._arc_to[a]
-                if cap[a] > _EPS and not seen[u]:
-                    seen[u] = True
-                    dq.append(u)
-                a = self._next[a]
-        side = frozenset(
-            self._vertices[i] for i in range(n) if seen[i]
-        )
+                    i += 1
+                it[v] = i
+                if i < end:
+                    path.append(a)
+                    tips.append(u)
+                    v = u
+                elif v == si:
+                    break
+                else:
+                    level[v] = -1
+                    path.pop()
+                    tips.pop()
+                    v = tips[-1]
+                    it[v] += 1
+        vertices = self._vertices
+        side = frozenset(vertices[i] for i in range(n) if level[i] >= 0)
         return FlowResult(value=total, source_side=side)
 
 

@@ -8,11 +8,11 @@ its place next to :mod:`repro.flow.dinic`:
   bug in the flow engine silently corrupts every downstream quality
   number.  Two engines with disjoint failure modes, cross-checked by
   property tests, make that failure loud.
-* **worst-case insurance** — Dinic's DFS recursion depth scales with
-  the augmenting-path length; push–relabel is iterative and its
-  ``O(V² √E)`` bound (FIFO + gap relabeling here) does not depend on
-  path structure, which matters on the long-path workloads the tree
-  benches favour.
+* **a different worst case** — Dinic's running time grows with the
+  number of BFS phases, one per distinct augmenting-path length; its
+  DFS walks an explicit path stack, so its depth no longer depends on
+  path length.  Push–relabel's ``O(V² √E)`` bound (FIFO + gap
+  relabeling here) does not depend on path structure at all.
 
 Implementation: FIFO vertex selection, height array with the **gap
 heuristic** (when a height level empties, everything above it on the

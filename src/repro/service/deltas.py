@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
@@ -232,6 +233,19 @@ def _rows(body: dict, key: str) -> Sequence:
         raise ValueError(f"delta {key!r} must be a list of edge rows")
     return rows
 
+
+def is_number(value) -> bool:
+    """A JSON number: a real that is not a boolean (strings fail too).
+
+    The rule every ``OpSpec`` ``float`` param applies, shared by edge
+    weights in ``POST /graphs`` and ``/mutate`` rows.
+    """
+    if type(value) in (float, int):
+        # json.loads yields these; the numbers.Real ABC check is ~5x slower
+        return True
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _edge_row(row, kind: str, *, default_weight=None, weightless: bool = False):
     want = "[u, v]" if weightless else "[u, v, w]"
     if not isinstance(row, (list, tuple)):
@@ -251,6 +265,11 @@ def _edge_row(row, kind: str, *, default_weight=None, weightless: bool = False):
         raise ValueError(f"self-loop on {u!r} rejected in delta {kind}")
     if weightless:
         return (u, v)
+    if not is_number(w):
+        raise ValueError(
+            f"bad row {row!r} in delta {kind}: weight must be a number, "
+            f"got {w!r}"
+        )
     w = float(w)
     if not math.isfinite(w):
         # json.loads happily parses NaN/Infinity; neither may reach the

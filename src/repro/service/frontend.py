@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from ..graph import Graph, load_any
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Tracer
-from .deltas import FingerprintMismatch
+from .deltas import FingerprintMismatch, is_number
 from .ops import BadRequest, parse_request
 from .reply import CachedReply, encode_reply
 from .service import CutService, observe_request, request_summary
@@ -88,8 +88,10 @@ def parse_registration(body: dict) -> tuple[str, Graph]:
     :meth:`Graph.add_edge` rejects it with a ``ValueError`` naming the
     weight and endpoints, which the wire answers with 400 just like
     ``/mutate`` does (see ``deltas._edge_row``).  The ``name`` (every
-    later op addresses the graph by a string) and the ``vertices`` list
-    (a string would register its characters) are validated here.
+    later op addresses the graph by a string), the ``vertices`` list
+    (a string would register its characters) and each weight's type (a
+    JSON number, as ``/mutate`` rows require: ``true`` or ``"2.5"``
+    would otherwise pass ``float``) are validated here.
     """
     name = require(body, "name")
     if not isinstance(name, str):
@@ -106,6 +108,10 @@ def parse_registration(body: dict) -> tuple[str, Graph]:
     for edge in edges:
         if not isinstance(edge, (list, tuple)) or len(edge) not in (2, 3):
             raise BadRequest(f"bad edge {edge!r}: want [u, v] or [u, v, w]")
+        if len(edge) == 3 and not is_number(edge[2]):
+            raise BadRequest(
+                f"bad edge {edge!r}: weight must be a number, got {edge[2]!r}"
+            )
         w = float(edge[2]) if len(edge) == 3 else 1.0
         graph.add_edge(edge[0], edge[1], w)
     return name, graph

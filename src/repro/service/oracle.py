@@ -387,7 +387,14 @@ class CutOracle:
     def _certified_pairs(self, state: _State) -> dict | None:
         """Every pair certified on ``state``'s tree, or None at the
         first uncertifiable pair; the pairs certified before it still
-        count as ``mask_hits``."""
+        count as ``mask_hits``.
+
+        A touched edge's own child–parent pair has that edge alone on
+        its path, so it never certifies: a masked tree with any touched
+        edge is None before a pair is walked.
+        """
+        if state.touched:
+            return None
         vs = state.graph.vertices()
         out: dict = {v: {} for v in vs}
         certified = 0
@@ -405,10 +412,12 @@ class CutOracle:
         every settle path.
 
         A fresh tree answers the whole matrix with one ``O(n^2)`` walk
-        (:meth:`GomoryHuTree.all_pairs_min_cuts`).  A masked or
-        repaired tree certifies pair by pair over its indexed path
-        walk; the first uncertifiable pair rebuilds the tree and the
-        fresh tree answers the matrix.  Either way the values are the
+        (:meth:`GomoryHuTree.all_pairs_min_cuts`).  A masked tree with
+        a touched edge rebuilds at once (some pair cannot certify); a
+        masked tree with none, or a repaired one, certifies pair by
+        pair over its indexed path walk, and the first uncertifiable
+        pair rebuilds the tree.  A rebuilt tree answers the matrix with
+        the fresh walk.  Either way the values are the
         unique min-cut values of the current graph, which is what lets
         ``/gomoryhu`` promise bit-identical payloads across the fresh,
         masked and repaired paths.

@@ -19,7 +19,10 @@ The op params are typed on the wire as their
 served ``"false"`` as true, an int field truncated ``2.9`` to 2 and
 read ``true`` as 1, a negative sparsest ``trials`` was served (and
 cached), and an unknown field such as a typo'd ``"preprocces"`` was
-silently ignored.  Each is now a 400 carrying a ``trace_id``.
+silently ignored.  Each is now a 400 carrying a ``trace_id``.  Edge
+weights follow the same number rule: ``POST /graphs`` edges and
+``/mutate`` ``adds``/``reweights`` rows once read ``true`` as 1.0 and
+``"2.5"`` as 2.5, and now answer 400 naming the row.
 
 Python's ``json`` module happily *emits* ``NaN``/``Infinity`` tokens
 (non-standard JSON), which is exactly how a stock client poisons the
@@ -128,6 +131,72 @@ def test_edgelist_reader_rejects_non_finite_weights(tmp_path):
         bad_file.write_text(f"2\nv 0\nv 1\ne 0 1 {token}\n")
         with pytest.raises(ValueError, match="finite"):
             load_any(bad_file)
+
+
+# ----------------------------------------------------------------------
+# Edge weights are JSON numbers: never booleans or numeric strings
+# ----------------------------------------------------------------------
+NOT_NUMBERS = [True, False, "2.5", None, [1.0]]
+
+
+@pytest.mark.parametrize("bad", NOT_NUMBERS, ids=repr)
+def test_registration_rejects_non_number_weights(server, bad):
+    # Before: true registered as 1.0 and "2.5" as 2.5.
+    status, resp = request_status_json(
+        server.url, "/graphs",
+        {"name": "g", "edges": [[0, 1, 1.0], [1, 2, bad]]},
+    )
+    assert status == 400
+    assert "[1, 2, " in resp["error"] and "must be a number" in resp["error"]
+    assert resp["trace_id"]
+    assert request_json(server.url, "/graphs")["graphs"] == []
+
+
+@pytest.mark.parametrize("kind", ["adds", "reweights"])
+@pytest.mark.parametrize("bad", NOT_NUMBERS, ids=repr)
+def test_mutate_rejects_non_number_weights(server, kind, bad):
+    request_json(server.url, "/graphs",
+                 {"name": "g", "edges": [[0, 1, 1.0], [1, 2, 2.0]]})
+    fingerprint = request_json(server.url, "/graphs")["graphs"][0][
+        "fingerprint"]
+    status, resp = request_status_json(
+        server.url, "/mutate", {"graph": "g", kind: [[0, 1, bad]]}
+    )
+    assert status == 400
+    assert f"in delta {kind}" in resp["error"]
+    assert "[0, 1, " in resp["error"] and "must be a number" in resp["error"]
+    (row,) = request_json(server.url, "/graphs")["graphs"]
+    assert row["fingerprint"] == fingerprint and row["generation"] == 0
+
+
+@pytest.mark.parametrize("bad", [True, "2.5"], ids=repr)
+def test_library_parsers_reject_non_number_weights(bad):
+    from repro.service import GraphDelta
+    from repro.service.frontend import parse_registration
+    from repro.service.ops import BadRequest
+
+    with pytest.raises(BadRequest, match="must be a number"):
+        parse_registration({"name": "g", "edges": [[0, 1, bad]]})
+    for kind in ("adds", "reweights"):
+        with pytest.raises(ValueError, match=f"delta {kind}.*must be a number"):
+            GraphDelta.from_json({kind: [[0, 1, bad]]})
+    with CutService() as service:
+        service.register("g", parse_registration(
+            {"name": "g", "edges": [[0, 1, 1], [1, 2, 2.5]]})[1])
+        with pytest.raises(ValueError, match="must be a number"):
+            service.mutate("g", adds=[[0, 2, bad]])
+
+
+def test_integer_and_float_weights_still_parse():
+    from repro.service import GraphDelta
+    from repro.service.frontend import parse_registration
+
+    _, graph = parse_registration(
+        {"name": "g", "edges": [[0, 1, 3], [1, 2, 2.5], [2, 0]]})
+    assert sorted(graph.edges()) == [(0, 1, 3.0), (0, 2, 1.0), (1, 2, 2.5)]
+    delta = GraphDelta.from_json({"adds": [[0, 1, 2]],
+                                  "reweights": [[1, 2, 0.5]]})
+    assert delta.adds == ((0, 1, 2.0),) and delta.reweights == ((1, 2, 0.5),)
 
 
 def test_finite_weights_still_register(server):

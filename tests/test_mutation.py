@@ -492,6 +492,36 @@ class TestOracleDelta:
                 if s != t:
                     assert oracle.st_min_cut(s, t) == fresh.st_min_cut(s, t)
 
+    def test_all_pairs_on_touched_mask_rebuilds_without_walking(self):
+        # A touched edge's own child–parent pair cannot certify, so the
+        # whole matrix cannot: all_pairs rebuilds before walking a pair.
+        g = two_triangles()
+        oracle = CutOracle(g)
+        oracle.all_pairs()
+        g.set_edge_weight(2, 3, 6.0)  # the bridge: every cut side crosses it
+        oracle.apply_delta(g, [(2, 3, 1.0, 6.0)], has_new_vertices=False)
+        oracle.st_min_cut(0, 1)  # settles the mask
+        assert oracle.stats()["mode"] == "masked"
+        hits = oracle.mask_hits
+        matrix = oracle.all_pairs()
+        assert oracle.mask_hits == hits  # no pair was certified
+        assert oracle.mask_rebuilds == 1
+        assert matrix == CutOracle(g.copy()).all_pairs()
+
+    def test_all_pairs_on_repaired_tree_still_certifies(self):
+        g = planted_cut(18, seed=5).graph
+        oracle = CutOracle(g)
+        oracle.all_pairs()
+        u, v, w = next(iter(g.edges()))
+        g.set_edge_weight(u, v, w / 2)
+        oracle.apply_delta(g, [(u, v, w, w / 2)], has_new_vertices=False)
+        oracle.st_min_cut(u, v)  # settles: a localized repair
+        assert oracle.stats()["mode"] == "repaired"
+        hits = oracle.mask_hits
+        matrix = oracle.all_pairs()
+        assert oracle.mask_hits > hits
+        assert matrix == CutOracle(g.copy()).all_pairs()
+
     def test_readers_never_wait_on_builds_or_see_torn_state(
         self, monkeypatch
     ):
