@@ -36,6 +36,7 @@ import algo3_reference as ref  # noqa: E402
 
 from repro.analysis.harness import ExperimentReport, run_singleton_verification  # noqa: E402
 from repro.core import draw_contraction_keys, smallest_singleton_cut  # noqa: E402
+from repro.core.ldr import build_level_structure, index_tree  # noqa: E402
 from repro.core.singleton import sweep_levels  # noqa: E402
 from repro.workloads import planted_cut  # noqa: E402
 
@@ -70,7 +71,9 @@ def _best_of(fn):
 
 
 def _columnar_steps_3_4(graph, keys, decomp, max_tree_key):
-    swept = sweep_levels(graph, keys, decomp, max_tree_key=max_tree_key)
+    tree = index_tree(decomp, keys, graph.vertices(), max_tree_key=max_tree_key)
+    levels = [build_level_structure(tree, i) for i in range(1, decomp.height + 1)]
+    swept = sweep_levels([(graph, levels)])
     best = int(np.argmin(swept.weight))
     leader = graph.vertices()[int(swept.leader[best])]
     return float(swept.weight[best]), leader, int(swept.time[best])

@@ -131,7 +131,7 @@ def render_figure3() -> str:
     )
     if v in struct.ldr_time:
         lines.append(f"ldr_time({v}) = {struct.ldr_time[v]}")
-        iv = edge_intervals(g, [struct])
+        iv = edge_intervals([(g, [struct])])
         slot = struct.leader_slot[g.index_of(v)]
         rows = np.flatnonzero(iv.segment == slot)
         rows = rows[np.lexsort((iv.edge[rows], iv.end[rows], iv.start[rows]))]

@@ -23,6 +23,7 @@ from .mincut import (
 )
 from .schedule import RecursionSchedule, ScheduleLevel, schedule_for
 from .singleton import (
+    SingletonCopy,
     SingletonCutResult,
     smallest_singleton_cut,
     smallest_singleton_cut_value,
@@ -41,6 +42,7 @@ __all__ = [
     "RecursionSchedule",
     "ReplayResult",
     "ScheduleLevel",
+    "SingletonCopy",
     "SingletonCutResult",
     "all_level_structures",
     "ampc_min_cut",

@@ -10,7 +10,8 @@ to Kruskal the paper makes.  This module provides:
   until the target vertex count remains, merging parallel edges by
   weight;
 * :func:`bag_at` — ``bag(v, t)`` by definition (Definition 6), the
-  reference semantics used in property tests.
+  reference semantics used in property tests, and :func:`mst_bag`,
+  the same walk over an MST already built (Algorithm 3's witness).
 """
 
 from __future__ import annotations
@@ -123,6 +124,30 @@ def bag_at(
     while stack:
         x = stack.pop()
         for y in adj[x]:
+            if y not in out:
+                out.add(y)
+                stack.append(y)
+    return frozenset(out)
+
+
+def mst_bag(
+    mst: list[tuple[int, Vertex, Vertex]], v: Vertex, t: int
+) -> frozenset:
+    """``bag(v, t)`` from the keyed MST as ``(key, u, v)`` ascending:
+    the vertices reachable from ``v`` over its edges of key <= t.
+
+    Algorithm 3's witness, on the MST its step 1 built; :func:`bag_at`
+    stays the independent reference."""
+    adj: dict[Vertex, list[Vertex]] = {}
+    for k, a, b in mst:
+        if k > t:
+            break
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    out = {v}
+    stack = [v]
+    while stack:
+        for y in adj.get(stack.pop(), ()):
             if y not in out:
                 out.add(y)
                 stack.append(y)

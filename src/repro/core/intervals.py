@@ -27,11 +27,12 @@ Every produced interval carries the edge's weight — for weighted Min
 Cut, ``Delta bag`` is the *weight* of the boundary, so the sweep sums
 weights rather than counting intervals.
 
-Layout: the three cases are boolean masks over ``(level, endpoint,
-edge)`` cells — the graph's edge columns gathered through each level's
-leader-slot and join-time arrays — evaluated for all edges and, in
+Layout: the three cases are boolean masks over ``(endpoint, pair)``
+cells, one pair per (copy, level) row and edge of that copy — the
+copies' edge columns gathered through each level's leader-slot and
+join-time arrays — evaluated for all edges of all copies and, in
 memory-bounded chunks, all levels at once.  The result is one
-:class:`IntervalColumns` row per non-empty interval: its (level,
+:class:`IntervalColumns` row per non-empty interval: its (copy, level,
 leader) *segment*, the closed ``[start, end]``, the edge weight and
 the edge's row id.  No Python code runs per edge.
 """
@@ -46,17 +47,21 @@ from ..graph import Graph
 from .ldr import LevelStructure
 
 
-#: Levels are masked together in chunks of at most this many
-#: (level, endpoint, edge) cells, which bounds the masks' memory on
-#: large graphs while small graphs take all levels in one pass.
+#: (copy, level) rows are masked together in chunks of at most this
+#: many cells, two per (row, edge) pair (or one row, if larger), which
+#: bounds the masks' memory on large graphs while small graphs take
+#: every row of every copy in one pass.
 CHUNK_CELLS = 1 << 18
+
+_NONE = np.empty(0, dtype=np.int64)
 
 
 class IntervalColumns(NamedTuple):
     """Closed integer intervals ``[start, end]``, one row each.
 
-    ``segment`` groups rows for the sweep (a (level, leader) pair);
-    ``edge`` is the producing edge's row, the sweep's tie-break.
+    ``segment`` groups rows for the sweep (a (copy, level, leader)
+    triple); ``edge`` is the producing edge's row, offset by the edge
+    counts of the copies before it: the sweep's tie-break.
     """
 
     segment: np.ndarray
@@ -67,57 +72,89 @@ class IntervalColumns(NamedTuple):
 
 
 def edge_intervals(
-    graph: Graph, levels: Sequence[LevelStructure]
+    copies: Sequence[tuple[Graph, Sequence[LevelStructure]]]
 ) -> IntervalColumns:
-    """All non-empty time intervals of ``levels``, one segment per
-    (level, leader): segment ids number each level's leader slots
-    after those of the levels before it in ``levels``.
+    """All non-empty time intervals of every copy's levels, one segment
+    per (copy, level, leader).
 
-    Every level must be indexed in ``graph``'s vertex order.
+    Segment ids number each level's leader slots after those of every
+    level before it, copy by copy; edge ids number each copy's edge
+    rows after those of the copies before it.  Each copy's levels must
+    be indexed in its graph's vertex order.  Rows come in (copy, level,
+    edge, endpoint) order.
     """
-    us, vs, ws = graph._columns()
-    m = ws.size
-    ends = np.stack([us, vs])
-    per_chunk = max(1, CHUNK_CELLS // max(1, 2 * m))
+    rows = [(c, level) for c, (_, levels) in enumerate(copies) for level in levels]
+    sizes = np.array([level.leaders.size for _, level in rows], dtype=np.int64)
+    if not sizes.any():
+        return IntervalColumns(_NONE, _NONE, _NONE, np.empty(0), _NONE)
+    segment_base = np.cumsum(sizes) - sizes
+    ldr_times = np.concatenate([level.ldr_times for _, level in rows])
+    columns = [graph._columns() for graph, _ in copies]
+    m = np.array([ws.size for _, _, ws in columns], dtype=np.int64)
+    us = np.concatenate([us for us, _, _ in columns])
+    vs = np.concatenate([vs for _, vs, _ in columns])
+    weight = np.concatenate([ws for _, _, ws in columns])
+    edge_base = np.cumsum(m) - m
     parts = []
-    base = 0
-    for c in range(0, len(levels), per_chunk):
-        chunk = levels[c : c + per_chunk]
-        sizes = np.array([lv.leaders.size for lv in chunk], dtype=np.int64)
-        offset = np.cumsum(sizes) - sizes
-        slot = np.stack([lv.leader_slot for lv in chunk])
-        slot = np.where(slot >= 0, slot + offset[:, None], -1)[:, ends]
-        join = np.stack([lv.join_times for lv in chunk])[:, ends]
-        ldr_times = np.concatenate([lv.ldr_times for lv in chunk])
-        iv = _lemma13(slot, join, ldr_times, ws)
-        parts.append(iv._replace(segment=iv.segment + base))
-        base += int(sizes.sum())
+    for r0, r1 in _chunks([2 * int(m[c]) for c, _ in rows]):
+        chunk = [level for _, level in rows[r0:r1]]
+        copy = np.array([c for c, _ in rows[r0:r1]], dtype=np.int64)
+        n = np.array([level.leader_slot.size for level in chunk], dtype=np.int64)
+        slot = np.concatenate([level.leader_slot for level in chunk])
+        slot = np.where(slot >= 0, slot + np.repeat(segment_base[r0:r1], n), -1)
+        join = np.concatenate([level.join_times for level in chunk])
+        # One (row, edge) pair per column; its endpoints index the
+        # row's stretch of the concatenated level arrays.
+        edge = _ranges(edge_base[copy], m[copy])
+        ends = np.stack([us[edge], vs[edge]])
+        ends += np.repeat(np.cumsum(n) - n, m[copy])
+        parts.append(_lemma13(slot[ends], join[ends], ldr_times, edge, weight))
     return IntervalColumns(*(np.concatenate(col) for col in zip(*parts)))
 
 
-def _lemma13(slot, join, ldr_times, ws) -> IntervalColumns:
-    """Lemma 13's cases as masks over ``(level, endpoint, edge)`` cells."""
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + l) for s, l in zip(starts, lengths)])``."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths)
+
+
+def _chunks(cells: list[int]):
+    """Consecutive ``(first, stop)`` row ranges of at most
+    :data:`CHUNK_CELLS` cells each (a larger row goes alone)."""
+    first, total = 0, 0
+    for r, c in enumerate(cells):
+        if total and total + c > CHUNK_CELLS:
+            yield first, r
+            first, total = r, 0
+        total += c
+    if cells:
+        yield first, len(cells)
+
+
+def _lemma13(slot, join, ldr_times, edge, ws) -> IntervalColumns:
+    """Lemma 13's cases as masks over ``(endpoint, pair)`` cells:
+    ``slot`` and ``join`` hold, per (row, edge) pair, each endpoint's
+    leader segment (``-1`` if leaderless) and join time."""
     # A leaderless endpoint reads segment 0's ldr_time; its cell is
     # masked out below.
-    ldr = ldr_times[np.maximum(slot, 0)] if ldr_times.size else join
-    first, second = slot[:, 0], slot[:, 1]
-    same = ((first >= 0) & (first == second))[:, None]
+    ldr = ldr_times[np.maximum(slot, 0)]
+    first, second = slot
+    same = (first >= 0) & (first == second)
     # Cases 2 and 3a: each leadered endpoint contributes independently,
     # [join_time(x), ldr_time(r)].  Case 3b, both endpoints under the
     # same leader: one interval [min(t_x, t_y), max(t_x, t_y) - 1],
     # clipped to ldr_time(r), in the first endpoint's cell.
-    start = np.where(same, join.min(axis=1, keepdims=True), join)
-    end = np.where(
-        same, np.minimum(join.max(axis=1, keepdims=True) - 1, ldr), ldr
-    )
+    start = np.where(same, join.min(axis=0), join)
+    end = np.where(same, np.minimum(join.max(axis=0) - 1, ldr), ldr)
     keep = (slot >= 0) & (start <= end)
-    keep[:, 1] &= ~same[:, 0]
-    cell = np.flatnonzero(keep)
-    edge = cell % ws.size
+    keep[1] &= ~same
+    pair, side = np.nonzero(keep.T)
+    cell = side * edge.size + pair
+    e = edge.take(pair)
     return IntervalColumns(
         segment=slot.take(cell),
         start=start.take(cell),
         end=end.take(cell),
-        weight=ws[edge],
-        edge=edge,
+        weight=ws.take(e),
+        edge=e,
     )

@@ -13,9 +13,18 @@ every instance:
   (line 5 — Algorithm 3, the paper's novel ``O(1/eps)``-round part),
 * contract down to the next level's size (line 6).
 
+Line 6 needs only the keys, so line 5 does not hold up the recursion:
+every copy of every level is recorded, and once the level loop ends,
+one batched Algorithm 3 call tracks them all — steps 1–2 per copy,
+then a single interval build and sweep over every copy's (level,
+leader) segments.  The copies are independent and line 5's cuts feed
+only line 8's minimum, so this is the same computation as a call per
+copy, with numpy's per-call cost paid once per trial.
+
 Once instances fit a single machine (``<= n^eps`` vertices), each is
 solved exactly there (lines 1–3, Stoer–Wagner) and the best cut over
-everything ever seen is returned (line 8).
+everything ever seen is returned (line 8): the copies' singleton cuts
+in copy order, then the base cases.
 
 Round accounting: instances within a level run in parallel (max over
 siblings, ``absorb_parallel``); levels are sequential; the schedule's
@@ -40,7 +49,7 @@ from .boost import TrialRunner, boost, default_boost_trials, run_in_process
 from .contraction import contract_to_size
 from .keys import draw_contraction_keys
 from .schedule import RecursionSchedule, schedule_for
-from .singleton import smallest_singleton_cut
+from .singleton import SingletonCopy, smallest_singleton_cut
 
 if TYPE_CHECKING:
     from ..preprocess import CutKernel
@@ -104,8 +113,11 @@ def ampc_min_cut(
 
     identity_blocks = {v: [v] for v in graph.vertices()}
     instances: list[_Instance] = [_Instance(graph=graph, blocks=identity_blocks)]
-    best: Cut | None = None
-    singleton_runs = 0
+    # Line 5's inputs, every copy of every level in order, with the
+    # blocks lifting each copy's cuts; then each level's sibling group.
+    tracked: list[SingletonCopy] = []
+    lifts: list[dict] = []
+    groups: list[tuple[list[RoundLedger], str]] = []
     rng_salt = seed
 
     for level in schedule.levels:
@@ -130,15 +142,8 @@ def ampc_min_cut(
             copy_ledger = RoundLedger()
             keys = draw_contraction_keys(pg, seed=rng_salt)
             sub_config = config.scaled(pg.num_vertices, pg.num_edges)
-
-            # Line 5: track this copy's smallest singleton cut.
-            singleton_runs += 1
-            singleton = smallest_singleton_cut(
-                pg, keys, config=sub_config, ledger=copy_ledger
-            )
-            lifted = Cut.of(graph, lift_cut(parent.blocks, singleton.cut.side))
-            if best is None or lifted.weight < best.weight:
-                best = lifted
+            tracked.append(SingletonCopy(pg, keys, sub_config, copy_ledger))
+            lifts.append(parent.blocks)
 
             # Line 6: the copy after its first contractions.
             this_target = min(target_size, max(2, pg.num_vertices - 1))
@@ -155,12 +160,24 @@ def ampc_min_cut(
             sibling_ledgers.append(copy_ledger)
 
         if sibling_ledgers:
-            ledger.absorb_parallel(
+            groups.append((
                 sibling_ledgers,
                 f"Algorithm 1 level {level.index}: {len(sibling_ledgers)} "
                 f"parallel instances (contract x{level.x:.2f})",
-            )
+            ))
         instances = next_instances
+
+    # Line 5: track every copy's smallest singleton cut, all copies in
+    # one Algorithm 3 call (they are independent; each charges its own
+    # ledger, which the level's sibling group then absorbs).
+    singletons = smallest_singleton_cut(tracked)
+    for siblings, reason in groups:
+        ledger.absorb_parallel(siblings, reason)
+    best: Cut | None = None
+    for blocks, singleton in zip(lifts, singletons):
+        lifted = Cut.of(graph, lift_cut(blocks, singleton.cut.side))
+        if best is None or lifted.weight < best.weight:
+            best = lifted
 
     # Lines 1-3: exact solve of every surviving instance on one machine.
     base_solves = 0
@@ -191,7 +208,7 @@ def ampc_min_cut(
         ledger=ledger,
         schedule=schedule,
         base_solves=base_solves,
-        singleton_runs=singleton_runs,
+        singleton_runs=len(tracked),
     )
 
 

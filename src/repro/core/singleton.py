@@ -12,11 +12,16 @@ during the keyed contraction process, in ``O(1/eps)`` AMPC rounds:
    minimum via the sweep (Lemma 14, Theorem 5);
 4. the global minimum over levels (Lemma 15 / Observation 7).
 
-Host-side, steps 3–4 are columnar (:func:`sweep_levels`): every
-level's intervals are built for all edges at once as masks over the
-edge columns, with one segment per (level, leader), and a single
-segmented sweep returns each segment's exact minimum; the first
-minimal segment is the witness.
+One call solves a batch of independent graphs (:class:`SingletonCopy`,
+each with its own keys, configuration and ledger): Algorithm 1 hands it
+every copy of a trial at once, and a one-graph call is a batch of one.
+Steps 1–2 and the level structures run per copy.  Host-side, steps 3–4
+are columnar (:func:`sweep_levels`): every level's intervals, of every
+copy, are built at once as masks over the edge columns, with one
+segment per (copy, level, leader), and a single segmented sweep
+returns each segment's exact minimum.  A copy's witness is the first
+minimal segment in its own range; its cut side is walked on the MST
+of step 1.
 
 Differential guarantee (tested): the returned weight equals the naive
 replay oracle's (:func:`repro.core.bags.replay_min_singleton`) on every
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, NamedTuple
+from typing import Hashable, NamedTuple, Sequence, overload
 
 import numpy as np
 
@@ -37,10 +42,10 @@ from ..graph import Cut, Graph
 from ..trees.low_depth import LowDepthDecomposition, low_depth_decomposition
 from ..trees.rooted import root_tree
 from .bags import replay_min_singleton
-from .contraction import bag_at, mst_of_keys
+from .contraction import mst_bag, mst_of_keys
 from .intervals import IntervalColumns, edge_intervals
 from .keys import ContractionKeys, draw_contraction_keys
-from .ldr import build_level_structure, index_tree
+from .ldr import LevelStructure, build_level_structure, index_tree
 from .sweep import min_interval_overlap
 
 Vertex = Hashable
@@ -58,6 +63,17 @@ class SingletonCutResult:
     ledger: RoundLedger
 
 
+class SingletonCopy(NamedTuple):
+    """One graph of a batched call, with its own keys, model
+    configuration and ledger."""
+
+    graph: Graph
+    keys: ContractionKeys
+    config: AMPCConfig
+    ledger: RoundLedger
+
+
+@overload
 def smallest_singleton_cut(
     graph: Graph,
     keys: ContractionKeys | None = None,
@@ -66,12 +82,36 @@ def smallest_singleton_cut(
     config: AMPCConfig | None = None,
     ledger: RoundLedger | None = None,
     execute_on_simulator: bool = False,
-) -> SingletonCutResult:
+) -> SingletonCutResult: ...
+
+
+@overload
+def smallest_singleton_cut(
+    graph: Sequence[SingletonCopy],
+    *,
+    execute_on_simulator: bool = False,
+) -> list[SingletonCutResult]: ...
+
+
+def smallest_singleton_cut(
+    graph,
+    keys=None,
+    *,
+    seed=0,
+    config=None,
+    ledger=None,
+    execute_on_simulator=False,
+):
     """Run Algorithm 3 on ``graph`` (must be connected, n >= 2).
 
     ``keys`` defaults to freshly drawn weight-biased unique keys.
     Round/memory charges land in ``ledger`` (one is created if absent),
     each citing its lemma.
+
+    ``graph`` may instead be a sequence of :class:`SingletonCopy`: the
+    copies are solved in one batch, each charging its own ledger
+    exactly as a one-graph call would, and the results come back as a
+    list in copy order.
 
     With ``execute_on_simulator=True`` the MST (distributed sample sort
     + consolidation) and the *representative* interval sweep (the
@@ -80,6 +120,10 @@ def smallest_singleton_cut(
     sibling) genuinely execute on the AMPC runtime, making those rounds
     *measured* instead of charged.
     """
+    if not isinstance(graph, Graph):
+        if keys is not None or config is not None or ledger is not None:
+            raise TypeError("each SingletonCopy carries its keys, config and ledger")
+        return _track(graph, execute_on_simulator)
     n = graph.num_vertices
     if n < 2:
         raise ValueError("smallest singleton cut needs n >= 2")
@@ -89,7 +133,90 @@ def smallest_singleton_cut(
         ledger = RoundLedger()
     if keys is None:
         keys = draw_contraction_keys(graph, seed=seed)
+    copy = SingletonCopy(graph, keys, config, ledger)
+    return _track([copy], execute_on_simulator)[0]
 
+
+def _track(
+    copies: Sequence[SingletonCopy], execute_on_simulator: bool
+) -> list[SingletonCutResult]:
+    """Algorithm 3 on every copy: steps 1–2 per copy, steps 3–4 as one
+    sweep, then each copy's witness."""
+    if not copies:
+        return []
+    msts, decomps, levels = [], [], []
+    for graph, keys, config, ledger in copies:
+        mst, decomp, max_tree_key = _steps_1_2(
+            graph, keys, config, ledger, execute_on_simulator
+        )
+        msts.append(mst)
+        decomps.append(decomp)
+        tree = index_tree(decomp, keys, graph.vertices(), max_tree_key=max_tree_key)
+        levels.append(
+            [build_level_structure(tree, i) for i in range(1, tree.height + 1)]
+        )
+
+    # ---------------------------------------------------- steps 3 and 4
+    # The O(log^2 n) level tuples are processed in parallel in the
+    # model; the round cost is the *maximum* per-level cost, which is
+    # O(1/eps) (Lemmas 11 + 13 + 14), at a log^2 n blowup in total
+    # space (Lemma 9).  The copies are independent, so one sweep
+    # serves them all.
+    swept = sweep_levels([(copy.graph, lv) for copy, lv in zip(copies, levels)])
+    results = []
+    for c, (graph, _, config, ledger) in enumerate(copies):
+        n = graph.num_vertices
+        lo, hi = int(swept.first[c]), int(swept.first[c + 1])
+        # First occurrence: ties go to the lowest (level, leader) segment.
+        best = lo + int(np.argmin(swept.weight[lo:hi]))
+        best_weight = float(swept.weight[best])
+        best_leader = graph.vertices()[int(swept.leader[best])]
+        best_time = int(swept.time[best])
+        if execute_on_simulator:
+            _simulate_sweep(swept, lo, hi, config, ledger)
+        else:
+            log2n = math.ceil(math.log2(max(2, n)))
+            ledger.charge(
+                config.rounds_per_primitive,
+                "Algorithm 3 lines 3-7: parallel level tuples — ldr_time "
+                "(Lemma 11), time intervals (Lemma 13), interval sweep "
+                "(Lemma 14/Theorem 5), min reduce (Lemma 15)",
+                local_peak=config.local_memory_words,
+                total_peak=(n + graph.num_edges) * log2n * log2n,
+            )
+
+        cut = Cut.of(graph, mst_bag(msts[c], best_leader, best_time))
+        ledger.charge(
+            1,
+            "witness extraction: materialise bag(leader, t) as a cut side",
+            local_peak=config.local_memory_words,
+            total_peak=n,
+        )
+        # The sweep minimum is the bag's boundary weight by construction;
+        # the Cut re-evaluation cross-checks it, relative to its magnitude.
+        if abs(cut.weight - best_weight) > 1e-6 * abs(best_weight):
+            raise AssertionError(
+                f"sweep minimum {best_weight} != witness cut weight {cut.weight}"
+            )
+        results.append(
+            SingletonCutResult(
+                weight=best_weight,
+                leader=best_leader,
+                time=best_time,
+                cut=cut,
+                decomposition=decomps[c],
+                ledger=ledger,
+            )
+        )
+    return results
+
+
+def _steps_1_2(graph, keys, config, ledger, execute_on_simulator):
+    """Steps 1–2 for one copy: the keyed MST (ascending ``(key, u, v)``),
+    its low-depth decomposition and its largest key."""
+    n = graph.num_vertices
+    if n < 2:
+        raise ValueError("smallest singleton cut needs n >= 2")
     # ---------------------------------------------------------- step 1
     if execute_on_simulator:
         from ..ampc.primitives.mst import ampc_minimum_spanning_forest
@@ -113,9 +240,10 @@ def smallest_singleton_cut(
     max_tree_key = max(k for k, _, _ in mst)
 
     # ---------------------------------------------------------- step 2
-    tree = root_tree(graph.vertices(), [(u, v) for _, u, v in mst])
+    tree_edges = [(u, v) for _, u, v in mst]
+    tree = root_tree(graph.vertices(), tree_edges)
     decomp = low_depth_decomposition(
-        graph.vertices(), [(u, v) for _, u, v in mst], precomputed_tree=tree
+        graph.vertices(), tree_edges, precomputed_tree=tree
     )
     log2n = math.ceil(math.log2(max(2, n)))
     ledger.charge(
@@ -124,106 +252,72 @@ def smallest_singleton_cut(
         local_peak=config.local_memory_words,
         total_peak=n * log2n * log2n,
     )
+    return mst, decomp, max_tree_key
 
-    # ---------------------------------------------------- steps 3 and 4
-    # The O(log^2 n) level tuples are processed in parallel in the
-    # model; the round cost is the *maximum* per-level cost, which is
-    # O(1/eps) (Lemmas 11 + 13 + 14), at a log^2 n blowup in total
-    # space (Lemma 9).
-    swept = sweep_levels(graph, keys, decomp, max_tree_key=max_tree_key)
-    # First occurrence: ties go to the lowest (level, leader) segment.
-    best = int(np.argmin(swept.weight))
-    best_weight = float(swept.weight[best])
-    best_leader = graph.vertices()[int(swept.leader[best])]
-    best_time = int(swept.time[best])
-    if execute_on_simulator:
-        # Levels (and leaders within a level) run in parallel; the
-        # parallel group's measured cost is its largest sibling's, so
-        # execute exactly that sibling's sweep on the runtime.
-        from .sweep import min_interval_overlap_ampc
 
-        iv = swept.intervals
-        sizes = np.bincount(iv.segment, minlength=swept.leader.size)
-        rep = int(np.argmax(sizes))  # the first largest segment
-        rows = np.flatnonzero(iv.segment == rep)
-        rows = rows[np.argsort(iv.edge[rows], kind="stable")]
-        measured = min_interval_overlap_ampc(
-            config,
-            iv.start[rows],
-            iv.end[rows],
-            iv.weight[rows],
-            int(swept.domain_end[rep]),
-            ledger=ledger,
-        )
-        host = float(swept.weight[rep])
-        if abs(measured - host) > 1e-9:
-            raise AssertionError(
-                f"simulator sweep {measured} != host sweep {host}"
-            )
-    else:
-        ledger.charge(
-            config.rounds_per_primitive,
-            "Algorithm 3 lines 3-7: parallel level tuples — ldr_time "
-            "(Lemma 11), time intervals (Lemma 13), interval sweep "
-            "(Lemma 14/Theorem 5), min reduce (Lemma 15)",
-            local_peak=config.local_memory_words,
-            total_peak=(n + graph.num_edges) * log2n * log2n,
-        )
+def _simulate_sweep(swept, lo, hi, config, ledger) -> None:
+    """Execute one copy's representative sweep on the runtime.
 
-    side = bag_at(graph, keys, best_leader, best_time)
-    cut = Cut.of(graph, side)
-    ledger.charge(
-        1,
-        "witness extraction: materialise bag(leader, t) as a cut side",
-        local_peak=config.local_memory_words,
-        total_peak=n,
-    )
-    # The sweep minimum is the bag's boundary weight by construction;
-    # the Cut re-evaluation cross-checks it, relative to its magnitude.
-    if abs(cut.weight - best_weight) > 1e-6 * abs(best_weight):
-        raise AssertionError(
-            f"sweep minimum {best_weight} != witness cut weight {cut.weight}"
-        )
-    return SingletonCutResult(
-        weight=float(best_weight),
-        leader=best_leader,
-        time=best_time,
-        cut=cut,
-        decomposition=decomp,
+    Levels (and leaders within a level) run in parallel; the parallel
+    group's measured cost is its largest sibling's, so execute exactly
+    that sibling's sweep — the copy's first largest segment, in edge
+    order — and check it against the host sweep.
+    """
+    from .sweep import min_interval_overlap_ampc
+
+    iv = swept.intervals
+    sizes = np.bincount(iv.segment, minlength=swept.leader.size)
+    rep = lo + int(np.argmax(sizes[lo:hi]))
+    rows = np.flatnonzero(iv.segment == rep)
+    rows = rows[np.argsort(iv.edge[rows], kind="stable")]
+    measured = min_interval_overlap_ampc(
+        config,
+        iv.start[rows],
+        iv.end[rows],
+        iv.weight[rows],
+        int(swept.domain_end[rep]),
         ledger=ledger,
     )
+    host = float(swept.weight[rep])
+    if abs(measured - host) > 1e-9:
+        raise AssertionError(f"simulator sweep {measured} != host sweep {host}")
 
 
 class LevelSweep(NamedTuple):
-    """Steps 3–4's columns: one segment per (level, leader), in order."""
+    """Steps 3–4's columns: one segment per (copy, level, leader), in
+    order."""
 
     intervals: IntervalColumns
     #: segment -> its leader's ldr_time
     domain_end: np.ndarray
-    #: segment -> its leader's graph vertex index
+    #: segment -> its leader's vertex index in its copy's graph
     leader: np.ndarray
     #: segment -> minimum boundary weight over its domain
     weight: np.ndarray
     #: segment -> the first time attaining that minimum
     time: np.ndarray
+    #: copy c's segments are ``first[c]:first[c + 1]``
+    first: np.ndarray
 
 
 def sweep_levels(
-    graph: Graph,
-    keys: ContractionKeys,
-    decomp: LowDepthDecomposition,
-    *,
-    max_tree_key: int,
+    copies: Sequence[tuple[Graph, Sequence[LevelStructure]]]
 ) -> LevelSweep:
-    """Steps 3–4 host-side: every level's intervals as masks over the
-    edge columns, then one sweep over every (level, leader) segment."""
-    tree = index_tree(decomp, keys, graph.vertices(), max_tree_key=max_tree_key)
-    levels = [build_level_structure(tree, i) for i in range(1, decomp.height + 1)]
-    intervals = edge_intervals(graph, levels)
-    domain_end = np.concatenate([level.ldr_times for level in levels])
+    """Steps 3–4 host-side for every ``(graph, levels)`` copy: every
+    level's intervals as masks over the edge columns, then one sweep
+    over every (copy, level, leader) segment.  Each copy's levels must
+    be indexed in its graph's vertex order."""
+    intervals = edge_intervals(copies)
+    flat = [level for _, levels in copies for level in levels]
+    domain_end = np.concatenate([level.ldr_times for level in flat])
     weight, time = min_interval_overlap(intervals, domain_end)
-    leader = np.concatenate([level.leaders for level in levels])
-    return LevelSweep(intervals, domain_end, leader, weight, time)
+    leader = np.concatenate([level.leaders for level in flat])
+    first = np.zeros(len(copies) + 1, dtype=np.int64)
+    np.cumsum(
+        [sum(level.leaders.size for level in levels) for _, levels in copies],
+        out=first[1:],
+    )
+    return LevelSweep(intervals, domain_end, leader, weight, time, first)
 
 
 def smallest_singleton_cut_value(

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -75,11 +76,24 @@ _EMPTY_F = np.empty(0, dtype=np.float64)
 _INF = math.inf
 
 
+def _is_weight(weight) -> bool:
+    """A real number (not a boolean) strictly between 0 and inf.
+
+    NaN fails every comparison, so ``weight <= 0`` alone lets it in;
+    the type test runs first, so a string fails here rather than
+    raising a bare ``TypeError`` from ``<``.
+    """
+    if type(weight) not in (float, int) and (
+        isinstance(weight, bool) or not isinstance(weight, numbers.Real)
+    ):
+        return False
+    return 0 < weight < _INF
+
+
 def _bad_weight(u: Vertex, v: Vertex, weight: float) -> ValueError:
-    """The error for a non-positive, NaN or infinite weight on ``{u, v}``
-    (NaN fails every comparison, so ``weight <= 0`` alone lets it in)."""
+    """The error for a weight on ``{u, v}`` that fails :func:`_is_weight`."""
     return ValueError(
-        f"edge weight must be positive and finite, got {weight} "
+        f"edge weight must be a positive and finite number, got {weight!r} "
         f"for {u!r} -- {v!r}"
     )
 
@@ -186,11 +200,12 @@ class Graph:
         """Add (or reinforce) edge ``{u, v}`` with positive, finite weight.
 
         Raises :class:`ValueError` naming the weight and the endpoints
-        for a self-loop or a non-positive, NaN or infinite weight.
+        for a self-loop or a weight that is not a number (booleans and
+        strings included), or is non-positive, NaN or infinite.
         """
         if u == v:
             raise ValueError(f"self-loop on {u!r} rejected")
-        if not 0 < weight < _INF:
+        if not _is_weight(weight):
             raise _bad_weight(u, v, weight)
         self.add_vertex(u)
         self.add_vertex(v)
@@ -240,11 +255,11 @@ class Graph:
         mutation path.  The row keeps its storage position, so edge
         insertion order (the determinism contract above) is untouched.
         Raises :class:`ValueError` naming the endpoints when the edge
-        is absent or the weight is not positive and finite
+        is absent or the weight is not a positive, finite number
         (reweight-to-zero is canonicalized into a remove by the caller,
         mirroring the zero-weight-drop rule of the file readers).
         """
-        if not 0 < weight < _INF:
+        if not _is_weight(weight):
             raise _bad_weight(u, v, weight)
         row = self._edge_row(u, v)
         if row is None:

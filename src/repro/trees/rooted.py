@@ -105,10 +105,12 @@ def root_tree(
         raise ValueError(
             f"not a tree: {len(vertices)} vertices but {edge_count} edges"
         )
+    # One type-stable sort key per vertex, computed once.
+    order = {v: _stable_key(v) for v in vertices}
     for v in adjacency:
-        adjacency[v].sort(key=_stable_key)
+        adjacency[v].sort(key=order.__getitem__)
     if root is None:
-        root = min(vertices, key=_stable_key)
+        root = min(vertices, key=order.__getitem__)
 
     parent: dict[Vertex, Vertex | None] = {root: None}
     depth: dict[Vertex, int] = {root: 1}
@@ -117,6 +119,8 @@ def root_tree(
     visited = {root}
     while stack:
         v = stack.pop()
+        # Children are appended in sorted adjacency order, so each
+        # child list comes out sorted.
         for u in adjacency[v]:
             if u not in visited:
                 visited.add(u)
@@ -126,8 +130,6 @@ def root_tree(
                 stack.append(u)
     if len(visited) != len(vertices):
         raise ValueError("edge set does not connect all vertices")
-    for v in children:
-        children[v].sort(key=_stable_key)
 
     # Preorder in child (adjacency) order.  Note: the AMPC rooting's
     # preorder visits children in cyclic order starting after the
@@ -145,8 +147,10 @@ def root_tree(
         for u in reversed(children[v]):
             stack2.append(u)
 
+    # ``parent`` is in discovery order, each vertex after its parent,
+    # so in reverse every subtree is complete before it is added up.
     subtree: dict[Vertex, int] = {v: 1 for v in vertices}
-    for v in sorted(vertices, key=lambda x: -depth[x]):
+    for v in reversed(parent):
         p = parent[v]
         if p is not None:
             subtree[p] += subtree[v]

@@ -10,6 +10,8 @@ rationals throughout, so every cut weight is exactly representable and
 
 from __future__ import annotations
 
+import random
+
 from repro.graph import Graph
 from repro.workloads import (
     barbell,
@@ -85,6 +87,19 @@ def relabel(graph: Graph, tag: str = "x") -> tuple[Graph, dict]:
     for u, v, w in graph.edges():
         out.add_edge(phi[u], phi[v], w)
     return out, phi
+
+
+def relabeled_clustered(slot: int, seed: int) -> Graph:
+    """A clustered n=64 graph (the shape the served benchmark's
+    mutation stream solves) with its integer labels permuted."""
+    g = clustered_community(64, intra_p=24 / 64, seed=2022 + slot).graph
+    labels = list(range(64))
+    random.Random(seed).shuffle(labels)
+    label = dict(zip(g.vertices(), labels))
+    return Graph(
+        vertices=[label[v] for v in g.vertices()],
+        edges=[(label[u], label[v], w) for u, v, w in g.edges()],
+    )
 
 
 def scale(graph: Graph, factor: float) -> Graph:

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import algo3_reference as ref
-from cutcorpus import connected_corpus, scale
+from cutcorpus import connected_corpus, relabeled_clustered, scale
 from repro.core import (
     ampc_min_cut,
     draw_contraction_keys,
@@ -31,7 +31,7 @@ from repro.core.ldr import build_level_structure, index_tree
 from repro.core import intervals as intervals_module
 from repro.core.intervals import edge_intervals
 from repro.graph import Graph
-from repro.workloads import clustered_community, erdos_renyi
+from repro.workloads import erdos_renyi
 
 CORPUS = [(name, g) for name, g in connected_corpus() if g.num_vertices >= 2]
 SEEDS = range(4)
@@ -40,18 +40,6 @@ SEEDS = range(4)
 def witness(graph, keys):
     res = smallest_singleton_cut(graph, keys)
     return res.weight, res.leader, res.time
-
-
-def relabeled_clustered(slot: int, seed: int) -> Graph:
-    """A clustered n=64 graph with its integer labels permuted."""
-    g = clustered_community(64, intra_p=24 / 64, seed=2022 + slot).graph
-    labels = list(range(64))
-    random.Random(seed).shuffle(labels)
-    label = dict(zip(g.vertices(), labels))
-    return Graph(
-        vertices=[label[v] for v in g.vertices()],
-        edges=[(label[u], label[v], w) for u, v, w in g.edges()],
-    )
 
 
 def assert_segments_match(graph, keys):
@@ -64,7 +52,9 @@ def assert_segments_match(graph, keys):
     minima are equal, so are their times.
     """
     decomp, max_key = ref.steps_1_2(graph, keys)
-    swept = sweep_levels(graph, keys, decomp, max_tree_key=max_key)
+    tree = index_tree(decomp, keys, graph.vertices(), max_tree_key=max_key)
+    levels = [build_level_structure(tree, i) for i in range(1, decomp.height + 1)]
+    swept = sweep_levels([(graph, levels)])
     old = ref.reference_segments(graph, keys, decomp, max_key)
     new = zip(
         [graph.vertices()[x] for x in swept.leader.tolist()],
@@ -103,19 +93,25 @@ class TestBitIdentical:
             assert witness(g, keys) == ref.reference_singleton(g, keys)
 
     def test_every_singleton_call_inside_algorithm_1(self, monkeypatch):
-        """Algorithm 1 calls Algorithm 3 on each contracted graph."""
+        """Algorithm 1 hands every contracted graph of a trial to one
+        batched Algorithm 3 call; each copy's result must equal the
+        frozen path's on that copy alone."""
         calls = []
+        batches = []
         inner = mincut_module.smallest_singleton_cut
 
-        def recording(graph, keys=None, **kw):
-            res = inner(graph, keys, **kw)
-            calls.append((graph, keys, (res.weight, res.leader, res.time)))
-            return res
+        def recording(copies, **kw):
+            results = inner(copies, **kw)
+            batches.append(len(copies))
+            for copy, res in zip(copies, results, strict=True):
+                calls.append((copy.graph, copy.keys, (res.weight, res.leader, res.time)))
+            return results
 
         monkeypatch.setattr(mincut_module, "smallest_singleton_cut", recording)
         g = relabeled_clustered(0, 3)
         for seed in (1, 2):
             ampc_min_cut(g, seed=seed)
+        assert len(batches) == 2  # one call per trial
         assert len(calls) > 10
         for graph, keys, got in calls:
             assert got == ref.reference_singleton(graph, keys)
@@ -128,10 +124,10 @@ class TestBitIdentical:
         decomp, max_key = ref.steps_1_2(g, keys)
         tree = index_tree(decomp, keys, g.vertices(), max_tree_key=max_key)
         levels = [build_level_structure(tree, i) for i in range(1, decomp.height + 1)]
-        whole = edge_intervals(g, levels)
+        whole = edge_intervals([(g, levels)])
         for cells in (1, 2 * g.num_edges * 3):
             monkeypatch.setattr(intervals_module, "CHUNK_CELLS", cells)
-            chunked = edge_intervals(g, levels)
+            chunked = edge_intervals([(g, levels)])
             for a, b in zip(whole, chunked):
                 assert np.array_equal(a, b)
         assert witness(g, keys) == ref.reference_singleton(g, keys)
@@ -150,7 +146,7 @@ class TestBitIdentical:
                 assert new.join_time == old.join_time
                 assert list(new.ldr_time.items()) == list(old.ldr_time.items())
                 # Per leader, the same intervals in edge order.
-                iv = edge_intervals(g, [new])
+                iv = edge_intervals([(g, [new])])
                 rows = np.lexsort((iv.edge, iv.segment))
                 got = [
                     (g.vertices()[new.leaders[s]], a, b, w)

@@ -1,5 +1,9 @@
 """Tests for the weighted graph substrate."""
 
+import re
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from repro.graph import Graph
@@ -53,6 +57,49 @@ class TestConstruction:
             with pytest.raises(ValueError, match=rf"{bad}.*0 -- 1"):
                 g.set_edge_weight(0, 1, bad)
         assert g.weight(0, 1) == 2.0
+
+    @pytest.mark.parametrize("bad", [True, False, "2.5", "x", None, [1.0], b"1"])
+    def test_non_number_weight_rejected_naming_weight_and_endpoints(self, bad):
+        """A boolean used to pass the range check as 1 (or fail it as
+        0) and a string failed ``<`` with a bare TypeError; both now get
+        the ValueError that NaN gets."""
+        with pytest.raises(ValueError, match=rf"{re.escape(repr(bad))}.*0 -- 1"):
+            Graph(edges=[(0, 1, bad), (1, 2, 2.0)])
+        g = Graph(edges=[(0, 1, 2.0), (1, 2, 1.0)])
+        with pytest.raises(ValueError, match=r"number.*0 -- 1"):
+            g.add_edge(0, 1, bad)
+        with pytest.raises(ValueError, match=r"number.*1 -- 2"):
+            g.set_edge_weight(1, 2, bad)
+        assert (g.weight(0, 1), g.weight(1, 2), g.num_edges) == (2.0, 1.0, 2)
+
+    def test_bool_weight_issue_repro(self):
+        with pytest.raises(ValueError, match=r"True.*0 -- 1"):
+            Graph(edges=[(0, 1, True), (1, 2, 2.0)])
+        with pytest.raises(ValueError, match=r"'2\.5'.*1 -- 2"):
+            Graph(edges=[(0, 1, 1.0), (1, 2, "2.5")])
+
+    @pytest.mark.parametrize(
+        "good",
+        [3, 2.5, np.float64(2.5), np.float32(0.5), np.int64(4), np.int32(7),
+         np.uint8(3), Fraction(1, 4)],
+    )
+    def test_numpy_and_other_real_weights_accepted(self, good):
+        g = Graph(edges=[(0, 1, good)])
+        g.add_edge(0, 1, good)
+        assert g.weight(0, 1) == 2 * float(good)
+        g.set_edge_weight(0, 1, good)
+        assert g.weight(0, 1) == float(good)
+        assert type(g.weight(0, 1)) is float
+
+    def test_service_register_rejects_a_bool_weight(self):
+        from repro.service import CutService
+
+        with CutService() as svc:
+            with pytest.raises(ValueError, match=r"True.*1 -- 2"):
+                svc.register(
+                    "g", Graph(edges=[(0, 1, 1.0), (1, 2, True), (2, 0, 1.0)])
+                )
+            assert svc.graphs() == []
 
     def test_reinforcing_to_overflow_rejected(self):
         g = Graph(edges=[(0, 1, 1e308)])

@@ -34,7 +34,7 @@ def levels(g, keys, decomp, max_key):
 
 def by_leader(g, struct):
     """``{leader: [(start, end, weight), ...]}`` in edge order."""
-    iv = edge_intervals(g, [struct])
+    iv = edge_intervals([(g, [struct])])
     out = {r: [] for r in struct.ldr_time}
     leaders = [g.vertices()[r] for r in struct.leaders.tolist()]
     for row in np.argsort(iv.edge, kind="stable").tolist():
@@ -114,7 +114,7 @@ class TestLemma12and13:
         g = erdos_renyi(16, 0.4, weighted=True, seed=11)
         keys, decomp, max_key = setup(g, 11)
         for struct in levels(g, keys, decomp, max_key):
-            iv = edge_intervals(g, [struct])
+            iv = edge_intervals([(g, [struct])])
             pairs = set(zip(iv.segment.tolist(), iv.edge.tolist()))
             assert len(pairs) == iv.segment.size
 
