@@ -23,6 +23,7 @@ import numpy as np
 from ..config import AMPCConfig
 from ..ledger import RoundLedger
 from .euler import ampc_root_forest
+from .listrank import _stable_key
 
 
 def ampc_forest_components(
@@ -169,7 +170,3 @@ def _graph_components_vectorized(
             total_peak=n + m,
         )
     return {v: rep_of[id_map[v]] for v in vertices}
-
-
-def _stable_key(v: Hashable):
-    return (str(type(v)), str(v))

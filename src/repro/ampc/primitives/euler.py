@@ -33,7 +33,7 @@ from ..config import AMPCConfig
 from ..ledger import RoundLedger
 from ..machine import MachineContext
 from ..runtime import AMPCRuntime
-from .listrank import ampc_list_rank
+from .listrank import _stable_key, ampc_list_rank
 from .prefix import ampc_prefix_sums
 
 
@@ -249,7 +249,3 @@ def _components(adjacency: dict[Hashable, list[Hashable]]) -> dict[Hashable, int
                     stack.append(u)
         next_id += 1
     return comp
-
-
-def _stable_key(v: Hashable):
-    return (str(type(v)), str(v))

@@ -250,6 +250,8 @@ def _level_succ(runtime: AMPCRuntime, level: int, v: Hashable):
 
 
 def _stable_key(v: Hashable):
+    """A total order on mixed hashable labels: by type name, then by
+    ``str`` (shared by the primitives and :mod:`repro.trees.rooted`)."""
     return (str(type(v)), str(v))
 
 

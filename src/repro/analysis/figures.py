@@ -96,19 +96,19 @@ def figure3_instance() -> tuple[Graph, ContractionKeys, Vertex]:
     ``[0, 2]``.  We build a graph achieving exactly that shape.
     """
     g = Graph(vertices=range(7))
-    # tree edges (times 1..6 by construction below)
     tree_edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]
     non_tree = [(0, 2), (1, 3), (0, 6)]
-    for u, v in tree_edges + non_tree:
+    edges = tree_edges + non_tree
+    for u, v in edges:
         g.add_edge(u, v, 1.0)
-    key: dict = {}
-    for t, (u, v) in enumerate(tree_edges, start=1):
-        key[(u, v)] = t
-        key[(v, u)] = t
-    for t, (u, v) in enumerate(non_tree, start=len(tree_edges) + 1):
-        key[(u, v)] = t + 10  # non-tree edges contract late
-        key[(v, u)] = t + 10
-    keys = ContractionKeys(key=key, max_key=max(key.values()), key_space=7**3)
+    # tree edges contract at times 1..6, the non-tree edges late
+    keys = ContractionKeys(
+        vertices=g.vertices(),
+        u=[g.index_of(u) for u, _ in edges],
+        v=[g.index_of(v) for _, v in edges],
+        value=[1, 2, 3, 4, 5, 6, 17, 18, 19],
+        key_space=7**3,
+    )
     return g, keys, 2  # the designated vertex
 
 

@@ -2,16 +2,18 @@
 
 Contracting edges in increasing key order is equivalent (for topology)
 to contracting only the MST edges of the keyed graph — the comparison
-to Kruskal the paper makes.  This module provides:
+to Kruskal the paper makes.  The keys run Kruskal once
+(:attr:`~repro.core.keys.ContractionKeys.mst`), and this module reads
+that MST:
 
-* :func:`mst_of_keys` — the unique MST under unique keys;
+* :func:`mst_of_keys` — the unique MST under unique keys, in labels;
 * :func:`contract_to_size` — the graph "after the first ``k``
-  contractions" (Algorithm 1, line 6): contract cheapest MST edges
-  until the target vertex count remains, merging parallel edges by
-  weight;
-* :func:`bag_at` — ``bag(v, t)`` by definition (Definition 6), the
-  reference semantics used in property tests, and :func:`mst_bag`,
-  the same walk over an MST already built (Algorithm 3's witness).
+  contractions" (Algorithm 1, line 6): the MST's cheapest edges
+  contracted until the target vertex count remains, parallel edges
+  merged by weight;
+* :func:`bag_at` — ``bag(v, t)`` by definition (Definition 6), and
+  :func:`mst_bag`, the same walk over an MST already in hand
+  (Algorithm 3's witness).
 """
 
 from __future__ import annotations
@@ -24,54 +26,14 @@ from .keys import ContractionKeys
 Vertex = Hashable
 
 
-class _IndexDSU:
-    """Union–find over dense vertex indices (flat-array storage).
-
-    Mirrors :class:`repro.graph.DSU` decision-for-decision — union by
-    size with the first argument's root surviving ties, path halving —
-    so the elected representatives (which become quotient vertex
-    labels downstream) are identical to the hashable implementation's,
-    just without per-operation dict hashing.
-    """
-
-    __slots__ = ("parent", "size", "count")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.count = n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        size = self.size
-        if size[ra] < size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        size[ra] += size[rb]
-        self.count -= 1
-        return True
-
-
 def mst_of_keys(
     graph: Graph, keys: ContractionKeys
 ) -> list[tuple[int, Vertex, Vertex]]:
-    """Kruskal on contraction keys: the unique MST, as (key, u, v) ascending."""
-    index = graph._index
-    dsu = _IndexDSU(graph.num_vertices)
-    mst: list[tuple[int, Vertex, Vertex]] = []
-    for k, u, v in keys.edges_by_key():
-        if dsu.union(index[u], index[v]):
-            mst.append((k, u, v))
-    return mst
+    """The MST of ``graph`` under ``keys`` (drawn on it), as
+    ``(key, u, v)`` ascending."""
+    V = keys.vertices
+    mst = keys.mst
+    return [(k, V[a], V[b]) for k, a, b in zip(mst.key, mst.u, mst.v)]
 
 
 def contract_to_size(
@@ -86,22 +48,37 @@ def contract_to_size(
     for lifting cuts back.  Contracts nothing if the graph is already
     at or below the target.
 
-    One pass: a flat-array DSU labels every vertex with its block's
-    representative, then a single vectorized :meth:`Graph.quotient`
-    materialises the contracted graph — no incremental edge merging.
+    The blocks are Kruskal's union–find sets after the MST's first
+    ``n - target_vertices`` unions — the edges skipped as cycles never
+    change a root — named by their roots; a single vectorized
+    :meth:`Graph.quotient` materialises the contracted graph.  So the
+    contraction is a prefix of the MST:
+
+    >>> from repro.core.keys import draw_contraction_keys
+    >>> from repro.graph import DSU
+    >>> from repro.workloads import grid
+    >>> g = grid(3, 3)
+    >>> keys = draw_contraction_keys(g, seed=1)
+    >>> quotient, blocks = contract_to_size(g, keys, 4)
+    >>> quotient.num_vertices
+    4
+    >>> prefix = DSU(g.vertices())
+    >>> for _, u, v in mst_of_keys(g, keys)[: 9 - 4]:
+    ...     _ = prefix.union(u, v)
+    >>> prefix.groups() == blocks
+    True
     """
     if target_vertices < 1:
         raise ValueError("target_vertices must be >= 1")
-    n = graph.num_vertices
     vertices = graph.vertices()
-    index = graph._index
-    dsu = _IndexDSU(n)
-    if n > target_vertices:
-        for _, u, v in keys.edges_by_key():
-            if dsu.union(index[u], index[v]) and dsu.count <= target_vertices:
-                break
-    representative = {v: vertices[dsu.find(i)] for i, v in enumerate(vertices)}
-    return graph.quotient(representative)
+    root = list(range(len(vertices)))
+    mst = keys.mst
+    prefix = min(len(vertices) - target_vertices, len(mst.key))
+    # Backwards over the prefix, each absorbed root takes the final
+    # root of the root it joined (which a later union may absorb).
+    for s in reversed(range(prefix)):
+        root[mst.absorbed[s]] = root[mst.root[s]]
+    return graph.quotient({v: vertices[r] for v, r in zip(vertices, root)})
 
 
 def bag_at(
@@ -114,20 +91,7 @@ def bag_at(
     vertices already joined by smaller tree keys — the Kruskal cycle
     property), which tests assert.  This walks the MST.
     """
-    adj: dict[Vertex, list[Vertex]] = {u: [] for u in graph.vertices()}
-    for k, a, b in mst_of_keys(graph, keys):
-        if k <= t:
-            adj[a].append(b)
-            adj[b].append(a)
-    out = {v}
-    stack = [v]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in out:
-                out.add(y)
-                stack.append(y)
-    return frozenset(out)
+    return mst_bag(mst_of_keys(graph, keys), v, t)
 
 
 def mst_bag(
@@ -136,8 +100,7 @@ def mst_bag(
     """``bag(v, t)`` from the keyed MST as ``(key, u, v)`` ascending:
     the vertices reachable from ``v`` over its edges of key <= t.
 
-    Algorithm 3's witness, on the MST its step 1 built; :func:`bag_at`
-    stays the independent reference."""
+    Algorithm 3's witness, on the MST its step 1 built."""
     adj: dict[Vertex, list[Vertex]] = {}
     for k, a, b in mst:
         if k > t:

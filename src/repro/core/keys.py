@@ -17,72 +17,183 @@ and unique".  Two regimes:
 Ranks are spread over ``[1, n^3]`` (the paper's key space) rather than
 ``[1, m]``; only the order matters to every consumer, but tests assert
 the codomain contract too.
+
+Keys are columns: the edge rows in key order, as endpoint indices into
+the graph's vertex order, and their key values.  Contracting edges in
+increasing key order merges exactly what Kruskal's algorithm merges,
+so the keyed MST (:attr:`ContractionKeys.mst`, one Kruskal pass per
+draw) serves both Algorithm 1's contraction to size and Algorithm 3's
+step 1.  The ``(u, v) -> key`` dict and the ``(key, u, v)`` label list
+are views built on first use.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Hashable
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Hashable, NamedTuple, Sequence
 
 import numpy as np
 
 from ..graph import Graph
 
-EdgeId = tuple[Hashable, Hashable]
+Vertex = Hashable
+EdgeId = tuple[Vertex, Vertex]
+
+
+class _IndexDSU:
+    """Union–find over dense vertex indices (flat-array storage).
+
+    Mirrors :class:`repro.graph.DSU` decision-for-decision — union by
+    size with the first argument's root surviving ties, path halving —
+    so the elected representatives (which become quotient vertex
+    labels downstream) are identical to the hashable implementation's,
+    just without per-operation dict hashing.
+    """
+
+    __slots__ = ("parent", "size")
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.size = [1] * n
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> int:
+        """Merge the sets of ``a`` and ``b``; return the root that
+        joined the other (now ``parent[root]``), or -1 if they were
+        one set."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return -1
+        size = self.size
+        if size[ra] < size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        size[ra] += size[rb]
+        return rb
+
+
+class KeyedMST(NamedTuple):
+    """The keyed MST (a forest on a disconnected graph) in Kruskal
+    order: row ``i`` is the ``i``-th contraction that merges two bags,
+    with its key, its endpoints' vertex indices, and the union–find
+    roots it joined (``absorbed`` hangs under ``root``)."""
+
+    key: list[int]
+    u: list[int]
+    v: list[int]
+    root: list[int]
+    absorbed: list[int]
 
 
 @dataclass(frozen=True)
 class ContractionKeys:
     """Unique integer contraction keys for every edge of a graph.
 
-    ``key[(u, v)]`` is defined for both orientations of each edge.
-    ``max_key`` is the largest assigned key; ``key_space`` the paper's
-    ``n^3`` bound.
+    Row ``i`` is the edge with the ``i``-th smallest key: endpoints
+    ``u[i]``, ``v[i]`` (indices into ``vertices``, the graph's vertex
+    order) and key ``value[i]``, ascending.  ``key_space`` is the
+    paper's ``n^3`` bound.
+
+    >>> from repro.graph import Graph
+    >>> g = Graph(edges=[("a", "b", 1.0), ("b", "c", 1.0), ("a", "c", 1.0)])
+    >>> keys = draw_contraction_keys(g, seed=1)
+    >>> keys.u, keys.v, keys.value
+    ([1, 0, 0], [2, 2, 1], [6, 12, 18])
+    >>> keys.edges_by_key()
+    [(6, 'b', 'c'), (12, 'a', 'c'), (18, 'a', 'b')]
+    >>> keys.of("b", "a")
+    18
+    >>> keys.mst.key  # (a, b) closes a cycle
+    [6, 12]
     """
 
-    key: dict[EdgeId, int]
-    max_key: int
+    vertices: list[Vertex]
+    u: list[int]
+    v: list[int]
+    value: list[int]
     key_space: int
-    _ordered: list[tuple[int, Hashable, Hashable]] | None = field(
-        default=None, repr=False, compare=False
-    )
 
-    def of(self, u: Hashable, v: Hashable) -> int:
+    @property
+    def max_key(self) -> int:
+        """The largest assigned key (0 without edges)."""
+        return self.value[-1] if self.value else 0
+
+    @cached_property
+    def key(self) -> dict[EdgeId, int]:
+        """``key[(u, v)]`` for both orientations of each edge."""
+        V = self.vertices
+        key: dict[EdgeId, int] = {}
+        for k, a, b in zip(self.value, self.u, self.v):
+            key[(V[a], V[b])] = k
+            key[(V[b], V[a])] = k
+        return key
+
+    def of(self, u: Vertex, v: Vertex) -> int:
         return self.key[(u, v)]
 
-    def edges_by_key(self) -> list[tuple[int, Hashable, Hashable]]:
+    def edges_by_key(self) -> list[tuple[int, Vertex, Vertex]]:
         """(key, u, v) triples, ascending, one per undirected edge.
 
         Cached after the first call (keys are immutable); callers must
         not mutate the returned list.
         """
-        if self._ordered is None:
-            seen = set()
-            out = []
-            for (u, v), k in self.key.items():
-                if (v, u) in seen:
-                    continue
-                seen.add((u, v))
-                out.append((k, u, v))
-            out.sort()
-            object.__setattr__(self, "_ordered", out)
-        return self._ordered
+        return self._labelled
+
+    @cached_property
+    def _labelled(self) -> list[tuple[int, Vertex, Vertex]]:
+        V = self.vertices
+        return [(k, V[a], V[b]) for k, a, b in zip(self.value, self.u, self.v)]
+
+    @cached_property
+    def mst(self) -> KeyedMST:
+        """Kruskal over the rows: unique keys give a unique MST."""
+        n = len(self.vertices)
+        dsu = _IndexDSU(n)
+        mst = KeyedMST([], [], [], [], [])
+        for k, a, b in zip(self.value, self.u, self.v):
+            absorbed = dsu.union(a, b)
+            if absorbed < 0:
+                continue
+            mst.key.append(k)
+            mst.u.append(a)
+            mst.v.append(b)
+            mst.root.append(dsu.parent[absorbed])
+            mst.absorbed.append(absorbed)
+            if len(mst.key) == n - 1:
+                break
+        return mst
 
 
 def _spread_ranks(m: int, key_space: int) -> list[int]:
     """Rank ``1..m`` spread over ``[1, key_space]`` preserving order.
 
-    With ``m <= n^2 < n^3`` the spreading keeps keys unique; on tiny
-    key spaces where the stride collapses, fall back to the raw ranks.
+    A simple graph has ``m <= n(n-1)/2 < n^3 = key_space`` edges, so
+    the stride is at least 1 and ``m * stride < key_space``: the keys
+    are unique and inside the key space.
     """
-    stride = max(1, key_space // (m + 1))
-    ranks = np.arange(1, m + 1, dtype=np.int64)
-    kvals = np.minimum(np.int64(key_space), ranks * stride)
-    if len(np.unique(kvals)) != m:
-        kvals = ranks
-    return kvals.tolist()
+    stride = key_space // (m + 1)
+    return list(range(stride, (m + 1) * stride, stride))
+
+
+def _ranked(graph: Graph, order: Sequence[int], key_space: int) -> ContractionKeys:
+    """Keys for ``graph``'s edge rows taken in ``order``."""
+    us, vs, _ = graph._columns()
+    return ContractionKeys(
+        vertices=graph.vertices(),
+        u=us[order].tolist(),
+        v=vs[order].tolist(),
+        value=_spread_ranks(len(order), key_space),
+        key_space=key_space,
+    )
 
 
 def draw_contraction_keys(graph: Graph, *, seed: int = 0) -> ContractionKeys:
@@ -90,7 +201,7 @@ def draw_contraction_keys(graph: Graph, *, seed: int = 0) -> ContractionKeys:
     rng = random.Random(seed)
     n = graph.num_vertices
     key_space = max(1, n**3)
-    us, vs, ws = graph.edge_arrays()
+    ws = graph._columns()[2]
     m = len(ws)
     # The uniform draws must come from the Python RNG one edge at a
     # time, in edge-storage order — the reproducibility contract ties
@@ -106,21 +217,7 @@ def draw_contraction_keys(graph: Graph, *, seed: int = 0) -> ContractionKeys:
         count=m,
     )
     clocks /= ws
-    key: dict[EdgeId, int] = {}
-    ordered: list[tuple[int, Hashable, Hashable]] = []
-    if m:
-        order = np.argsort(clocks, kind="stable")
-        kvals = _spread_ranks(m, key_space)
-        V = graph.vertices()
-        for k, iu, iv in zip(kvals, us[order].tolist(), vs[order].tolist()):
-            u, v = V[iu], V[iv]
-            key[(u, v)] = k
-            key[(v, u)] = k
-            ordered.append((k, u, v))
-    max_key = ordered[-1][0] if ordered else 0
-    return ContractionKeys(
-        key=key, max_key=max_key, key_space=key_space, _ordered=ordered
-    )
+    return _ranked(graph, np.argsort(clocks, kind="stable"), key_space)
 
 
 def draw_uniform_keys(graph: Graph, *, seed: int = 0) -> ContractionKeys:
@@ -134,20 +231,6 @@ def draw_uniform_keys(graph: Graph, *, seed: int = 0) -> ContractionKeys:
     exponential clocks instead (an erratum to the paper's phrasing;
     ablation A4 in ``benchmarks/bench_ablations.py`` measures it).
     """
-    rng = random.Random(seed)
-    n = graph.num_vertices
-    key_space = max(1, n**3)
-    edges = [(u, v) for u, v, _ in graph.edges()]
-    rng.shuffle(edges)
-    m = len(edges)
-    key: dict[EdgeId, int] = {}
-    ordered: list[tuple[int, Hashable, Hashable]] = []
-    if m:
-        for k, (u, v) in zip(_spread_ranks(m, key_space), edges):
-            key[(u, v)] = k
-            key[(v, u)] = k
-            ordered.append((k, u, v))
-    max_key = ordered[-1][0] if ordered else 0
-    return ContractionKeys(
-        key=key, max_key=max_key, key_space=key_space, _ordered=ordered
-    )
+    rows = list(range(graph.num_edges))
+    random.Random(seed).shuffle(rows)
+    return _ranked(graph, rows, max(1, graph.num_vertices**3))

@@ -73,16 +73,19 @@ def index_tree(
     *,
     max_tree_key: int,
 ) -> IndexedTree:
-    """Index ``decomp``'s tree by ``vertices`` (which must be its vertex set)."""
+    """Index ``decomp``'s tree by ``vertices`` (which must be its vertex
+    set).  The tree is the keyed MST, which ``decomp`` decomposes; its
+    edges and their keys are read off :attr:`ContractionKeys.mst`."""
     vertices = list(vertices)
     index = {v: i for i, v in enumerate(vertices)}
     label = [decomp.label[v] for v in vertices]
     adjacency: list[list[tuple[int, int]]] = [[] for _ in vertices]
-    for child, parent in decomp.tree.edges():
-        c, p = index[child], index[parent]
-        k = keys.of(child, parent)
-        adjacency[c].append((p, k))
-        adjacency[p].append((c, k))
+    at = [index[v] for v in keys.vertices]
+    mst = keys.mst
+    for k, a, b in zip(mst.key, mst.u, mst.v):
+        a, b = at[a], at[b]
+        adjacency[a].append((b, k))
+        adjacency[b].append((a, k))
     leaders: dict[int, list[int]] = {}
     for v, l in decomp.label.items():
         leaders.setdefault(l, []).append(index[v])
@@ -191,9 +194,7 @@ def all_level_structures(
     decomp: LowDepthDecomposition, keys: ContractionKeys
 ) -> list[LevelStructure]:
     """Level structures for every level ``1..height`` (Lemma 9's tuples)."""
-    max_tree_key = max(
-        (keys.of(c, p) for c, p in decomp.tree.edges()), default=0
-    )
+    max_tree_key = max(keys.mst.key, default=0)
     tree = index_tree(
         decomp, keys, decomp.tree.vertices(), max_tree_key=max_tree_key
     )

@@ -13,11 +13,12 @@ every instance:
   (line 5 — Algorithm 3, the paper's novel ``O(1/eps)``-round part),
 * contract down to the next level's size (line 6).
 
-Line 6 needs only the keys, so line 5 does not hold up the recursion:
-every copy of every level is recorded, and once the level loop ends,
-one batched Algorithm 3 call tracks them all — steps 1–2 per copy,
-then a single interval build and sweep over every copy's (level,
-leader) segments.  The copies are independent and line 5's cuts feed
+Line 6 is a prefix of the keys' MST, which Kruskal builds once per
+copy and Algorithm 3's step 1 reads again, so line 5 does not hold up
+the recursion: every copy of every level is recorded, and once the
+level loop ends, one batched Algorithm 3 call tracks them all — steps
+1–2 per copy, then a single interval build and sweep over every
+copy's (level, leader) segments.  The copies are independent and line 5's cuts feed
 only line 8's minimum, so this is the same computation as a call per
 copy, with numpy's per-call cost paid once per trial.
 

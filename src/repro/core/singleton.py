@@ -4,7 +4,8 @@ Computes the exact minimum weight over all singleton cuts arising
 during the keyed contraction process, in ``O(1/eps)`` AMPC rounds:
 
 1. minimum spanning tree of the keyed graph (unique keys => unique
-   MST);
+   MST), read from the keys, whose Kruskal pass Algorithm 1's
+   contraction already ran;
 2. generalized low-depth decomposition of the MST (Lemma 3);
 3. ``O(log^2 n)`` level tuples ``(T, l, E, L_i)`` processed **in
    parallel** (Lemma 9): per level, leaders and ``ldr_time``
@@ -39,7 +40,7 @@ import numpy as np
 
 from ..ampc import AMPCConfig, RoundLedger
 from ..graph import Cut, Graph
-from ..trees.low_depth import LowDepthDecomposition, low_depth_decomposition
+from ..trees.low_depth import low_depth_decomposition
 from ..trees.rooted import root_tree
 from .bags import replay_min_singleton
 from .contraction import mst_bag, mst_of_keys
@@ -59,7 +60,6 @@ class SingletonCutResult:
     leader: Vertex
     time: int
     cut: Cut
-    decomposition: LowDepthDecomposition
     ledger: RoundLedger
 
 
@@ -144,14 +144,11 @@ def _track(
     sweep, then each copy's witness."""
     if not copies:
         return []
-    msts, decomps, levels = [], [], []
+    msts, levels = [], []
     for graph, keys, config, ledger in copies:
-        mst, decomp, max_tree_key = _steps_1_2(
-            graph, keys, config, ledger, execute_on_simulator
-        )
+        mst, decomp = _steps_1_2(graph, keys, config, ledger, execute_on_simulator)
         msts.append(mst)
-        decomps.append(decomp)
-        tree = index_tree(decomp, keys, graph.vertices(), max_tree_key=max_tree_key)
+        tree = index_tree(decomp, keys, graph.vertices(), max_tree_key=mst[-1][0])
         levels.append(
             [build_level_structure(tree, i) for i in range(1, tree.height + 1)]
         )
@@ -204,7 +201,6 @@ def _track(
                 leader=best_leader,
                 time=best_time,
                 cut=cut,
-                decomposition=decomps[c],
                 ledger=ledger,
             )
         )
@@ -212,8 +208,8 @@ def _track(
 
 
 def _steps_1_2(graph, keys, config, ledger, execute_on_simulator):
-    """Steps 1–2 for one copy: the keyed MST (ascending ``(key, u, v)``),
-    its low-depth decomposition and its largest key."""
+    """Steps 1–2 for one copy: the keyed MST (ascending ``(key, u, v)``)
+    and its low-depth decomposition."""
     n = graph.num_vertices
     if n < 2:
         raise ValueError("smallest singleton cut needs n >= 2")
@@ -237,7 +233,6 @@ def _steps_1_2(graph, keys, config, ledger, execute_on_simulator):
         )
     if len(mst) != n - 1:
         raise ValueError("graph must be connected")
-    max_tree_key = max(k for k, _, _ in mst)
 
     # ---------------------------------------------------------- step 2
     tree_edges = [(u, v) for _, u, v in mst]
@@ -252,7 +247,7 @@ def _steps_1_2(graph, keys, config, ledger, execute_on_simulator):
         local_peak=config.local_memory_words,
         total_peak=n * log2n * log2n,
     )
-    return mst, decomp, max_tree_key
+    return mst, decomp
 
 
 def _simulate_sweep(swept, lo, hi, config, ledger) -> None:

@@ -1,5 +1,5 @@
-"""Section 3: rooting, heavy-light, meta tree, binarized paths,
-generalized low-depth decomposition, and heavy-path RMQ."""
+"""Section 3: rooting, heavy-light, meta tree, binarized paths and the
+generalized low-depth decomposition."""
 
 from .binarized import AlmostCompleteBinaryTree, BinarizedPath, binarize_path
 from .heavy_light import HeavyLight, heavy_light_decomposition
@@ -9,7 +9,6 @@ from .low_depth import (
     low_depth_decomposition_ampc,
 )
 from .meta_tree import MetaTree, build_meta_tree
-from .rmq import TreePathAggregator
 from .rooted import RootedTree, root_tree, root_tree_ampc
 from .validate import (
     boundary_edges,
@@ -26,7 +25,6 @@ __all__ = [
     "LowDepthDecomposition",
     "MetaTree",
     "RootedTree",
-    "TreePathAggregator",
     "binarize_path",
     "boundary_edges",
     "build_meta_tree",

@@ -16,6 +16,7 @@ from typing import Hashable, Iterable, Sequence
 
 from ..ampc import AMPCConfig, RoundLedger
 from ..ampc.primitives.euler import ampc_root_forest
+from ..ampc.primitives.listrank import _stable_key
 
 Vertex = Hashable
 
@@ -204,7 +205,3 @@ def root_tree_ampc(
         subtree_size=rooted.subtree_size,
         preorder=rooted.preorder,
     )
-
-
-def _stable_key(v: Vertex):
-    return (str(type(v)), str(v))

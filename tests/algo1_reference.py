@@ -316,7 +316,6 @@ def smallest_singleton_cut(
         leader=best_leader,
         time=best_time,
         cut=cut,
-        decomposition=decomp,
         ledger=ledger,
     )
 

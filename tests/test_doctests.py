@@ -1,8 +1,10 @@
 """Doctest leg: the examples in the docs must actually run.
 
 Every public module of :mod:`repro.service`, :mod:`repro.preprocess`
-and :mod:`repro.obs`, plus the booster :mod:`repro.core.boost` and the
-Gomory–Hu trees :mod:`repro.flow.gomory_hu`, is swept with
+and :mod:`repro.obs`, plus the booster :mod:`repro.core.boost`, the
+contraction keys and contraction (:mod:`repro.core.keys`,
+:mod:`repro.core.contraction`) and the Gomory–Hu trees
+:mod:`repro.flow.gomory_hu`, is swept with
 :func:`doctest.testmod`; docstring examples are part of the documented
 contract (the satellite of the PR 5 docs overhaul), so a drifting
 example fails tier-1 the same way a drifting assertion would.
@@ -17,6 +19,8 @@ import pytest
 
 MODULES = [
     "repro.core.boost",
+    "repro.core.contraction",
+    "repro.core.keys",
     "repro.flow.gomory_hu",
     "repro.obs",
     "repro.obs.loadgen",
@@ -43,6 +47,8 @@ MODULES = [
 #: like http.py may legitimately have none)
 MUST_HAVE_EXAMPLES = {
     "repro.core.boost",
+    "repro.core.contraction",
+    "repro.core.keys",
     "repro.flow.gomory_hu",
     "repro.obs.loadgen",
     "repro.obs.metrics",

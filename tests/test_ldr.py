@@ -154,3 +154,16 @@ class TestAllLevels:
         structures = all_level_structures(decomp, keys)
         leaders = [r for s in structures for r in s.ldr_time]
         assert sorted(map(str, leaders)) == sorted(map(str, g.vertices()))
+
+    def test_vertex_order_does_not_change_the_structures(self):
+        g = erdos_renyi(24, 0.3, seed=8)
+        keys, decomp, max_key = setup(g, 8)
+        for level in range(1, decomp.height + 1):
+            ours = level_structure(g, keys, decomp, max_key, level)
+            tree = index_tree(
+                decomp, keys, g.vertices()[::-1], max_tree_key=max_key
+            )
+            theirs = build_level_structure(tree, level)
+            assert theirs.leader_of == ours.leader_of
+            assert theirs.join_time == ours.join_time
+            assert theirs.ldr_time == ours.ldr_time

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cutcorpus import relabeled_clustered
 from repro.baselines import exact_min_cut_weight
 from repro.core import ampc_min_cut, ampc_min_cut_boosted
+from repro.core import keys as keys_module
+from repro.core import mincut as mincut_module
 from repro.graph import Graph
 from repro.workloads import (
     barbell,
@@ -45,6 +48,29 @@ class TestValidity:
         g = Graph(edges=[(0, 1, 3.5)])
         res = ampc_min_cut(g)
         assert res.weight == 3.5
+
+
+class TestOneKruskalPerCopy:
+    def test_contraction_and_step_1_share_the_mst(self, monkeypatch):
+        """Line 6's contraction and Algorithm 3's step 1 read one keyed
+        MST: a trial builds one union–find per copy, and no copy's keys
+        build the ``(u, v) -> key`` dict."""
+        built, drawn = [], []
+        dsu = keys_module._IndexDSU
+        monkeypatch.setattr(
+            keys_module, "_IndexDSU", lambda n: built.append(n) or dsu(n)
+        )
+        draw = mincut_module.draw_contraction_keys
+
+        def recording(graph, **kw):
+            drawn.append(draw(graph, **kw))
+            return drawn[-1]
+
+        monkeypatch.setattr(mincut_module, "draw_contraction_keys", recording)
+        result = ampc_min_cut(relabeled_clustered(1, 4), seed=2)
+        assert len(drawn) == result.singleton_runs > 10
+        assert built == [len(keys.vertices) for keys in drawn]
+        assert not any("key" in vars(keys) for keys in drawn)
 
 
 class TestApproximation:
