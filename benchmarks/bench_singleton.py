@@ -70,8 +70,8 @@ def _best_of(fn):
     return out, best
 
 
-def _columnar_steps_3_4(graph, keys, decomp, max_tree_key):
-    tree = index_tree(decomp, keys, graph.vertices(), max_tree_key=max_tree_key)
+def _columnar_steps_3_4(graph, keys, decomp):
+    tree = index_tree(decomp, keys)
     levels = [build_level_structure(tree, i) for i in range(1, decomp.height + 1)]
     swept = sweep_levels([(graph, levels)])
     best = int(np.argmin(swept.weight))
@@ -103,7 +103,7 @@ def test_steps_3_4_speedup(report_sink):
             lambda: ref.reference_steps_3_4(g, keys, decomp, max_key)
         )
         new, new_34 = _best_of(
-            lambda: _columnar_steps_3_4(g, keys, decomp, max_key)
+            lambda: _columnar_steps_3_4(g, keys, decomp)
         )
         assert new == old, (n, new, old)
 

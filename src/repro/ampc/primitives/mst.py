@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Hashable, Sequence
 
+from ...graph.dsu import IndexDSU
 from ..config import AMPCConfig
 from ..ledger import RoundLedger
 from .sort import ampc_sort
@@ -44,27 +45,11 @@ def ampc_minimum_spanning_forest(
 
     sorted_edges = ampc_sort(config, list(edges), key=lambda e: e[2], ledger=ledger)
 
-    parent: dict[Hashable, Hashable] = {v: v for v in vertices}
-    size: dict[Hashable, int] = {v: 1 for v in vertices}
-
-    def find(v: Hashable) -> Hashable:
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
-    forest: list[tuple[Hashable, Hashable, int]] = []
-    for u, v, k in sorted_edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            continue
-        if size[ru] < size[rv]:
-            ru, rv = rv, ru
-        parent[rv] = ru
-        size[ru] += size[rv]
-        forest.append((u, v, k))
+    index = {v: i for i, v in enumerate(vertices)}
+    dsu = IndexDSU(len(vertices))
+    forest = [
+        (u, v, k) for u, v, k in sorted_edges if dsu.union(index[u], index[v]) >= 0
+    ]
 
     if ledger is not None:
         ledger.charge(

@@ -115,20 +115,17 @@ def figure3_instance() -> tuple[Graph, ContractionKeys, Vertex]:
 def render_figure3() -> str:
     """Figure 3: time intervals of edges w.r.t. a designated vertex."""
     g, keys, v = figure3_instance()
-    mst_edges = [(u, w) for u, w, _ in g.edges() if keys.of(u, w) <= 6]
-    decomp = low_depth_decomposition(
-        g.vertices(), mst_edges
-    )
+    V, mst = keys.vertices, keys.mst
+    mst_edges = [(V[a], V[b]) for a, b in zip(mst.u, mst.v)]
+    decomp = low_depth_decomposition(V, mst_edges)
     lines = [
         "Figure 3 — contraction-time intervals with respect to a vertex",
         f"designated vertex: {v} (label {decomp.label[v]})",
         "tree edges with times: "
-        + ", ".join(f"{u}-{w}@{keys.of(u, w)}" for u, w in mst_edges),
+        + ", ".join(f"{u}-{w}@{k}" for (u, w), k in zip(mst_edges, mst.key)),
     ]
     level = decomp.label[v]
-    struct = build_level_structure(
-        index_tree(decomp, keys, g.vertices(), max_tree_key=6), level
-    )
+    struct = build_level_structure(index_tree(decomp, keys), level)
     if v in struct.ldr_time:
         lines.append(f"ldr_time({v}) = {struct.ldr_time[v]}")
         iv = edge_intervals([(g, [struct])])

@@ -60,6 +60,7 @@ import numpy as np
 
 from ..flow import GomoryHuTree, gomory_hu_tree
 from ..graph import Graph
+from ..graph.dsu import contract_in_order
 
 EXACT_LIMIT = 16
 
@@ -395,25 +396,14 @@ def sparsest_kernel(graph: Graph, *, upper: float,
     current = graph
     blocks = {v: frozenset([v]) for v in graph.vertices()}
     while True:
-        parent = {v: v for v in current.vertices()}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        merged = False
-        for u, v, w in current.edges():
-            if w > threshold:
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[rv] = ru
-                    merged = True
-        if not merged:
+        us, vs, ws = current._columns()
+        heavy = ws > threshold
+        # (v, u): each heavy edge hangs v's root under u's, so u's
+        # side names the block.
+        contracted = contract_in_order(current, vs[heavy], us[heavy])
+        if contracted is None:
             break
-        rep = {v: find(v) for v in current.vertices()}
-        current, qblocks = current.quotient(rep)
+        current, qblocks, _ = contracted
         blocks = {
             root: frozenset().union(*(blocks[m] for m in members))
             for root, members in qblocks.items()

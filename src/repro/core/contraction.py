@@ -11,13 +11,14 @@ that MST:
   contractions" (Algorithm 1, line 6): the MST's cheapest edges
   contracted until the target vertex count remains, parallel edges
   merged by weight;
-* :func:`bag_at` — ``bag(v, t)`` by definition (Definition 6), and
-  :func:`mst_bag`, the same walk over an MST already in hand
-  (Algorithm 3's witness).
+* :func:`mst_bag` — ``bag(v, t)`` (Definition 6): the union–find
+  sets after the MST's edges of key <= t, over vertex indices
+  (Algorithm 3's witness); :func:`bag_at` is its label wrapper.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Hashable
 
 from ..graph import Graph
@@ -71,14 +72,21 @@ def contract_to_size(
     if target_vertices < 1:
         raise ValueError("target_vertices must be >= 1")
     vertices = graph.vertices()
-    root = list(range(len(vertices)))
+    n = len(vertices)
+    root = _prefix_roots(keys, min(n - target_vertices, len(keys.mst.key)))
+    return graph.quotient({v: vertices[r] for v, r in zip(vertices, root)})
+
+
+def _prefix_roots(keys: ContractionKeys, prefix: int) -> list[int]:
+    """Each vertex index's union–find root after the MST's first
+    ``prefix`` unions."""
     mst = keys.mst
-    prefix = min(len(vertices) - target_vertices, len(mst.key))
+    root = list(range(len(keys.vertices)))
     # Backwards over the prefix, each absorbed root takes the final
     # root of the root it joined (which a later union may absorb).
     for s in reversed(range(prefix)):
         root[mst.absorbed[s]] = root[mst.root[s]]
-    return graph.quotient({v: vertices[r] for v, r in zip(vertices, root)})
+    return root
 
 
 def bag_at(
@@ -89,32 +97,19 @@ def bag_at(
     Definition 6 says *tree* edges; reachability over all edges of key
     <= t gives the same set (non-tree edges with small keys connect
     vertices already joined by smaller tree keys — the Kruskal cycle
-    property), which tests assert.  This walks the MST.
+    property), which tests assert.
     """
-    return mst_bag(mst_of_keys(graph, keys), v, t)
+    return mst_bag(keys, graph.index_of(v), t)
 
 
-def mst_bag(
-    mst: list[tuple[int, Vertex, Vertex]], v: Vertex, t: int
-) -> frozenset:
-    """``bag(v, t)`` from the keyed MST as ``(key, u, v)`` ascending:
-    the vertices reachable from ``v`` over its edges of key <= t.
+def mst_bag(keys: ContractionKeys, v: int, t: int) -> frozenset:
+    """``bag(V[v], t)`` for the vertex of index ``v``: the vertices
+    joined to it by the keyed MST's edges of key <= t, as labels.
 
-    Algorithm 3's witness, on the MST its step 1 built."""
-    adj: dict[Vertex, list[Vertex]] = {}
-    for k, a, b in mst:
-        if k > t:
-            break
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    out = {v}
-    stack = [v]
-    while stack:
-        for y in adj.get(stack.pop(), ()):
-            if y not in out:
-                out.add(y)
-                stack.append(y)
-    return frozenset(out)
+    Algorithm 3's witness, on the MST its step 1 read."""
+    root = _prefix_roots(keys, bisect_right(keys.mst.key, t))
+    r = root[v]
+    return frozenset(x for x, rx in zip(keys.vertices, root) if rx == r)
 
 
 def bag_boundary_weight(graph: Graph, bag: frozenset) -> float:

@@ -37,48 +37,10 @@ from typing import Hashable, NamedTuple, Sequence
 
 import numpy as np
 
-from ..graph import Graph
+from ..graph import Graph, IndexDSU
 
 Vertex = Hashable
 EdgeId = tuple[Vertex, Vertex]
-
-
-class _IndexDSU:
-    """Union–find over dense vertex indices (flat-array storage).
-
-    Mirrors :class:`repro.graph.DSU` decision-for-decision — union by
-    size with the first argument's root surviving ties, path halving —
-    so the elected representatives (which become quotient vertex
-    labels downstream) are identical to the hashable implementation's,
-    just without per-operation dict hashing.
-    """
-
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> int:
-        """Merge the sets of ``a`` and ``b``; return the root that
-        joined the other (now ``parent[root]``), or -1 if they were
-        one set."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return -1
-        size = self.size
-        if size[ra] < size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        size[ra] += size[rb]
-        return rb
 
 
 class KeyedMST(NamedTuple):
@@ -157,7 +119,7 @@ class ContractionKeys:
     def mst(self) -> KeyedMST:
         """Kruskal over the rows: unique keys give a unique MST."""
         n = len(self.vertices)
-        dsu = _IndexDSU(n)
+        dsu = IndexDSU(n)
         mst = KeyedMST([], [], [], [], [])
         for k, a, b in zip(self.value, self.u, self.v):
             absorbed = dsu.union(a, b)

@@ -23,14 +23,14 @@ erratum: an edge whose endpoints share a leader stops crossing the bag
 once both have joined, so its closed interval ends at
 ``max(t_x, t_y) - 1``, not at ``max(t_x, t_y)``.
 
-Layout: :func:`index_tree` fixes a vertex order once per decomposition
-and keyed tree (Algorithm 3 uses the graph's own vertex order, so edge
-columns index the level arrays directly).  :func:`build_level_structure`
-then returns, per level, index arrays in that order — each vertex's
-leader slot (``-1`` when leaderless) and join time, and each leader's
-vertex index and ``ldr_time`` in slot order, which is the
-decomposition's label order.  The vertex-keyed dicts ``leader_of``,
-``join_time`` and ``ldr_time`` are derived views for tests and figures.
+Layout: :func:`index_tree` indexes the keyed tree in the keys' vertex
+order, which is the graph's, so edge columns index the level arrays
+directly.  :func:`build_level_structure` then returns, per level,
+index arrays in that order — each vertex's leader slot (``-1`` when
+leaderless) and join time, and each leader's vertex index and
+``ldr_time`` in slot order, which is the decomposition's label order.
+The vertex-keyed dicts ``leader_of``, ``join_time`` and ``ldr_time``
+are derived views for tests and figures.
 
 Everything is computed with one DFS per component (``O(n)`` per level;
 the model-cost accounting lives in :mod:`repro.core.singleton`).
@@ -39,7 +39,7 @@ the model-cost accounting lives in :mod:`repro.core.singleton`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable
 
 import numpy as np
 
@@ -67,23 +67,17 @@ class IndexedTree:
 
 
 def index_tree(
-    decomp: LowDepthDecomposition,
-    keys: ContractionKeys,
-    vertices: Sequence[Vertex],
-    *,
-    max_tree_key: int,
+    decomp: LowDepthDecomposition, keys: ContractionKeys
 ) -> IndexedTree:
-    """Index ``decomp``'s tree by ``vertices`` (which must be its vertex
-    set).  The tree is the keyed MST, which ``decomp`` decomposes; its
-    edges and their keys are read off :attr:`ContractionKeys.mst`."""
-    vertices = list(vertices)
+    """Index ``decomp``'s tree in the keys' vertex order.  The tree is
+    the keyed MST, which ``decomp`` decomposes; its edges, their keys
+    and its largest key are read off :attr:`ContractionKeys.mst`."""
+    vertices = keys.vertices
     index = {v: i for i, v in enumerate(vertices)}
     label = [decomp.label[v] for v in vertices]
     adjacency: list[list[tuple[int, int]]] = [[] for _ in vertices]
-    at = [index[v] for v in keys.vertices]
     mst = keys.mst
     for k, a, b in zip(mst.key, mst.u, mst.v):
-        a, b = at[a], at[b]
         adjacency[a].append((b, k))
         adjacency[b].append((a, k))
     leaders: dict[int, list[int]] = {}
@@ -94,7 +88,7 @@ def index_tree(
         label=label,
         adjacency=adjacency,
         leaders=leaders,
-        max_tree_key=max_tree_key,
+        max_tree_key=mst.key[-1] if mst.key else 0,
         height=decomp.height,
     )
 
@@ -194,10 +188,7 @@ def all_level_structures(
     decomp: LowDepthDecomposition, keys: ContractionKeys
 ) -> list[LevelStructure]:
     """Level structures for every level ``1..height`` (Lemma 9's tuples)."""
-    max_tree_key = max(keys.mst.key, default=0)
-    tree = index_tree(
-        decomp, keys, decomp.tree.vertices(), max_tree_key=max_tree_key
-    )
+    tree = index_tree(decomp, keys)
     return [build_level_structure(tree, i) for i in range(1, tree.height + 1)]
 
 

@@ -4,8 +4,8 @@ Computes the exact minimum weight over all singleton cuts arising
 during the keyed contraction process, in ``O(1/eps)`` AMPC rounds:
 
 1. minimum spanning tree of the keyed graph (unique keys => unique
-   MST), read from the keys, whose Kruskal pass Algorithm 1's
-   contraction already ran;
+   MST), read from the keys (:attr:`ContractionKeys.mst`), whose
+   Kruskal pass Algorithm 1's contraction already ran;
 2. generalized low-depth decomposition of the MST (Lemma 3);
 3. ``O(log^2 n)`` level tuples ``(T, l, E, L_i)`` processed **in
    parallel** (Lemma 9): per level, leaders and ``ldr_time``
@@ -21,8 +21,8 @@ are columnar (:func:`sweep_levels`): every level's intervals, of every
 copy, are built at once as masks over the edge columns, with one
 segment per (copy, level, leader), and a single segmented sweep
 returns each segment's exact minimum.  A copy's witness is the first
-minimal segment in its own range; its cut side is walked on the MST
-of step 1.
+minimal segment in its own range; its cut side is read off the same
+MST rows (:func:`~repro.core.contraction.mst_bag`).
 
 Differential guarantee (tested): the returned weight equals the naive
 replay oracle's (:func:`repro.core.bags.replay_min_singleton`) on every
@@ -43,7 +43,7 @@ from ..graph import Cut, Graph
 from ..trees.low_depth import low_depth_decomposition
 from ..trees.rooted import root_tree
 from .bags import replay_min_singleton
-from .contraction import mst_bag, mst_of_keys
+from .contraction import mst_bag
 from .intervals import IntervalColumns, edge_intervals
 from .keys import ContractionKeys, draw_contraction_keys
 from .ldr import LevelStructure, build_level_structure, index_tree
@@ -118,7 +118,7 @@ def smallest_singleton_cut(
     (level, leader) segment with the most intervals, the first on ties
     — segments run in parallel, so the parallel group costs its max
     sibling) genuinely execute on the AMPC runtime, making those rounds
-    *measured* instead of charged.
+    *measured* instead of charged; each must equal its host result.
     """
     if not isinstance(graph, Graph):
         if keys is not None or config is not None or ledger is not None:
@@ -144,11 +144,10 @@ def _track(
     sweep, then each copy's witness."""
     if not copies:
         return []
-    msts, levels = [], []
+    levels = []
     for graph, keys, config, ledger in copies:
-        mst, decomp = _steps_1_2(graph, keys, config, ledger, execute_on_simulator)
-        msts.append(mst)
-        tree = index_tree(decomp, keys, graph.vertices(), max_tree_key=mst[-1][0])
+        decomp = _steps_1_2(graph, keys, config, ledger, execute_on_simulator)
+        tree = index_tree(decomp, keys)
         levels.append(
             [build_level_structure(tree, i) for i in range(1, tree.height + 1)]
         )
@@ -161,13 +160,13 @@ def _track(
     # serves them all.
     swept = sweep_levels([(copy.graph, lv) for copy, lv in zip(copies, levels)])
     results = []
-    for c, (graph, _, config, ledger) in enumerate(copies):
+    for c, (graph, keys, config, ledger) in enumerate(copies):
         n = graph.num_vertices
         lo, hi = int(swept.first[c]), int(swept.first[c + 1])
         # First occurrence: ties go to the lowest (level, leader) segment.
         best = lo + int(np.argmin(swept.weight[lo:hi]))
         best_weight = float(swept.weight[best])
-        best_leader = graph.vertices()[int(swept.leader[best])]
+        leader = int(swept.leader[best])
         best_time = int(swept.time[best])
         if execute_on_simulator:
             _simulate_sweep(swept, lo, hi, config, ledger)
@@ -182,7 +181,7 @@ def _track(
                 total_peak=(n + graph.num_edges) * log2n * log2n,
             )
 
-        cut = Cut.of(graph, mst_bag(msts[c], best_leader, best_time))
+        cut = Cut.of(graph, mst_bag(keys, leader, best_time))
         ledger.charge(
             1,
             "witness extraction: materialise bag(leader, t) as a cut side",
@@ -198,7 +197,7 @@ def _track(
         results.append(
             SingletonCutResult(
                 weight=best_weight,
-                leader=best_leader,
+                leader=graph.vertices()[leader],
                 time=best_time,
                 cut=cut,
                 ledger=ledger,
@@ -208,22 +207,22 @@ def _track(
 
 
 def _steps_1_2(graph, keys, config, ledger, execute_on_simulator):
-    """Steps 1–2 for one copy: the keyed MST (ascending ``(key, u, v)``)
+    """Steps 1–2 for one copy: the keyed MST (:attr:`ContractionKeys.mst`)
     and its low-depth decomposition."""
     n = graph.num_vertices
     if n < 2:
         raise ValueError("smallest singleton cut needs n >= 2")
+    mst = keys.mst
     # ---------------------------------------------------------- step 1
     if execute_on_simulator:
         from ..ampc.primitives.mst import ampc_minimum_spanning_forest
 
-        keyed_edges = [(u, v, keys.of(u, v)) for u, v, _ in graph.edges()]
         forest = ampc_minimum_spanning_forest(
-            config, graph.vertices(), keyed_edges, ledger=ledger
+            config, range(n), list(zip(keys.u, keys.v, keys.value)), ledger=ledger
         )
-        mst = sorted((k, u, v) for (u, v, k) in forest)
+        if forest != list(zip(mst.u, mst.v, mst.key)):
+            raise AssertionError("simulator MST != the keys' Kruskal MST")
     else:
-        mst = mst_of_keys(graph, keys)
         ledger.charge(
             config.rounds_per_primitive,
             "Algorithm 3 line 1: MST via sort + adaptive connectivity "
@@ -231,15 +230,14 @@ def _steps_1_2(graph, keys, config, ledger, execute_on_simulator):
             local_peak=config.local_memory_words,
             total_peak=n + graph.num_edges,
         )
-    if len(mst) != n - 1:
+    if len(mst.key) != n - 1:
         raise ValueError("graph must be connected")
 
     # ---------------------------------------------------------- step 2
-    tree_edges = [(u, v) for _, u, v in mst]
-    tree = root_tree(graph.vertices(), tree_edges)
-    decomp = low_depth_decomposition(
-        graph.vertices(), tree_edges, precomputed_tree=tree
-    )
+    V = graph.vertices()
+    tree_edges = [(V[a], V[b]) for a, b in zip(mst.u, mst.v)]
+    tree = root_tree(V, tree_edges)
+    decomp = low_depth_decomposition(V, tree_edges, precomputed_tree=tree)
     log2n = math.ceil(math.log2(max(2, n)))
     ledger.charge(
         config.rounds_per_primitive,
@@ -247,7 +245,7 @@ def _steps_1_2(graph, keys, config, ledger, execute_on_simulator):
         local_peak=config.local_memory_words,
         total_peak=n * log2n * log2n,
     )
-    return mst, decomp
+    return decomp
 
 
 def _simulate_sweep(swept, lo, hi, config, ledger) -> None:

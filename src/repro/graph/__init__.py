@@ -12,7 +12,7 @@ layer of the subsystem map in ``docs/ARCHITECTURE.md``."""
 
 from .cuts import Cut, KCut, kcut_weight, lift_cut, min_singleton_cut, singleton_cut_weight
 from .dispatch import load_any, save_any
-from .dsu import DSU
+from .dsu import DSU, IndexDSU
 from .graph import Graph
 from .formats import (
     load_dimacs,
@@ -38,6 +38,7 @@ __all__ = [
     "NIScan",
     "DSU",
     "Graph",
+    "IndexDSU",
     "KCut",
     "kcut_weight",
     "lift_cut",

@@ -1,9 +1,12 @@
-"""Union–find (disjoint set union) with path halving and union by size.
+"""Union–find (disjoint set union) with path halving.
 
-Used by the contraction-process replay (the differential oracle for
-Algorithm 3), Kruskal consolidation, and quotient-graph construction.
-:func:`contract_in_order` is the ordered edge-contraction loop the
-certified-edge rules share.
+:class:`DSU` unions by size over hashable labels (the low-depth
+decomposition check); :class:`IndexDSU` makes the same
+decisions over dense vertex indices and is the one union–find every
+spanning forest uses (the keyed MST, the AMPC spanning forest,
+``/gomoryhu``'s canonical tree).  :func:`contract_in_order`, the
+ordered edge contraction the kernels share, keeps its own linking
+rule, since that rule names the kernels' blocks.
 """
 
 from __future__ import annotations
@@ -80,6 +83,49 @@ class DSU:
         return out
 
 
+class IndexDSU:
+    """Disjoint sets over the dense indices ``0 .. n-1`` (flat lists).
+
+    Makes :class:`DSU`'s decisions — union by size, the first
+    argument's root surviving ties, path halving — without hashing.
+    :meth:`union` returns the root it absorbed, which now hangs under
+    the surviving root, so a caller can record each merge:
+
+    >>> dsu = IndexDSU(4)
+    >>> dsu.union(0, 1), dsu.union(2, 1), dsu.union(0, 2)
+    (1, 2, -1)
+    >>> dsu.parent[2], dsu.find(1)
+    (0, 0)
+    """
+
+    __slots__ = ("parent", "size")
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.size = [1] * n
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> int:
+        """Merge the sets of ``a`` and ``b``; return the root that
+        joined the other (now ``parent[root]``), or -1 if they were
+        one set."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return -1
+        size = self.size
+        if size[ra] < size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        size[ra] += size[rb]
+        return rb
+
+
 def contract_in_order(
     graph: "Graph", us: np.ndarray, vs: np.ndarray, *, floor: int = 1
 ) -> tuple["Graph", dict[Hashable, list[Hashable]], int] | None:
@@ -91,7 +137,17 @@ def contract_in_order(
     Contraction stops once only ``floor`` vertices remain (the default
     never stops early).  Returns :meth:`Graph.quotient`'s ``(quotient,
     blocks)`` plus the number of vertices removed, or ``None`` when no
-    edge merged two sets.
+    edge merged two sets.  Swapping each edge's endpoints renames the
+    blocks:
+
+    >>> from repro.graph import Graph
+    >>> g = Graph(edges=[("a", "b", 1.0), ("b", "c", 1.0), ("c", "d", 1.0)])
+    >>> first, second = np.array([0, 1]), np.array([1, 2])
+    >>> _, blocks, removed = contract_in_order(g, first, second)
+    >>> blocks, removed
+    ({'c': ['a', 'b', 'c'], 'd': ['d']}, 2)
+    >>> contract_in_order(g, second, first)[1]
+    {'a': ['a', 'b', 'c'], 'd': ['d']}
     """
     n = graph.num_vertices
     parent = list(range(n))

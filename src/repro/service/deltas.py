@@ -246,6 +246,20 @@ def is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def is_vertex_id(value) -> bool:
+    """A wire vertex id: an integer or a string, not a boolean — the
+    ``OpSpec`` ``vertex`` rule, shared by ``POST /graphs`` vertices and
+    endpoints and by ``/mutate`` rows.
+
+    >>> [is_vertex_id(v) for v in (3, "a", True, None, 1.5, [1])]
+    [True, True, False, False, False, False]
+    """
+    return type(value) in (int, str) or (
+        isinstance(value, (str, numbers.Integral))
+        and not isinstance(value, bool)
+    )
+
+
 def _edge_row(row, kind: str, *, default_weight=None, weightless: bool = False):
     want = "[u, v]" if weightless else "[u, v, w]"
     if not isinstance(row, (list, tuple)):
@@ -261,6 +275,9 @@ def _edge_row(row, kind: str, *, default_weight=None, weightless: bool = False):
         w = default_weight
     else:
         raise ValueError(f"bad row {row!r} in delta {kind}: want {want}")
+    if not (is_vertex_id(u) and is_vertex_id(v)):
+        raise ValueError(f"bad row {row!r} in delta {kind}: ids must be "
+                         f"integers or strings")
     if u == v:
         raise ValueError(f"self-loop on {u!r} rejected in delta {kind}")
     if weightless:

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from ..graph import Graph, load_any
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Tracer
-from .deltas import FingerprintMismatch, is_number
+from .deltas import FingerprintMismatch, is_number, is_vertex_id
 from .ops import BadRequest, parse_request
 from .reply import CachedReply, encode_reply
 from .service import CutService, observe_request, request_summary
@@ -89,9 +89,11 @@ def parse_registration(body: dict) -> tuple[str, Graph]:
     weight and endpoints, which the wire answers with 400 just like
     ``/mutate`` does (see ``deltas._edge_row``).  The ``name`` (every
     later op addresses the graph by a string), the ``vertices`` list
-    (a string would register its characters) and each weight's type (a
-    JSON number, as ``/mutate`` rows require: ``true`` or ``"2.5"``
-    would otherwise pass ``float``) are validated here.
+    (a string would register its characters), each vertex id (an
+    integer or a string, :func:`~repro.service.deltas.is_vertex_id`)
+    and each weight's type (a JSON number, as ``/mutate`` rows require:
+    ``true`` or ``"2.5"`` would otherwise pass ``float``) are validated
+    here.
     """
     name = require(body, "name")
     if not isinstance(name, str):
@@ -101,13 +103,16 @@ def parse_registration(body: dict) -> tuple[str, Graph]:
     edges = require(body, "edges")
     vertices = body.get("vertices", [])
     if not isinstance(vertices, list):
-        raise BadRequest(
-            f"field 'vertices' must be a list, got {vertices!r}"
-        )
+        raise BadRequest(f"field 'vertices' must be a list, got {vertices!r}")
+    for v in vertices:
+        if not is_vertex_id(v):
+            raise BadRequest(f"bad vertex {v!r}: ids must be integers or strings")
     graph = Graph(vertices=vertices)
     for edge in edges:
         if not isinstance(edge, (list, tuple)) or len(edge) not in (2, 3):
             raise BadRequest(f"bad edge {edge!r}: want [u, v] or [u, v, w]")
+        if not (is_vertex_id(edge[0]) and is_vertex_id(edge[1])):
+            raise BadRequest(f"bad edge {edge!r}: ids must be integers or strings")
         if len(edge) == 3 and not is_number(edge[2]):
             raise BadRequest(
                 f"bad edge {edge!r}: weight must be a number, got {edge[2]!r}"

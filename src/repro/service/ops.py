@@ -41,7 +41,7 @@ from typing import Any, Callable
 
 from ..core import boost_kcut, boost_min_cut
 from ..core.mincut import min_cut_trials
-from ..graph import DSU, lift_cut
+from ..graph import IndexDSU, lift_cut
 from ..preprocess import LEVELS, validate_level
 from .deltas import GraphDelta, MutationRecord, resolve_vertex
 from .executor import kcut_trial, mincut_trial
@@ -322,11 +322,11 @@ def _gomoryhu(svc, entry, p, _):
         if matrix[i][j] is not None
     ]
     pairs.sort(key=lambda e: (-e[2], e[0], e[1]))
-    forest = DSU(range(n))
+    forest = IndexDSU(n)
     tree: list[dict] = []
     adjacency: list[list] = [[] for _ in range(n)]
     for i, j, w in pairs:
-        if not forest.union(i, j):
+        if forest.union(i, j) < 0:
             continue
         eidx = len(tree)
         tree.append({"u": vertices[i], "v": vertices[j], "weight": w})

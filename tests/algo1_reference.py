@@ -343,7 +343,7 @@ def sweep_levels(
 ) -> LevelSweep:
     """Steps 3–4 host-side: every level's intervals as masks over the
     edge columns, then one sweep over every (level, leader) segment."""
-    tree = index_tree(decomp, keys, graph.vertices(), max_tree_key=max_tree_key)
+    tree = index_tree(decomp, keys)
     levels = [build_level_structure(tree, i) for i in range(1, decomp.height + 1)]
     intervals = edge_intervals(graph, levels)
     domain_end = np.concatenate([level.ldr_times for level in levels])

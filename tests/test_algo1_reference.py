@@ -250,8 +250,7 @@ def levels_of(copy):
     decomp = low_depth_decomposition(
         copy.graph.vertices(), [(u, v) for _, u, v in mst]
     )
-    tree = index_tree(decomp, copy.keys, copy.graph.vertices(),
-                      max_tree_key=mst[-1][0])
+    tree = index_tree(decomp, copy.keys)
     return [build_level_structure(tree, i) for i in range(1, decomp.height + 1)]
 
 

@@ -52,7 +52,7 @@ def assert_segments_match(graph, keys):
     minima are equal, so are their times.
     """
     decomp, max_key = ref.steps_1_2(graph, keys)
-    tree = index_tree(decomp, keys, graph.vertices(), max_tree_key=max_key)
+    tree = index_tree(decomp, keys)
     levels = [build_level_structure(tree, i) for i in range(1, decomp.height + 1)]
     swept = sweep_levels([(graph, levels)])
     old = ref.reference_segments(graph, keys, decomp, max_key)
@@ -122,7 +122,7 @@ class TestBitIdentical:
         g = relabeled_clustered(1, 5)
         keys = draw_contraction_keys(g, seed=2)
         decomp, max_key = ref.steps_1_2(g, keys)
-        tree = index_tree(decomp, keys, g.vertices(), max_tree_key=max_key)
+        tree = index_tree(decomp, keys)
         levels = [build_level_structure(tree, i) for i in range(1, decomp.height + 1)]
         whole = edge_intervals([(g, levels)])
         for cells in (1, 2 * g.num_edges * 3):
@@ -136,7 +136,7 @@ class TestBitIdentical:
         for _, g in CORPUS:
             keys = draw_contraction_keys(g, seed=1)
             decomp, max_key = ref.steps_1_2(g, keys)
-            tree = index_tree(decomp, keys, g.vertices(), max_tree_key=max_key)
+            tree = index_tree(decomp, keys)
             for level in range(1, decomp.height + 1):
                 new = build_level_structure(tree, level)
                 old = ref.build_level_structure(

@@ -3,8 +3,8 @@
 Every public module of :mod:`repro.service`, :mod:`repro.preprocess`
 and :mod:`repro.obs`, plus the booster :mod:`repro.core.boost`, the
 contraction keys and contraction (:mod:`repro.core.keys`,
-:mod:`repro.core.contraction`) and the Gomory–Hu trees
-:mod:`repro.flow.gomory_hu`, is swept with
+:mod:`repro.core.contraction`), the union–finds :mod:`repro.graph.dsu`
+and the Gomory–Hu trees :mod:`repro.flow.gomory_hu`, is swept with
 :func:`doctest.testmod`; docstring examples are part of the documented
 contract (the satellite of the PR 5 docs overhaul), so a drifting
 example fails tier-1 the same way a drifting assertion would.
@@ -22,6 +22,7 @@ MODULES = [
     "repro.core.contraction",
     "repro.core.keys",
     "repro.flow.gomory_hu",
+    "repro.graph.dsu",
     "repro.obs",
     "repro.obs.loadgen",
     "repro.obs.metrics",
@@ -50,6 +51,7 @@ MUST_HAVE_EXAMPLES = {
     "repro.core.contraction",
     "repro.core.keys",
     "repro.flow.gomory_hu",
+    "repro.graph.dsu",
     "repro.obs.loadgen",
     "repro.obs.metrics",
     "repro.obs.tracing",

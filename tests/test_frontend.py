@@ -558,3 +558,38 @@ def test_sharded_server_spreads_graphs_and_traces_dispatch():
     finally:
         srv.shutdown()
         fe.close()
+
+
+# ----------------------------------------------------------------------
+# Vertex ids are integers or strings
+# ----------------------------------------------------------------------
+TRIANGLE = [[0, 1, 1.0], [1, 2, 1.0], [0, 2, 1.0]]
+
+
+@pytest.mark.parametrize("bad", [True, None, 1.5, [1]], ids=repr)
+def test_frontend_takes_only_int_or_string_vertex_ids(bad):
+    """``true`` aliased vertex 1, while ``null`` and ``1.5`` registered
+    vertices no op can address; each is now a 400 naming the row."""
+    frontend = make_frontend(CutService())
+    try:
+        handle = frontend.handle
+        status, resp, _ = handle("graphs", {"name": "g", "edges": TRIANGLE})
+        assert status == 200
+        store = frontend.backend.service.store
+        fingerprint = store.get("g").fingerprint
+
+        status, resp, _ = handle("mutate", {"graph": "g", "adds": [[bad, 7, 1.0]]})
+        assert status == 400 and f"[{bad!r}, 7, 1.0]" in resp["error"]
+        assert store.get("g").fingerprint == fingerprint
+
+        for body in (
+            {"name": "h", "edges": [[bad, 1], [1, 2]]},
+            {"name": "h", "edges": [[1, 2]], "vertices": [bad, 1]},
+        ):
+            status, resp, _ = handle("graphs", body)
+            assert status == 400 and repr(bad) in resp["error"], resp
+        assert store.names() == ["g"]
+        status, resp, _ = handle("stcut", {"graph": "g", "s": bad, "t": 2})
+        assert status == 400 and "'s'" in resp["error"]
+    finally:
+        frontend.close()

@@ -210,6 +210,52 @@ def test_finite_weights_still_register(server):
 
 
 # ----------------------------------------------------------------------
+# Vertex ids are integers or strings: never booleans, null or floats
+# ----------------------------------------------------------------------
+NOT_VERTEX_IDS = [True, False, None, 1.5, [1]]
+
+
+@pytest.mark.parametrize("bad", NOT_VERTEX_IDS, ids=repr)
+def test_registration_rejects_non_vertex_ids(server, bad):
+    # Before: null and 1.5 registered unaddressable vertices, and a
+    # vertices list [true, 1] merged 1 into true.
+    for body in (
+        {"name": "g", "edges": [[0, 1], [bad, 1]]},
+        {"name": "g", "edges": [[1, 2]], "vertices": [bad, 1]},
+    ):
+        status, resp = request_status_json(server.url, "/graphs", body)
+        assert status == 400, (body, resp)
+        assert repr(bad) in resp["error"] and resp["trace_id"]
+    assert request_json(server.url, "/graphs")["graphs"] == []
+
+
+@pytest.mark.parametrize("kind", ["adds", "removes", "reweights"])
+@pytest.mark.parametrize("bad", NOT_VERTEX_IDS, ids=repr)
+def test_mutate_rejects_non_vertex_ids(server, kind, bad):
+    # Before: adds [[true, 7, 1.0]] on a triangle added the edge 1 -- 7.
+    _register_triangle(server)
+    (before,) = request_json(server.url, "/graphs")["graphs"]
+    row = [bad, 7] if kind == "removes" else [bad, 7, 1.0]
+    status, resp = request_status_json(
+        server.url, "/mutate", {"graph": "g", kind: [row]}
+    )
+    assert status == 400
+    assert f"bad row {row!r} in delta {kind}" in resp["error"]
+    assert "integers or strings" in resp["error"]
+    (after,) = request_json(server.url, "/graphs")["graphs"]
+    assert after == before
+
+
+def test_int_and_string_vertex_ids_still_register(server):
+    request_json(server.url, "/graphs", {
+        "name": "g", "vertices": ["x", 5], "edges": [["x", 0, 2.0], [0, 5]],
+    })
+    assert request_json(
+        server.url, "/stcut", {"graph": "g", "s": "x", "t": 5}
+    )["weight"] == 1.0
+
+
+# ----------------------------------------------------------------------
 # Content-Length hardening
 # ----------------------------------------------------------------------
 def _post(port: int, content_length: str, body: bytes = b"") -> bytes:

@@ -22,12 +22,11 @@ def setup(g, seed=0):
     keys = draw_contraction_keys(g, seed=seed)
     mst = mst_of_keys(g, keys)
     decomp = low_depth_decomposition(g.vertices(), [(u, v) for _, u, v in mst])
-    max_key = max(k for k, _, _ in mst)
-    return keys, decomp, max_key
+    return keys, decomp
 
 
-def levels(g, keys, decomp, max_key):
-    tree = index_tree(decomp, keys, g.vertices(), max_tree_key=max_key)
+def levels(keys, decomp):
+    tree = index_tree(decomp, keys)
     for level in range(1, decomp.height + 1):
         yield build_level_structure(tree, level)
 
@@ -78,8 +77,8 @@ class TestLemma12and13:
         """
         for trial in range(6):
             g = erdos_renyi(12, 0.4, weighted=True, seed=trial)
-            keys, decomp, max_key = setup(g, trial)
-            for struct in levels(g, keys, decomp, max_key):
+            keys, decomp = setup(g, trial)
+            for struct in levels(keys, decomp):
                 if not struct.ldr_time:
                     continue
                 for r, ivs in by_leader(g, struct).items():
@@ -95,8 +94,8 @@ class TestLemma12and13:
 
     def test_intervals_clipped_to_domain(self):
         g = erdos_renyi(15, 0.35, seed=9)
-        keys, decomp, max_key = setup(g, 9)
-        for struct in levels(g, keys, decomp, max_key):
+        keys, decomp = setup(g, 9)
+        for struct in levels(keys, decomp):
             for r, ivs in by_leader(g, struct).items():
                 for a, b, _ in ivs:
                     assert 0 <= a <= b <= struct.ldr_time[r]
@@ -104,16 +103,16 @@ class TestLemma12and13:
     def test_leader_degree_covered_at_zero(self):
         """Delta bag(r, 0) = weighted degree of r (Observation sanity)."""
         g = erdos_renyi(14, 0.4, weighted=True, seed=10)
-        keys, decomp, max_key = setup(g, 10)
-        for struct in levels(g, keys, decomp, max_key):
+        keys, decomp = setup(g, 10)
+        for struct in levels(keys, decomp):
             for r, ivs in by_leader(g, struct).items():
                 at_zero = sum(w for a, _, w in ivs if a == 0)
                 assert abs(at_zero - g.degree(r)) < 1e-9
 
     def test_one_interval_per_edge_and_leader(self):
         g = erdos_renyi(16, 0.4, weighted=True, seed=11)
-        keys, decomp, max_key = setup(g, 11)
-        for struct in levels(g, keys, decomp, max_key):
+        keys, decomp = setup(g, 11)
+        for struct in levels(keys, decomp):
             iv = edge_intervals([(g, [struct])])
             pairs = set(zip(iv.segment.tolist(), iv.edge.tolist()))
             assert len(pairs) == iv.segment.size

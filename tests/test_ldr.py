@@ -26,8 +26,8 @@ def setup(g, seed=0):
     return keys, decomp, max_key
 
 
-def level_structure(g, keys, decomp, max_key, level):
-    tree = index_tree(decomp, keys, g.vertices(), max_tree_key=max_key)
+def level_structure(keys, decomp, level):
+    tree = index_tree(decomp, keys)
     return build_level_structure(tree, level)
 
 
@@ -42,7 +42,7 @@ class TestLemma8:
         g = erdos_renyi(25, 0.3, seed=1)
         keys, decomp, max_key = setup(g, 1)
         for level in range(1, decomp.height + 1):
-            struct = level_structure(g, keys, decomp, max_key, level)
+            struct = level_structure(keys, decomp, level)
             for r in struct.ldr_time:
                 assert decomp.label[r] == level
                 assert struct.leader_of[r] == r
@@ -57,7 +57,7 @@ class TestJoinTimes:
         keys, decomp, max_key = setup(g, 2)
         tree = decomp.tree
         for level in range(1, decomp.height + 1):
-            struct = level_structure(g, keys, decomp, max_key, level)
+            struct = level_structure(keys, decomp, level)
             for x, r in struct.leader_of.items():
                 if x == r:
                     continue
@@ -89,7 +89,7 @@ class TestJoinTimes:
         g = erdos_renyi(15, 0.4, seed=3)
         keys, decomp, max_key = setup(g, 3)
         for level in range(1, decomp.height + 1):
-            struct = level_structure(g, keys, decomp, max_key, level)
+            struct = level_structure(keys, decomp, level)
             for r in struct.ldr_time:
                 for x, rr in struct.leader_of.items():
                     if rr != r:
@@ -108,7 +108,7 @@ class TestLdrTime:
         keys, decomp, max_key = setup(g, 4)
         label = decomp.label
         for level in range(1, decomp.height + 1):
-            struct = level_structure(g, keys, decomp, max_key, level)
+            struct = level_structure(keys, decomp, level)
             for r, ldr in struct.ldr_time.items():
                 bag_now = bag_at(g, keys, r, ldr)
                 assert all(label[x] >= level for x in bag_now), (
@@ -123,7 +123,7 @@ class TestLdrTime:
     def test_global_leader_capped_below_max_key(self):
         g = cycle(12)
         keys, decomp, max_key = setup(g, 5)
-        struct = level_structure(g, keys, decomp, max_key, 1)
+        struct = level_structure(keys, decomp, 1)
         (r,) = list(struct.ldr_time)
         assert struct.ldr_time[r] == max_key - 1
         # at that time the bag is still a proper subset
@@ -134,7 +134,7 @@ class TestLdrTime:
         keys, decomp, max_key = setup(g, 6)
         label = decomp.label
         for level in range(2, decomp.height + 1):
-            struct = level_structure(g, keys, decomp, max_key, level)
+            struct = level_structure(keys, decomp, level)
             for r, ldr in struct.ldr_time.items():
                 if ldr + 1 > max_key:
                     continue
@@ -154,16 +154,3 @@ class TestAllLevels:
         structures = all_level_structures(decomp, keys)
         leaders = [r for s in structures for r in s.ldr_time]
         assert sorted(map(str, leaders)) == sorted(map(str, g.vertices()))
-
-    def test_vertex_order_does_not_change_the_structures(self):
-        g = erdos_renyi(24, 0.3, seed=8)
-        keys, decomp, max_key = setup(g, 8)
-        for level in range(1, decomp.height + 1):
-            ours = level_structure(g, keys, decomp, max_key, level)
-            tree = index_tree(
-                decomp, keys, g.vertices()[::-1], max_tree_key=max_key
-            )
-            theirs = build_level_structure(tree, level)
-            assert theirs.leader_of == ours.leader_of
-            assert theirs.join_time == ours.join_time
-            assert theirs.ldr_time == ours.ldr_time

@@ -56,9 +56,9 @@ class TestOneKruskalPerCopy:
         MST: a trial builds one union–find per copy, and no copy's keys
         build the ``(u, v) -> key`` dict."""
         built, drawn = [], []
-        dsu = keys_module._IndexDSU
+        dsu = keys_module.IndexDSU
         monkeypatch.setattr(
-            keys_module, "_IndexDSU", lambda n: built.append(n) or dsu(n)
+            keys_module, "IndexDSU", lambda n: built.append(n) or dsu(n)
         )
         draw = mincut_module.draw_contraction_keys
 

@@ -162,6 +162,28 @@ class TestSimulatorExecution:
         oracle = replay_min_singleton(g, keys).min_singleton_weight
         assert abs(res.weight - oracle) < 1e-9
 
+    def test_simulator_mode_reads_the_key_columns(self):
+        # The simulated MST's input comes from the key rows, not from
+        # the (u, v) -> key dict view.
+        g = planted_cut(32, seed=14).graph
+        keys = draw_contraction_keys(g, seed=14)
+        smallest_singleton_cut(g, keys, execute_on_simulator=True)
+        assert "key" not in vars(keys)
+
+    def test_simulator_forest_must_equal_the_keys_mst(self, monkeypatch):
+        from repro.ampc.primitives import mst as mst_module
+
+        simulate = mst_module.ampc_minimum_spanning_forest
+        monkeypatch.setattr(
+            mst_module,
+            "ampc_minimum_spanning_forest",
+            lambda *args, **kw: simulate(*args, **kw)[:-1],
+        )
+        g = cycle(12)
+        keys = draw_contraction_keys(g, seed=15)
+        with pytest.raises(AssertionError, match="simulator MST"):
+            smallest_singleton_cut(g, keys, execute_on_simulator=True)
+
 
 class TestCutQuality:
     def test_cycle_always_finds_two(self):

@@ -144,6 +144,67 @@ def test_screen_skips_most_exact_evaluations(monkeypatch):
     assert len(calls) * 5 < old_calls
 
 
+def _frozen_kernel(graph, *, upper, sizes=None):
+    """``sparsest_kernel`` with its own label union–find, as it was
+    before the contraction moved onto ``contract_in_order``: each heavy
+    edge hangs ``v``'s root under ``u``'s, path halving, in row order,
+    until a pass merges nothing."""
+    mu = sparsest._size_map(graph, sizes)
+    total = float(sum(mu.values()))
+    threshold = float(upper) * (total * total) / 4.0
+
+    current = graph
+    blocks = {v: frozenset([v]) for v in graph.vertices()}
+    while True:
+        parent = {v: v for v in current.vertices()}
+
+        def find(v):
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        merged = False
+        for u, v, w in current.edges():
+            if w > threshold:
+                ru, rv = find(u), find(v)
+                if ru != rv:
+                    parent[rv] = ru
+                    merged = True
+        if not merged:
+            break
+        rep = {v: find(v) for v in current.vertices()}
+        current, qblocks = current.quotient(rep)
+        blocks = {
+            root: frozenset().union(*(blocks[m] for m in members))
+            for root, members in qblocks.items()
+        }
+    kernel_sizes = {
+        v: sum(mu[orig] for orig in blocks[v]) for v in current.vertices()
+    }
+    return current, kernel_sizes, blocks
+
+
+CONNECTED = connected_corpus()
+
+
+@pytest.mark.parametrize("name,graph", CONNECTED,
+                         ids=[name for name, _ in CONNECTED])
+def test_kernel_matches_frozen_union_find(name, graph):
+    # Thresholds below every weight (one block), at the median weight
+    # (partial, iterating as merged parallel edges get heavier) and
+    # near the maximum (a few heavy edges or none).
+    ws = sorted(w for _, _, w in graph.edges())
+    scale = 4.0 / graph.num_vertices ** 2
+    for level in (0.5 * ws[0], ws[len(ws) // 2], 0.9 * ws[-1]):
+        new, new_sizes, new_blocks = sparsest_kernel(graph, upper=level * scale)
+        old, old_sizes, old_blocks = _frozen_kernel(graph, upper=level * scale)
+        assert new.vertices() == old.vertices()
+        assert list(new.edges()) == list(old.edges())
+        assert new_sizes == old_sizes
+        assert new_blocks == old_blocks
+
+
 class TestSizeValidation:
     """Sizes must be finite and positive, and cover every vertex."""
 
