@@ -28,7 +28,7 @@ order, which is the graph's, so edge columns index the level arrays
 directly.  :func:`build_level_structure` then returns, per level,
 index arrays in that order — each vertex's leader slot (``-1`` when
 leaderless) and join time, and each leader's vertex index and
-``ldr_time`` in slot order, which is the decomposition's label order.
+``ldr_time`` in slot order, which is the decomposition's ``order``.
 The vertex-keyed dicts ``leader_of``, ``join_time`` and ``ldr_time``
 are derived views for tests and figures.
 
@@ -70,26 +70,26 @@ def index_tree(
     decomp: LowDepthDecomposition, keys: ContractionKeys
 ) -> IndexedTree:
     """Index ``decomp``'s tree in the keys' vertex order.  The tree is
-    the keyed MST, which ``decomp`` decomposes; its edges, their keys
-    and its largest key are read off :attr:`ContractionKeys.mst`."""
-    vertices = keys.vertices
-    index = {v: i for i, v in enumerate(vertices)}
-    label = [decomp.label[v] for v in vertices]
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in vertices]
+    the keyed MST, which ``decomp`` decomposes over that order; its
+    labels and leader order are ``decomp``'s ``labels`` and ``order``,
+    and its edges, their keys and its largest key are read off
+    :attr:`ContractionKeys.mst`."""
+    label = decomp.labels
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in label]
     mst = keys.mst
     for k, a, b in zip(mst.key, mst.u, mst.v):
         adjacency[a].append((b, k))
         adjacency[b].append((a, k))
     leaders: dict[int, list[int]] = {}
-    for v, l in decomp.label.items():
-        leaders.setdefault(l, []).append(index[v])
+    for i in decomp.order:
+        leaders.setdefault(label[i], []).append(i)
     return IndexedTree(
-        vertices=vertices,
+        vertices=keys.vertices,
         label=label,
         adjacency=adjacency,
         leaders=leaders,
         max_tree_key=mst.key[-1] if mst.key else 0,
-        height=decomp.height,
+        height=max(label),
     )
 
 

@@ -41,7 +41,6 @@ import numpy as np
 from ..ampc import AMPCConfig, RoundLedger
 from ..graph import Cut, Graph
 from ..trees.low_depth import low_depth_decomposition
-from ..trees.rooted import root_tree
 from .bags import replay_min_singleton
 from .contraction import mst_bag
 from .intervals import IntervalColumns, edge_intervals
@@ -208,7 +207,7 @@ def _track(
 
 def _steps_1_2(graph, keys, config, ledger, execute_on_simulator):
     """Steps 1–2 for one copy: the keyed MST (:attr:`ContractionKeys.mst`)
-    and its low-depth decomposition."""
+    and its low-depth decomposition, over the MST's index rows."""
     n = graph.num_vertices
     if n < 2:
         raise ValueError("smallest singleton cut needs n >= 2")
@@ -234,10 +233,7 @@ def _steps_1_2(graph, keys, config, ledger, execute_on_simulator):
         raise ValueError("graph must be connected")
 
     # ---------------------------------------------------------- step 2
-    V = graph.vertices()
-    tree_edges = [(V[a], V[b]) for a, b in zip(mst.u, mst.v)]
-    tree = root_tree(V, tree_edges)
-    decomp = low_depth_decomposition(V, tree_edges, precomputed_tree=tree)
+    decomp = low_depth_decomposition(keys.vertices, rows=(mst.u, mst.v))
     log2n = math.ceil(math.log2(max(2, n)))
     ledger.charge(
         config.rounds_per_primitive,

@@ -88,10 +88,10 @@ def parse_registration(body: dict) -> tuple[str, Graph]:
     :meth:`Graph.add_edge` rejects it with a ``ValueError`` naming the
     weight and endpoints, which the wire answers with 400 just like
     ``/mutate`` does (see ``deltas._edge_row``).  The ``name`` (every
-    later op addresses the graph by a string), the ``vertices`` list
-    (a string would register its characters), each vertex id (an
-    integer or a string, :func:`~repro.service.deltas.is_vertex_id`)
-    and each weight's type (a JSON number, as ``/mutate`` rows require:
+    later op addresses the graph by a string), the ``edges`` and
+    ``vertices`` lists (a string would register its characters), each
+    vertex id (an integer or a string,
+    :func:`~repro.service.deltas.is_vertex_id`) and each weight's type (a JSON number, as ``/mutate`` rows require:
     ``true`` or ``"2.5"`` would otherwise pass ``float``) are validated
     here.
     """
@@ -101,6 +101,8 @@ def parse_registration(body: dict) -> tuple[str, Graph]:
     if "path" in body:
         return name, load_any(body["path"])
     edges = require(body, "edges")
+    if not isinstance(edges, list):
+        raise BadRequest(f"field 'edges' must be a list, got {edges!r}")
     vertices = body.get("vertices", [])
     if not isinstance(vertices, list):
         raise BadRequest(f"field 'vertices' must be a list, got {vertices!r}")

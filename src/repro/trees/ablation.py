@@ -24,12 +24,17 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Sequence
 
-from .heavy_light import heavy_light_decomposition
-from .low_depth import LowDepthDecomposition
-from .meta_tree import build_meta_tree
-from .rooted import RootedTree, root_tree
+from .low_depth import low_depth_decomposition
+from .rooted import root_tree
 
 Vertex = Hashable
+
+
+def _positions(num_leaves: int) -> tuple[range, range]:
+    """Path position ``i`` is labelled ``i + 1``, and light children
+    hang below it."""
+    depths = range(1, num_leaves + 1)
+    return depths, depths
 
 
 def low_depth_decomposition_no_binarization(
@@ -43,34 +48,9 @@ def low_depth_decomposition_no_binarization(
     Returns the labeling only (no binarized structures exist).  Valid
     per Definition 1, but with height ``Theta(n)`` on path-like trees.
     """
-    tree = root_tree(vertices, edges, root=root)
-    hl = heavy_light_decomposition(tree)
-    meta = build_meta_tree(hl)
-
-    # Offset of a meta vertex = label budget consumed by its ancestors;
-    # inside a heavy path, vertex i (top-down) gets offset + i + 1.
-    offset: dict[int, int] = {}
-
-    def compute_offset(m: int) -> int:
-        cached = offset.get(m)
-        if cached is not None:
-            return cached
-        p = meta.parent[m]
-        if p is None:
-            val = 0
-        else:
-            attach = meta.attach[m]
-            # children hang below the attach vertex's own label position
-            val = compute_offset(p) + hl.position[attach] + 1
-        offset[m] = val
-        return val
-
-    label: dict[Vertex, int] = {}
-    for m, path in enumerate(hl.paths):
-        base = compute_offset(m)
-        for i, v in enumerate(path):
-            label[v] = base + i + 1
-    return label
+    return low_depth_decomposition(
+        vertices, edges, root=root, depths=_positions
+    ).label
 
 
 def low_depth_decomposition_bfs_depth(

@@ -18,6 +18,7 @@ see :meth:`AlmostCompleteBinaryTree.leaves_preorder`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Hashable, Sequence
 
 Vertex = Hashable
@@ -162,11 +163,15 @@ class BinarizedPath:
 
     def anchor_depth(self, v: Vertex) -> int:
         """Depth (root=1) of the label anchor inside this binarized path."""
-        return self.tree.depth(self.label_anchor(v))
+        return depth_table(len(self.path))[0][self._position[v]]
 
     def leaf_depth(self, v: Vertex) -> int:
         """Depth of ``v``'s leaf inside this binarized path."""
-        return self.tree.depth(self.leaf_of[v])
+        return depth_table(len(self.path))[1][self._position[v]]
+
+    @cached_property
+    def _position(self) -> dict[Vertex, int]:
+        return {v: i for i, v in enumerate(self.path)}
 
     def validate(self) -> None:
         t = self.tree
@@ -175,6 +180,27 @@ class BinarizedPath:
         order = [self.vertex_of[i] for i in t.leaves_preorder()]
         if order != list(self.path):
             raise ValueError("pre-order traversal does not agree with path")
+
+
+@lru_cache(maxsize=256)
+def depth_table(num_leaves: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Anchor and leaf depths by path position, for a path of
+    ``num_leaves`` vertices: the closed form of
+    :meth:`BinarizedPath.label_anchor` on heap indices.
+
+    Climbing while a left child strips the leaf's trailing zero bits;
+    if that reaches the root (the leaf is a power of two) the anchor
+    is the leaf, otherwise the stopping node's parent, one level up.
+
+    >>> depth_table(3)  # leaves 4, 5, 3
+    ((3, 2, 1), (3, 3, 2))
+    """
+    leaves = AlmostCompleteBinaryTree(num_leaves).leaves_preorder()
+    anchor = []
+    for leaf in leaves:
+        z = leaf // (leaf & -leaf)
+        anchor.append(leaf.bit_length() if z == 1 else z.bit_length() - 1)
+    return tuple(anchor), tuple(leaf.bit_length() for leaf in leaves)
 
 
 def binarize_path(path: Sequence[Vertex]) -> BinarizedPath:

@@ -17,6 +17,15 @@ such that for every level ``i``, each connected component induced on
    the vertex as its leftmost leaf-descendant (or the vertex's own
    leaf when no such node exists).
 
+Host-side the four steps run on vertex indices in one pass: a stack
+DFS in the rooting's order, subtree sizes, the first-largest heavy
+child, heavy paths numbered in discovery order, and each vertex's
+label read off a per-length table of binarized-path depths
+(:func:`~repro.trees.binarized.depth_table`).  The object structures
+of steps 1–3 (:class:`RootedTree`, :class:`HeavyLight`,
+:class:`MetaTree`, :class:`BinarizedPath`) are views built on first
+use, for tests, figures and the validators.
+
 The AMPC cost is ``O(1/eps)`` rounds (Lemma 3); the genuinely-executed
 round measurements come from the rooting/list-ranking primitives, the
 rest is charged per Lemmas 5–7 (see the pipeline in
@@ -27,10 +36,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from functools import cached_property
+from typing import Callable, Hashable, Iterable, Sequence
 
 from ..ampc import AMPCConfig, RoundLedger
-from .binarized import BinarizedPath, binarize_path
+from ..ampc.primitives.listrank import _stable_key
+from .binarized import BinarizedPath, binarize_path, depth_table
 from .heavy_light import HeavyLight, heavy_light_decomposition
 from .meta_tree import MetaTree, build_meta_tree
 from .rooted import RootedTree, root_tree, root_tree_ampc
@@ -38,24 +49,72 @@ from .rooted import RootedTree, root_tree, root_tree_ampc
 Vertex = Hashable
 
 
-@dataclass
+@dataclass(frozen=True)
 class LowDepthDecomposition:
-    """The labeling plus every intermediate structure (for inspection).
+    """The labeling of a tree over a fixed vertex order.
 
-    ``label[v]`` is the level of ``v`` (1-based).  ``height`` is
-    ``max(label)``; Definition 1 requires ``height = O(log^2 n)``.
+    ``labels[i]`` is the level (1-based) of ``vertices[i]``; ``order``
+    lists the vertex indices heavy path by heavy path, each top-down,
+    paths in the order the rooting discovers their heads -- the order
+    of the :attr:`label` dict and of each level's leader slots.  The
+    tree is kept as its edge rows (``u``, ``v``: endpoint indices) and
+    ``root`` index, from which the object structures are rebuilt on
+    first use.
+
+    Rooted at ``a``, the heavy path is ``a, c, d``; ``b`` hangs from
+    ``a``'s leaf, at depth 3 of the expanded meta tree:
+
+    >>> d = low_depth_decomposition("abcd", [("a", "b"), ("a", "c"), ("c", "d")])
+    >>> d.labels, d.order, d.height
+    ([3, 4, 2, 1], [0, 2, 3, 1], 4)
+    >>> d.label
+    {'a': 3, 'c': 2, 'd': 1, 'b': 4}
     """
 
-    tree: RootedTree
-    hl: HeavyLight
-    meta: MetaTree
-    binarized: dict[int, BinarizedPath]
-    offset: dict[int, int]
-    label: dict[Vertex, int]
+    vertices: list[Vertex]
+    labels: list[int]
+    order: list[int]
+    u: Sequence[int]
+    v: Sequence[int]
+    root: int
 
-    @property
+    @cached_property
     def height(self) -> int:
-        return max(self.label.values())
+        """``max(label)``; Definition 1 requires ``O(log^2 n)``."""
+        return max(self.labels)
+
+    @cached_property
+    def label(self) -> dict[Vertex, int]:
+        """vertex -> level, in :attr:`order`."""
+        V, labels = self.vertices, self.labels
+        return {V[i]: labels[i] for i in self.order}
+
+    @cached_property
+    def tree(self) -> RootedTree:
+        V = self.vertices
+        edges = [(V[a], V[b]) for a, b in zip(self.u, self.v)]
+        return root_tree(V, edges, root=V[self.root])
+
+    @cached_property
+    def hl(self) -> HeavyLight:
+        return heavy_light_decomposition(self.tree)
+
+    @cached_property
+    def meta(self) -> MetaTree:
+        return build_meta_tree(self.hl)
+
+    @cached_property
+    def binarized(self) -> dict[int, BinarizedPath]:
+        return {m: binarize_path(path) for m, path in enumerate(self.hl.paths)}
+
+    @cached_property
+    def offset(self) -> dict[int, int]:
+        """Meta vertex -> expanded-meta-tree depth of its binarized
+        path's root, less one: a label is its anchor's depth plus it."""
+        return {
+            m: self.label[bp.path[0]] - bp.anchor_depth(bp.path[0])
+            for m, bp in self.binarized.items()
+        }
 
     def levels(self) -> dict[int, list[Vertex]]:
         """Level -> vertices with that label (the paper's ``L_i``)."""
@@ -76,25 +135,111 @@ class LowDepthDecomposition:
         binarized depth, and there are at most ``floor(log2 n) + 1``
         meta levels on any root path (Observation 1).
         """
-        n = self.tree.num_vertices
+        n = len(self.vertices)
         log = math.floor(math.log2(max(2, n))) + 1
         return log * log
 
 
 def low_depth_decomposition(
     vertices: Sequence[Vertex],
-    edges: Iterable[tuple[Vertex, Vertex]],
+    edges: Iterable[tuple[Vertex, Vertex]] = (),
     *,
+    rows: tuple[Sequence[int], Sequence[int]] | None = None,
     root: Vertex | None = None,
-    precomputed_tree: RootedTree | None = None,
+    depths: Callable[[int], tuple[Sequence[int], Sequence[int]]] = depth_table,
 ) -> LowDepthDecomposition:
-    """Algorithm 2 (host-side computation; see the AMPC variant below)."""
-    tree = (
-        precomputed_tree
-        if precomputed_tree is not None
-        else root_tree(vertices, edges, root=root)
-    )
-    return _decompose_from_tree(tree)
+    """Algorithm 2 (host-side computation; see the AMPC variant below).
+
+    The tree is ``edges`` (vertex pairs) or ``rows``, its edges as two
+    lists of endpoint indices into ``vertices``.  ``root`` defaults to
+    the minimum vertex under :func:`root_tree`'s type-stable order.
+    ``depths(L)`` gives a path of ``L`` vertices its anchor and leaf
+    depths by position (the no-binarization ablation swaps it).
+    """
+    vertices = list(vertices)
+    if rows is None:
+        index = {x: i for i, x in enumerate(vertices)}
+        rows = ([], [])
+        for a, b in edges:
+            rows[0].append(index[a])
+            rows[1].append(index[b])
+    us, vs = rows
+    r = None if root is None else vertices.index(root)
+    labels, order, r = _label(vertices, us, vs, r, depths)
+    return LowDepthDecomposition(vertices, labels, order, us, vs, r)
+
+
+def _label(vertices, us, vs, root, depths):
+    """Algorithm 2's labels on indices, with :func:`root_tree`'s
+    orientation and child order and :func:`heavy_light_decomposition`'s
+    heavy children and path order."""
+    n = len(vertices)
+    if not n:
+        raise ValueError("empty vertex set")
+    if len(us) != n - 1:
+        raise ValueError(f"not a tree: {n} vertices but {len(us)} edges")
+    # One type-stable sort key per vertex; the sorts are stable, so
+    # equal keys keep vertex and edge order, as in root_tree.
+    skey = [_stable_key(x) for x in vertices]
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for a, b in zip(us, vs):
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    if root is None:
+        root = min(range(n), key=skey.__getitem__)
+
+    # Step 1: the stack DFS; siblings are discovered together, in
+    # sorted adjacency order.  -1 marks the undiscovered, -2 the root.
+    parent = [-1] * n
+    parent[root] = -2
+    discovered = [root]
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        adj = adjacency[x]
+        if len(adj) > 1:
+            adj.sort(key=skey.__getitem__)
+        for y in adj:
+            if parent[y] == -1:
+                parent[y] = x
+                discovered.append(y)
+                stack.append(y)
+    if len(discovered) != n:
+        raise ValueError("edge set does not connect all vertices")
+
+    # Step 2: subtree sizes, then the heavy child.  In reverse discovery
+    # order every subtree is complete before it is added up, and
+    # siblings come last child first, so ">=" keeps the first largest.
+    size = [1] * n
+    heavy = [-1] * n
+    for x in reversed(discovered):
+        p = parent[x]
+        if p >= 0:
+            s = size[x]
+            size[p] += s
+            h = heavy[p]
+            if h < 0 or s >= size[h]:
+                heavy[p] = x
+
+    # Steps 3-4: heavy paths top-down, in head discovery order; a path
+    # starts at the expanded depth of its attach vertex's leaf.
+    labels = [0] * n
+    below = [0] * n
+    order: list[int] = []
+    for x in discovered:
+        p = parent[x]
+        if p >= 0 and heavy[p] == x:
+            continue
+        base = below[p] if p >= 0 else 0
+        path = [x]
+        while heavy[path[-1]] >= 0:
+            path.append(heavy[path[-1]])
+        anchor, leaf = depths(len(path))
+        for i, y in enumerate(path):
+            labels[y] = base + anchor[i]
+            below[y] = base + leaf[i]
+        order += path
+    return labels, order, root
 
 
 def low_depth_decomposition_ampc(
@@ -117,7 +262,7 @@ def low_depth_decomposition_ampc(
     tree = root_tree_ampc(
         vertices, edge_list, config=config, ledger=ledger, root=root
     )
-    decomp = _decompose_from_tree(tree)
+    decomp = low_depth_decomposition(vertices, edge_list, root=tree.root)
     if ledger is not None:
         n = max(2, len(vertices))
         log2n = math.ceil(math.log2(n))
@@ -140,47 +285,3 @@ def low_depth_decomposition_ampc(
             total_peak=n * log2n * log2n,
         )
     return decomp
-
-
-def _decompose_from_tree(tree: RootedTree) -> LowDepthDecomposition:
-    hl = heavy_light_decomposition(tree)
-    meta = build_meta_tree(hl)
-    binarized: dict[int, BinarizedPath] = {
-        m: binarize_path(path) for m, path in enumerate(hl.paths)
-    }
-
-    # Expanded-meta-tree depth offsets: the root of meta vertex m's
-    # binarized tree hangs below the *leaf* of the attach vertex in the
-    # parent meta vertex, so children start at that leaf's expanded depth.
-    offset: dict[int, int] = {}
-
-    def compute_offset(m: int) -> int:
-        cached = offset.get(m)
-        if cached is not None:
-            return cached
-        p = meta.parent[m]
-        if p is None:
-            val = 0
-        else:
-            attach = meta.attach[m]
-            val = compute_offset(p) + binarized[p].leaf_depth(attach)
-        offset[m] = val
-        return val
-
-    for m in meta.parent:
-        compute_offset(m)
-
-    label: dict[Vertex, int] = {}
-    for m, bp in binarized.items():
-        base = offset[m]
-        for v in bp.path:
-            label[v] = base + bp.anchor_depth(v)
-
-    return LowDepthDecomposition(
-        tree=tree,
-        hl=hl,
-        meta=meta,
-        binarized=binarized,
-        offset=offset,
-        label=label,
-    )

@@ -86,12 +86,16 @@ def root_tree(
     *,
     root: Vertex | None = None,
 ) -> RootedTree:
-    """Sequential rooting: BFS orientation + postorder subtree sizes.
+    """Sequential rooting: stack DFS orientation + subtree sizes.
 
     Mirrors the output contract of Lemma 4 / :func:`ampc_root_forest`
     for a single tree; ``root`` defaults to the minimum vertex under a
     type-stable order.  Children are sorted the same way, so preorder
-    matches the AMPC Euler-tour order.
+    matches the AMPC Euler-tour order.  A popped vertex discovers all
+    its unvisited neighbours at once, in that order; ``parent`` keeps
+    discovery order, which numbers the heavy paths and so fixes each
+    level's leader order (:mod:`repro.trees.low_depth` labels on
+    indices in the same order).
     """
     vertices = list(vertices)
     if not vertices:

@@ -8,9 +8,10 @@ through ``bag_at``), and ``root_tree`` keyed each vertex once per
 comparison.  The code below is kept verbatim -- function bodies,
 comments and charge reasons -- as the differential reference for the
 batched path and as the "old" side of ``benchmarks/bench_algo1.py``.
-Unchanged helpers (keys, contraction, level structures, the sweep, the
-low-depth decomposition, Stoer-Wagner) are imported from ``repro``.
-Nothing in ``src/`` imports it.
+Unchanged helpers (keys, contraction, level structures, the sweep,
+Stoer-Wagner) are imported from ``repro``; the low-depth decomposition
+from its frozen copy, ``tests/low_depth_reference.py``.  Nothing in
+``src/`` imports it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from low_depth_reference import LowDepthDecomposition, low_depth_decomposition
 from repro.ampc import AMPCConfig, RoundLedger
 from repro.core.contraction import bag_at, contract_to_size, mst_of_keys
 from repro.core.intervals import CHUNK_CELLS, IntervalColumns
@@ -31,7 +33,6 @@ from repro.core.schedule import schedule_for
 from repro.core.singleton import SingletonCutResult
 from repro.core.sweep import min_interval_overlap
 from repro.graph import Cut, Graph, lift_cut
-from repro.trees.low_depth import LowDepthDecomposition, low_depth_decomposition
 from repro.trees.rooted import RootedTree
 
 Vertex = Hashable

@@ -6,8 +6,9 @@ edge per level producing :class:`TimeInterval` objects, and one numpy
 sweep per leader.  It is kept verbatim -- including the sweep's
 absolute ``1e-12`` record rule, which loses exactness on small weights
 -- as the differential reference for the columnar path and as the
-"old" side of ``benchmarks/bench_singleton.py``.  Nothing in ``src/``
-imports it.
+"old" side of ``benchmarks/bench_singleton.py``.  Its low-depth
+decomposition is the frozen copy in ``tests/low_depth_reference.py``.
+Nothing in ``src/`` imports it.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from typing import Hashable, Iterator, Sequence
 
 import numpy as np
 
+from low_depth_reference import LowDepthDecomposition, low_depth_decomposition
 from repro.core.contraction import bag_at, mst_of_keys
 from repro.graph import Cut
-from repro.trees.low_depth import LowDepthDecomposition, low_depth_decomposition
 from repro.trees.rooted import root_tree
 
 Vertex = Hashable

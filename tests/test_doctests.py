@@ -3,8 +3,10 @@
 Every public module of :mod:`repro.service`, :mod:`repro.preprocess`
 and :mod:`repro.obs`, plus the booster :mod:`repro.core.boost`, the
 contraction keys and contraction (:mod:`repro.core.keys`,
-:mod:`repro.core.contraction`), the union–finds :mod:`repro.graph.dsu`
-and the Gomory–Hu trees :mod:`repro.flow.gomory_hu`, is swept with
+:mod:`repro.core.contraction`), the union–finds :mod:`repro.graph.dsu`,
+the Gomory–Hu trees :mod:`repro.flow.gomory_hu` and the low-depth
+labels (:mod:`repro.trees.binarized`, :mod:`repro.trees.low_depth`) is
+swept with
 :func:`doctest.testmod`; docstring examples are part of the documented
 contract (the satellite of the PR 5 docs overhaul), so a drifting
 example fails tier-1 the same way a drifting assertion would.
@@ -41,6 +43,8 @@ MODULES = [
     "repro.service.reply",
     "repro.service.service",
     "repro.service.store",
+    "repro.trees.binarized",
+    "repro.trees.low_depth",
 ]
 
 #: modules that must carry at least one runnable example — the
@@ -66,6 +70,8 @@ MUST_HAVE_EXAMPLES = {
     "repro.service.reply",
     "repro.service.service",
     "repro.service.store",
+    "repro.trees.binarized",
+    "repro.trees.low_depth",
 }
 
 

@@ -255,6 +255,19 @@ def test_int_and_string_vertex_ids_still_register(server):
     )["weight"] == 1.0
 
 
+@pytest.mark.parametrize("bad", [5, None, {"0": 1}, "01", True], ids=repr)
+def test_registration_rejects_non_list_edges(server, bad):
+    # Before: 5 and null answered "'int'/'NoneType' object is not
+    # iterable", and {"0": 1} and "01" iterated to "bad edge '0'".
+    status, resp = request_status_json(
+        server.url, "/graphs", {"name": "g", "edges": bad}
+    )
+    assert status == 400, resp
+    assert resp["error"] == f"field 'edges' must be a list, got {bad!r}"
+    assert resp["trace_id"]
+    assert request_json(server.url, "/graphs")["graphs"] == []
+
+
 # ----------------------------------------------------------------------
 # Content-Length hardening
 # ----------------------------------------------------------------------

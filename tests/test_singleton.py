@@ -206,3 +206,47 @@ class TestCutQuality:
             g = erdos_renyi(20, 0.3, weighted=True, seed=50 + seed)
             got = smallest_singleton_cut_value(g, seed=seed)
             assert got <= min(g.degree(v) for v in g.vertices()) + 1e-9
+
+
+class TestServedLayerNames:
+    """The served benchmark's traced guard times Algorithm 3's step 2 and
+    level structures by patching ``repro.core.singleton``'s
+    ``low_depth_decomposition`` and ``build_level_structure`` by name;
+    a served ``/mincut`` must call them through those names, once per
+    copy and once per level."""
+
+    def test_served_mincut_calls_both_names(self, monkeypatch):
+        from repro.core import mincut as mincut_module
+        from repro.core import singleton as singleton_module
+        from repro.service import CutService
+        from repro.workloads import clustered_community
+
+        copies, decomps, levels = [], [], []
+        track = mincut_module.smallest_singleton_cut
+        decompose = singleton_module.low_depth_decomposition
+        build = singleton_module.build_level_structure
+
+        def tracking(batch, **kw):
+            copies.extend(batch)
+            return track(batch, **kw)
+
+        def decomposing(*args, **kw):
+            decomps.append(decompose(*args, **kw))
+            return decomps[-1]
+
+        def building(tree, level):
+            levels.append(level)
+            return build(tree, level)
+
+        monkeypatch.setattr(mincut_module, "smallest_singleton_cut", tracking)
+        monkeypatch.setattr(singleton_module, "low_depth_decomposition", decomposing)
+        monkeypatch.setattr(singleton_module, "build_level_structure", building)
+        with CutService() as svc:
+            svc.register("g", clustered_community(64, intra_p=24 / 64, seed=3).graph)
+            out = svc.mincut("g", trials=2, preprocess="safe", seed=5)
+        assert out["weight"] > 0
+        assert len(copies) > 10
+        assert [d.vertices for d in decomps] == [c.keys.vertices for c in copies]
+        assert levels == [
+            i for d in decomps for i in range(1, d.height + 1)
+        ]
