@@ -5,16 +5,18 @@ binarized-path machinery, balanced trees the meta tree depth) plus the
 measured AMPC rounds on the simulator for moderate sizes.  The
 benchmarked kernel decomposes a 4096-vertex random tree.
 
-``test_step2_speedup`` times Algorithm 3's step 2 plus ``index_tree``
-(rooting, the low-depth decomposition and the indexed tree with its
-leader lists) old vs new on every copy Algorithm 1 hands to Algorithm 3
-in trials on clustered n=64 (the graph ``/mincut`` solves on the
-mutation stream) and planted n=2048.  The old side is the frozen object
-path (``tests/low_depth_reference.py``: the MST as vertex pairs,
-``root_tree``, heavy-light, meta tree, binarized paths, the label
-climb, and ``index_tree``'s ``{v: i}`` map over the label dict); the
-new side labels the MST's index rows.  Rounds alternate old and new,
-both single-threaded, so the ratio holds on a 1-2 CPU host.  Each
+``test_step2_speedup`` times Algorithm 3's step 2 plus the keyed tree
+the level structures walk (rooting, the low-depth decomposition, each
+level's leader lists and the tree edges' keys) old vs new on every copy
+Algorithm 1 hands to Algorithm 3 in trials on clustered n=64 (the graph
+``/mincut`` solves on the mutation stream) and planted n=2048.  The old
+side is the frozen object path (``tests/low_depth_reference.py``: the
+MST as vertex pairs, ``root_tree``, heavy-light, meta tree, binarized
+paths, the label climb, then ``tests/algo1_reference.py``'s
+``index_tree`` with its ``{v: i}`` map over the label dict and its
+``(neighbour, key)`` adjacency); the new side labels the MST's index
+rows and keys that rooting (``keyed_tree``).  Rounds alternate old and
+new, both single-threaded, so the ratio holds on a 1-2 CPU host.  Each
 round asserts identical labels and per-level leader lists.  The gate
 is a median speedup >= 2x on clustered n=64 and >= 1.5x on planted
 n=2048.  Results go to the path in the ``BENCH_PR27`` env var
@@ -38,11 +40,12 @@ from conftest import emit
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 import low_depth_reference as ref  # noqa: E402
+from algo1_reference import index_tree  # noqa: E402
 
 from repro.analysis.harness import ExperimentReport, run_low_depth_heights  # noqa: E402
 from repro.core import ampc_min_cut  # noqa: E402
 from repro.core import mincut as mincut_module  # noqa: E402
-from repro.core.ldr import index_tree  # noqa: E402
+from repro.core.ldr import keyed_tree  # noqa: E402
 from repro.trees import check_definition_1, low_depth_decomposition  # noqa: E402
 from repro.workloads import clustered_community, planted_cut, random_tree  # noqa: E402
 
@@ -99,7 +102,7 @@ def _old_step2(keys):
 def _new_step2(keys):
     mst = keys.mst
     decomp = low_depth_decomposition(keys.vertices, rows=(mst.u, mst.v))
-    return index_tree(decomp, keys)
+    return keyed_tree(decomp, keys)
 
 
 def _run(step2, copies):
@@ -110,7 +113,7 @@ def _run(step2, copies):
 
 def test_step2_speedup(report_sink):
     report = ExperimentReport(
-        experiment="Algorithm 3 step 2 + index_tree: object path vs index rows",
+        experiment="Algorithm 3 step 2 + keyed tree: object path vs index rows",
         columns=["graph", "copies", "max_n", "old_ms", "new_ms", "speedup", "floor"],
     )
     results = {
@@ -120,7 +123,7 @@ def test_step2_speedup(report_sink):
             "python": platform.python_version(),
             "numpy": np.__version__,
         },
-        "call": "index_tree(low_depth_decomposition(keys.vertices, "
+        "call": "keyed_tree(low_depth_decomposition(keys.vertices, "
         "rows=(mst.u, mst.v)), keys)  # per copy of the trials",
         "statistic": "median seconds per pass over all copies, "
         "alternating old/new rounds",
@@ -138,7 +141,7 @@ def test_step2_speedup(report_sink):
                 out[step2], dt = _run(step2, copies)
                 times.append(dt)
             for new, old in zip(out[_new_step2], out[_old_step2], strict=True):
-                assert new.label == old.label, name
+                assert new.decomp.labels == old.label, name
                 assert new.leaders == old.leaders, name
                 assert list(new.leaders) == list(old.leaders), name
         old, new = statistics.median(old_s), statistics.median(new_s)

@@ -36,8 +36,9 @@ import algo3_reference as ref  # noqa: E402
 
 from repro.analysis.harness import ExperimentReport, run_singleton_verification  # noqa: E402
 from repro.core import draw_contraction_keys, smallest_singleton_cut  # noqa: E402
-from repro.core.ldr import build_level_structure, index_tree  # noqa: E402
+from repro.core.ldr import build_level_structure, keyed_tree  # noqa: E402
 from repro.core.singleton import sweep_levels  # noqa: E402
+from repro.trees import low_depth_decomposition  # noqa: E402
 from repro.workloads import planted_cut  # noqa: E402
 
 _SIZES = (256, 1024, 2048)
@@ -71,7 +72,7 @@ def _best_of(fn):
 
 
 def _columnar_steps_3_4(graph, keys, decomp):
-    tree = index_tree(decomp, keys)
+    tree = keyed_tree(decomp, keys)
     levels = [build_level_structure(tree, i) for i in range(1, decomp.height + 1)]
     swept = sweep_levels([(graph, levels)])
     best = int(np.argmin(swept.weight))
@@ -102,8 +103,10 @@ def test_steps_3_4_speedup(report_sink):
         old, old_34 = _best_of(
             lambda: ref.reference_steps_3_4(g, keys, decomp, max_key)
         )
+        mst = keys.mst
+        new_decomp = low_depth_decomposition(keys.vertices, rows=(mst.u, mst.v))
         new, new_34 = _best_of(
-            lambda: _columnar_steps_3_4(g, keys, decomp)
+            lambda: _columnar_steps_3_4(g, keys, new_decomp)
         )
         assert new == old, (n, new, old)
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..core.intervals import edge_intervals
 from ..core.keys import ContractionKeys
-from ..core.ldr import build_level_structure, index_tree
+from ..core.ldr import build_level_structure, keyed_tree
 from ..graph import Graph
 from ..trees.heavy_light import HeavyLight, heavy_light_decomposition
 from ..trees.low_depth import low_depth_decomposition
@@ -125,7 +125,7 @@ def render_figure3() -> str:
         + ", ".join(f"{u}-{w}@{k}" for (u, w), k in zip(mst_edges, mst.key)),
     ]
     level = decomp.label[v]
-    struct = build_level_structure(index_tree(decomp, keys), level)
+    struct = build_level_structure(keyed_tree(decomp, keys), level)
     if v in struct.ldr_time:
         lines.append(f"ldr_time({v}) = {struct.ldr_time[v]}")
         iv = edge_intervals([(g, [struct])])

@@ -8,13 +8,7 @@ from .contraction import bag_at, bag_boundary_weight, contract_to_size, mst_of_k
 from .intervals import IntervalColumns, edge_intervals
 from .kcut import KCutResult, apx_split_kcut, boost_kcut
 from .keys import ContractionKeys, draw_contraction_keys, draw_uniform_keys
-from .ldr import (
-    IndexedTree,
-    LevelStructure,
-    all_level_structures,
-    build_level_structure,
-    index_tree,
-)
+from .ldr import KeyedTree, LevelStructure, build_level_structure, keyed_tree
 from .mincut import (
     MinCutResult,
     ampc_min_cut,
@@ -34,9 +28,9 @@ from .sweep import min_interval_overlap, min_interval_overlap_ampc
 __all__ = [
     "BOOST_SEED_STRIDE",
     "ContractionKeys",
-    "IndexedTree",
     "IntervalColumns",
     "KCutResult",
+    "KeyedTree",
     "LevelStructure",
     "MinCutResult",
     "RecursionSchedule",
@@ -44,7 +38,6 @@ __all__ = [
     "ScheduleLevel",
     "SingletonCopy",
     "SingletonCutResult",
-    "all_level_structures",
     "ampc_min_cut",
     "ampc_min_cut_boosted",
     "apx_split_kcut",
@@ -59,7 +52,7 @@ __all__ = [
     "draw_contraction_keys",
     "draw_uniform_keys",
     "edge_intervals",
-    "index_tree",
+    "keyed_tree",
     "min_interval_overlap",
     "min_interval_overlap_ampc",
     "mst_of_keys",

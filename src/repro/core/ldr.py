@@ -23,12 +23,15 @@ erratum: an edge whose endpoints share a leader stops crossing the bag
 once both have joined, so its closed interval ends at
 ``max(t_x, t_y) - 1``, not at ``max(t_x, t_y)``.
 
-Layout: :func:`index_tree` indexes the keyed tree in the keys' vertex
-order, which is the graph's, so edge columns index the level arrays
-directly.  :func:`build_level_structure` then returns, per level,
-index arrays in that order — each vertex's leader slot (``-1`` when
-leaderless) and join time, and each leader's vertex index and
-``ldr_time`` in slot order, which is the decomposition's ``order``.
+Layout: step 2 decomposes the keyed MST in the keys' vertex order,
+which is the graph's, so edge columns index the level arrays directly.
+:func:`keyed_tree` adds each vertex's parent-edge key to that
+decomposition's rooting, in one pass over the MST rows, and
+:func:`build_level_structure` walks the rooting's adjacency and
+returns, per level, index arrays in that order — each vertex's leader
+slot (``-1`` when leaderless) and join time, and each leader's vertex
+index and ``ldr_time`` in slot order, which is the decomposition's
+``order``.
 The vertex-keyed dicts ``leader_of``, ``join_time`` and ``ldr_time``
 are derived views for tests and figures.
 
@@ -39,7 +42,7 @@ the model-cost accounting lives in :mod:`repro.core.singleton`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable
+from typing import Hashable, NamedTuple
 
 import numpy as np
 
@@ -49,48 +52,33 @@ from .keys import ContractionKeys
 Vertex = Hashable
 
 
-@dataclass(frozen=True)
-class IndexedTree:
-    """A decomposed, keyed spanning tree over a fixed vertex order."""
+class KeyedTree(NamedTuple):
+    """Step 2's decomposition of the keyed MST, with the tree's keys."""
 
-    #: index -> vertex
-    vertices: list[Vertex]
-    #: index -> decomposition label
-    label: list[int]
-    #: index -> [(neighbour index, key of the tree edge), ...]
-    adjacency: list[list[tuple[int, int]]]
+    decomp: LowDepthDecomposition
+    #: index -> key of the tree edge to its parent (0 at the root)
+    parent_key: list[int]
     #: level -> indices of its label vertices, in decomposition order
     leaders: dict[int, list[int]]
     #: largest tree-edge key (caps the unbounded leader's ldr_time)
     max_tree_key: int
-    height: int
 
 
-def index_tree(
-    decomp: LowDepthDecomposition, keys: ContractionKeys
-) -> IndexedTree:
-    """Index ``decomp``'s tree in the keys' vertex order.  The tree is
-    the keyed MST, which ``decomp`` decomposes over that order; its
-    labels and leader order are ``decomp``'s ``labels`` and ``order``,
-    and its edges, their keys and its largest key are read off
-    :attr:`ContractionKeys.mst`."""
-    label = decomp.labels
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in label]
+def keyed_tree(decomp: LowDepthDecomposition, keys: ContractionKeys) -> KeyedTree:
+    """Key ``decomp``'s tree, the keyed MST that ``decomp`` decomposes
+    over the keys' vertex order: each edge of :attr:`ContractionKeys.mst`
+    keys its child end.  Each level's leaders are its label vertices in
+    ``decomp``'s ``order``."""
+    parent = decomp.rooting.parent
+    parent_key = [0] * len(parent)
     mst = keys.mst
     for k, a, b in zip(mst.key, mst.u, mst.v):
-        adjacency[a].append((b, k))
-        adjacency[b].append((a, k))
+        parent_key[a if parent[a] == b else b] = k
+    label = decomp.labels
     leaders: dict[int, list[int]] = {}
     for i in decomp.order:
         leaders.setdefault(label[i], []).append(i)
-    return IndexedTree(
-        vertices=keys.vertices,
-        label=label,
-        adjacency=adjacency,
-        leaders=leaders,
-        max_tree_key=mst.key[-1] if mst.key else 0,
-        height=max(label),
-    )
+    return KeyedTree(decomp, parent_key, leaders, mst.key[-1] if mst.key else 0)
 
 
 @dataclass
@@ -98,7 +86,7 @@ class LevelStructure:
     """Leaders, join times and ldr_times for one decomposition level."""
 
     level: int
-    #: index -> vertex (the :class:`IndexedTree` order)
+    #: index -> vertex (the decomposition's order)
     vertices: list[Vertex]
     #: vertex index -> slot of its leader, or -1 outside leadered comps
     leader_slot: np.ndarray
@@ -141,10 +129,12 @@ class LevelStructure:
         }
 
 
-def build_level_structure(tree: IndexedTree, level: int) -> LevelStructure:
+def build_level_structure(tree: KeyedTree, level: int) -> LevelStructure:
     """Compute the Lemma-11 quantities for one level."""
-    label = tree.label
-    adjacency = tree.adjacency
+    decomp = tree.decomp
+    label = decomp.labels
+    adjacency, parent = decomp.rooting.adjacency, decomp.rooting.parent
+    parent_key = tree.parent_key
     leaders = tree.leaders.get(level, [])
     slot = [-1] * len(label)
     join = [0] * len(label)
@@ -158,42 +148,31 @@ def build_level_structure(tree: IndexedTree, level: int) -> LevelStructure:
         while stack:
             v = stack.pop()
             t_v = join[v]
-            for u, k in adjacency[v]:
-                t_u = t_v if t_v > k else k
+            # A tree edge's key is its child end's parent_key.
+            for u in adjacency[v]:
                 if label[u] >= level:
                     # Trees have unique paths, so each vertex is
                     # discovered once; the slot test also skips the
                     # DFS parent.
                     if slot[u] < 0:
+                        k = parent_key[u] if parent[u] == v else parent_key[v]
                         slot[u] = s
-                        join[u] = t_u
+                        join[u] = t_v if t_v > k else k
                         stack.append(u)
-                elif first_crossing is None or t_u < first_crossing:
-                    # Boundary edge (Lemma 10: at most two per component).
+                    continue
+                # Boundary edge (Lemma 10: at most two per component).
+                k = parent_key[u] if parent[u] == v else parent_key[v]
+                t_u = t_v if t_v > k else k
+                if first_crossing is None or t_u < first_crossing:
                     first_crossing = t_u
         ldr.append(
             tree.max_tree_key - 1 if first_crossing is None else first_crossing - 1
         )
     return LevelStructure(
         level=level,
-        vertices=tree.vertices,
+        vertices=decomp.vertices,
         leader_slot=np.array(slot, dtype=np.int64),
         join_times=np.array(join, dtype=np.int64),
         leaders=np.array(leaders, dtype=np.int64),
         ldr_times=np.array(ldr, dtype=np.int64),
     )
-
-
-def all_level_structures(
-    decomp: LowDepthDecomposition, keys: ContractionKeys
-) -> list[LevelStructure]:
-    """Level structures for every level ``1..height`` (Lemma 9's tuples)."""
-    tree = index_tree(decomp, keys)
-    return [build_level_structure(tree, i) for i in range(1, tree.height + 1)]
-
-
-def leaders_are_unique(decomp: LowDepthDecomposition) -> bool:
-    """Lemma 8 check: every ``T_i`` component has at most one leader."""
-    from ..trees.validate import is_valid_decomposition
-
-    return is_valid_decomposition(decomp.tree, decomp.label)

@@ -45,7 +45,7 @@ from .bags import replay_min_singleton
 from .contraction import mst_bag
 from .intervals import IntervalColumns, edge_intervals
 from .keys import ContractionKeys, draw_contraction_keys
-from .ldr import LevelStructure, build_level_structure, index_tree
+from .ldr import LevelStructure, build_level_structure, keyed_tree
 from .sweep import min_interval_overlap
 
 Vertex = Hashable
@@ -146,9 +146,9 @@ def _track(
     levels = []
     for graph, keys, config, ledger in copies:
         decomp = _steps_1_2(graph, keys, config, ledger, execute_on_simulator)
-        tree = index_tree(decomp, keys)
+        tree = keyed_tree(decomp, keys)
         levels.append(
-            [build_level_structure(tree, i) for i in range(1, tree.height + 1)]
+            [build_level_structure(tree, i) for i in range(1, decomp.height + 1)]
         )
 
     # ---------------------------------------------------- steps 3 and 4

@@ -486,10 +486,7 @@ def _mutate(svc, p):
                 "pass either top-level adds/removes/reweights or a "
                 "'deltas' list, not both"
             )
-        parsed = [
-            d if isinstance(d, GraphDelta) else GraphDelta.from_json(d)
-            for d in deltas
-        ]
+        parsed = [_delta_entry(i, d) for i, d in enumerate(deltas)]
     else:  # one delta from the top-level adds/removes/reweights
         parsed = [GraphDelta.from_json(p)]
     if not parsed:
@@ -547,6 +544,19 @@ def _mutate(svc, p):
         }
 
 
+def _delta_entry(i, entry):
+    """Entry ``i`` of a ``deltas`` list, its fields typed as the
+    top-level ``adds``/``removes``/``reweights`` are."""
+    if isinstance(entry, GraphDelta):
+        return entry
+    if not isinstance(entry, dict):
+        raise BadRequest(f"deltas[{i}] must be an object, got {entry!r}")
+    try:
+        return GraphDelta.from_json(_DELTA.bind(entry))
+    except ValueError as exc:
+        raise BadRequest(f"deltas[{i}]: {exc}") from None
+
+
 def _evict(svc, p):
     return svc.store.evict(p["graph"]).describe()
 
@@ -555,6 +565,12 @@ def _evict(svc, p):
 # The table
 # ----------------------------------------------------------------------
 _GRAPH = Param("graph", "str")
+#: The fields of one ``/mutate`` delta, top-level or a ``deltas`` entry;
+#: not an op itself.
+_DELTA = OpSpec("delta", (
+    Param("adds", "list", ()), Param("removes", "list", ()),
+    Param("reweights", "list", ()),
+), GraphDelta.from_json)
 _EPS = Param("eps", "float", 0.5, help="approximation slack")
 _SEED = Param("seed", "int", 0, help="random seed")
 _PREPROCESS = Param("preprocess", "level", None, help=(
@@ -595,8 +611,7 @@ OPS: dict[str, OpSpec] = {spec.name: spec for spec in (
         Param("k", "int", None),
     ), _kernelize, coalesce=True),
     OpSpec("mutate", (
-        _GRAPH, Param("adds", "list", ()), Param("removes", "list", ()),
-        Param("reweights", "list", ()), Param("deltas", "list", None),
+        _GRAPH, *_DELTA.params, Param("deltas", "list", None),
         Param("expected_fingerprint", "str", None),
     ), _mutate, route="rekey"),
     OpSpec("evict", (_GRAPH,), _evict, route="drop"),

@@ -9,7 +9,7 @@ from .low_depth import (
     low_depth_decomposition_ampc,
 )
 from .meta_tree import MetaTree, build_meta_tree
-from .rooted import RootedTree, root_tree, root_tree_ampc
+from .rooted import RootedTree, Rooting, root_indices, root_tree, root_tree_ampc
 from .validate import (
     boundary_edges,
     check_definition_1,
@@ -25,6 +25,7 @@ __all__ = [
     "LowDepthDecomposition",
     "MetaTree",
     "RootedTree",
+    "Rooting",
     "binarize_path",
     "boundary_edges",
     "build_meta_tree",
@@ -35,6 +36,7 @@ __all__ = [
     "level_components",
     "low_depth_decomposition",
     "low_depth_decomposition_ampc",
+    "root_indices",
     "root_tree",
     "root_tree_ampc",
 ]

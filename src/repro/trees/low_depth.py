@@ -17,14 +17,18 @@ such that for every level ``i``, each connected component induced on
    the vertex as its leftmost leaf-descendant (or the vertex's own
    leaf when no such node exists).
 
-Host-side the four steps run on vertex indices in one pass: a stack
-DFS in the rooting's order, subtree sizes, the first-largest heavy
+Host-side the four steps run on vertex indices in one pass over the
+rooting's lists (:func:`~repro.trees.rooted.root_indices`: the stack
+DFS, discovery order and subtree sizes): the first-largest heavy
 child, heavy paths numbered in discovery order, and each vertex's
 label read off a per-length table of binarized-path depths
-(:func:`~repro.trees.binarized.depth_table`).  The object structures
-of steps 1–3 (:class:`RootedTree`, :class:`HeavyLight`,
-:class:`MetaTree`, :class:`BinarizedPath`) are views built on first
-use, for tests, figures and the validators.
+(:func:`~repro.trees.binarized.depth_table`).  The decomposition keeps
+the :class:`~repro.trees.rooted.Rooting`, which Algorithm 3's level
+structures walk, and its :attr:`~LowDepthDecomposition.tree` view is
+built from it.  The heavy-light, meta-tree and binarized-path objects
+of steps 2–3 (:mod:`repro.trees.heavy_light`,
+:mod:`repro.trees.meta_tree`, :mod:`repro.trees.binarized`) are built
+from a :class:`~repro.trees.rooted.RootedTree` by their own modules.
 
 The AMPC cost is ``O(1/eps)`` rounds (Lemma 3); the genuinely-executed
 round measurements come from the rooting/list-ranking primitives, the
@@ -40,11 +44,8 @@ from functools import cached_property
 from typing import Callable, Hashable, Iterable, Sequence
 
 from ..ampc import AMPCConfig, RoundLedger
-from ..ampc.primitives.listrank import _stable_key
-from .binarized import BinarizedPath, binarize_path, depth_table
-from .heavy_light import HeavyLight, heavy_light_decomposition
-from .meta_tree import MetaTree, build_meta_tree
-from .rooted import RootedTree, root_tree, root_tree_ampc
+from .binarized import depth_table
+from .rooted import Rooting, RootedTree, root_indices, root_tree_ampc
 
 Vertex = Hashable
 
@@ -57,9 +58,7 @@ class LowDepthDecomposition:
     lists the vertex indices heavy path by heavy path, each top-down,
     paths in the order the rooting discovers their heads -- the order
     of the :attr:`label` dict and of each level's leader slots.  The
-    tree is kept as its edge rows (``u``, ``v``: endpoint indices) and
-    ``root`` index, from which the object structures are rebuilt on
-    first use.
+    tree is kept as its :class:`Rooting` on the same indices.
 
     Rooted at ``a``, the heavy path is ``a, c, d``; ``b`` hangs from
     ``a``'s leaf, at depth 3 of the expanded meta tree:
@@ -74,9 +73,7 @@ class LowDepthDecomposition:
     vertices: list[Vertex]
     labels: list[int]
     order: list[int]
-    u: Sequence[int]
-    v: Sequence[int]
-    root: int
+    rooting: Rooting
 
     @cached_property
     def height(self) -> int:
@@ -91,30 +88,7 @@ class LowDepthDecomposition:
 
     @cached_property
     def tree(self) -> RootedTree:
-        V = self.vertices
-        edges = [(V[a], V[b]) for a, b in zip(self.u, self.v)]
-        return root_tree(V, edges, root=V[self.root])
-
-    @cached_property
-    def hl(self) -> HeavyLight:
-        return heavy_light_decomposition(self.tree)
-
-    @cached_property
-    def meta(self) -> MetaTree:
-        return build_meta_tree(self.hl)
-
-    @cached_property
-    def binarized(self) -> dict[int, BinarizedPath]:
-        return {m: binarize_path(path) for m, path in enumerate(self.hl.paths)}
-
-    @cached_property
-    def offset(self) -> dict[int, int]:
-        """Meta vertex -> expanded-meta-tree depth of its binarized
-        path's root, less one: a label is its anchor's depth plus it."""
-        return {
-            m: self.label[bp.path[0]] - bp.anchor_depth(bp.path[0])
-            for m, bp in self.binarized.items()
-        }
+        return self.rooting.rooted_tree(self.vertices)
 
     def levels(self) -> dict[int, list[Vertex]]:
         """Level -> vertices with that label (the paper's ``L_i``)."""
@@ -122,11 +96,6 @@ class LowDepthDecomposition:
         for v, l in self.label.items():
             out.setdefault(l, []).append(v)
         return out
-
-    def expanded_leaf_depth(self, v: Vertex) -> int:
-        """Depth of ``v``'s leaf in the expanded meta tree."""
-        m = self.meta.meta_of(v)
-        return self.offset[m] + self.binarized[m].leaf_depth(v)
 
     def height_bound(self) -> int:
         """The explicit ``O(log^2 n)`` envelope asserted by tests.
@@ -152,73 +121,30 @@ def low_depth_decomposition(
 
     The tree is ``edges`` (vertex pairs) or ``rows``, its edges as two
     lists of endpoint indices into ``vertices``.  ``root`` defaults to
-    the minimum vertex under :func:`root_tree`'s type-stable order.
+    the minimum vertex under :func:`root_indices`'s type-stable order.
     ``depths(L)`` gives a path of ``L`` vertices its anchor and leaf
     depths by position (the no-binarization ablation swaps it).
     """
     vertices = list(vertices)
-    if rows is None:
-        index = {x: i for i, x in enumerate(vertices)}
-        rows = ([], [])
-        for a, b in edges:
-            rows[0].append(index[a])
-            rows[1].append(index[b])
-    us, vs = rows
-    r = None if root is None else vertices.index(root)
-    labels, order, r = _label(vertices, us, vs, r, depths)
-    return LowDepthDecomposition(vertices, labels, order, us, vs, r)
+    rooting = root_indices(vertices, edges, rows=rows, root=root)
+    labels, order = _label(rooting, depths)
+    return LowDepthDecomposition(vertices, labels, order, rooting)
 
 
-def _label(vertices, us, vs, root, depths):
-    """Algorithm 2's labels on indices, with :func:`root_tree`'s
-    orientation and child order and :func:`heavy_light_decomposition`'s
-    heavy children and path order."""
-    n = len(vertices)
-    if not n:
-        raise ValueError("empty vertex set")
-    if len(us) != n - 1:
-        raise ValueError(f"not a tree: {n} vertices but {len(us)} edges")
-    # One type-stable sort key per vertex; the sorts are stable, so
-    # equal keys keep vertex and edge order, as in root_tree.
-    skey = [_stable_key(x) for x in vertices]
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for a, b in zip(us, vs):
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    if root is None:
-        root = min(range(n), key=skey.__getitem__)
-
-    # Step 1: the stack DFS; siblings are discovered together, in
-    # sorted adjacency order.  -1 marks the undiscovered, -2 the root.
-    parent = [-1] * n
-    parent[root] = -2
-    discovered = [root]
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        adj = adjacency[x]
-        if len(adj) > 1:
-            adj.sort(key=skey.__getitem__)
-        for y in adj:
-            if parent[y] == -1:
-                parent[y] = x
-                discovered.append(y)
-                stack.append(y)
-    if len(discovered) != n:
-        raise ValueError("edge set does not connect all vertices")
-
-    # Step 2: subtree sizes, then the heavy child.  In reverse discovery
-    # order every subtree is complete before it is added up, and
-    # siblings come last child first, so ">=" keeps the first largest.
-    size = [1] * n
+def _label(rooting, depths):
+    """Algorithm 2's labels on indices, with
+    :func:`~repro.trees.heavy_light.heavy_light_decomposition`'s heavy
+    children and path order."""
+    parent, discovered, size = rooting.parent, rooting.discovered, rooting.size
+    n = len(parent)
+    # The heavy child: siblings are discovered in child order, so ">"
+    # keeps the first largest.
     heavy = [-1] * n
-    for x in reversed(discovered):
+    for x in discovered:
         p = parent[x]
         if p >= 0:
-            s = size[x]
-            size[p] += s
             h = heavy[p]
-            if h < 0 or s >= size[h]:
+            if h < 0 or size[x] > size[h]:
                 heavy[p] = x
 
     # Steps 3-4: heavy paths top-down, in head discovery order; a path
@@ -239,7 +165,7 @@ def _label(vertices, us, vs, root, depths):
             labels[y] = base + anchor[i]
             below[y] = base + leaf[i]
         order += path
-    return labels, order, root
+    return labels, order
 
 
 def low_depth_decomposition_ampc(

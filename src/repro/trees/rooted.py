@@ -4,15 +4,19 @@ Lemma 4 roots and orients a forest in ``O(1/eps)`` AMPC rounds; the
 genuinely-executed implementation lives in
 :mod:`repro.ampc.primitives.euler`.  This module provides the fast
 sequential equivalent used inside the larger pipelines (identical
-outputs — asserted by tests) plus the :class:`RootedTree` container the
-rest of Section 3 consumes: parents, depths, subtree sizes, children in
-deterministic order, preorder numbers.
+outputs — asserted by tests): :func:`root_indices`, one stack DFS on
+vertex indices whose :class:`Rooting` lists step 2's labeler and
+Algorithm 3's level structures walk as they are, and from which
+:func:`root_tree` builds the :class:`RootedTree` container the tests,
+figures and validators consume: parents, depths, subtree sizes,
+children in deterministic order, preorder numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Sequence
+from itertools import islice
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from ..ampc import AMPCConfig, RoundLedger
 from ..ampc.primitives.euler import ampc_root_forest
@@ -80,94 +84,145 @@ class RootedTree:
                 raise ValueError(f"subtree size broken at {v!r}")
 
 
+class Rooting(NamedTuple):
+    """A tree rooted on vertex indices: Section 3's one stack DFS
+    (:func:`root_indices`), read by :func:`root_tree`, the low-depth
+    labeler and Algorithm 3's level structures."""
+
+    root: int
+    #: index -> parent index, -1 at the root
+    parent: list[int]
+    #: indices in discovery order, the root first; a vertex's children
+    #: are discovered together, in type-stable order
+    discovered: list[int]
+    #: index -> neighbour indices, in type-stable order
+    adjacency: list[list[int]]
+    #: index -> subtree size
+    size: list[int]
+
+    def rooted_tree(self, vertices: Sequence[Vertex]) -> RootedTree:
+        """The :class:`RootedTree` of this rooting over ``vertices``."""
+        V = vertices
+        root = V[self.root]
+        parent: dict[Vertex, Vertex | None] = {root: None}
+        depth: dict[Vertex, int] = {root: 1}
+        children: dict[Vertex, list[Vertex]] = {v: [] for v in V}
+        for x in islice(self.discovered, 1, None):
+            v, p = V[x], V[self.parent[x]]
+            parent[v] = p
+            depth[v] = depth[p] + 1
+            children[p].append(v)
+
+        # Preorder in child (adjacency) order.  Note: the AMPC rooting's
+        # preorder visits children in cyclic order starting after the
+        # entering arc, so the two preorders may differ — both are valid
+        # DFS preorders (contiguous subtree ranges), which is the only
+        # property Section 3 consumes (heavy paths are sorted by depth,
+        # identical under any preorder).
+        preorder: dict[Vertex, int] = {}
+        counter = 0
+        stack: list[Vertex] = [root]
+        while stack:
+            v = stack.pop()
+            preorder[v] = counter
+            counter += 1
+            for u in reversed(children[v]):
+                stack.append(u)
+
+        return RootedTree(
+            root=root,
+            parent=parent,
+            children=children,
+            depth=depth,
+            subtree_size=dict(zip(V, self.size)),
+            preorder=preorder,
+        )
+
+
+def root_indices(
+    vertices: Sequence[Vertex],
+    edges: Iterable[tuple[Vertex, Vertex]] = (),
+    *,
+    rows: tuple[Sequence[int], Sequence[int]] | None = None,
+    root: Vertex | None = None,
+) -> Rooting:
+    """Sequential rooting on indices: stack DFS orientation + subtree
+    sizes.
+
+    The tree is ``edges`` (vertex pairs) or ``rows``, its edges as two
+    lists of endpoint indices into ``vertices``.  Mirrors the output
+    contract of Lemma 4 / :func:`ampc_root_forest` for a single tree;
+    ``root`` defaults to the minimum vertex under a type-stable order.
+    Adjacency lists are sorted the same way, stably, so equal keys keep
+    edge order.  A popped vertex discovers all its undiscovered
+    neighbours at once, in that order; discovery order numbers the
+    heavy paths and so fixes each level's leader order
+    (:mod:`repro.trees.low_depth`).
+    """
+    n = len(vertices)
+    if not n:
+        raise ValueError("empty vertex set")
+    if rows is None:
+        index = {x: i for i, x in enumerate(vertices)}
+        rows = ([], [])
+        for a, b in edges:
+            rows[0].append(index[a])
+            rows[1].append(index[b])
+    us, vs = rows
+    if len(us) != n - 1:
+        raise ValueError(f"not a tree: {n} vertices but {len(us)} edges")
+    # One type-stable sort key per vertex, computed once.
+    skey = [_stable_key(x) for x in vertices]
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for a, b in zip(us, vs):
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    if root is None:
+        r = min(range(n), key=skey.__getitem__)
+    else:
+        r = vertices.index(root)
+
+    # The root is its own parent while the DFS runs, so that -1 marks
+    # exactly the undiscovered.
+    parent = [-1] * n
+    parent[r] = r
+    discovered = [r]
+    stack = [r]
+    while stack:
+        x = stack.pop()
+        adj = adjacency[x]
+        if len(adj) > 1:
+            adj.sort(key=skey.__getitem__)
+        for y in adj:
+            if parent[y] == -1:
+                parent[y] = x
+                discovered.append(y)
+                stack.append(y)
+    if len(discovered) != n:
+        raise ValueError("edge set does not connect all vertices")
+    parent[r] = -1
+
+    # In reverse discovery order every subtree is complete before it
+    # is added up.
+    size = [1] * n
+    for x in reversed(discovered):
+        p = parent[x]
+        if p >= 0:
+            size[p] += size[x]
+    return Rooting(r, parent, discovered, adjacency, size)
+
+
 def root_tree(
     vertices: Sequence[Vertex],
     edges: Iterable[tuple[Vertex, Vertex]],
     *,
     root: Vertex | None = None,
 ) -> RootedTree:
-    """Sequential rooting: stack DFS orientation + subtree sizes.
-
-    Mirrors the output contract of Lemma 4 / :func:`ampc_root_forest`
-    for a single tree; ``root`` defaults to the minimum vertex under a
-    type-stable order.  Children are sorted the same way, so preorder
-    matches the AMPC Euler-tour order.  A popped vertex discovers all
-    its unvisited neighbours at once, in that order; ``parent`` keeps
-    discovery order, which numbers the heavy paths and so fixes each
-    level's leader order (:mod:`repro.trees.low_depth` labels on
-    indices in the same order).
-    """
+    """:func:`root_indices` as a :class:`RootedTree`: children come in
+    type-stable order, so preorder matches the AMPC Euler-tour order,
+    and ``parent`` keeps discovery order."""
     vertices = list(vertices)
-    if not vertices:
-        raise ValueError("empty vertex set")
-    adjacency: dict[Vertex, list[Vertex]] = {v: [] for v in vertices}
-    edge_count = 0
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-        edge_count += 1
-    if edge_count != len(vertices) - 1:
-        raise ValueError(
-            f"not a tree: {len(vertices)} vertices but {edge_count} edges"
-        )
-    # One type-stable sort key per vertex, computed once.
-    order = {v: _stable_key(v) for v in vertices}
-    for v in adjacency:
-        adjacency[v].sort(key=order.__getitem__)
-    if root is None:
-        root = min(vertices, key=order.__getitem__)
-
-    parent: dict[Vertex, Vertex | None] = {root: None}
-    depth: dict[Vertex, int] = {root: 1}
-    children: dict[Vertex, list[Vertex]] = {v: [] for v in vertices}
-    stack: list[Vertex] = [root]
-    visited = {root}
-    while stack:
-        v = stack.pop()
-        # Children are appended in sorted adjacency order, so each
-        # child list comes out sorted.
-        for u in adjacency[v]:
-            if u not in visited:
-                visited.add(u)
-                parent[u] = v
-                depth[u] = depth[v] + 1
-                children[v].append(u)
-                stack.append(u)
-    if len(visited) != len(vertices):
-        raise ValueError("edge set does not connect all vertices")
-
-    # Preorder in child (adjacency) order.  Note: the AMPC rooting's
-    # preorder visits children in cyclic order starting after the
-    # entering arc, so the two preorders may differ — both are valid
-    # DFS preorders (contiguous subtree ranges), which is the only
-    # property Section 3 consumes (heavy paths are sorted by depth,
-    # identical under any preorder).
-    preorder: dict[Vertex, int] = {}
-    counter = 0
-    stack2: list[Vertex] = [root]
-    while stack2:
-        v = stack2.pop()
-        preorder[v] = counter
-        counter += 1
-        for u in reversed(children[v]):
-            stack2.append(u)
-
-    # ``parent`` is in discovery order, each vertex after its parent,
-    # so in reverse every subtree is complete before it is added up.
-    subtree: dict[Vertex, int] = {v: 1 for v in vertices}
-    for v in reversed(parent):
-        p = parent[v]
-        if p is not None:
-            subtree[p] += subtree[v]
-
-    return RootedTree(
-        root=root,
-        parent=parent,
-        children=children,
-        depth=depth,
-        subtree_size=subtree,
-        preorder=preorder,
-    )
+    return root_indices(vertices, edges, root=root).rooted_tree(vertices)
 
 
 def root_tree_ampc(

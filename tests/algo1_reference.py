@@ -8,9 +8,13 @@ through ``bag_at``), and ``root_tree`` keyed each vertex once per
 comparison.  The code below is kept verbatim -- function bodies,
 comments and charge reasons -- as the differential reference for the
 batched path and as the "old" side of ``benchmarks/bench_algo1.py``.
-Unchanged helpers (keys, contraction, level structures, the sweep,
-Stoer-Wagner) are imported from ``repro``; the low-depth decomposition
-from its frozen copy, ``tests/low_depth_reference.py``.  Nothing in
+Unchanged helpers (keys, contraction, the ``LevelStructure`` record,
+the sweep, Stoer-Wagner) are imported from ``repro``; the low-depth
+decomposition from its frozen copy, ``tests/low_depth_reference.py``.
+The level structures are frozen here too (``index_tree`` and
+``build_level_structure``, which rebuilt a ``(neighbour, key)``
+adjacency from the MST rows per copy), since ``repro``'s walk the
+rooting the reference decomposition does not keep.  Nothing in
 ``src/`` imports it.
 """
 
@@ -27,7 +31,7 @@ from repro.ampc import AMPCConfig, RoundLedger
 from repro.core.contraction import bag_at, contract_to_size, mst_of_keys
 from repro.core.intervals import CHUNK_CELLS, IntervalColumns
 from repro.core.keys import ContractionKeys, draw_contraction_keys
-from repro.core.ldr import LevelStructure, build_level_structure, index_tree
+from repro.core.ldr import LevelStructure
 from repro.core.mincut import MinCutResult
 from repro.core.schedule import schedule_for
 from repro.core.singleton import SingletonCutResult
@@ -411,6 +415,96 @@ def _lemma13(slot, join, ldr_times, ws) -> IntervalColumns:
         end=end.take(cell),
         weight=ws[edge],
         edge=edge,
+    )
+
+
+# --------------------------------------------------------------------
+# Level structures (core/ldr.py)
+# --------------------------------------------------------------------
+@dataclass(frozen=True)
+class IndexedTree:
+    """A decomposed, keyed spanning tree over a fixed vertex order."""
+
+    #: index -> vertex
+    vertices: list[Vertex]
+    #: index -> decomposition label
+    label: list[int]
+    #: index -> [(neighbour index, key of the tree edge), ...]
+    adjacency: list[list[tuple[int, int]]]
+    #: level -> indices of its label vertices, in decomposition order
+    leaders: dict[int, list[int]]
+    #: largest tree-edge key (caps the unbounded leader's ldr_time)
+    max_tree_key: int
+    height: int
+
+
+def index_tree(
+    decomp: LowDepthDecomposition, keys: ContractionKeys
+) -> IndexedTree:
+    """Index ``decomp``'s tree in the keys' vertex order.  The tree is
+    the keyed MST, which ``decomp`` decomposes over that order; its
+    labels and leader order are ``decomp``'s ``labels`` and ``order``,
+    and its edges, their keys and its largest key are read off
+    :attr:`ContractionKeys.mst`."""
+    label = decomp.labels
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in label]
+    mst = keys.mst
+    for k, a, b in zip(mst.key, mst.u, mst.v):
+        adjacency[a].append((b, k))
+        adjacency[b].append((a, k))
+    leaders: dict[int, list[int]] = {}
+    for i in decomp.order:
+        leaders.setdefault(label[i], []).append(i)
+    return IndexedTree(
+        vertices=keys.vertices,
+        label=label,
+        adjacency=adjacency,
+        leaders=leaders,
+        max_tree_key=mst.key[-1] if mst.key else 0,
+        height=max(label),
+    )
+
+
+def build_level_structure(tree: IndexedTree, level: int) -> LevelStructure:
+    """Compute the Lemma-11 quantities for one level."""
+    label = tree.label
+    adjacency = tree.adjacency
+    leaders = tree.leaders.get(level, [])
+    slot = [-1] * len(label)
+    join = [0] * len(label)
+    ldr: list[int] = []
+    # Components of T_level, discovered by DFS from each level-`level`
+    # vertex through vertices of label >= level.
+    for s, r in enumerate(leaders):
+        slot[r] = s
+        stack = [r]
+        first_crossing: int | None = None
+        while stack:
+            v = stack.pop()
+            t_v = join[v]
+            for u, k in adjacency[v]:
+                t_u = t_v if t_v > k else k
+                if label[u] >= level:
+                    # Trees have unique paths, so each vertex is
+                    # discovered once; the slot test also skips the
+                    # DFS parent.
+                    if slot[u] < 0:
+                        slot[u] = s
+                        join[u] = t_u
+                        stack.append(u)
+                elif first_crossing is None or t_u < first_crossing:
+                    # Boundary edge (Lemma 10: at most two per component).
+                    first_crossing = t_u
+        ldr.append(
+            tree.max_tree_key - 1 if first_crossing is None else first_crossing - 1
+        )
+    return LevelStructure(
+        level=level,
+        vertices=tree.vertices,
+        leader_slot=np.array(slot, dtype=np.int64),
+        join_times=np.array(join, dtype=np.int64),
+        leaders=np.array(leaders, dtype=np.int64),
+        ldr_times=np.array(ldr, dtype=np.int64),
     )
 
 

@@ -15,9 +15,10 @@ containers ``RootedTree``, ``HeavyLight``, ``MetaTree`` and
 
 One addition: :func:`low_depth_decomposition` records the vertex list
 it was given, and :class:`LowDepthDecomposition` reads ``labels`` and
-``order`` off its label dict in that order -- the index view
-``repro.core.ldr.index_tree`` reads -- with the ``{v: i}`` map the old
-``index_tree`` built.  Nothing in ``src/`` imports this module.
+``order`` off its label dict in that order -- the index view the
+frozen ``index_tree`` in ``tests/algo1_reference.py`` reads -- with
+the ``{v: i}`` map the old ``index_tree`` built.  Nothing in ``src/``
+imports this module.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from repro.core import intervals as intervals_module
 from repro.core import kcut as kcut_module
 from repro.core import mincut as mincut_module
 from repro.core.intervals import edge_intervals
-from repro.core.ldr import build_level_structure, index_tree
+from repro.core.ldr import build_level_structure, keyed_tree
 from repro.graph import Graph
 from repro.service import CutService
 from repro.service import executor as executor_module
@@ -250,7 +250,7 @@ def levels_of(copy):
     decomp = low_depth_decomposition(
         copy.graph.vertices(), [(u, v) for _, u, v in mst]
     )
-    tree = index_tree(decomp, copy.keys)
+    tree = keyed_tree(decomp, copy.keys)
     return [build_level_structure(tree, i) for i in range(1, decomp.height + 1)]
 
 

@@ -27,14 +27,27 @@ from repro.core import (
 )
 from repro.core import mincut as mincut_module
 from repro.core.singleton import sweep_levels
-from repro.core.ldr import build_level_structure, index_tree
+from repro.core.ldr import build_level_structure, keyed_tree
 from repro.core import intervals as intervals_module
 from repro.core.intervals import edge_intervals
 from repro.graph import Graph
+from repro.trees import low_depth_decomposition
 from repro.workloads import erdos_renyi
 
 CORPUS = [(name, g) for name, g in connected_corpus() if g.num_vertices >= 2]
 SEEDS = range(4)
+
+
+def keyed(keys):
+    """Step 2's decomposition of the keyed MST, keyed for the levels."""
+    mst = keys.mst
+    decomp = low_depth_decomposition(keys.vertices, rows=(mst.u, mst.v))
+    return keyed_tree(decomp, keys)
+
+
+def level_structures(keys):
+    tree = keyed(keys)
+    return [build_level_structure(tree, i) for i in range(1, tree.decomp.height + 1)]
 
 
 def witness(graph, keys):
@@ -52,8 +65,7 @@ def assert_segments_match(graph, keys):
     minima are equal, so are their times.
     """
     decomp, max_key = ref.steps_1_2(graph, keys)
-    tree = index_tree(decomp, keys)
-    levels = [build_level_structure(tree, i) for i in range(1, decomp.height + 1)]
+    levels = level_structures(keys)
     swept = sweep_levels([(graph, levels)])
     old = ref.reference_segments(graph, keys, decomp, max_key)
     new = zip(
@@ -121,9 +133,7 @@ class TestBitIdentical:
         and rows must not depend on where the chunks split."""
         g = relabeled_clustered(1, 5)
         keys = draw_contraction_keys(g, seed=2)
-        decomp, max_key = ref.steps_1_2(g, keys)
-        tree = index_tree(decomp, keys)
-        levels = [build_level_structure(tree, i) for i in range(1, decomp.height + 1)]
+        levels = level_structures(keys)
         whole = edge_intervals([(g, levels)])
         for cells in (1, 2 * g.num_edges * 3):
             monkeypatch.setattr(intervals_module, "CHUNK_CELLS", cells)
@@ -136,7 +146,7 @@ class TestBitIdentical:
         for _, g in CORPUS:
             keys = draw_contraction_keys(g, seed=1)
             decomp, max_key = ref.steps_1_2(g, keys)
-            tree = index_tree(decomp, keys)
+            tree = keyed(keys)
             for level in range(1, decomp.height + 1):
                 new = build_level_structure(tree, level)
                 old = ref.build_level_structure(

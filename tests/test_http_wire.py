@@ -22,7 +22,11 @@ cached), and an unknown field such as a typo'd ``"preprocces"`` was
 silently ignored.  Each is now a 400 carrying a ``trace_id``.  Edge
 weights follow the same number rule: ``POST /graphs`` edges and
 ``/mutate`` ``adds``/``reweights`` rows once read ``true`` as 1.0 and
-``"2.5"`` as 2.5, and now answer 400 naming the row.
+``"2.5"`` as 2.5, and now answer 400 naming the row.  Each entry of a
+``/mutate`` ``deltas`` list is typed as the top-level delta fields are:
+a misspelled key, an unknown key beside valid rows, or a non-list
+``adds`` was once a silent no-op answering 200, and now answers 400
+naming the entry and the field; a bad row's 400 names its entry too.
 
 Python's ``json`` module happily *emits* ``NaN``/``Infinity`` tokens
 (non-standard JSON), which is exactly how a stock client poisons the
@@ -463,3 +467,33 @@ def test_null_means_the_default(server):
                                      "trials": None, "kernel": None}
     )
     assert nulls["cached"] and nulls["side"] == explicit["side"]
+
+
+@pytest.mark.parametrize("entry, field", [
+    ({"add": [[0, 1, 1.0]]}, "'add'"),
+    ({"adds": False}, "'adds'"),
+    ({"adds": 0}, "'adds'"),
+    ({"adds": {}}, "'adds'"),
+    ({"adds": [[0, 1, 1.0]], "bogus": 1}, "'bogus'"),
+    ({"adds": [[True, 1, 1.0]]}, "in delta adds"),
+], ids=["misspelled", "false", "zero", "object", "unknown-beside-rows",
+        "bad-row"])
+def test_mutate_delta_entries_are_typed(server, entry, field):
+    # Before: each answered 200 and applied nothing of the bad entry
+    # (the unknown key beside valid rows applied the rows).
+    _register_triangle(server)
+    (before,) = request_json(server.url, "/graphs")["graphs"]
+    body = {"graph": "g", "deltas": [{"adds": [[0, 3, 1.0]]}, entry]}
+    _rejected(server, "/mutate", body, "deltas[1]", field)
+    (after,) = request_json(server.url, "/graphs")["graphs"]
+    assert after == before  # entries are checked before any applies
+
+
+def test_mutate_valid_delta_entries_still_apply(server):
+    _register_triangle(server)
+    resp = request_json(server.url, "/mutate", {"graph": "g", "deltas": [
+        {"adds": [[0, 3, 1.0]]},
+        {"removes": [[0, 3]], "reweights": None},
+        {},
+    ]})
+    assert resp["generation"] == 2 and len(resp["deltas"]) == 3

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.ampc import AMPCConfig, RoundLedger
 from repro.core import bag_at, draw_contraction_keys, mst_of_keys
 from repro.core.intervals import IntervalColumns, edge_intervals
-from repro.core.ldr import build_level_structure, index_tree
+from repro.core.ldr import build_level_structure, keyed_tree
 from repro.core.sweep import min_interval_overlap, min_interval_overlap_ampc
 from repro.trees import low_depth_decomposition
 from repro.workloads import erdos_renyi
@@ -26,7 +26,7 @@ def setup(g, seed=0):
 
 
 def levels(keys, decomp):
-    tree = index_tree(decomp, keys)
+    tree = keyed_tree(decomp, keys)
     for level in range(1, decomp.height + 1):
         yield build_level_structure(tree, level)
 

