@@ -5,7 +5,7 @@ naive replay) and the constant-rounds column.  The benchmarked kernel
 is one Algorithm-3 run at n=256 — the paper's novel primitive.
 
 ``test_steps_3_4_speedup`` times Algorithm 3's steps 3–4 (level
-structures, Lemma-13 intervals, Lemma-14 sweep, minimum over levels)
+table, Lemma-13 intervals, Lemma-14 sweep, minimum over levels)
 old vs new on planted graphs of n = 256, 1024 and 2048: the frozen
 per-edge object path (``tests/algo3_reference.py``) against the
 columnar :func:`repro.core.singleton.sweep_levels`, on the same keys
@@ -72,9 +72,8 @@ def _best_of(fn):
 
 
 def _columnar_steps_3_4(graph, keys, decomp):
-    tree = keyed_tree(decomp, keys)
-    levels = [build_level_structure(tree, i) for i in range(1, decomp.height + 1)]
-    swept = sweep_levels([(graph, levels)])
+    table = build_level_structure(keyed_tree(decomp, keys))
+    swept = sweep_levels([(graph, table)])
     best = int(np.argmin(swept.weight))
     leader = graph.vertices()[int(swept.leader[best])]
     return float(swept.weight[best]), leader, int(swept.time[best])

@@ -125,19 +125,17 @@ def render_figure3() -> str:
         + ", ".join(f"{u}-{w}@{k}" for (u, w), k in zip(mst_edges, mst.key)),
     ]
     level = decomp.label[v]
-    struct = build_level_structure(keyed_tree(decomp, keys), level)
-    if v in struct.ldr_time:
-        lines.append(f"ldr_time({v}) = {struct.ldr_time[v]}")
-        iv = edge_intervals([(g, [struct])])
-        slot = struct.leader_slot[g.index_of(v)]
-        rows = np.flatnonzero(iv.segment == slot)
-        rows = rows[np.lexsort((iv.edge[rows], iv.end[rows], iv.start[rows]))]
-        for a, b, w in zip(
-            iv.start[rows].tolist(), iv.end[rows].tolist(), iv.weight[rows].tolist()
-        ):
-            lines.append(f"  interval [{a}, {b}] weight {w:g}")
-    else:
-        lines.append(f"vertex {v} leads no bag at its level (degenerate draw)")
+    table = build_level_structure(keyed_tree(decomp, keys))
+    # v leads its own bag at its own level.
+    slot = table.slot[level - 1, g.index_of(v)]
+    lines.append(f"ldr_time({v}) = {table.ldr_time[slot]}")
+    iv = edge_intervals([(g, table)])
+    rows = np.flatnonzero(iv.segment == slot)
+    rows = rows[np.lexsort((iv.edge[rows], iv.end[rows], iv.start[rows]))]
+    for a, b, w in zip(
+        iv.start[rows].tolist(), iv.end[rows].tolist(), iv.weight[rows].tolist()
+    ):
+        lines.append(f"  interval [{a}, {b}] weight {w:g}")
     return "\n".join(lines)
 
 

@@ -8,7 +8,7 @@ from .contraction import bag_at, bag_boundary_weight, contract_to_size, mst_of_k
 from .intervals import IntervalColumns, edge_intervals
 from .kcut import KCutResult, apx_split_kcut, boost_kcut
 from .keys import ContractionKeys, draw_contraction_keys, draw_uniform_keys
-from .ldr import KeyedTree, LevelStructure, build_level_structure, keyed_tree
+from .ldr import KeyedTree, LevelTable, build_level_structure, keyed_tree
 from .mincut import (
     MinCutResult,
     ampc_min_cut,
@@ -31,7 +31,7 @@ __all__ = [
     "IntervalColumns",
     "KCutResult",
     "KeyedTree",
-    "LevelStructure",
+    "LevelTable",
     "MinCutResult",
     "RecursionSchedule",
     "ReplayResult",

@@ -1,7 +1,7 @@
 """Edge time intervals (Section 4.3, Lemmas 12–13).
 
-Fix a level ``i`` and its :class:`~repro.core.ldr.LevelStructure`.  For
-every graph edge ``e = (x, y, w)`` (tree **and** non-tree — the paper
+Fix a level ``i`` and its row of a :class:`~repro.core.ldr.LevelTable`.
+For every graph edge ``e = (x, y, w)`` (tree **and** non-tree — the paper
 stresses "all edges of the graph G") and every leader ``r`` whose bag
 ``e`` can cross while ``r`` leads, the times ``t`` with ``e`` crossing
 ``bag(r, t)`` form one integer interval (Lemma 12, by monotonicity of
@@ -29,12 +29,12 @@ weights rather than counting intervals.
 
 Layout: the three cases are boolean masks over ``(endpoint, pair)``
 cells, one pair per (copy, level) row and edge of that copy — the
-copies' edge columns gathered through each level's leader-slot and
-join-time arrays — evaluated for all edges of all copies and, in
-memory-bounded chunks, all levels at once.  The result is one
-:class:`IntervalColumns` row per non-empty interval: its (copy, level,
-leader) *segment*, the closed ``[start, end]``, the edge weight and
-the edge's row id.  No Python code runs per edge.
+copies' edge columns gathered through the rows of each copy's level
+table — evaluated for all edges of all copies and, in memory-bounded
+chunks, all levels at once.  The result is one :class:`IntervalColumns`
+row per non-empty interval: its (copy, level, leader) *segment*, the
+closed ``[start, end]``, the edge weight and the edge's row id.  No
+Python code runs per edge.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ..graph import Graph
-from .ldr import LevelStructure
+from .ldr import LevelTable
 
 
 #: (copy, level) rows are masked together in chunks of at most this
@@ -72,43 +72,46 @@ class IntervalColumns(NamedTuple):
 
 
 def edge_intervals(
-    copies: Sequence[tuple[Graph, Sequence[LevelStructure]]]
+    copies: Sequence[tuple[Graph, LevelTable]]
 ) -> IntervalColumns:
     """All non-empty time intervals of every copy's levels, one segment
     per (copy, level, leader).
 
-    Segment ids number each level's leader slots after those of every
-    level before it, copy by copy; edge ids number each copy's edge
-    rows after those of the copies before it.  Each copy's levels must
-    be indexed in its graph's vertex order.  Rows come in (copy, level,
-    edge, endpoint) order.
+    Segment ids number each copy's segments after those of the copies
+    before it; edge ids number each copy's edge rows likewise.  Each
+    copy's table must be indexed in its graph's vertex order.  Rows
+    come in (copy, level, edge, endpoint) order.
     """
-    rows = [(c, level) for c, (_, levels) in enumerate(copies) for level in levels]
-    sizes = np.array([level.leaders.size for _, level in rows], dtype=np.int64)
+    tables = [table for _, table in copies]
+    sizes = np.array([table.leader.size for table in tables], dtype=np.int64)
     if not sizes.any():
         return IntervalColumns(_NONE, _NONE, _NONE, np.empty(0), _NONE)
     segment_base = np.cumsum(sizes) - sizes
-    ldr_times = np.concatenate([level.ldr_times for _, level in rows])
+    ldr_time = np.concatenate([table.ldr_time for table in tables])
     columns = [graph._columns() for graph, _ in copies]
     m = np.array([ws.size for _, _, ws in columns], dtype=np.int64)
     us = np.concatenate([us for us, _, _ in columns])
     vs = np.concatenate([vs for _, vs, _ in columns])
     weight = np.concatenate([ws for _, _, ws in columns])
     edge_base = np.cumsum(m) - m
+    # Every table row, flattened, its slots numbered as batch segments.
+    slot = np.concatenate([
+        np.where(table.slot >= 0, table.slot + base, -1).ravel()
+        for table, base in zip(tables, segment_base.tolist())
+    ])
+    join = np.concatenate([table.join.ravel() for table in tables])
+    height, n = np.array([table.slot.shape for table in tables], dtype=np.int64).T
+    row_copy = np.repeat(np.arange(len(tables)), height)
+    row_start = np.cumsum(n[row_copy]) - n[row_copy]
     parts = []
-    for r0, r1 in _chunks([2 * int(m[c]) for c, _ in rows]):
-        chunk = [level for _, level in rows[r0:r1]]
-        copy = np.array([c for c, _ in rows[r0:r1]], dtype=np.int64)
-        n = np.array([level.leader_slot.size for level in chunk], dtype=np.int64)
-        slot = np.concatenate([level.leader_slot for level in chunk])
-        slot = np.where(slot >= 0, slot + np.repeat(segment_base[r0:r1], n), -1)
-        join = np.concatenate([level.join_times for level in chunk])
+    for r0, r1 in _chunks((2 * m[row_copy]).tolist()):
+        copy = row_copy[r0:r1]
         # One (row, edge) pair per column; its endpoints index the
-        # row's stretch of the concatenated level arrays.
+        # row's cells.
         edge = _ranges(edge_base[copy], m[copy])
         ends = np.stack([us[edge], vs[edge]])
-        ends += np.repeat(np.cumsum(n) - n, m[copy])
-        parts.append(_lemma13(slot[ends], join[ends], ldr_times, edge, weight))
+        ends += np.repeat(row_start[r0:r1], m[copy])
+        parts.append(_lemma13(slot[ends], join[ends], ldr_time, edge, weight))
     return IntervalColumns(*(np.concatenate(col) for col in zip(*parts)))
 
 

@@ -28,12 +28,12 @@ which is the graph's, so edge columns index the level arrays directly.
 :func:`keyed_tree` adds each vertex's parent-edge key to that
 decomposition's rooting, in one pass over the MST rows, and
 :func:`build_level_structure` walks the rooting's adjacency and
-returns, per level, index arrays in that order — each vertex's leader
-slot (``-1`` when leaderless) and join time, and each leader's vertex
-index and ``ldr_time`` in slot order, which is the decomposition's
-``order``.
-The vertex-keyed dicts ``leader_of``, ``join_time`` and ``ldr_time``
-are derived views for tests and figures.
+returns one :class:`LevelTable` per copy: a row per level of each
+vertex's leader segment (``-1`` when leaderless) and join time, and
+per segment the leader's vertex index and ``ldr_time``.  Segments
+number the copy's leaders level by level, each level's in the
+decomposition's ``order``.  :meth:`LevelTable.level` is the
+vertex-keyed view for tests.
 
 Everything is computed with one DFS per component (``O(n)`` per level;
 the model-cost accounting lives in :mod:`repro.core.singleton`).
@@ -41,7 +41,6 @@ the model-cost accounting lives in :mod:`repro.core.singleton`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Hashable, NamedTuple
 
 import numpy as np
@@ -81,98 +80,88 @@ def keyed_tree(decomp: LowDepthDecomposition, keys: ContractionKeys) -> KeyedTre
     return KeyedTree(decomp, parent_key, leaders, mst.key[-1] if mst.key else 0)
 
 
-@dataclass
-class LevelStructure:
-    """Leaders, join times and ldr_times for one decomposition level."""
+class LevelTable(NamedTuple):
+    """Leaders, join times and ldr_times for every level of one copy:
+    level ``i`` is row ``i - 1``, and segments number the copy's
+    leaders level by level."""
 
-    level: int
     #: index -> vertex (the decomposition's order)
     vertices: list[Vertex]
-    #: vertex index -> slot of its leader, or -1 outside leadered comps
-    leader_slot: np.ndarray
-    #: vertex index -> first time it belongs to its leader's bag
-    #: (0 for leaders and for leaderless vertices)
-    join_times: np.ndarray
-    #: slot -> leader's vertex index
-    leaders: np.ndarray
-    #: slot -> last time the leader still leads
-    ldr_times: np.ndarray
+    #: (row, vertex index) -> its leader's segment, or -1 if leaderless
+    slot: np.ndarray
+    #: (row, vertex index) -> join time (0 for leaders and leaderless)
+    join: np.ndarray
+    #: segment -> leader's vertex index
+    leader: np.ndarray
+    #: segment -> last time the leader still leads
+    ldr_time: np.ndarray
+    #: row r's segments are ``first[r]:first[r + 1]``
+    first: np.ndarray
 
-    @property
-    def leader_of(self) -> dict[Vertex, Vertex]:
-        """vertex -> leader of its component (leadered components only)."""
-        V = self.vertices
-        return {
-            V[x]: V[self.leaders[s]]
-            for x, s in enumerate(self.leader_slot.tolist())
-            if s >= 0
-        }
-
-    @property
-    def join_time(self) -> dict[Vertex, int]:
-        """vertex -> join time (leadered components only)."""
-        V = self.vertices
-        slots = self.leader_slot.tolist()
-        return {
-            V[x]: t
-            for x, t in enumerate(self.join_times.tolist())
-            if slots[x] >= 0
-        }
-
-    @property
-    def ldr_time(self) -> dict[Vertex, int]:
-        """leader -> ldr_time, in slot order."""
-        V = self.vertices
-        return {
-            V[r]: t
-            for r, t in zip(self.leaders.tolist(), self.ldr_times.tolist())
-        }
+    def level(self, i: int) -> tuple[dict, dict, dict]:
+        """Level ``i`` by vertex, for tests: ``(leader_of, join_time,
+        ldr_time)`` over its leadered vertices and, in segment order,
+        its leaders."""
+        V, leader = self.vertices, self.leader.tolist()
+        rows = zip(V, self.slot[i - 1].tolist(), self.join[i - 1].tolist())
+        under = [(v, s, t) for v, s, t in rows if s >= 0]
+        lo, hi = self.first[i - 1], self.first[i]
+        return (
+            {v: V[leader[s]] for v, s, _ in under},
+            {v: t for v, _, t in under},
+            dict(zip([V[r] for r in leader[lo:hi]], self.ldr_time[lo:hi].tolist())),
+        )
 
 
-def build_level_structure(tree: KeyedTree, level: int) -> LevelStructure:
-    """Compute the Lemma-11 quantities for one level."""
+def build_level_structure(tree: KeyedTree) -> LevelTable:
+    """Compute the Lemma-11 quantities for every level of ``tree``."""
     decomp = tree.decomp
     label = decomp.labels
     adjacency, parent = decomp.rooting.adjacency, decomp.rooting.parent
     parent_key = tree.parent_key
-    leaders = tree.leaders.get(level, [])
-    slot = [-1] * len(label)
-    join = [0] * len(label)
-    ldr: list[int] = []
-    # Components of T_level, discovered by DFS from each level-`level`
-    # vertex through vertices of label >= level.
-    for s, r in enumerate(leaders):
-        slot[r] = s
-        stack = [r]
-        first_crossing: int | None = None
-        while stack:
-            v = stack.pop()
-            t_v = join[v]
-            # A tree edge's key is its child end's parent_key.
-            for u in adjacency[v]:
-                if label[u] >= level:
-                    # Trees have unique paths, so each vertex is
-                    # discovered once; the slot test also skips the
-                    # DFS parent.
-                    if slot[u] < 0:
-                        k = parent_key[u] if parent[u] == v else parent_key[v]
-                        slot[u] = s
-                        join[u] = t_v if t_v > k else k
-                        stack.append(u)
-                    continue
-                # Boundary edge (Lemma 10: at most two per component).
-                k = parent_key[u] if parent[u] == v else parent_key[v]
-                t_u = t_v if t_v > k else k
-                if first_crossing is None or t_u < first_crossing:
-                    first_crossing = t_u
-        ldr.append(
-            tree.max_tree_key - 1 if first_crossing is None else first_crossing - 1
-        )
-    return LevelStructure(
-        level=level,
+    slots, joins, leader, ldr, first = [], [], [], [], [0]
+    for level in range(1, decomp.height + 1):
+        slot = [-1] * len(label)
+        join = [0] * len(label)
+        # Components of T_level, discovered by DFS from each
+        # level-`level` vertex through vertices of label >= level.
+        for r in tree.leaders.get(level, []):
+            s = len(leader)
+            leader.append(r)
+            slot[r] = s
+            stack = [r]
+            first_crossing: int | None = None
+            while stack:
+                v = stack.pop()
+                t_v = join[v]
+                # A tree edge's key is its child end's parent_key.
+                for u in adjacency[v]:
+                    if label[u] >= level:
+                        # Trees have unique paths, so each vertex is
+                        # discovered once; the slot test also skips
+                        # the DFS parent.
+                        if slot[u] < 0:
+                            k = parent_key[u] if parent[u] == v else parent_key[v]
+                            slot[u] = s
+                            join[u] = t_v if t_v > k else k
+                            stack.append(u)
+                        continue
+                    # Boundary edge (Lemma 10: at most two per component).
+                    k = parent_key[u] if parent[u] == v else parent_key[v]
+                    t_u = t_v if t_v > k else k
+                    if first_crossing is None or t_u < first_crossing:
+                        first_crossing = t_u
+            ldr.append(
+                tree.max_tree_key - 1 if first_crossing is None else first_crossing - 1
+            )
+        slots.append(slot)
+        joins.append(join)
+        first.append(len(leader))
+    return LevelTable(
         vertices=decomp.vertices,
-        leader_slot=np.array(slot, dtype=np.int64),
-        join_times=np.array(join, dtype=np.int64),
-        leaders=np.array(leaders, dtype=np.int64),
-        ldr_times=np.array(ldr, dtype=np.int64),
+        slot=np.array(slots, dtype=np.int64),
+        join=np.array(joins, dtype=np.int64),
+        leader=np.array(leader, dtype=np.int64),
+        ldr_time=np.array(ldr, dtype=np.int64),
+        first=np.array(first, dtype=np.int64),
     )

@@ -16,8 +16,10 @@ during the keyed contraction process, in ``O(1/eps)`` AMPC rounds:
 One call solves a batch of independent graphs (:class:`SingletonCopy`,
 each with its own keys, configuration and ledger): Algorithm 1 hands it
 every copy of a trial at once, and a one-graph call is a batch of one.
-Steps 1–2 and the level structures run per copy.  Host-side, steps 3–4
-are columnar (:func:`sweep_levels`): every level's intervals, of every
+Steps 1–2 run per copy, and so does Lemma 11: one
+:class:`~repro.core.ldr.LevelTable` holds every level of a copy, its
+leaders numbered as the copy's segments.  Host-side, steps 3–4 are
+columnar (:func:`sweep_levels`): every level's intervals, of every
 copy, are built at once as masks over the edge columns, with one
 segment per (copy, level, leader), and a single segmented sweep
 returns each segment's exact minimum.  A copy's witness is the first
@@ -45,7 +47,7 @@ from .bags import replay_min_singleton
 from .contraction import mst_bag
 from .intervals import IntervalColumns, edge_intervals
 from .keys import ContractionKeys, draw_contraction_keys
-from .ldr import LevelStructure, build_level_structure, keyed_tree
+from .ldr import LevelTable, build_level_structure, keyed_tree
 from .sweep import min_interval_overlap
 
 Vertex = Hashable
@@ -143,13 +145,10 @@ def _track(
     sweep, then each copy's witness."""
     if not copies:
         return []
-    levels = []
+    tables = []
     for graph, keys, config, ledger in copies:
         decomp = _steps_1_2(graph, keys, config, ledger, execute_on_simulator)
-        tree = keyed_tree(decomp, keys)
-        levels.append(
-            [build_level_structure(tree, i) for i in range(1, decomp.height + 1)]
-        )
+        tables.append(build_level_structure(keyed_tree(decomp, keys)))
 
     # ---------------------------------------------------- steps 3 and 4
     # The O(log^2 n) level tuples are processed in parallel in the
@@ -157,7 +156,7 @@ def _track(
     # O(1/eps) (Lemmas 11 + 13 + 14), at a log^2 n blowup in total
     # space (Lemma 9).  The copies are independent, so one sweep
     # serves them all.
-    swept = sweep_levels([(copy.graph, lv) for copy, lv in zip(copies, levels)])
+    swept = sweep_levels([(copy.graph, t) for copy, t in zip(copies, tables)])
     results = []
     for c, (graph, keys, config, ledger) in enumerate(copies):
         n = graph.num_vertices
@@ -289,23 +288,18 @@ class LevelSweep(NamedTuple):
     first: np.ndarray
 
 
-def sweep_levels(
-    copies: Sequence[tuple[Graph, Sequence[LevelStructure]]]
-) -> LevelSweep:
-    """Steps 3–4 host-side for every ``(graph, levels)`` copy: every
+def sweep_levels(copies: Sequence[tuple[Graph, LevelTable]]) -> LevelSweep:
+    """Steps 3–4 host-side for every ``(graph, table)`` copy: every
     level's intervals as masks over the edge columns, then one sweep
-    over every (copy, level, leader) segment.  Each copy's levels must
+    over every (copy, level, leader) segment.  Each copy's table must
     be indexed in its graph's vertex order."""
     intervals = edge_intervals(copies)
-    flat = [level for _, levels in copies for level in levels]
-    domain_end = np.concatenate([level.ldr_times for level in flat])
+    tables = [table for _, table in copies]
+    domain_end = np.concatenate([table.ldr_time for table in tables])
     weight, time = min_interval_overlap(intervals, domain_end)
-    leader = np.concatenate([level.leaders for level in flat])
-    first = np.zeros(len(copies) + 1, dtype=np.int64)
-    np.cumsum(
-        [sum(level.leaders.size for level in levels) for _, levels in copies],
-        out=first[1:],
-    )
+    leader = np.concatenate([table.leader for table in tables])
+    first = np.zeros(len(tables) + 1, dtype=np.int64)
+    np.cumsum([table.leader.size for table in tables], out=first[1:])
     return LevelSweep(intervals, domain_end, leader, weight, time, first)
 
 

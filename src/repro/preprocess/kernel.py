@@ -578,10 +578,13 @@ def kernelize_for_kcut(
     is safe to contract (see :class:`KCutKernel`).  Contraction never
     drops the kernel below ``k`` vertices.  Both non-``off`` levels
     apply the same rule — there is no aggressive extra for k-cut.
+    Like :func:`~repro.core.apx_split_kcut`, it needs ``1 <= k <= n``.
     """
+    n = graph.num_vertices
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     level = validate_level(level)
     kernel = KCutKernel(graph, k, level)
-    n = graph.num_vertices
     if level == "off" or not 2 <= k < n:
         return kernel
 

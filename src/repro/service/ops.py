@@ -54,6 +54,9 @@ class BadRequest(ValueError):
 #: ``Param.default`` of a field the request must carry.
 REQUIRED = object()
 
+#: The most trials one ``/mincut`` or ``/kcut`` request may run.
+MAX_TRIALS = 128
+
 #: param kind -> (JSON types bound as they are, all types accepted,
 #: what an error asks for)
 _KINDS = {
@@ -72,12 +75,14 @@ _KINDS = {
 class Param:
     """One typed field of an op's request (``kind`` is a :data:`_KINDS`
     key).  A ``None`` default means the value is settled per request,
-    e.g. mincut's trial count follows the kernel size."""
+    e.g. mincut's trial count follows the kernel size.  ``maximum``
+    caps an integral field."""
 
     name: str
     kind: str
     default: Any = REQUIRED
     help: str = ""
+    maximum: int | None = None
 
     def coerce(self, value):
         """``value`` checked against ``kind``; raises :class:`BadRequest`
@@ -85,6 +90,8 @@ class Param:
         if self.kind == "level" and value in LEVELS:
             return value  # already canonical
         _, types, want = _KINDS[self.kind]
+        if self.maximum is not None:
+            want = f"{want} no greater than {self.maximum}"
         integral = self.kind in ("int", "count")
         if integral and isinstance(value, float) and value.is_integer():
             value = int(value)
@@ -92,6 +99,7 @@ class Param:
             not isinstance(value, types)
             or (isinstance(value, bool) and self.kind != "bool")
             or (self.kind == "count" and value < 0)
+            or (self.maximum is not None and value > self.maximum)
         ):
             raise BadRequest(
                 f"field {self.name!r} must be {want}, got {value!r}"
@@ -138,7 +146,8 @@ class OpSpec:
     @cached_property
     def _plan(self) -> tuple:
         # (name, JSON types bound without a coerce call, param)
-        return tuple((p.name, _KINDS[p.kind][0], p) for p in self.params)
+        return tuple((p.name, _KINDS[p.kind][0] if p.maximum is None else (), p)
+                     for p in self.params)
 
     def bind(self, fields: dict) -> dict:
         """Typed params with defaults filled in, in declaration order."""
@@ -580,14 +589,15 @@ _PREPROCESS = Param("preprocess", "level", None, help=(
 #: Every POST op that reaches :class:`CutService`, by wire name.
 OPS: dict[str, OpSpec] = {spec.name: spec for spec in (
     OpSpec("mincut", (
-        _GRAPH, _EPS, Param("trials", "int", None, help="independent trials"),
+        _GRAPH, _EPS, Param("trials", "int", None, help="independent trials",
+                            maximum=MAX_TRIALS),
         _SEED, _PREPROCESS,
     ), _mincut, algorithm="ampc-mincut-boosted", coalesce=True,
         key=("eps", "trials", "preprocess", "seed"),
         prepare=_mincut_prepare, rekey=_mincut_rekey),
     OpSpec("kcut", (
         _GRAPH, Param("k", "int", help="number of parts"), _EPS,
-        Param("trials", "int", 1), _SEED, _PREPROCESS,
+        Param("trials", "int", 1, maximum=MAX_TRIALS), _SEED, _PREPROCESS,
     ), _kcut, algorithm="apx-split-kcut", coalesce=True,
         key=("k", "eps", "trials", "preprocess", "seed"),
         prepare=_kcut_prepare),

@@ -8,13 +8,14 @@ through ``bag_at``), and ``root_tree`` keyed each vertex once per
 comparison.  The code below is kept verbatim -- function bodies,
 comments and charge reasons -- as the differential reference for the
 batched path and as the "old" side of ``benchmarks/bench_algo1.py``.
-Unchanged helpers (keys, contraction, the ``LevelStructure`` record,
-the sweep, Stoer-Wagner) are imported from ``repro``; the low-depth
-decomposition from its frozen copy, ``tests/low_depth_reference.py``.
-The level structures are frozen here too (``index_tree`` and
-``build_level_structure``, which rebuilt a ``(neighbour, key)``
-adjacency from the MST rows per copy), since ``repro``'s walk the
-rooting the reference decomposition does not keep.  Nothing in
+Unchanged helpers (keys, contraction, the sweep, Stoer-Wagner) are
+imported from ``repro``; the low-depth decomposition from its frozen
+copy, ``tests/low_depth_reference.py``.  The level structures are
+frozen here too (``index_tree`` and ``build_level_structure``, which
+rebuilt a ``(neighbour, key)`` adjacency from the MST rows per copy),
+since ``repro``'s walk the rooting the reference decomposition does
+not keep, and so is the per-level ``LevelStructure`` record they
+return, which ``repro`` replaced with one table per copy.  Nothing in
 ``src/`` imports it.
 """
 
@@ -31,7 +32,6 @@ from repro.ampc import AMPCConfig, RoundLedger
 from repro.core.contraction import bag_at, contract_to_size, mst_of_keys
 from repro.core.intervals import CHUNK_CELLS, IntervalColumns
 from repro.core.keys import ContractionKeys, draw_contraction_keys
-from repro.core.ldr import LevelStructure
 from repro.core.mincut import MinCutResult
 from repro.core.schedule import schedule_for
 from repro.core.singleton import SingletonCutResult
@@ -463,6 +463,54 @@ def index_tree(
         max_tree_key=mst.key[-1] if mst.key else 0,
         height=max(label),
     )
+
+
+@dataclass
+class LevelStructure:
+    """Leaders, join times and ldr_times for one decomposition level."""
+
+    level: int
+    #: index -> vertex (the decomposition's order)
+    vertices: list[Vertex]
+    #: vertex index -> slot of its leader, or -1 outside leadered comps
+    leader_slot: np.ndarray
+    #: vertex index -> first time it belongs to its leader's bag
+    #: (0 for leaders and for leaderless vertices)
+    join_times: np.ndarray
+    #: slot -> leader's vertex index
+    leaders: np.ndarray
+    #: slot -> last time the leader still leads
+    ldr_times: np.ndarray
+
+    @property
+    def leader_of(self) -> dict[Vertex, Vertex]:
+        """vertex -> leader of its component (leadered components only)."""
+        V = self.vertices
+        return {
+            V[x]: V[self.leaders[s]]
+            for x, s in enumerate(self.leader_slot.tolist())
+            if s >= 0
+        }
+
+    @property
+    def join_time(self) -> dict[Vertex, int]:
+        """vertex -> join time (leadered components only)."""
+        V = self.vertices
+        slots = self.leader_slot.tolist()
+        return {
+            V[x]: t
+            for x, t in enumerate(self.join_times.tolist())
+            if slots[x] >= 0
+        }
+
+    @property
+    def ldr_time(self) -> dict[Vertex, int]:
+        """leader -> ldr_time, in slot order."""
+        V = self.vertices
+        return {
+            V[r]: t
+            for r, t in zip(self.leaders.tolist(), self.ldr_times.tolist())
+        }
 
 
 def build_level_structure(tree: IndexedTree, level: int) -> LevelStructure:

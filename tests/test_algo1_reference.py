@@ -198,7 +198,9 @@ class TestBatch:
         (row, edge) pair, unless one row alone is larger."""
         copies = trial_copies(relabeled_clustered(0, 8), 2)
         batch = [(copy.graph, levels_of(copy)) for copy in copies]
-        row_cells = [2 * g.num_edges for g, levels in batch for _ in levels]
+        row_cells = [
+            2 * g.num_edges for g, table in batch for _ in range(table.slot.shape[0])
+        ]
         pairs = []
         inner = intervals_module._lemma13
 
@@ -222,9 +224,9 @@ class TestBatch:
         batch = [(copy.graph, levels_of(copy)) for copy in copies]
         whole = edge_intervals(batch)
         seg_base = edge_base = 0
-        for graph, levels in batch:
-            alone = edge_intervals([(graph, levels)])
-            segments = sum(level.leaders.size for level in levels)
+        for graph, table in batch:
+            alone = edge_intervals([(graph, table)])
+            segments = table.leader.size
             rows = (whole.segment >= seg_base) & (whole.segment < seg_base + segments)
             assert np.array_equal(whole.segment[rows] - seg_base, alone.segment)
             assert np.array_equal(whole.edge[rows] - edge_base, alone.edge)
@@ -245,13 +247,12 @@ class TestBatch:
 
 
 def levels_of(copy):
-    """A copy's level structures, indexed in its graph's vertex order."""
+    """A copy's level table, indexed in its graph's vertex order."""
     mst = mst_of_keys(copy.graph, copy.keys)
     decomp = low_depth_decomposition(
         copy.graph.vertices(), [(u, v) for _, u, v in mst]
     )
-    tree = keyed_tree(decomp, copy.keys)
-    return [build_level_structure(tree, i) for i in range(1, decomp.height + 1)]
+    return build_level_structure(keyed_tree(decomp, copy.keys))
 
 
 class TestRootTree:

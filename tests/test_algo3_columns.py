@@ -45,9 +45,8 @@ def keyed(keys):
     return keyed_tree(decomp, keys)
 
 
-def level_structures(keys):
-    tree = keyed(keys)
-    return [build_level_structure(tree, i) for i in range(1, tree.decomp.height + 1)]
+def level_table(keys):
+    return build_level_structure(keyed(keys))
 
 
 def witness(graph, keys):
@@ -65,8 +64,7 @@ def assert_segments_match(graph, keys):
     minima are equal, so are their times.
     """
     decomp, max_key = ref.steps_1_2(graph, keys)
-    levels = level_structures(keys)
-    swept = sweep_levels([(graph, levels)])
+    swept = sweep_levels([(graph, level_table(keys))])
     old = ref.reference_segments(graph, keys, decomp, max_key)
     new = zip(
         [graph.vertices()[x] for x in swept.leader.tolist()],
@@ -133,11 +131,11 @@ class TestBitIdentical:
         and rows must not depend on where the chunks split."""
         g = relabeled_clustered(1, 5)
         keys = draw_contraction_keys(g, seed=2)
-        levels = level_structures(keys)
-        whole = edge_intervals([(g, levels)])
+        table = level_table(keys)
+        whole = edge_intervals([(g, table)])
         for cells in (1, 2 * g.num_edges * 3):
             monkeypatch.setattr(intervals_module, "CHUNK_CELLS", cells)
-            chunked = edge_intervals([(g, levels)])
+            chunked = edge_intervals([(g, table)])
             for a, b in zip(whole, chunked):
                 assert np.array_equal(a, b)
         assert witness(g, keys) == ref.reference_singleton(g, keys)
@@ -146,20 +144,22 @@ class TestBitIdentical:
         for _, g in CORPUS:
             keys = draw_contraction_keys(g, seed=1)
             decomp, max_key = ref.steps_1_2(g, keys)
-            tree = keyed(keys)
+            table = level_table(keys)
+            iv = edge_intervals([(g, table)])
             for level in range(1, decomp.height + 1):
-                new = build_level_structure(tree, level)
+                leader_of, join_time, ldr_time = table.level(level)
                 old = ref.build_level_structure(
                     decomp, keys, level, max_tree_key=max_key
                 )
-                assert new.leader_of == old.leader_of
-                assert new.join_time == old.join_time
-                assert list(new.ldr_time.items()) == list(old.ldr_time.items())
+                assert leader_of == old.leader_of
+                assert join_time == old.join_time
+                assert list(ldr_time.items()) == list(old.ldr_time.items())
                 # Per leader, the same intervals in edge order.
-                iv = edge_intervals([(g, [new])])
-                rows = np.lexsort((iv.edge, iv.segment))
+                lo, hi = table.first[level - 1], table.first[level]
+                rows = np.flatnonzero((iv.segment >= lo) & (iv.segment < hi))
+                rows = rows[np.lexsort((iv.edge[rows], iv.segment[rows]))]
                 got = [
-                    (g.vertices()[new.leaders[s]], a, b, w)
+                    (g.vertices()[table.leader[s]], a, b, w)
                     for s, a, b, w in zip(
                         iv.segment[rows].tolist(), iv.start[rows].tolist(),
                         iv.end[rows].tolist(), iv.weight[rows].tolist(),

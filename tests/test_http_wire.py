@@ -27,6 +27,10 @@ weights follow the same number rule: ``POST /graphs`` edges and
 a misspelled key, an unknown key beside valid rows, or a non-list
 ``adds`` was once a silent no-op answering 200, and now answers 400
 naming the entry and the field; a bad row's 400 names its entry too.
+``/kernelize`` once answered 200 to a ``k`` outside ``1..n`` and
+cached a "k-cut kernel" for each such ``k``, and ``/mincut`` and
+``/kcut`` ran any ``trials`` asked for; both now answer 400 naming the
+field.
 
 Python's ``json`` module happily *emits* ``NaN``/``Infinity`` tokens
 (non-standard JSON), which is exactly how a stock client poisons the
@@ -50,6 +54,7 @@ from repro.service import (
     request_json,
     request_status_json,
 )
+from repro.service.ops import MAX_TRIALS
 
 
 @pytest.fixture()
@@ -497,3 +502,53 @@ def test_mutate_valid_delta_entries_still_apply(server):
         {},
     ]})
     assert resp["generation"] == 2 and len(resp["deltas"]) == 3
+
+
+# ----------------------------------------------------------------------
+# Out-of-range k and trials
+# ----------------------------------------------------------------------
+def _register_cycle8(srv):
+    request_json(srv.url, "/graphs", {
+        "name": "g", "edges": [[i, (i + 1) % 8, 1.0] for i in range(8)],
+    })
+    return srv.service.store.get("g").fingerprint
+
+
+@pytest.mark.parametrize("k", [0, -2, 100])
+def test_kernelize_rejects_k_outside_1_to_n(server, k):
+    # Before: 200, and a kernel cached under ("kcut", k, "safe").
+    fp = _register_cycle8(server)
+    for path in ("/kernelize", "/kcut"):
+        _rejected(server, path, {"graph": "g", "k": k},
+                  f"need 1 <= k <= n, got k={k}, n=8")
+    assert server.service.store.cached_kernel(fp, ("kcut", k, "safe")) is None
+
+
+def test_kernelize_in_range_k_still_answers(server):
+    _register_cycle8(server)
+    for k in range(1, 9):
+        resp = request_json(server.url, "/kernelize", {"graph": "g", "k": k})
+        assert resp["k"] == k and resp["kernel"]["k"] == k
+
+
+@pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 3000, 10**9])
+@pytest.mark.parametrize("path, fields", [("/mincut", {}), ("/kcut", {"k": 2})])
+def test_trials_above_the_limit_rejected(server, path, fields, trials):
+    # Before: 3000 trials ran for seconds and answered 200; 10**9 built
+    # 10**9 trial seeds before the first trial.
+    _register_cycle8(server)
+    before = server.service.results.stats()
+    _rejected(server, path, {"graph": "g", "trials": trials, **fields},
+              "'trials'", f"no greater than {MAX_TRIALS}")
+    assert server.service.results.stats() == before
+
+
+def test_batch_trials_above_the_limit_rejected(server):
+    _register_cycle8(server)
+    resp = request_json(server.url, "/batch", {"requests": [
+        {"op": "mincut", "graph": "g", "trials": 2},
+        {"op": "kcut", "graph": "g", "k": 2, "trials": MAX_TRIALS + 1},
+    ]})
+    ok, bad = resp["responses"]
+    assert ok["trials"] == 2 and ok["weight"] == 2.0
+    assert "'trials'" in bad["error"] and bad["trace_id"]

@@ -25,22 +25,20 @@ def setup(g, seed=0):
     return keys, decomp
 
 
-def levels(keys, decomp):
-    tree = keyed_tree(decomp, keys)
-    for level in range(1, decomp.height + 1):
-        yield build_level_structure(tree, level)
-
-
-def by_leader(g, struct):
-    """``{leader: [(start, end, weight), ...]}`` in edge order."""
-    iv = edge_intervals([(g, [struct])])
-    out = {r: [] for r in struct.ldr_time}
-    leaders = [g.vertices()[r] for r in struct.leaders.tolist()]
+def levels(g, keys, decomp):
+    """Per level: ``(level, ldr_time, {leader: [(start, end, weight),
+    ...]})``, each leader's intervals in edge order."""
+    table = build_level_structure(keyed_tree(decomp, keys))
+    iv = edge_intervals([(g, table)])
+    leaders = [g.vertices()[r] for r in table.leader.tolist()]
+    by_leader = {r: [] for r in leaders}
     for row in np.argsort(iv.edge, kind="stable").tolist():
-        out[leaders[iv.segment[row]]].append(
+        by_leader[leaders[iv.segment[row]]].append(
             (int(iv.start[row]), int(iv.end[row]), float(iv.weight[row]))
         )
-    return out
+    for level in range(1, decomp.height + 1):
+        _, _, ldr_time = table.level(level)
+        yield level, ldr_time, {r: by_leader[r] for r in ldr_time}
 
 
 def columns(intervals, segments=None):
@@ -78,44 +76,44 @@ class TestLemma12and13:
         for trial in range(6):
             g = erdos_renyi(12, 0.4, weighted=True, seed=trial)
             keys, decomp = setup(g, trial)
-            for struct in levels(keys, decomp):
-                if not struct.ldr_time:
+            for level, ldr_time, intervals in levels(g, keys, decomp):
+                if not ldr_time:
                     continue
-                for r, ivs in by_leader(g, struct).items():
-                    ldr = struct.ldr_time[r]
+                for r, ivs in intervals.items():
+                    ldr = ldr_time[r]
                     # total coverage at sampled t == boundary weight
                     for t in sorted({0, ldr, ldr // 2, max(0, ldr - 1)}):
                         bag = bag_at(g, keys, r, t)
                         boundary = g.cut_weight(bag) if len(bag) < g.num_vertices else 0.0
                         covered = sum(w for a, b, w in ivs if a <= t <= b)
                         assert abs(covered - boundary) < 1e-9, (
-                            trial, struct.level, r, t, covered, boundary
+                            trial, level, r, t, covered, boundary
                         )
 
     def test_intervals_clipped_to_domain(self):
         g = erdos_renyi(15, 0.35, seed=9)
         keys, decomp = setup(g, 9)
-        for struct in levels(keys, decomp):
-            for r, ivs in by_leader(g, struct).items():
+        for _, ldr_time, intervals in levels(g, keys, decomp):
+            for r, ivs in intervals.items():
                 for a, b, _ in ivs:
-                    assert 0 <= a <= b <= struct.ldr_time[r]
+                    assert 0 <= a <= b <= ldr_time[r]
 
     def test_leader_degree_covered_at_zero(self):
         """Delta bag(r, 0) = weighted degree of r (Observation sanity)."""
         g = erdos_renyi(14, 0.4, weighted=True, seed=10)
         keys, decomp = setup(g, 10)
-        for struct in levels(keys, decomp):
-            for r, ivs in by_leader(g, struct).items():
+        for _, _, intervals in levels(g, keys, decomp):
+            for r, ivs in intervals.items():
                 at_zero = sum(w for a, _, w in ivs if a == 0)
                 assert abs(at_zero - g.degree(r)) < 1e-9
 
     def test_one_interval_per_edge_and_leader(self):
         g = erdos_renyi(16, 0.4, weighted=True, seed=11)
         keys, decomp = setup(g, 11)
-        for struct in levels(keys, decomp):
-            iv = edge_intervals([(g, [struct])])
-            pairs = set(zip(iv.segment.tolist(), iv.edge.tolist()))
-            assert len(pairs) == iv.segment.size
+        table = build_level_structure(keyed_tree(decomp, keys))
+        iv = edge_intervals([(g, table)])
+        pairs = set(zip(iv.segment.tolist(), iv.edge.tolist()))
+        assert len(pairs) == iv.segment.size
 
 
 class TestSweep:

@@ -22,7 +22,8 @@ def setup(g, seed=0):
 
 
 def level_structure(keys, decomp, level):
-    return build_level_structure(keyed_tree(decomp, keys), level)
+    """``(leader_of, join_time, ldr_time)`` of one level."""
+    return build_level_structure(keyed_tree(decomp, keys)).level(level)
 
 
 class TestLemma8:
@@ -36,11 +37,11 @@ class TestLemma8:
         g = erdos_renyi(25, 0.3, seed=1)
         keys, decomp, max_key = setup(g, 1)
         for level in range(1, decomp.height + 1):
-            struct = level_structure(keys, decomp, level)
-            for r in struct.ldr_time:
+            leader_of, join_time, ldr_time = level_structure(keys, decomp, level)
+            for r in ldr_time:
                 assert decomp.label[r] == level
-                assert struct.leader_of[r] == r
-                assert struct.join_time[r] == 0
+                assert leader_of[r] == r
+                assert join_time[r] == 0
 
 
 class TestJoinTimes:
@@ -51,8 +52,8 @@ class TestJoinTimes:
         keys, decomp, max_key = setup(g, 2)
         tree = decomp.tree
         for level in range(1, decomp.height + 1):
-            struct = level_structure(keys, decomp, level)
-            for x, r in struct.leader_of.items():
+            leader_of, join_time, ldr_time = level_structure(keys, decomp, level)
+            for x, r in leader_of.items():
                 if x == r:
                     continue
                 # naive path max on the tree between r and x
@@ -76,19 +77,19 @@ class TestJoinTimes:
                     p = tree.parent[v]
                     mx = max(mx, keys.of(v, p))
                     v = p
-                assert struct.join_time[x] == mx
+                assert join_time[x] == mx
 
     def test_join_time_defines_bag_membership(self):
         """x is in bag(r, t) exactly when t >= join_time(x)."""
         g = erdos_renyi(15, 0.4, seed=3)
         keys, decomp, max_key = setup(g, 3)
         for level in range(1, decomp.height + 1):
-            struct = level_structure(keys, decomp, level)
-            for r in struct.ldr_time:
-                for x, rr in struct.leader_of.items():
+            leader_of, join_time, ldr_time = level_structure(keys, decomp, level)
+            for r in ldr_time:
+                for x, rr in leader_of.items():
                     if rr != r:
                         continue
-                    t = struct.join_time[x]
+                    t = join_time[x]
                     if t > 0:
                         assert x not in bag_at(g, keys, r, t - 1)
                     assert x in bag_at(g, keys, r, t)
@@ -102,8 +103,8 @@ class TestLdrTime:
         keys, decomp, max_key = setup(g, 4)
         label = decomp.label
         for level in range(1, decomp.height + 1):
-            struct = level_structure(keys, decomp, level)
-            for r, ldr in struct.ldr_time.items():
+            leader_of, join_time, ldr_time = level_structure(keys, decomp, level)
+            for r, ldr in ldr_time.items():
                 bag_now = bag_at(g, keys, r, ldr)
                 assert all(label[x] >= level for x in bag_now), (
                     "bag absorbed a lower-label vertex before ldr_time"
@@ -117,9 +118,9 @@ class TestLdrTime:
     def test_global_leader_capped_below_max_key(self):
         g = cycle(12)
         keys, decomp, max_key = setup(g, 5)
-        struct = level_structure(keys, decomp, 1)
-        (r,) = list(struct.ldr_time)
-        assert struct.ldr_time[r] == max_key - 1
+        leader_of, join_time, ldr_time = level_structure(keys, decomp, 1)
+        (r,) = list(ldr_time)
+        assert ldr_time[r] == max_key - 1
         # at that time the bag is still a proper subset
         assert len(bag_at(g, keys, r, max_key - 1)) < g.num_vertices
 
@@ -128,8 +129,8 @@ class TestLdrTime:
         keys, decomp, max_key = setup(g, 6)
         label = decomp.label
         for level in range(2, decomp.height + 1):
-            struct = level_structure(keys, decomp, level)
-            for r, ldr in struct.ldr_time.items():
+            leader_of, join_time, ldr_time = level_structure(keys, decomp, level)
+            for r, ldr in ldr_time.items():
                 if ldr + 1 > max_key:
                     continue
                 bag_next = bag_at(g, keys, r, ldr + 1)
@@ -146,8 +147,8 @@ class TestAllLevels:
         g = erdos_renyi(24, 0.3, seed=7)
         keys, decomp, _ = setup(g, 7)
         tree = keyed_tree(decomp, keys)
-        structures = [
-            build_level_structure(tree, i) for i in range(1, decomp.height + 1)
+        table = build_level_structure(tree)
+        leaders = [
+            r for i in range(1, decomp.height + 1) for r in table.level(i)[2]
         ]
-        leaders = [r for s in structures for r in s.ldr_time]
         assert sorted(map(str, leaders)) == sorted(map(str, g.vertices()))

@@ -66,9 +66,11 @@ def assert_same_leaders(new, old, keys):
     tree = keyed_tree(new, keys)
     assert tree.leaders == want
     assert list(tree.leaders) == list(want)
+    table = build_level_structure(tree)
+    first = table.first.tolist()
     for level in range(1, new.height + 1):
         assert (
-            build_level_structure(tree, level).leaders.tolist()
+            table.leader[first[level - 1]:first[level]].tolist()
             == want.get(level, [])
         )
 

@@ -212,8 +212,8 @@ class TestServedLayerNames:
     """The served benchmark's traced guard times Algorithm 3's step 2 and
     level structures by patching ``repro.core.singleton``'s
     ``low_depth_decomposition`` and ``build_level_structure`` by name;
-    a served ``/mincut`` must call them through those names, once per
-    copy and once per level."""
+    a served ``/mincut`` must call them through those names, each once
+    per copy, the level build returning every level of its copy."""
 
     def test_served_mincut_calls_both_names(self, monkeypatch):
         from repro.core import mincut as mincut_module
@@ -221,7 +221,7 @@ class TestServedLayerNames:
         from repro.service import CutService
         from repro.workloads import clustered_community
 
-        copies, decomps, levels = [], [], []
+        copies, decomps, tables = [], [], []
         track = mincut_module.smallest_singleton_cut
         decompose = singleton_module.low_depth_decomposition
         build = singleton_module.build_level_structure
@@ -234,9 +234,9 @@ class TestServedLayerNames:
             decomps.append(decompose(*args, **kw))
             return decomps[-1]
 
-        def building(tree, level):
-            levels.append(level)
-            return build(tree, level)
+        def building(tree):
+            tables.append(build(tree))
+            return tables[-1]
 
         monkeypatch.setattr(mincut_module, "smallest_singleton_cut", tracking)
         monkeypatch.setattr(singleton_module, "low_depth_decomposition", decomposing)
@@ -247,6 +247,7 @@ class TestServedLayerNames:
         assert out["weight"] > 0
         assert len(copies) > 10
         assert [d.vertices for d in decomps] == [c.keys.vertices for c in copies]
-        assert levels == [
-            i for d in decomps for i in range(1, d.height + 1)
-        ]
+        assert len(tables) == len(decomps)
+        for d, table in zip(decomps, tables):
+            assert table.slot.shape == (d.height, len(d.vertices))
+            assert len(table.first) == d.height + 1
