@@ -15,6 +15,78 @@ from repro.analysis.figures import (
 from repro.analysis.tables import render_kv, render_table
 
 
+# The exact text of each figure, pinned so a refactor of the structures
+# behind them cannot change a byte of what they print.
+FIGURE1 = "\n".join(
+    [
+        "Figure 1 — heavy-light decomposition (= heavy edge, - light edge)",
+        "0 [size=18]",
+        "   +== 1 [size=17]",
+        "   |  +== 2 [size=13]",
+        "   |  |  +== 3 [size=10]",
+        "   |  |  |  +== 9 [size=5]",
+        "   |  |  |  |  +== 10 [size=2]",
+        "   |  |  |  |     +== 11 [size=1]",
+        "   |  |  |  |  +-- 14 [size=1]",
+        "   |  |  |     +-- 17 [size=1]",
+        "   |  |  |  +-- 16 [size=1]",
+        "   |  |     +-- 4 [size=3]",
+        "   |  |     |  +== 13 [size=1]",
+        "   |  |        +-- 5 [size=1]",
+        "   |  |  +-- 15 [size=1]",
+        "   |     +-- 8 [size=1]",
+        "      +-- 6 [size=3]",
+        "      |  +== 12 [size=1]",
+        "         +-- 7 [size=1]",
+        "",
+        "heavy paths (top-down): ",
+        "  P0: 0 = 1 = 2 = 3 = 9 = 10 = 11",
+        "  P1: 6 = 12",
+        "  P2: 7",
+        "  P3: 15",
+        "  P4: 8",
+        "  P5: 16",
+        "  P6: 4 = 13",
+        "  P7: 14",
+        "  P8: 17",
+        "  P9: 5",
+    ]
+)
+
+FIGURE2 = "\n".join(
+    [
+        "Figure 2 — meta tree (heavy paths contracted)",
+        "M0 {0,1,2,3,9,10,11}",
+        "|  +- M1 {6,12}",
+        "|     +- M2 {7}",
+        "|  +- M3 {15}",
+        "|  +- M4 {8}",
+        "|  +- M5 {16}",
+        "|  +- M6 {4,13}",
+        "|     +- M9 {5}",
+        "|  +- M7 {14}",
+        "   +- M8 {17}",
+        "",
+        "meta vertices: 10",
+    ]
+)
+
+FIGURE3 = "\n".join(
+    [
+        "Figure 3 — contraction-time intervals with respect to a vertex",
+        "designated vertex: 2 (label 2)",
+        "tree edges with times: 0-1@1, 1-2@2, 2-3@3, 3-4@4, 4-5@5, 5-6@6",
+        "ldr_time(2) = 3",
+        "  interval [0, 1] weight 1",
+        "  interval [0, 1] weight 1",
+        "  interval [0, 2] weight 1",
+        "  interval [2, 2] weight 1",
+        "  interval [2, 3] weight 1",
+        "  interval [3, 3] weight 1",
+    ]
+)
+
+
 class TestTheory:
     def test_envelopes_monotone_in_n(self):
         xs = [theory.loglog_rounds_envelope(n, 0.5) for n in (16, 256, 65536)]
@@ -108,6 +180,11 @@ class TestFigures:
         ldr = int(re.search(r"ldr_time\(\d+\) = (\d+)", out).group(1))
         for a, b in re.findall(r"interval \[(\d+), (\d+)\]", out):
             assert 0 <= int(a) <= int(b) <= ldr
+
+    def test_figures_are_pinned(self):
+        assert render_figure1() == FIGURE1
+        assert render_figure2() == FIGURE2
+        assert render_figure3() == FIGURE3
 
     def test_render_all(self):
         out = render_all_figures()
