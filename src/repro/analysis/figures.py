@@ -27,63 +27,56 @@ from ..core.intervals import edge_intervals
 from ..core.keys import ContractionKeys
 from ..core.ldr import build_level_structure, keyed_tree
 from ..graph import Graph
-from ..trees.heavy_light import HeavyLight, heavy_light_decomposition
 from ..trees.low_depth import low_depth_decomposition
-from ..trees.meta_tree import MetaTree, build_meta_tree
-from ..trees.rooted import RootedTree, root_tree
 from ..workloads.trees import paper_figure1_tree
 
 Vertex = Hashable
 
 
-def render_figure1(tree: RootedTree | None = None) -> str:
+def render_figure1() -> str:
     """Figure 1: the tree with subtree sizes, heavy edges marked ``=``."""
-    if tree is None:
-        vs, es = paper_figure1_tree()
-        tree = root_tree(vs, es)
-    hl = heavy_light_decomposition(tree)
+    decomp = low_depth_decomposition(*paper_figure1_tree())
+    tree = decomp.tree
+    heavy = {a: b for path in decomp.paths for a, b in zip(path, path[1:])}
     lines = ["Figure 1 — heavy-light decomposition (= heavy edge, - light edge)"]
 
     def walk(v: Vertex, prefix: str, tag: str) -> None:
         size = tree.subtree_size[v]
         lines.append(f"{prefix}{tag}{v} [size={size}]")
-        kids = sorted(
-            tree.children[v],
-            key=lambda c: (not hl.is_heavy_edge(c, v), str(c)),
-        )
+        kids = sorted(tree.children[v], key=lambda c: (heavy.get(v) != c, str(c)))
         for i, c in enumerate(kids):
             last = i == len(kids) - 1
-            edge = "==" if hl.is_heavy_edge(c, v) else "--"
+            edge = "==" if heavy.get(v) == c else "--"
             walk(c, prefix + ("   " if last else "|  "), f"+{edge} ")
 
     walk(tree.root, "", "")
     lines.append("")
     lines.append("heavy paths (top-down): ")
-    for m, path in enumerate(hl.paths):
+    for m, path in enumerate(decomp.paths):
         lines.append(f"  P{m}: " + " = ".join(str(v) for v in path))
     return "\n".join(lines)
 
 
-def render_figure2(tree: RootedTree | None = None) -> str:
+def render_figure2() -> str:
     """Figure 2: the meta-tree of the same tree."""
-    if tree is None:
-        vs, es = paper_figure1_tree()
-        tree = root_tree(vs, es)
-    hl = heavy_light_decomposition(tree)
-    meta = build_meta_tree(hl)
+    decomp = low_depth_decomposition(*paper_figure1_tree())
+    children: list[list[int]] = [[] for _ in decomp.paths]
+    for m, p in enumerate(decomp.meta_parent):
+        if p >= 0:
+            children[p].append(m)
     lines = ["Figure 2 — meta tree (heavy paths contracted)"]
 
     def walk(m: int, prefix: str, tag: str) -> None:
-        path = meta.meta_path(m)
-        label = "{" + ",".join(str(v) for v in path) + "}"
+        label = "{" + ",".join(str(v) for v in decomp.paths[m]) + "}"
         lines.append(f"{prefix}{tag}M{m} {label}")
-        for i, c in enumerate(sorted(meta.children[m])):
-            last = i == len(meta.children[m]) - 1
+        for i, c in enumerate(children[m]):
+            last = i == len(children[m]) - 1
             walk(c, prefix + ("   " if last else "|  "), "+- ")
 
-    walk(meta.root, "", "")
+    # Path 0 holds the root.
+    walk(0, "", "")
     lines.append("")
-    lines.append(f"meta vertices: {meta.num_meta_vertices}")
+    lines.append(f"meta vertices: {len(decomp.paths)}")
     return "\n".join(lines)
 
 

@@ -38,7 +38,7 @@ from typing import Hashable
 
 import numpy as np
 
-from ..graph import Cut, Graph
+from ..graph import Cut, Graph, compose_blocks
 from ..graph.dsu import contract_in_order
 from ..graph.sparsify import ni_edge_starts
 
@@ -101,10 +101,7 @@ def matula_min_cut(graph: Graph, *, eps: float = 0.5) -> MatulaResult:
         # The first certified edge always merges (fresh DSU, distinct
         # endpoints), so a non-empty hit set guarantees progress.
         work, new_blocks, _ = contract_in_order(work, us[hit], vs[hit])
-        blocks = {
-            r: [orig for member in members for orig in blocks[member]]
-            for r, members in new_blocks.items()
-        }
+        blocks = compose_blocks(blocks, new_blocks)
         if work.num_edges == 0:
             # quotient collapsed everything into one block: the last
             # recorded candidates already include the surviving cuts.

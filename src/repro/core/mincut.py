@@ -44,7 +44,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Hashable
 
 from ..ampc import AMPCConfig, RoundLedger
-from ..graph import Cut, Graph, lift_cut
+from ..graph import Cut, Graph, compose_blocks, lift_cut
 from ..obs.tracing import NULL_TRACER, Tracer
 from .boost import TrialRunner, boost, default_boost_trials, run_in_process
 from .contraction import contract_to_size
@@ -156,7 +156,7 @@ def ampc_min_cut(
                 local_peak=sub_config.local_memory_words,
                 total_peak=contracted.num_vertices + contracted.num_edges,
             )
-            composed = _compose_blocks(parent.blocks, blocks)
+            composed = compose_blocks(parent.blocks, blocks)
             next_instances.append(_Instance(graph=contracted, blocks=composed))
             sibling_ledgers.append(copy_ledger)
 
@@ -211,14 +211,6 @@ def ampc_min_cut(
         base_solves=base_solves,
         singleton_runs=len(tracked),
     )
-
-
-def _compose_blocks(parent_blocks: dict, new_blocks: dict) -> dict:
-    """Compose two levels of quotient maps (new reps -> original ids)."""
-    return {
-        rep: [orig for member in members for orig in parent_blocks[member]]
-        for rep, members in new_blocks.items()
-    }
 
 
 def _exact_base_case(graph: Graph) -> Cut:

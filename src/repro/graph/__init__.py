@@ -10,7 +10,15 @@ the in-place mutators behind the serving layer's ``/mutate`` path
 (``set_edge_weight``, ``remove_edges``).  This package is the bottom
 layer of the subsystem map in ``docs/ARCHITECTURE.md``."""
 
-from .cuts import Cut, KCut, kcut_weight, lift_cut, min_singleton_cut, singleton_cut_weight
+from .cuts import (
+    Cut,
+    KCut,
+    compose_blocks,
+    kcut_weight,
+    lift_cut,
+    min_singleton_cut,
+    singleton_cut_weight,
+)
 from .dispatch import load_any, save_any
 from .dsu import DSU, IndexDSU
 from .graph import Graph
@@ -40,6 +48,7 @@ __all__ = [
     "Graph",
     "IndexDSU",
     "KCut",
+    "compose_blocks",
     "kcut_weight",
     "lift_cut",
     "load_any",

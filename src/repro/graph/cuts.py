@@ -94,6 +94,20 @@ def kcut_weight(graph: Graph, parts: Sequence[Iterable[Hashable]]) -> float:
     return graph.partition_cut_weight([list(p) for p in parts])
 
 
+def compose_blocks(outer: dict, inner: dict) -> dict:
+    """Compose two levels of quotient maps: ``inner`` maps the new
+    quotient's vertices to ``outer``'s, ``outer`` maps those to the
+    original vertices.  Blocks keep their order.
+
+    >>> compose_blocks({"a": [0, 1], "b": [2], "c": [3]}, {"x": ["c", "a"], "y": ["b"]})
+    {'x': [3, 0, 1], 'y': [2]}
+    """
+    return {
+        rep: [orig for member in members for orig in outer[member]]
+        for rep, members in inner.items()
+    }
+
+
 def lift_cut(blocks: dict, side: Iterable[Hashable]) -> frozenset:
     """Lift a cut side of a quotient graph back to original vertices.
 

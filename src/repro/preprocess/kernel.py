@@ -68,7 +68,7 @@ from typing import Callable, Hashable, Iterable
 
 import numpy as np
 
-from ..graph import Cut, Graph, KCut, lift_cut
+from ..graph import Cut, Graph, KCut, compose_blocks, lift_cut
 from ..graph.dsu import contract_in_order
 from ..graph.sparsify import ni_edge_starts, sparsify_preserving_min_cut
 
@@ -463,10 +463,7 @@ def _contract_certified_edges(kernel: CutKernel, *, use_ni: bool) -> int:
     if contracted is None:
         return 0
     quotient, new_blocks, removed = contracted
-    kernel.blocks = {
-        r: [orig for member in members for orig in kernel.blocks[member]]
-        for r, members in new_blocks.items()
-    }
+    kernel.blocks = compose_blocks(kernel.blocks, new_blocks)
     kernel.graph = quotient
     kernel.steps.append(
         ReductionStep(

@@ -54,7 +54,8 @@ class BadRequest(ValueError):
 #: ``Param.default`` of a field the request must carry.
 REQUIRED = object()
 
-#: The most trials one ``/mincut`` or ``/kcut`` request may run.
+#: The most trials one ``/mincut``, ``/kcut`` or ``/sparsestcut`` request
+#: may run.
 MAX_TRIALS = 128
 
 #: param kind -> (JSON types bound as they are, all types accepted,
@@ -611,7 +612,7 @@ OPS: dict[str, OpSpec] = {spec.name: spec for spec in (
     ), _gomoryhu, algorithm="gomory-hu-allpairs", coalesce=True,
         key=("sides",)),
     OpSpec("sparsestcut", (
-        _GRAPH, _SEED, Param("trials", "count", 2),
+        _GRAPH, _SEED, Param("trials", "count", 2, maximum=MAX_TRIALS),
         Param("kernel", "bool", False, help=(
             "contract provably-uncut edges before solving")),
     ), _sparsestcut, algorithm="sparsest-cut", coalesce=True,

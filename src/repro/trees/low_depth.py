@@ -17,6 +17,18 @@ such that for every level ``i``, each connected component induced on
    the vertex as its leftmost leaf-descendant (or the vertex's own
    leaf when no such node exists).
 
+Step 2 follows Definition 2 as Sleator and Tarjan state it: every
+internal vertex's edge to the child with the largest subtree is heavy,
+the first such child in child order on ties (Definition 2's "arbitrarily
+choose exactly one"), and every other child edge is light.  So every
+internal vertex has exactly one heavy child (Observation 2) and the
+heavy paths partition the vertex set, which the meta tree needs; this
+deviates from Ghaffari and Nowicki, who mark an edge heavy only when
+the child's subtree is large in absolute terms.  Each light edge at
+least halves the subtree size, so a root path crosses at most
+``floor(log2 n)`` light edges (Observation 1), the bound the tests
+assert.
+
 Host-side the four steps run on vertex indices in one pass over the
 rooting's lists (:func:`~repro.trees.rooted.root_indices`: the stack
 DFS, discovery order and subtree sizes): the first-largest heavy
@@ -24,11 +36,11 @@ child, heavy paths numbered in discovery order, and each vertex's
 label read off a per-length table of binarized-path depths
 (:func:`~repro.trees.binarized.depth_table`).  The decomposition keeps
 the :class:`~repro.trees.rooted.Rooting`, which Algorithm 3's level
-structures walk, and its :attr:`~LowDepthDecomposition.tree` view is
-built from it.  The heavy-light, meta-tree and binarized-path objects
-of steps 2–3 (:mod:`repro.trees.heavy_light`,
-:mod:`repro.trees.meta_tree`, :mod:`repro.trees.binarized`) are built
-from a :class:`~repro.trees.rooted.RootedTree` by their own modules.
+structures walk.  Its views -- the :attr:`~LowDepthDecomposition.tree`,
+the heavy :attr:`~LowDepthDecomposition.paths` and the meta tree's
+:attr:`~LowDepthDecomposition.meta_parent` -- are built from the
+rooting and ``order`` on first read; the served path reads none of
+them.
 
 The AMPC cost is ``O(1/eps)`` rounds (Lemma 3); the genuinely-executed
 round measurements come from the rooting/list-ranking primitives, the
@@ -68,6 +80,8 @@ class LowDepthDecomposition:
     ([3, 4, 2, 1], [0, 2, 3, 1], 4)
     >>> d.label
     {'a': 3, 'c': 2, 'd': 1, 'b': 4}
+    >>> d.paths, d.meta_parent
+    ([['a', 'c', 'd'], ['b']], [-1, 0])
     """
 
     vertices: list[Vertex]
@@ -89,6 +103,38 @@ class LowDepthDecomposition:
     @cached_property
     def tree(self) -> RootedTree:
         return self.rooting.rooted_tree(self.vertices)
+
+    @cached_property
+    def paths(self) -> list[list[Vertex]]:
+        """The heavy paths (Definition 3), each top-down, in
+        :attr:`order`: ``order`` split after each leaf.  Consecutive
+        vertices of a path are a heavy edge."""
+        V, size = self.vertices, self.rooting.size
+        paths: list[list[Vertex]] = []
+        path: list[Vertex] = []
+        for i in self.order:
+            path.append(V[i])
+            if size[i] == 1:
+                paths.append(path)
+                path = []
+        return paths
+
+    @cached_property
+    def meta_parent(self) -> list[int]:
+        """The meta tree (Definition 4): each heavy path's parent path,
+        the one holding its head's parent, or -1 for the root path.  A
+        path's parent precedes it in :attr:`paths`."""
+        parent, size = self.rooting.parent, self.rooting.size
+        path_of = [0] * len(parent)
+        meta: list[int] = []
+        head = True
+        for i in self.order:
+            if head:
+                p = parent[i]
+                meta.append(path_of[p] if p >= 0 else -1)
+            path_of[i] = len(meta) - 1
+            head = size[i] == 1
+        return meta
 
     def levels(self) -> dict[int, list[Vertex]]:
         """Level -> vertices with that label (the paper's ``L_i``)."""
@@ -132,9 +178,9 @@ def low_depth_decomposition(
 
 
 def _label(rooting, depths):
-    """Algorithm 2's labels on indices, with
-    :func:`~repro.trees.heavy_light.heavy_light_decomposition`'s heavy
-    children and path order."""
+    """Algorithm 2's labels on indices, and ``order``: the heavy paths
+    top-down, in head discovery order.  The only place heavy children
+    are chosen (Definition 2, first largest)."""
     parent, discovered, size = rooting.parent, rooting.discovered, rooting.size
     n = len(parent)
     # The heavy child: siblings are discovered in child order, so ">"

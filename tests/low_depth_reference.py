@@ -10,11 +10,15 @@ offset over the meta tree.  The code below is kept verbatim --
 function bodies and comments -- as the differential reference for the
 index labeler (``tests/test_low_depth_golden.py``) and as the "old"
 side of ``benchmarks/bench_low_depth.py::test_step2_speedup``.  The
-containers ``RootedTree``, ``HeavyLight``, ``MetaTree`` and
-``AlmostCompleteBinaryTree`` are imported from ``repro`` unchanged.
+containers ``RootedTree`` and ``AlmostCompleteBinaryTree`` are
+imported from ``repro`` unchanged.
 
-One addition: :func:`low_depth_decomposition` records the vertex list
-it was given, and :class:`LowDepthDecomposition` reads ``labels`` and
+Two additions.  The containers ``HeavyLight`` and ``MetaTree`` are
+copied in verbatim, methods included, from ``trees/heavy_light.py`` and
+``trees/meta_tree.py``, which the decomposition's ``paths`` and
+``meta_parent`` views replaced.  And :func:`low_depth_decomposition`
+records the vertex list it was given, and
+:class:`LowDepthDecomposition` reads ``labels`` and
 ``order`` off its label dict in that order -- the index view the
 frozen ``index_tree`` in ``tests/algo1_reference.py`` reads -- with
 the ``{v: i}`` map the old ``index_tree`` built.  Nothing in ``src/``
@@ -29,8 +33,6 @@ from typing import Hashable, Iterable, Sequence
 
 from repro.ampc.primitives.listrank import _stable_key
 from repro.trees.binarized import AlmostCompleteBinaryTree
-from repro.trees.heavy_light import HeavyLight
-from repro.trees.meta_tree import MetaTree
 from repro.trees.rooted import RootedTree
 
 Vertex = Hashable
@@ -129,6 +131,79 @@ def root_tree(
 # --------------------------------------------------------------------
 # Heavy-light decomposition (trees/heavy_light.py)
 # --------------------------------------------------------------------
+@dataclass
+class HeavyLight:
+    """Heavy-light decomposition of a rooted tree.
+
+    Attributes
+    ----------
+    heavy_child:
+        ``heavy_child[v]`` is the unique heavy child of internal ``v``
+        (absent for leaves).
+    paths:
+        The heavy paths, each listed **top-down** (shallowest vertex
+        first).  Singleton paths appear for vertices on no heavy edge.
+    path_of:
+        Vertex -> index into :attr:`paths`.
+    position:
+        Vertex -> index within its heavy path.
+    """
+
+    tree: RootedTree
+    heavy_child: dict[Vertex, Vertex]
+    paths: list[list[Vertex]]
+    path_of: dict[Vertex, int]
+    position: dict[Vertex, int]
+
+    # ------------------------------------------------------------------
+    def is_heavy_edge(self, child: Vertex, parent: Vertex) -> bool:
+        """Is (child, parent) a heavy edge (w.r.t. the rooted tree)?"""
+        return self.heavy_child.get(parent) == child
+
+    def path_head(self, v: Vertex) -> Vertex:
+        """Shallowest vertex of ``v``'s heavy path."""
+        return self.paths[self.path_of[v]][0]
+
+    def light_edges_to_root(self, v: Vertex) -> int:
+        """Number of light edges on the path from ``v`` to the root."""
+        count = 0
+        cur: Vertex | None = v
+        tree = self.tree
+        while tree.parent[cur] is not None:
+            p = tree.parent[cur]
+            if not self.is_heavy_edge(cur, p):
+                count += 1
+            cur = p
+        return count
+
+    def heavy_paths_to_root(self, v: Vertex) -> int:
+        """Number of distinct heavy paths met walking from ``v`` to root."""
+        seen = set()
+        cur: Vertex | None = v
+        while cur is not None:
+            seen.add(self.path_of[cur])
+            cur = self.tree.parent[cur]
+        return len(seen)
+
+    def validate(self) -> None:
+        """Check Observation 2 and the partition property."""
+        covered: set[Vertex] = set()
+        for path in self.paths:
+            for a, b in zip(path, path[1:]):
+                if self.heavy_child.get(a) != b:
+                    raise ValueError(f"non-heavy edge inside path at {a!r}->{b!r}")
+            overlap = covered.intersection(path)
+            if overlap:
+                raise ValueError(f"paths overlap on {overlap!r}")
+            covered.update(path)
+        if covered != set(self.tree.parent.keys()):
+            raise ValueError("paths do not cover the vertex set")
+        for v in self.tree.parent:
+            if self.tree.children[v] and v not in self.heavy_child:
+                raise ValueError(f"internal vertex {v!r} lacks a heavy child")
+
+
+
 def heavy_light_decomposition(tree: RootedTree) -> HeavyLight:
     """Compute the decomposition (host-side; the AMPC cost is Lemma 5's).
 
@@ -177,6 +252,67 @@ def heavy_light_decomposition(tree: RootedTree) -> HeavyLight:
 # --------------------------------------------------------------------
 # Meta tree (trees/meta_tree.py)
 # --------------------------------------------------------------------
+@dataclass
+class MetaTree:
+    """The contracted tree of heavy paths.
+
+    Attributes
+    ----------
+    hl:
+        The underlying heavy-light decomposition (paths index = meta id).
+    parent:
+        Meta vertex -> parent meta vertex (None for the root path).
+    children:
+        Meta vertex -> child meta vertices in deterministic order.
+    attach:
+        For each non-root meta vertex ``P``, the vertex of the *parent
+        path* that the head of ``P`` hangs from (the light edge's upper
+        endpoint).
+    depth:
+        Meta-tree depth (root path = 1).
+    """
+
+    hl: HeavyLight
+    parent: dict[MetaVertex, MetaVertex | None]
+    children: dict[MetaVertex, list[MetaVertex]]
+    attach: dict[MetaVertex, Vertex]
+    depth: dict[MetaVertex, int]
+
+    @property
+    def root(self) -> MetaVertex:
+        return self.hl.path_of[self.hl.tree.root]
+
+    @property
+    def num_meta_vertices(self) -> int:
+        return len(self.parent)
+
+    def meta_path(self, m: MetaVertex) -> list[Vertex]:
+        """Original vertices of meta vertex ``m``, top-down."""
+        return self.hl.paths[m]
+
+    def meta_of(self, v: Vertex) -> MetaVertex:
+        return self.hl.path_of[v]
+
+    def validate(self) -> None:
+        """Tree-ness and attachment consistency."""
+        root = self.root
+        if self.parent[root] is not None:
+            raise ValueError("root meta vertex must have no parent")
+        tree = self.hl.tree
+        for m, p in self.parent.items():
+            if p is None:
+                continue
+            head = self.hl.paths[m][0]
+            up = tree.parent[head]
+            if up is None or self.hl.path_of[up] != p:
+                raise ValueError(f"meta parent of {m} inconsistent")
+            if self.attach[m] != up:
+                raise ValueError(f"attach vertex of {m} inconsistent")
+            if self.depth[m] != self.depth[p] + 1:
+                raise ValueError(f"meta depth broken at {m}")
+
+
+
 def build_meta_tree(hl: HeavyLight) -> MetaTree:
     """Contract heavy paths into the meta tree (Definition 4)."""
     tree: RootedTree = hl.tree

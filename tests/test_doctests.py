@@ -3,7 +3,8 @@
 Every public module of :mod:`repro.service`, :mod:`repro.preprocess`
 and :mod:`repro.obs`, plus the booster :mod:`repro.core.boost`, the
 contraction keys and contraction (:mod:`repro.core.keys`,
-:mod:`repro.core.contraction`), the union–finds :mod:`repro.graph.dsu`,
+:mod:`repro.core.contraction`), the quotient-block helpers
+:mod:`repro.graph.cuts`, the union–finds :mod:`repro.graph.dsu`,
 the Gomory–Hu trees :mod:`repro.flow.gomory_hu` and the low-depth
 labels (:mod:`repro.trees.binarized`, :mod:`repro.trees.low_depth`) is
 swept with
@@ -24,6 +25,7 @@ MODULES = [
     "repro.core.contraction",
     "repro.core.keys",
     "repro.flow.gomory_hu",
+    "repro.graph.cuts",
     "repro.graph.dsu",
     "repro.obs",
     "repro.obs.loadgen",
@@ -55,6 +57,7 @@ MUST_HAVE_EXAMPLES = {
     "repro.core.contraction",
     "repro.core.keys",
     "repro.flow.gomory_hu",
+    "repro.graph.cuts",
     "repro.graph.dsu",
     "repro.obs.loadgen",
     "repro.obs.metrics",

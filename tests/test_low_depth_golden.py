@@ -5,7 +5,9 @@
 replaced (``root_tree``, heavy-light, meta tree, one binarized path per
 heavy path, the label climb).  On the same tree the two must give the
 same ``labels`` and the same ``order`` -- which fixes each level's
-leader slots -- and the same per-level leader lists: on tiny trees,
+leader slots -- the same per-level leader lists, and heavy paths and
+meta tree (``paths`` and ``meta_parent`` against the reference's
+``HeavyLight.paths`` and ``MetaTree.parent``): on tiny trees,
 long paths, stars and caterpillars, random trees with mixed ``int`` /
 ``str`` labels (the type-stable order puts ``10`` before ``9``), the
 keyed MST of every corpus graph, and every copy Algorithm 1 hands to
@@ -42,7 +44,17 @@ def assert_same(vertices, edges, *, root=None):
     assert new.order == old.order
     assert list(new.label.items()) == list(old.label.items())
     assert new.height == old.height
+    assert_same_paths(new, old)
     return new, old
+
+
+def assert_same_paths(new, old):
+    """The heavy paths and the meta tree against the reference's
+    ``HeavyLight`` and ``MetaTree``."""
+    assert new.paths == old.hl.paths
+    assert new.meta_parent == [
+        -1 if p is None else p for p in old.meta.parent.values()
+    ]
 
 
 def assert_same_rows(vertices, us, vs):
@@ -54,6 +66,7 @@ def assert_same_rows(vertices, us, vs):
     )
     assert new.labels == old.labels
     assert new.order == old.order
+    assert_same_paths(new, old)
     return new, old
 
 
