@@ -12,7 +12,7 @@ mutation stream) and on planted n=2048, asserts identical results
 gates the median speedup at >= 1.25x on n=64 and >= 0.9x on n=2048.
 Both sides run single-threaded, so the ratios hold on a 1-2 CPU host.
 Results go to the path in the ``BENCH_PR24`` env var
-(``BENCH_PR24.json`` when unset).
+(``.bench/BENCH_PR24.json`` when unset).
 
 Run: ``PYTHONPATH=src python -m pytest -q benchmarks/bench_algo1.py``
 """
@@ -36,7 +36,7 @@ from repro.analysis.harness import ExperimentReport  # noqa: E402
 from repro.core import ampc_min_cut  # noqa: E402
 from repro.workloads import clustered_community, planted_cut  # noqa: E402
 
-_RESULTS_PATH = os.environ.get("BENCH_PR24", "BENCH_PR24.json")
+_RESULTS_PATH = os.environ.get("BENCH_PR24", ".bench/BENCH_PR24.json")
 
 #: (name, graph factory, trial seeds, alternating rounds, floor)
 _WORKLOADS = (

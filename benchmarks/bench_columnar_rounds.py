@@ -41,7 +41,7 @@ from repro.analysis.harness import ExperimentReport
 
 _CPUS = os.cpu_count() or 1
 _REPEATS = 3
-_RESULTS_PATH = os.environ.get("BENCH_PR9", "BENCH_PR9.json")
+_RESULTS_PATH = os.environ.get("BENCH_PR9", ".bench/BENCH_PR9.json")
 
 
 def _sort_input():

@@ -41,7 +41,7 @@ _SEED = 7
 _STEPS = 5
 _MIN_SPEEDUP = 3.0
 
-_RESULTS_PATH = os.environ.get("BENCH_PR7", "BENCH_PR7.json")
+_RESULTS_PATH = os.environ.get("BENCH_PR7", ".bench/BENCH_PR7.json")
 
 
 def _instance() -> Graph:

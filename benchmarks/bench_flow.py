@@ -37,7 +37,7 @@ from repro.workloads import clustered_community, planted_cut  # noqa: E402
 
 _FLOOR = 2.0
 _GATED_N = 256
-_RESULTS_PATH = os.environ.get("BENCH_PR23", "BENCH_PR23.json")
+_RESULTS_PATH = os.environ.get("BENCH_PR23", ".bench/BENCH_PR23.json")
 
 #: (name, graph factory, repeats); the served benchmark's shapes
 _WORKLOADS = (

@@ -43,7 +43,7 @@ from repro.service import (
 )
 from repro.workloads import planted_cut
 
-_RESULTS_PATH = os.environ.get("BENCH_PR8", "BENCH_PR8.json")
+_RESULTS_PATH = os.environ.get("BENCH_PR8", ".bench/BENCH_PR8.json")
 
 # the deliberately tiny admission window for the overload leg
 _MAX_INFLIGHT = 2

@@ -41,7 +41,7 @@ _WORKLOADS = [
     ("er_300", erdos_renyi(300, 0.1, weighted=True, seed=_SEED)),
 ]
 
-_RESULTS_PATH = os.environ.get("BENCH_PR4", "BENCH_PR4.json")
+_RESULTS_PATH = os.environ.get("BENCH_PR4", ".bench/BENCH_PR4.json")
 
 
 class _LegacyDictGraph:

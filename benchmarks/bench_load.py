@@ -51,8 +51,8 @@ _SLO_FLOORS = {
     "min_saturation_rps": 25.0,
 }
 
-_RESULTS_PATH = os.environ.get("BENCH_PR6", "BENCH_PR6.json")
-_SPANS_PATH = os.environ.get("BENCH_PR6_SPANS", "BENCH_PR6_spans.jsonl")
+_RESULTS_PATH = os.environ.get("BENCH_PR6", ".bench/BENCH_PR6.json")
+_SPANS_PATH = os.environ.get("BENCH_PR6_SPANS", ".bench/BENCH_PR6_spans.jsonl")
 
 
 def test_e15_load_slos(report_sink):

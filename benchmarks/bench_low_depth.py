@@ -20,7 +20,7 @@ new, both single-threaded, so the ratio holds on a 1-2 CPU host.  Each
 round asserts identical labels and per-level leader lists.  The gate
 is a median speedup >= 2x on clustered n=64 and >= 1.5x on planted
 n=2048.  Results go to the path in the ``BENCH_PR27`` env var
-(``BENCH_PR27.json`` when unset).
+(``.bench/BENCH_PR27.json`` when unset).
 
 Run: ``PYTHONPATH=src python -m pytest -q
 benchmarks/bench_low_depth.py::test_step2_speedup``
@@ -49,7 +49,7 @@ from repro.core.ldr import keyed_tree  # noqa: E402
 from repro.trees import check_definition_1, low_depth_decomposition  # noqa: E402
 from repro.workloads import clustered_community, planted_cut, random_tree  # noqa: E402
 
-_RESULTS_PATH = os.environ.get("BENCH_PR27", "BENCH_PR27.json")
+_RESULTS_PATH = os.environ.get("BENCH_PR27", ".bench/BENCH_PR27.json")
 
 #: (name, graph factory, trial seeds, alternating rounds, floor)
 _WORKLOADS = (

@@ -36,7 +36,7 @@ _SEED = 7
 _STEPS = 5
 _MIN_SPEEDUP = 3.0
 
-_RESULTS_PATH = os.environ.get("BENCH_PR5", "BENCH_PR5.json")
+_RESULTS_PATH = os.environ.get("BENCH_PR5", ".bench/BENCH_PR5.json")
 
 
 def _instance() -> Graph:

@@ -40,7 +40,7 @@ from repro.analysis.sparsest import (
 from repro.service import CutService, make_server, request_json
 from repro.workloads import clustered_community, planted_cut
 
-_RESULTS_PATH = os.environ.get("BENCH_PR10", "BENCH_PR10.json")
+_RESULTS_PATH = os.environ.get("BENCH_PR10", ".bench/BENCH_PR10.json")
 _REPEATS = 5
 
 

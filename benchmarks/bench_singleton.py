@@ -44,7 +44,7 @@ from repro.workloads import planted_cut  # noqa: E402
 _SIZES = (256, 1024, 2048)
 _REPEATS = 5
 _SEED = 3
-_RESULTS_PATH = os.environ.get("BENCH_PR16", "BENCH_PR16.json")
+_RESULTS_PATH = os.environ.get("BENCH_PR16", ".bench/BENCH_PR16.json")
 
 
 def test_e3_singleton_exactness_report(report_sink, benchmark):

@@ -12,7 +12,7 @@ at >= 3x.  It also times the new solver handed a resident tree, the
 shape ``/sparsestcut`` runs once the store holds the content's tree.
 Both sides are single-threaded, so the ratio holds on a 1–2 CPU host.
 Results go to the path in the ``BENCH_SPARSEST`` env var
-(``BENCH_sparsest.json`` when unset).
+(``.bench/BENCH_sparsest.json`` when unset).
 
 Run: ``PYTHONPATH=src python -m pytest -q benchmarks/bench_sparsest.py``
 """
@@ -46,7 +46,7 @@ from repro.workloads import (  # noqa: E402
 _SEED = 1
 _TRIALS = 1
 _FLOOR = 3.0
-_RESULTS_PATH = os.environ.get("BENCH_SPARSEST", "BENCH_sparsest.json")
+_RESULTS_PATH = os.environ.get("BENCH_SPARSEST", ".bench/BENCH_sparsest.json")
 
 #: (name, graph factory, repeats); the reference takes seconds at n=256
 _WORKLOADS = (

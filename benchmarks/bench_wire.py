@@ -14,7 +14,7 @@ Why the floor holds on 2 CPUs: the round trip is a hit lookup, one copy
 of the ~0.7 MB body and a loopback write, while the encode walks two
 n×n lists of Python objects; both run single-threaded on their side.
 Results go to the path in the ``BENCH_PR22`` env var
-(``BENCH_PR22.json`` when unset).
+(``.bench/BENCH_PR22.json`` when unset).
 
 Run: ``PYTHONPATH=src python -m pytest -q benchmarks/bench_wire.py``
 """
@@ -40,7 +40,7 @@ _N = 256
 _SEED = 3
 _REPEATS = 25
 _FLOOR = 2.0
-_RESULTS_PATH = os.environ.get("BENCH_PR22", "BENCH_PR22.json")
+_RESULTS_PATH = os.environ.get("BENCH_PR22", ".bench/BENCH_PR22.json")
 
 
 def _round_trips(url: str, body: bytes, repeats: int) -> tuple[list, bytes]:

@@ -6,7 +6,13 @@ pytest-benchmark.  Reports are collected here and dumped in the
 terminal summary (``pytest_terminal_summary``), which pytest never
 captures — so ``pytest benchmarks/ --benchmark-only | tee ...`` keeps
 the tables.
+
+A benchmark writes its results JSON to the path in its env var, or
+under the untracked ``.bench/`` directory when the var is unset, so a
+local run never rewrites a committed ``BENCH_*.json``.
 """
+
+import os
 
 import pytest
 
@@ -17,6 +23,10 @@ _REPORTS: list[str] = []
 def report_sink():
     """Collects rendered experiment reports; printed at session end."""
     return _REPORTS
+
+
+def pytest_sessionstart(session):
+    os.makedirs(".bench", exist_ok=True)
 
 
 def emit(report_sink, report) -> None:

@@ -4,6 +4,7 @@ from .dinic import DinicSolver, FlowResult, min_st_cut
 from .gomory_hu import (
     GomoryHuEdge,
     GomoryHuTree,
+    cut_tree_tables,
     gomory_hu_tree,
     gomory_hu_tree_contracted,
     repair_gomory_hu,
@@ -16,6 +17,7 @@ __all__ = [
     "GomoryHuEdge",
     "GomoryHuTree",
     "PushRelabelSolver",
+    "cut_tree_tables",
     "gomory_hu_tree",
     "gomory_hu_tree_contracted",
     "min_st_cut",

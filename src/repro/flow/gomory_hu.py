@@ -19,11 +19,14 @@ pairs on small random graphs.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable
 
-from ..graph import Graph
+import numpy as np
+
+from ..graph import Graph, IndexDSU
 from .dinic import DinicSolver
 from .push_relabel import PushRelabelSolver
 
@@ -111,34 +114,15 @@ class GomoryHuTree:
         return sorted(self.edges, key=lambda e: e.weight)
 
     def all_pairs_min_cuts(self) -> dict:
-        """Every pairwise min-cut value in one pass: ``{u: {v: value}}``.
-
-        One rooted DFS per vertex carries the running path minimum, so
-        the full ``n(n-1)/2`` matrix costs ``O(n^2)`` tree-edge visits
-        — the amortisation `/gomoryhu` serves (versus ``n - 1``
-        separate ``min_cut_between`` walks, or ``n - 1`` max-flows for
-        a cold client asking pair by pair).
-        """
-        adjacency: dict[Vertex, list[tuple[Vertex, float]]] = {}
-        for e in self.edges:
-            adjacency.setdefault(e.child, []).append((e.parent, e.weight))
-            adjacency.setdefault(e.parent, []).append((e.child, e.weight))
-        out: dict[Vertex, dict[Vertex, float]] = {
-            v: {} for v in adjacency
-        }
-        for s in adjacency:
-            stack = [(s, float("inf"))]
-            seen = {s}
-            while stack:
-                v, limit = stack.pop()
-                for nbr, w in adjacency[v]:
-                    if nbr in seen:
-                        continue
-                    seen.add(nbr)
-                    value = min(limit, w)
-                    out[s][nbr] = value
-                    stack.append((nbr, value))
-        return out
+        """Every pairwise min-cut value, ``{u: {v: value}}``: a view of
+        :func:`cut_tree_tables`' one union pass over the tree edges."""
+        vs = list(dict.fromkeys(
+            v for e in self.edges for v in (e.child, e.parent)))
+        index = {v: i for i, v in enumerate(vs)}
+        _, matrix, _ = cut_tree_tables(len(vs), [
+            (index[e.child], index[e.parent], e.weight) for e in self.edges])
+        return {u: {v: w for v, w in zip(vs, row) if w is not None}
+                for u, row in zip(vs, matrix)}
 
     def min_cut_value(self) -> float:
         """Global min cut = lightest tree edge."""
@@ -168,6 +152,65 @@ class GomoryHuTree:
                 if (u, v) in removed or (v, u) in removed
             )
         )
+
+
+def cut_tree_tables(
+    n: int, edges: Iterable[tuple[int, int, float]]
+) -> tuple[list[tuple[int, int, float]], list[list], list[list]]:
+    """``(tree, matrix, bottleneck)`` of an exact cut forest on ``0..n-1``.
+
+    ``edges`` is any forest whose path minima are the min cuts
+    (Definition 8).  ``tree`` is the forest Kruskal picks from the
+    value matrix in ``(-w, i, j)`` order; min cuts are unique, so the
+    *star rule* finds it from the edges: by decreasing weight, each set
+    of components one weight's edges join gets edges ``(a, min C)``,
+    ``a`` the set's least index and ``C`` its other components.  One
+    union pass over ``tree`` in ``(-w, -index)`` order fills ``matrix``
+    and ``bottleneck`` (the lightest path edge, lowest index on ties):
+    each union fills the pairs across the two sets it joins, one slice
+    of a layout where every set is a contiguous run.
+
+    >>> tree, matrix, bottleneck = cut_tree_tables(
+    ...     4, [(1, 0, 2.0), (2, 0, 2.0), (3, 2, 1.0)])
+    >>> tree
+    [(0, 1, 2.0), (0, 2, 2.0), (0, 3, 1.0)]
+    >>> matrix[1], bottleneck[1]
+    ([2.0, None, 2.0, 1.0], [0, None, 0, 2])
+    """
+    edges = sorted(((i, j, float(w)) for i, j, w in edges),
+                   key=lambda e: -e[2])
+    dsu, least, tree = IndexDSU(n), list(range(n)), []
+    for w, group in itertools.groupby(edges, key=lambda e: e[2]):
+        group = list(group)
+        roots = {dsu.find(v) for e in group for v in e[:2]}
+        joined = {r: least[r] for r in roots}
+        for i, j, _ in group:
+            ri, rj = dsu.find(i), dsu.find(j)
+            dsu.union(ri, rj)
+            least[dsu.find(ri)] = min(least[ri], least[rj])
+        for r, low in joined.items():
+            if low != least[dsu.find(r)]:
+                tree.append((least[dsu.find(r)], low, w))
+    tree.sort(key=lambda e: (-e[2], e[0], e[1]))
+
+    dsu, runs, blocks = IndexDSU(n), [[v] for v in range(n)], []
+    for _, group in itertools.groupby(enumerate(tree), key=lambda e: e[1][2]):
+        for eidx, (i, j, w) in reversed(list(group)):
+            ri, rj = dsu.find(i), dsu.find(j)
+            blocks.append((runs[ri][0], len(runs[ri]), len(runs[rj]), w, eidx))
+            dsu.union(ri, rj)
+            runs[dsu.find(ri)] = runs[ri] + runs[rj]
+    layout = [v for r in range(n) if r == dsu.find(r) for v in runs[r]]
+    pos = np.argsort(layout)  # each vertex's place in the layout
+    matrix = np.full((n, n), None, dtype=object)
+    bottleneck = np.full((n, n), None, dtype=object)
+    for first, size_a, size_b, w, eidx in blocks:
+        a = pos[first]
+        b, end = a + size_a, a + size_a + size_b
+        matrix[a:b, b:end] = matrix[b:end, a:b] = w
+        bottleneck[a:b, b:end] = bottleneck[b:end, a:b] = eidx
+    unpermute = np.ix_(pos, pos)
+    return tree, matrix[unpermute].tolist(), bottleneck[unpermute].tolist()
 
 
 def gomory_hu_tree(graph: Graph, *, engine: str = "dinic") -> GomoryHuTree:

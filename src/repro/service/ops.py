@@ -41,7 +41,7 @@ from typing import Any, Callable
 
 from ..core import boost_kcut, boost_min_cut
 from ..core.mincut import min_cut_trials
-from ..graph import IndexDSU, lift_cut
+from ..graph import lift_cut
 from ..preprocess import LEVELS, validate_level
 from .deltas import GraphDelta, MutationRecord, resolve_vertex
 from .executor import kcut_trial, mincut_trial
@@ -292,104 +292,65 @@ def _stcut(svc, entry, p, _):
 # gomoryhu — the canonical cut tree and the all-pairs matrix
 # ----------------------------------------------------------------------
 def _gomoryhu(svc, entry, p, _):
-    from ..flow import DinicSolver, gomory_hu_tree
+    from ..flow import gomory_hu_tree
 
     graph = entry.graph
     if graph.num_vertices < 2:
         raise ValueError("need n >= 2")
     svc.metrics.scope("scenarios").counter("gomoryhu").inc()
-    vertices = vertex_list(graph.vertices())
-    index = {v: i for i, v in enumerate(vertices)}
-    n = len(vertices)
     components = graph.components()
-    connected = len(components) == 1
-    if connected:
-        values = svc.oracle_for(entry).all_pairs()
+    if len(components) == 1:
+        trees = [svc.oracle_for(entry).all_pairs()]
     else:
         # Per-component trees, built cold: the oracle (rightly)
         # refuses disconnected graphs, and cross-component pairs
         # have no finite min cut (served as null).
-        values = {}
-        for comp in components:
-            if len(comp) < 2:
-                continue
-            sub = gomory_hu_tree(graph.induced_subgraph(comp))
-            for u, row in sub.all_pairs_min_cuts().items():
-                values.setdefault(u, {}).update(row)
-    matrix: list[list] = [[None] * n for _ in range(n)]
-    for u, row in values.items():
-        for v, w in row.items():
-            matrix[index[u]][index[v]] = float(w)
+        trees = [gomory_hu_tree(graph.induced_subgraph(comp))
+                 for comp in components if len(comp) > 1]
+    return gomoryhu_reply(graph, trees, sides=p["sides"])
 
-    # Canonical cut tree: the maximum spanning forest of the value
-    # matrix under a fixed tie-break.  Adjacent matrix pairs are
-    # joined by a single tree edge, so each edge's weight is
-    # exactly that pair's min-cut value.
-    pairs = [
-        (i, j, matrix[i][j])
-        for i in range(n)
-        for j in range(i + 1, n)
-        if matrix[i][j] is not None
-    ]
-    pairs.sort(key=lambda e: (-e[2], e[0], e[1]))
-    forest = IndexDSU(n)
-    tree: list[dict] = []
-    adjacency: list[list] = [[] for _ in range(n)]
-    for i, j, w in pairs:
-        if forest.union(i, j) < 0:
-            continue
-        eidx = len(tree)
-        tree.append({"u": vertices[i], "v": vertices[j], "weight": w})
-        adjacency[i].append((j, eidx, w))
-        adjacency[j].append((i, eidx, w))
 
-    # Bottleneck edge per pair: the argmin-weight edge on the tree
-    # path (lowest edge index on ties) — symmetric because both
-    # directions argmin over the same path.
-    bottleneck: list[list] = [[None] * n for _ in range(n)]
-    for s in range(n):
-        stack: list[tuple] = [(s, None)]
-        seen = {s}
-        while stack:
-            v, best = stack.pop()
-            for nbr, eidx, w in adjacency[v]:
-                if nbr in seen:
-                    continue
-                seen.add(nbr)
-                cand = best
-                if (cand is None or w < cand[0]
-                        or (w == cand[0] and eidx < cand[1])):
-                    cand = (w, eidx)
-                bottleneck[s][nbr] = cand[1]
-                stack.append((nbr, cand))
+def gomoryhu_reply(graph, trees, *, sides: bool) -> dict:
+    """The `/gomoryhu` payload of ``graph`` from exact Gomory–Hu
+    ``trees`` of its components with two or more vertices."""
+    from ..flow import DinicSolver, cut_tree_tables
 
-    if p["sides"]:
-        for eidx, rec in enumerate(tree):
-            iu = index[rec["u"]]
-            reach = {iu}
-            stack = [iu]
+    vertices = vertex_list(graph.vertices())
+    index = {v: i for i, v in enumerate(vertices)}
+    n = len(vertices)
+    rows = [(index[e.child], index[e.parent], e.weight)
+            for t in trees for e in t.edges]
+    canonical, matrix, bottleneck = cut_tree_tables(n, rows)
+    tree = [{"u": vertices[i], "v": vertices[j], "weight": w}
+            for i, j, w in canonical]
+    if sides:
+        adjacency: list[list] = [[] for _ in range(n)]
+        for eidx, (i, j, _) in enumerate(canonical):
+            adjacency[i].append((j, eidx))
+            adjacency[j].append((i, eidx))
+        for eidx, ((i, _, w), rec) in enumerate(zip(canonical, tree)):
+            reach, stack = {i}, [i]
             while stack:
-                v = stack.pop()
-                for nbr, other, _ in adjacency[v]:
+                for nbr, other in adjacency[stack.pop()]:
                     if other != eidx and nbr not in reach:
                         reach.add(nbr)
                         stack.append(nbr)
-            side = frozenset(vertices[i] for i in reach)
-            if graph.cut_weight(side) != rec["weight"]:
-                # The canonical tree is flow-equivalent, not
-                # cut-equivalent: when the fundamental side misses,
-                # one deterministic max-flow recovers a real cut of
-                # exactly this value.
-                side = DinicSolver(graph).max_flow(
-                    rec["u"], rec["v"]
-                ).source_side
+            side = frozenset(vertices[k] for k in reach)
+            if graph.cut_weight(side) != w:
+                # The canonical tree is flow-equivalent, not cut-
+                # equivalent: when the fundamental side misses, one
+                # deterministic max-flow finds a real cut of this value.
+                flow = DinicSolver(graph).max_flow(rec["u"], rec["v"])
+                side = flow.source_side
             rec["side"] = vertex_list(side)
 
+    # a spanning forest with n - c edges has c components
+    components = n - len(canonical)
     return {
-        "num_vertices": n, "connected": connected,
-        "components": len(components), "vertices": vertices,
+        "num_vertices": n, "connected": components == 1,
+        "components": components, "vertices": vertices,
         "matrix": matrix, "tree": tree, "bottleneck": bottleneck,
-        "sides": p["sides"],
+        "sides": sides,
     }
 
 

@@ -384,10 +384,10 @@ class CutOracle:
                 return value
         return None
 
-    def _certified_pairs(self, state: _State) -> dict | None:
-        """Every pair certified on ``state``'s tree, or None at the
-        first uncertifiable pair; the pairs certified before it still
-        count as ``mask_hits``.
+    def _certified_pairs(self, state: _State) -> GomoryHuTree | None:
+        """``state``'s tree if every pair certifies on it, or None at
+        the first uncertifiable pair; the pairs certified before it
+        still count as ``mask_hits``.
 
         A touched edge's own child–parent pair has that edge alone on
         its path, so it never certifies: a masked tree with any touched
@@ -396,40 +396,34 @@ class CutOracle:
         if state.touched:
             return None
         vs = state.graph.vertices()
-        out: dict = {v: {} for v in vs}
         certified = 0
         for s, t in itertools.combinations(vs, 2):
-            value = self._certified_value(state, s, t)
-            if value is None:
+            if self._certified_value(state, s, t) is None:
                 break
-            out[s][t] = out[t][s] = value
             certified += 1
         self._inc("mask_hits", certified)
-        return out if certified == len(vs) * (len(vs) - 1) // 2 else None
+        complete = certified == len(vs) * (len(vs) - 1) // 2
+        return state.tree if complete else None
 
-    def all_pairs(self) -> dict:
-        """Every pairwise min-cut value ``{u: {v: value}}`` — exact on
-        every settle path.
+    def all_pairs(self) -> GomoryHuTree:
+        """A tree whose path minima are every pairwise min cut of the
+        current graph.
 
-        A fresh tree answers the whole matrix with one ``O(n^2)`` walk
-        (:meth:`GomoryHuTree.all_pairs_min_cuts`).  A masked tree with
-        a touched edge rebuilds at once (some pair cannot certify); a
-        masked tree with none, or a repaired one, certifies pair by
-        pair over its indexed path walk, and the first uncertifiable
-        pair rebuilds the tree.  A rebuilt tree answers the matrix with
-        the fresh walk.  Either way the values are the
-        unique min-cut values of the current graph, which is what lets
-        ``/gomoryhu`` promise bit-identical payloads across the fresh,
-        masked and repaired paths.
+        A fresh tree is returned as it is.  A masked or repaired tree
+        is returned once every pair certifies over its indexed path
+        walk; a touched edge, or the first pair that cannot certify,
+        rebuilds the tree and returns the rebuilt one.  Min-cut values
+        are unique, so :func:`repro.flow.cut_tree_tables` derives the
+        same canonical tree and tables from any of them: that is what
+        lets ``/gomoryhu`` serve bit-identical payloads on the fresh,
+        masked and repaired paths alike.
         """
         with self._tracer.span("oracle.allpairs") as sp:
-            values, tier = self._answer(
-                GomoryHuTree.all_pairs_min_cuts, self._certified_pairs
-            )
+            tree, tier = self._answer(lambda tree: tree, self._certified_pairs)
             if sp:
-                sp.set(tier=tier, num_vertices=len(values))
+                sp.set(tier=tier, num_vertices=tree.graph.num_vertices)
             self._inc("tree_queries")
-            return values
+            return tree
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

@@ -191,16 +191,15 @@ class CutService:
         tree-edge indices (``bottleneck``); with ``sides=True`` each
         tree edge also records a real cut bipartition of its weight.
 
-        The *values* come from the graph's resident
-        :class:`~repro.service.oracle.CutOracle` — exact on the fresh,
-        masked and repaired settle paths alike — but the served tree is
-        **reconstructed canonically** from the value matrix (a maximum
-        spanning tree under a fixed tie-break, which is itself a valid
-        flow-equivalent Gomory–Hu tree).  Raw Gusfield trees depend on
-        build history; the canonical reconstruction is a pure function
-        of the matrix, which is how warm, cold and repaired replicas
-        all serve bit-identical payloads
-        (``tests/test_dynamic_stream.py``).
+        All three come from the n - 1 edges of one exact tree, which
+        the graph's resident :class:`~repro.service.oracle.CutOracle`
+        settles on (fresh, certified after a mutation, or rebuilt).
+        :func:`~repro.flow.cut_tree_tables` takes the canonical tree
+        from them by the star rule and fills both matrices in one union
+        pass.  Raw Gusfield trees depend on build history; the
+        canonical tree is a pure function of the min-cut values, which
+        is how warm, cold and repaired replicas all serve bit-identical
+        payloads (``tests/test_dynamic_stream.py``).
 
         A disconnected graph (e.g. after a reweight-to-zero delta) is
         served per component — cross-component entries are ``null`` and

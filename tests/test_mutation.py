@@ -503,10 +503,12 @@ class TestOracleDelta:
         oracle.st_min_cut(0, 1)  # settles the mask
         assert oracle.stats()["mode"] == "masked"
         hits = oracle.mask_hits
-        matrix = oracle.all_pairs()
+        matrix = oracle.all_pairs().all_pairs_min_cuts()
         assert oracle.mask_hits == hits  # no pair was certified
         assert oracle.mask_rebuilds == 1
-        assert matrix == CutOracle(g.copy()).all_pairs()
+        assert matrix == (
+            CutOracle(g.copy()).all_pairs().all_pairs_min_cuts()
+        )
 
     def test_all_pairs_on_repaired_tree_still_certifies(self):
         g = planted_cut(18, seed=5).graph
@@ -518,9 +520,11 @@ class TestOracleDelta:
         oracle.st_min_cut(u, v)  # settles: a localized repair
         assert oracle.stats()["mode"] == "repaired"
         hits = oracle.mask_hits
-        matrix = oracle.all_pairs()
+        matrix = oracle.all_pairs().all_pairs_min_cuts()
         assert oracle.mask_hits > hits
-        assert matrix == CutOracle(g.copy()).all_pairs()
+        assert matrix == (
+            CutOracle(g.copy()).all_pairs().all_pairs_min_cuts()
+        )
 
     def test_readers_never_wait_on_builds_or_see_torn_state(
         self, monkeypatch
@@ -603,7 +607,7 @@ class TestOracleDelta:
         def query_matrix():
             while not done.is_set():
                 lo = applied[0]
-                matrix = oracle.all_pairs()
+                matrix = oracle.all_pairs().all_pairs_min_cuts()
                 if matrix not in allowed(lo, started[0]):
                     bad.append(matrix)
                 answered.append(1)
