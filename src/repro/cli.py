@@ -483,24 +483,20 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
     import json
 
     from .service import request_json
+    from .service.ops import OPS, BadRequest
 
-    payload: dict = {"graph": args.name}
+    payload: dict = {}
     if args.deltas_json is not None:
         body = json.loads(Path(args.deltas_json).read_text())
         if isinstance(body, list):
             payload["deltas"] = body
         elif isinstance(body, dict):
-            payload.update(
-                {
-                    k: body[k]
-                    for k in ("adds", "removes", "reweights", "deltas")
-                    if k in body
-                }
-            )
+            payload.update(body)
         else:
             print("error: --deltas-json wants a JSON object or list",
                   file=sys.stderr)
             return 2
+    payload["graph"] = args.name
     if args.add:
         payload["adds"] = [
             _parse_delta_edge(s, weighted=True, verb="add",
@@ -519,6 +515,11 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
         ]
     if args.expect_fingerprint:
         payload["expected_fingerprint"] = args.expect_fingerprint
+    try:  # the server's own field check, made before sending
+        OPS["mutate"].bind(payload)
+    except BadRequest as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if not any(k in payload for k in ("adds", "removes", "reweights", "deltas")):
         print("error: nothing to apply (use --add/--remove/--reweight or "
               "--deltas-json)", file=sys.stderr)
@@ -745,8 +746,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="set an edge's weight outright; W=0 drops the edge "
                         "(repeatable)")
     p.add_argument("--deltas-json", type=Path, default=None,
-                   help="JSON file with a delta object or a batched list "
-                        "of deltas")
+                   help="JSON file with a /mutate object (a delta, "
+                        "'deltas', 'expected_fingerprint'; the graph is "
+                        "--name) or a batched list of deltas")
     p.add_argument("--expect-fingerprint", default=None,
                    help="apply only if the resident fingerprint matches "
                         "(optimistic concurrency; mismatch = HTTP 409)")

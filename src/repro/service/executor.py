@@ -27,6 +27,7 @@ True
 
 from __future__ import annotations
 
+import multiprocessing
 import signal
 import threading
 from concurrent.futures import Executor, ProcessPoolExecutor
@@ -61,6 +62,12 @@ class TrialExecutor:
     ``workers>1`` lazily spins up a ``ProcessPoolExecutor`` that is
     reused across queries until :meth:`shutdown`.  Usable as a context
     manager.
+
+    The pool is started with ``spawn``, like the shard tier: it starts
+    lazily from a request thread, and a forked worker would inherit any
+    lock another thread holds at that moment (a main thread blocked in
+    ``sys.stdin.read()`` holds stdin's, and the forked worker hangs
+    closing stdin).
     """
 
     def __init__(
@@ -106,7 +113,9 @@ class TrialExecutor:
         with self._lock:
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers, initializer=_worker_init
+                    max_workers=self.workers,
+                    mp_context=multiprocessing.get_context("spawn"),
+                    initializer=_worker_init,
                 )
             return self._pool
 

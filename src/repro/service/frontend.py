@@ -58,7 +58,7 @@ from ..graph import Graph, load_any
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Tracer
 from .deltas import FingerprintMismatch, is_number, is_vertex_id
-from .ops import BadRequest, parse_request
+from .ops import BadRequest, Param, parse_request
 from .reply import CachedReply, encode_reply
 from .service import CutService, observe_request, request_summary
 
@@ -169,6 +169,14 @@ def safe_dispatch(
 # ----------------------------------------------------------------------
 # Admission control
 # ----------------------------------------------------------------------
+#: ``POST /frontend``'s fields, typed like op params: the two counts take
+#: integers, the two times JSON numbers (never a boolean or a string)
+ADMIN_PARAMS = (
+    Param("max_inflight", "count"), Param("max_queue", "count"),
+    Param("queue_timeout_s", "float"), Param("retry_after_s", "float"),
+)
+
+
 class AdmissionGate:
     """Bounded in-flight window + bounded wait queue.
 
@@ -871,21 +879,24 @@ class Frontend:
     # Admin + observability
     # ------------------------------------------------------------------
     def _admin(self, body) -> tuple[int, dict]:
-        """``POST /frontend``: reconfigure admission limits at runtime."""
+        """``POST /frontend``: reconfigure admission limits at runtime.
+
+        The fields are typed like op params; a rejected update changes
+        nothing."""
         if not isinstance(body, dict):
             return 400, {"error": "request body must be a JSON object"}
-        allowed = {
-            "max_inflight", "max_queue", "queue_timeout_s", "retry_after_s"
-        }
-        unknown = set(body) - allowed
+        unknown = set(body) - {p.name for p in ADMIN_PARAMS}
         if unknown:
             return 400, {
                 "error": f"unknown frontend setting(s): "
                 f"{', '.join(sorted(unknown))}"
             }
         try:
-            self.gate.configure(**{k: body.get(k) for k in allowed})
-        except (TypeError, ValueError) as exc:
+            self.gate.configure(**{
+                p.name: p.coerce(body[p.name])
+                for p in ADMIN_PARAMS if body.get(p.name) is not None
+            })
+        except ValueError as exc:  # BadRequest included
             return 400, {"error": str(exc)}
         return 200, self.describe()
 

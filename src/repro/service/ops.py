@@ -362,7 +362,6 @@ def _sparsestcut(svc, entry, p, _):
         EXACT_LIMIT,
         approx_sparsest_cut,
         exact_sparsest_cut,
-        gomory_hu_tree,
         sparsest_kernel,
     )
 
@@ -372,12 +371,14 @@ def _sparsestcut(svc, entry, p, _):
         raise ValueError("need n >= 2")
     svc.metrics.scope("scenarios").counter("sparsestcut").inc()
     seed, trials, tracer = p["seed"], p["trials"], svc.tracer
-    # The GH sweep of a connected graph seeds its candidates from a
-    # tree built once per content (the store drops it on /mutate).
+    # The GH sweep of a connected graph seeds its candidates from the
+    # oracle's fresh tree: a cold build of the current edge rows.
     tree, tree_use = None, "none"
     if (p["kernel"] or n > EXACT_LIMIT) and len(graph.components()) == 1:
-        tree, resident = svc.store.candidate_tree_for(entry, gomory_hu_tree)
-        tree_use = "cached" if resident else "built"
+        oracle = svc.oracle_for(entry)
+        builds = oracle.builds
+        tree = oracle.all_pairs()
+        tree_use = "built" if oracle.builds > builds else "cached"
     target, sizes, blocks, kstats = graph, None, None, None
     if p["kernel"]:
         with tracer.span("sparsest.kernel") as sp:

@@ -55,10 +55,15 @@ triangle inequality.  Check (b) matters because Gusfield trees are
 only flow-equivalent: recorded sides need not match tree bipartitions,
 which is also why repaired trees keep certifying every answer (an
 uncertifiable query falls back to a full rebuild, counted in
-``mask_rebuilds``).  ``mask_hits`` counts the pairs a certificate
-answered, in ``st_min_cut`` and ``all_pairs`` alike;
-``repairs`` / ``repaired_edges`` count localized repairs and the tree
-edges they recomputed.
+``mask_rebuilds``).  ``mask_hits`` counts the ``st_min_cut`` answers a
+certificate served; ``repairs`` / ``repaired_edges`` count localized
+repairs and the tree edges they recomputed.
+
+"Fresh" means a full build of the current edge rows with no delta
+since; no settle restores it, not even for a net that cancels out (a
+remove plus a re-add moves the row, and a cold build of the moved rows
+can record other sides).  :meth:`CutOracle.all_pairs` serves only a
+fresh tree and rebuilds any other.
 
 An increase away from the bridge keeps the tree, and the next answer
 is certified instead of rebuilt:
@@ -81,10 +86,9 @@ is certified instead of rebuilt:
 
 from __future__ import annotations
 
-import itertools
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Callable, Hashable, Iterable
+from typing import Hashable, Iterable
 
 from ..flow import GomoryHuTree, gomory_hu_tree, repair_gomory_hu
 from ..graph import Graph
@@ -102,11 +106,11 @@ class _State:
     graph: Graph
     tree: GomoryHuTree | None = None
     #: children of tree edges whose labels may be stale (their recorded
-    #: cut is crossed by some net change); None = every query may skip
-    #: certificates (fresh full build, no pending net).  A *repaired*
-    #: tree keeps an **empty** set here: all labels are exact, but
-    #: certificates stay required because repaired sides need not be
-    #: tree bipartitions.
+    #: cut is crossed by some net change); None = a fresh full build,
+    #: whose queries skip certificates.  Every settle sets a frozenset,
+    #: **empty** when no recorded cut is crossed (a repaired tree, a net
+    #: that cancelled out): certificates stay required, because the
+    #: tree's sides need not be those of a cold build.
     touched: frozenset | None = None
     #: net weight change per pair since the last exactness point:
     #: pair_key -> (u, v, base, new).  Pairs whose change cancels out
@@ -118,8 +122,8 @@ class _State:
     dirty: bool = False
     #: the net contains a decrease, so the settle is a repair
     has_decrease: bool = False
-    #: the tree's exactness point was a repair (certificates required
-    #: even with an empty net)
+    #: the tree's exactness point was a repair (names the ``/stats``
+    #: ``mode`` only)
     repaired: bool = False
 
 
@@ -240,8 +244,8 @@ class CutOracle:
         writer replaced ``seen`` first (the caller then re-reads).
 
         The first build counts ``builds``; a build that replaces a
-        masked or repaired tree (an uncertifiable answer) also counts
-        ``mask_rebuilds``.
+        retained tree (an uncertifiable answer, or ``all_pairs`` on a
+        tree that is not fresh) also counts ``mask_rebuilds``.
         """
         with self._build_lock:
             if self._state is not seen:
@@ -262,9 +266,9 @@ class CutOracle:
         """Fold ``seen``'s pending net into its tree (mask or repair).
 
         Runs under the build lock on the first query after a retained
-        mutation.  Increase-only nets just recompute the touched-edge
-        mask (zero max-flows); nets with decreases run the localized
-        repair, falling back to a lazy full rebuild when the repair
+        mutation.  Increase-only nets (empty ones too) just recompute
+        the touched-edge mask (zero max-flows); nets with decreases run
+        the localized repair, falling back to a lazy full rebuild when the repair
         cannot beat one (``repair_fallbacks``).
         """
         with self._build_lock:
@@ -272,18 +276,15 @@ class CutOracle:
                 return
             tree, net, graph = seen.tree, seen.net, seen.graph
             if not seen.has_decrease:
-                if not net and not seen.repaired:
-                    touched = None
-                else:
-                    pairs = [(u, v) for u, v, _, _ in net.values()]
-                    touched = frozenset(
-                        e.child
-                        for e in tree.edges
-                        if any(
-                            (u in e.child_side) != (v in e.child_side)
-                            for u, v in pairs
-                        )
+                pairs = [(u, v) for u, v, _, _ in net.values()]
+                touched = frozenset(
+                    e.child
+                    for e in tree.edges
+                    if any(
+                        (u in e.child_side) != (v in e.child_side)
+                        for u, v in pairs
                     )
+                )
                 self._state = replace(seen, touched=touched, dirty=False)
                 return
             # Net contains a decrease: repair.  A disconnecting delta
@@ -327,25 +328,6 @@ class CutOracle:
             else:
                 self._settle(state)
 
-    def _answer(
-        self,
-        walk: Callable[[GomoryHuTree], object],
-        certify: Callable[[_State], object],
-    ) -> tuple[object, str]:
-        """``(answer, tier)``: ``walk`` a fresh tree, or ``certify`` a
-        masked or repaired one; an uncertifiable answer (``None``)
-        rebuilds the tree and walks that."""
-        tier = "tree"
-        while True:
-            state = self._current()
-            if state.touched is None:
-                return walk(state.tree), tier
-            answer = certify(state)
-            if answer is not None:
-                return answer, "certified"
-            self._build(state)
-            tier = "rebuild"
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -361,12 +343,19 @@ class CutOracle:
         if s == t:
             raise ValueError("s == t")
         with self._tracer.span("oracle.query") as sp:
-            value, tier = self._answer(
-                lambda tree: tree.min_cut_between(s, t),
-                lambda state: self._certified_value(state, s, t),
-            )
-            if tier == "certified":
-                self._inc("mask_hits")
+            tier = "tree"
+            while True:
+                state = self._current()
+                if state.touched is None:
+                    value = state.tree.min_cut_between(s, t)
+                    break
+                value = self._certified_value(state, s, t)
+                if value is not None:
+                    tier = "certified"
+                    self._inc("mask_hits")
+                    break
+                self._build(state)
+                tier = "rebuild"
             if sp:
                 sp.set(tier=tier)
             self._inc("tree_queries")
@@ -384,46 +373,28 @@ class CutOracle:
                 return value
         return None
 
-    def _certified_pairs(self, state: _State) -> GomoryHuTree | None:
-        """``state``'s tree if every pair certifies on it, or None at
-        the first uncertifiable pair; the pairs certified before it
-        still count as ``mask_hits``.
-
-        A touched edge's own child–parent pair has that edge alone on
-        its path, so it never certifies: a masked tree with any touched
-        edge is None before a pair is walked.
-        """
-        if state.touched:
-            return None
-        vs = state.graph.vertices()
-        certified = 0
-        for s, t in itertools.combinations(vs, 2):
-            if self._certified_value(state, s, t) is None:
-                break
-            certified += 1
-        self._inc("mask_hits", certified)
-        complete = certified == len(vs) * (len(vs) - 1) // 2
-        return state.tree if complete else None
-
     def all_pairs(self) -> GomoryHuTree:
-        """A tree whose path minima are every pairwise min cut of the
-        current graph.
+        """The fresh tree: a cold build of the current edge rows.
 
-        A fresh tree is returned as it is.  A masked or repaired tree
-        is returned once every pair certifies over its indexed path
-        walk; a touched edge, or the first pair that cannot certify,
-        rebuilds the tree and returns the rebuilt one.  Min-cut values
-        are unique, so :func:`repro.flow.cut_tree_tables` derives the
-        same canonical tree and tables from any of them: that is what
-        lets ``/gomoryhu`` serve bit-identical payloads on the fresh,
-        masked and repaired paths alike.
+        Any other state (a pending delta, a masked or repaired tree) is
+        rebuilt without settling, repairing or walking a pair; repair
+        and certificates serve the few pairs ``/stcut`` asks.  The tree
+        depends on the rows alone, so ``/gomoryhu`` and ``/sparsestcut``
+        answer bit-identically to a cold upload.
         """
         with self._tracer.span("oracle.allpairs") as sp:
-            tree, tier = self._answer(lambda tree: tree, self._certified_pairs)
+            tier = "tree"
+            while True:
+                state = self._state
+                if state.tree is not None:
+                    if state.touched is None and not state.dirty:
+                        break
+                    tier = "rebuild"
+                self._build(state)
             if sp:
-                sp.set(tier=tier, num_vertices=tree.graph.num_vertices)
+                sp.set(tier=tier, num_vertices=state.graph.num_vertices)
             self._inc("tree_queries")
-            return tree
+            return state.tree
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

@@ -191,9 +191,8 @@ class CutService:
         tree-edge indices (``bottleneck``); with ``sides=True`` each
         tree edge also records a real cut bipartition of its weight.
 
-        All three come from the n - 1 edges of one exact tree, which
-        the graph's resident :class:`~repro.service.oracle.CutOracle`
-        settles on (fresh, certified after a mutation, or rebuilt).
+        All three come from the n - 1 edges of the fresh tree of the
+        graph's resident :class:`~repro.service.oracle.CutOracle`.
         :func:`~repro.flow.cut_tree_tables` takes the canonical tree
         from them by the star rule and fills both matrices in one union
         pass.  Raw Gusfield trees depend on build history; the
@@ -218,8 +217,8 @@ class CutService:
         the instance without moving the optimum, and often pulling a
         large graph under the exact-enumeration limit.
 
-        The solver never touches the mutable oracle state: it is a
-        pure function of graph content, so warm and cold replicas
+        The sweep seeds its candidates from the oracle's fresh tree, a
+        cold build of the current edge rows, so warm and cold replicas
         return bit-identical answers.
         """
         return self._serve("sparsestcut", name, params)

@@ -21,10 +21,10 @@ least-recently-*queried* one is evicted.
 The store also owns **everything derived from a graph's content**: per
 resident fingerprint, one record holds the
 :class:`~repro.preprocess.CutKernel` of each level, the k-cut kernels,
-the :class:`~repro.service.oracle.CutOracle` and the sparsest-cut
-candidate tree, plus a count of the names holding that content.  Each
-is built lazily on first use (:meth:`GraphStore.kernel_for`,
-:meth:`GraphStore.oracle_for`, :meth:`GraphStore.candidate_tree_for`),
+and the :class:`~repro.service.oracle.CutOracle` (whose one Gomory–Hu
+tree serves ``/stcut``, ``/gomoryhu`` and ``/sparsestcut``), plus a
+count of the names holding that content.  Each is built lazily on
+first use (:meth:`GraphStore.kernel_for`, :meth:`GraphStore.oracle_for`),
 shared by every name holding the content, carried along (or dropped)
 by :meth:`GraphStore.apply_delta`, and released with the rest of the
 record when the last name holding the content leaves the store.
@@ -42,20 +42,15 @@ from ..graph import Graph, load_any
 from ..obs.metrics import MetricsRegistry, MetricsScope
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from ..flow import GomoryHuTree
     from ..preprocess import CutKernel
     from .deltas import GraphDelta, MutationRecord
     from .oracle import CutOracle
 
-#: the derived-state key of a content's Gomory–Hu oracle; kernels are
-#: keyed by their level name or ``("kcut", k, level)``
+#: the derived-state key of a content's Gomory–Hu oracle, the one
+#: derived object that is not a kernel (the ``kernel_*`` counters and
+#: ``kernels_resident`` count kernels only); kernels are keyed by their
+#: level name or ``("kcut", k, level)``
 _ORACLE = "gomory-hu"
-#: the derived-state key of the Gomory–Hu tree whose recorded sides
-#: seed ``/sparsestcut``'s candidates (not a str, so never refreshed)
-_CANDIDATE_TREE = ("sparsest", "gomory-hu")
-#: derived-state keys that are not kernels (the ``kernel_*`` counters
-#: and ``kernels_resident`` count kernels only)
-_NOT_KERNELS = (_ORACLE, _CANDIDATE_TREE)
 
 
 @dataclass
@@ -94,9 +89,8 @@ class GraphEntry:
 
 @dataclass
 class _Content:
-    """The kernels, oracle and candidate tree derived from one resident
-    content, and the number of names holding it; dropped whole when
-    that reaches 0."""
+    """The kernels and oracle derived from one resident content, and
+    the number of names holding it; dropped whole when that reaches 0."""
 
     holders: int = 0
     derived: dict = field(default_factory=dict)
@@ -148,9 +142,9 @@ class StoreStats:
 class GraphStore:
     """Named registry of resident graphs with LRU eviction.
 
-    ``capacity=None`` means unbounded.  Kernels, the Gomory–Hu oracle
-    and the sparsest-cut candidate tree are kept per resident
-    fingerprint and released with the last name holding that content.
+    ``capacity=None`` means unbounded.  Kernels and the Gomory–Hu
+    oracle are kept per resident fingerprint and released with the
+    last name holding that content.
 
     >>> from repro.graph import Graph
     >>> store = GraphStore(capacity=2)
@@ -333,8 +327,7 @@ class GraphStore:
           the delta (:func:`repro.preprocess.refresh_kernel`, counted
           in ``kernels_revalidated`` with the re-run reduction steps in
           ``reductions_replayed``) and dropped where not, k-cut kernels
-          and the sparsest-cut candidate tree are dropped, and the
-          Gomory–Hu oracle absorbs the delta
+          are dropped, and the Gomory–Hu oracle absorbs the delta
           (:meth:`repro.service.oracle.CutOracle.apply_delta`, whose
           action lands in ``record.oracle``);
         * a no-op delta (content and row order bit-identical) keeps the
@@ -432,9 +425,6 @@ class GraphStore:
         # while the new fingerprint is still resident (a second
         # mutation or an eviction in the gap orphans it).
         oracle = stale.derived.pop(_ORACLE, None)
-        # The candidate tree has no repair rule and is not a kernel: a
-        # later /sparsestcut rebuilds it from the new content.
-        stale.derived.pop(_CANDIDATE_TREE, None)
         record.oracle = "absent" if oracle is None else oracle.apply_delta(
             graph, effect.changed, has_new_vertices=bool(effect.new_vertices)
         )
@@ -512,27 +502,9 @@ class GraphStore:
         oracle the delta instead of dropping it."""
         return self._cached_or_built(entry, _ORACLE, build)
 
-    def candidate_tree_for(
-        self, entry: GraphEntry, build: Callable[[Graph], "GomoryHuTree"]
-    ) -> tuple["GomoryHuTree", bool]:
-        """The Gomory–Hu tree whose recorded sides seed the sparsest-cut
-        candidates of ``entry``'s content, made by ``build(graph)`` on
-        first use, and whether it was already resident.
-
-        Same contract as :meth:`kernel_for`, except that
-        :meth:`apply_delta` drops the tree rather than refreshing it.
-        It is never the oracle's tree: a masked or repaired oracle can
-        read as fresh again after deltas that cancel out, and its tree,
-        built on older edge rows, may record other sides than a cold
-        build of the current content would.
-        """
-        resident = self.cached_kernel(entry.fingerprint, _CANDIDATE_TREE)
-        return (self._cached_or_built(entry, _CANDIDATE_TREE, build),
-                resident is not None)
-
     def _cached_or_built(self, entry: GraphEntry, key, build):
         fp = entry.fingerprint  # captured: a concurrent mutation moves it
-        counted = key not in _NOT_KERNELS  # kernel_* counters count kernels
+        counted = key != _ORACLE  # kernel_* counters count kernels
         with self._lock:
             content = self._contents.get(fp)
             found = content.derived.get(key) if content is not None else None
@@ -581,7 +553,7 @@ class GraphStore:
                 "resident": len(self._entries),
                 "capacity": self.capacity,
                 "kernels_resident": sum(
-                    len(c.derived) - sum(k in c.derived for k in _NOT_KERNELS)
+                    len(c.derived) - (_ORACLE in c.derived)
                     for c in self._contents.values()
                 ),
                 **self.stats.as_dict(),

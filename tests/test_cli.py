@@ -231,6 +231,40 @@ class TestServeAndQuery:
                      "--expect-fingerprint", "stale"]) == 1
         assert "mismatch" in capsys.readouterr().out
 
+    def test_mutate_deltas_json_keeps_its_expected_fingerprint(
+        self, live_service, planted_file, tmp_path, capsys
+    ):
+        import json as _json
+
+        url, service = live_service
+        path, _ = planted_file
+        assert main(["query", "register", "--url", url,
+                     "--name", "g", "--file", str(path)]) == 0
+        capsys.readouterr()
+        delta = tmp_path / "delta.json"
+        delta.write_text(_json.dumps(
+            {"adds": [[3, 4, 1.0]], "expected_fingerprint": "stale"}
+        ))
+        mutate = ["mutate", "--url", url, "--name", "g",
+                  "--deltas-json", str(delta)]
+        assert main(mutate) == 1  # the server's 409
+        assert "mismatch" in capsys.readouterr().out
+        assert service.store.get("g").generation == 0
+        # --expect-fingerprint sets the field over the file's
+        fingerprint = service.store.peek_fingerprint("g")
+        assert main([*mutate, "--expect-fingerprint", fingerprint]) == 0
+        assert '"generation": 1' in capsys.readouterr().out
+
+    def test_mutate_deltas_json_unknown_field_is_a_local_error(
+        self, tmp_path, capsys
+    ):
+        delta = tmp_path / "delta.json"
+        delta.write_text('{"adds": [[0, 1, 1.0]], "expected_fingerprnt": "x"}')
+        # caught before any request: the URL reaches no server
+        assert main(["mutate", "--url", "http://127.0.0.1:9", "--name", "g",
+                     "--deltas-json", str(delta)]) == 2
+        assert "'expected_fingerprnt'" in capsys.readouterr().err
+
     def test_mutate_requires_some_delta(self, live_service, capsys):
         url, _ = live_service
         assert main(["mutate", "--url", url, "--name", "g"]) == 2

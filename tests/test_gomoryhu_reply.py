@@ -6,7 +6,8 @@ any exact cut forest's n - 1 edges.  These tests hold it, and the reply
 ``repro.service.ops.gomoryhu_reply`` builds from it, byte-identical to
 the frozen builder in ``tests/gomoryhu_reference.py`` (an n×n value
 matrix, a Kruskal over all n²/2 pairs, one bottleneck walk per source)
-on fresh, cold per-component, masked-then-rebuilt and repaired trees.
+on fresh, cold per-component, masked-then-rebuilt and
+repaired-then-rebuilt trees.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def test_repaired_tree_serves_the_reference_reply(sides):
     assert oracle.stats()["mode"] == "repaired"
     hits = oracle.mask_hits
     tree = oracle.all_pairs()
-    assert oracle.mask_hits > hits and oracle.builds == 1  # certified
+    assert oracle.mask_hits == hits and oracle.builds == 2  # rebuilt
     reference = reference_reply(g, reference_values(g), sides)
     _same(gomoryhu_reply(g, [tree], sides=sides), reference)
     _same(reference_reply(g, reference_all_pairs(tree), sides), reference)
@@ -123,6 +124,7 @@ def test_mutate_stream_replies_match_reference():
             new = w * 2 if step % 2 == 0 else w / 2
             svc.mutate("g", reweights=[[u, v, new]])
             g.set_edge_weight(u, v, new)
+            svc.stcut("g", s=u, t=v)  # settles: a halving repairs
             _same(svc.gomoryhu("g"),
                   reference_reply(g, reference_values(g), False))
         stats = next(iter(svc.stats()["oracles"].values()))

@@ -30,7 +30,9 @@ naming the entry and the field; a bad row's 400 names its entry too.
 ``/kernelize`` once answered 200 to a ``k`` outside ``1..n`` and
 cached a "k-cut kernel" for each such ``k``, and ``/mincut`` and
 ``/kcut`` ran any ``trials`` asked for, as did ``/sparsestcut``; each
-now answers 400 naming the field.
+now answers 400 naming the field.  ``POST /frontend`` once read
+``true`` as 1 and ``"8"`` as 8 and truncated ``2.7`` to 2; its two
+counts now take integers and its two times JSON numbers.
 
 Python's ``json`` module happily *emits* ``NaN``/``Infinity`` tokens
 (non-standard JSON), which is exactly how a stock client poisons the
@@ -578,3 +580,31 @@ def test_sparsestcut_trials_within_the_limit_answer(server, trials):
     resp = request_json(server.url, "/sparsestcut",
                         {"graph": "g", "trials": trials})
     assert resp["trials"] == trials and resp["weight"] == 2.0
+
+
+# ----------------------------------------------------------------------
+# POST /frontend is typed like the op params
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("field, value", [
+    ("max_inflight", True), ("max_inflight", "8"), ("max_queue", 2.7),
+    ("max_queue", "2"), ("queue_timeout_s", True),
+    ("queue_timeout_s", "1.5"), ("retry_after_s", False),
+])
+def test_frontend_settings_are_typed(server, field, value):
+    before = request_json(server.url, "/frontend")
+    other = "max_queue" if field != "max_queue" else "max_inflight"
+    status, resp = request_status_json(
+        server.url, "/frontend", {other: 7, field: value}
+    )
+    assert status == 400 and repr(field) in resp["error"], resp
+    # a rejected update applies none of its fields
+    assert request_json(server.url, "/frontend") == before
+
+
+def test_frontend_settings_take_integers_and_numbers(server):
+    resp = request_json(server.url, "/frontend", {
+        "max_inflight": 8, "max_queue": 2.0, "queue_timeout_s": 3,
+        "retry_after_s": 0.5,
+    })
+    assert (resp["max_inflight"], resp["max_queue"], resp["queue_timeout_s"],
+            resp["retry_after_s"]) == (8, 2, 3.0, 0.5)

@@ -25,6 +25,7 @@ import random
 import pytest
 
 from repro import CutService
+from repro.flow import gomory_hu_tree
 from repro.graph import Graph
 from repro.service import (
     FingerprintMismatch,
@@ -510,7 +511,9 @@ class TestOracleDelta:
             CutOracle(g.copy()).all_pairs().all_pairs_min_cuts()
         )
 
-    def test_all_pairs_on_repaired_tree_still_certifies(self):
+    def test_all_pairs_on_repaired_tree_rebuilds(self):
+        # A repaired tree serves /stcut behind certificates; all_pairs
+        # rebuilds it without walking a pair.
         g = planted_cut(18, seed=5).graph
         oracle = CutOracle(g)
         oracle.all_pairs()
@@ -520,11 +523,26 @@ class TestOracleDelta:
         oracle.st_min_cut(u, v)  # settles: a localized repair
         assert oracle.stats()["mode"] == "repaired"
         hits = oracle.mask_hits
-        matrix = oracle.all_pairs().all_pairs_min_cuts()
-        assert oracle.mask_hits > hits
-        assert matrix == (
-            CutOracle(g.copy()).all_pairs().all_pairs_min_cuts()
-        )
+        tree = oracle.all_pairs()
+        assert oracle.mask_hits == hits
+        assert (oracle.builds, oracle.mask_rebuilds) == (2, 1)
+        assert oracle.stats()["mode"] == "fresh"
+        assert tree.edges == gomory_hu_tree(g.copy()).edges
+
+    def test_all_pairs_after_a_decrease_rebuilds_without_repair(self):
+        g = planted_cut(18, seed=5).graph
+        oracle = CutOracle(g)
+        oracle.all_pairs()
+        u, v, w = next(iter(g.edges()))
+        g.set_edge_weight(u, v, w / 2)
+        assert oracle.apply_delta(
+            g, [(u, v, w, w / 2)], has_new_vertices=False
+        ) == "repair-pending"
+        tree = oracle.all_pairs()
+        stats = oracle.stats()
+        assert (stats["repairs"], stats["repair_fallbacks"]) == (0, 0)
+        assert (stats["builds"], stats["mode"]) == (2, "fresh")
+        assert tree.edges == gomory_hu_tree(g.copy()).edges
 
     def test_readers_never_wait_on_builds_or_see_torn_state(
         self, monkeypatch

@@ -153,6 +153,36 @@ class TestGraphStore:
 # ======================================================================
 # TrialExecutor — parallel vs serial parity
 # ======================================================================
+#: a server-shaped child: its main thread blocks in ``sys.stdin.read()``
+#: while another thread boosts two trials on a 2-worker pool
+POOL_UNDER_STDIN = """
+import sys
+import threading
+from functools import partial
+
+
+def main():
+    from repro.core import boost_min_cut
+    from repro.service.executor import TrialExecutor, mincut_trial
+    from repro.workloads import planted_cut
+
+    graph = planted_cut(24, seed=3).graph
+    executor = TrialExecutor(workers=2)
+
+    def solve():
+        result = boost_min_cut(graph, trials=2, seed=5,
+                               run=partial(executor.run, mincut_trial))
+        print(result.weight, flush=True)
+
+    threading.Thread(target=solve, daemon=True).start()
+    sys.stdin.read()
+
+
+if __name__ == "__main__":
+    main()
+"""
+
+
 class TestTrialExecutor:
     @staticmethod
     def mincut(ex, g, **kw):
@@ -205,6 +235,41 @@ class TestTrialExecutor:
     def test_rejects_bad_workers(self):
         with pytest.raises(ValueError):
             TrialExecutor(workers=0)
+
+    def test_pool_answers_while_the_main_thread_reads_stdin(self, tmp_path):
+        # A fork-started pool hangs here: the forked worker closes stdin
+        # at start, and the main thread holds stdin's buffer lock.
+        import os
+        import pathlib
+        import signal
+        import subprocess
+        import sys
+
+        import repro
+
+        script = tmp_path / "pool_under_stdin.py"
+        script.write_text(POOL_UNDER_STDIN)
+        src_dir = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src_dir, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen(
+            [sys.executable, str(script)], stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env,
+            text=True, start_new_session=True,
+        )
+        lines = []
+        reader = threading.Thread(
+            target=lambda: lines.append(proc.stdout.readline()), daemon=True
+        )
+        reader.start()
+        try:
+            reader.join(timeout=60)
+        finally:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        assert lines and lines[0].strip() == "3.0", "pooled trials hung"
 
     def test_single_trial_skips_serialization(self):
         # trials=1 runs in-process even on a multi-worker executor; the

@@ -1,10 +1,11 @@
-"""`/sparsestcut` with the store's per-content candidate tree.
+"""`/sparsestcut` with the oracle's fresh Gomory–Hu tree.
 
-The Gomory–Hu tree whose sides seed the sweep is built once per graph
-content and kept in the store.  A warm answer read off that tree must
-equal a cold re-upload's, a `/mutate` must drop the tree (the next
-answer equals a cold upload of the mutated graph), and the tree is not
-a kernel: the store's kernel counters never see it.
+The tree whose sides seed the sweep is the content's oracle tree, read
+only while it is fresh (a cold build of the current edge rows).  A warm
+answer read off that tree must equal a cold re-upload's, a `/mutate`
+must leave the tree not fresh (the next answer equals a cold upload of
+the mutated graph), and the oracle is not a kernel: the store's kernel
+counters never see it.
 """
 
 import pytest
@@ -14,7 +15,6 @@ from test_mutation import VOLATILE, EdgeListModel
 from repro.analysis.sparsest import approx_sparsest_cut
 from repro.graph import Graph
 from repro.service import CutService
-from repro.service.store import _CANDIDATE_TREE
 from repro.workloads import near_regular_expander
 
 KERNEL_COUNTERS = ("kernel_builds", "kernel_hits", "kernels_dropped_on_mutate")
@@ -31,8 +31,9 @@ def _solve_span(svc) -> dict:
 
 
 def _tree_resident(svc, name) -> bool:
-    fp = svc.store.peek_fingerprint(name)
-    return svc.store.cached_kernel(fp, _CANDIDATE_TREE) is not None
+    oracle = svc.store.oracles().get(svc.store.peek_fingerprint(name))
+    return (oracle is not None and oracle.built
+            and oracle.stats()["mode"] == "fresh")
 
 
 def _cold(model, **params) -> dict:
@@ -122,3 +123,50 @@ def test_served_answer_is_the_frozen_reference():
                     got["method"]) == (old.sparsity, old.weight,
                                        old.demand, old.method)
             assert frozenset(got["side"]) == old.side == new.side
+
+
+def test_cancelled_restructure_leaves_the_oracle_not_fresh():
+    # A remove plus a re-add at the same weight nets out, but the row
+    # moves to the end, and a cold build of the moved rows may record
+    # other sides: the settled oracle must not read as fresh again.
+    model = EdgeListModel(near_regular_expander(32, 4, seed=2))
+    with CutService() as warm:
+        warm.register("w", model.build())
+        edge = warm.oracle_for(warm.store.get("w")).all_pairs().edges[0]
+        u, v, w = model.rows[0]
+        delta = {"removes": [[u, v]], "adds": [[u, v, w]]}
+        warm.mutate("w", **delta)
+        model.apply(delta)
+        # a tree edge's own pair certifies, so this settles the empty
+        # net without a rebuild
+        warm.stcut("w", s=edge.child, t=edge.parent)
+        stats = next(iter(warm.stats()["oracles"].values()))
+        assert stats["mode"] != "fresh"
+        assert (stats["builds"], stats["mask_hits"]) == (1, 1)
+        assert not _tree_resident(warm, "w")
+        got = _payload(warm, "w", seed=3, trials=1)
+        assert _solve_span(warm)["tree"] == "built"
+        assert got == _cold(model, seed=3, trials=1)
+
+
+def test_gomoryhu_then_sparsestcut_builds_one_tree(monkeypatch):
+    import repro.analysis.sparsest as sparsest_module
+    import repro.service.oracle as oracle_module
+
+    builds = []
+
+    def counted(build):
+        def gomory_hu_tree(graph):
+            builds.append(graph.num_vertices)
+            return build(graph)
+        return gomory_hu_tree
+
+    for module in (oracle_module, sparsest_module):
+        monkeypatch.setattr(module, "gomory_hu_tree",
+                            counted(module.gomory_hu_tree))
+    with CutService() as svc:
+        svc.register("g", near_regular_expander(32, 4, seed=2))
+        svc.gomoryhu("g")
+        svc.sparsestcut("g", seed=0, trials=1)
+        assert _solve_span(svc)["tree"] == "cached"
+    assert builds == [32]
