@@ -188,38 +188,39 @@ class AdmissionGate:
     (``POST /frontend``) and so queue depth is observable.
     """
 
-    def __init__(
-        self,
-        *,
-        max_inflight: int = 64,
-        max_queue: int = 256,
-        queue_timeout_s: float = 2.0,
-        retry_after_s: float = 1.0,
-    ):
+    #: the limits a gate starts with, unless given
+    max_inflight = 64
+    max_queue = 256
+    queue_timeout_s = 2.0
+    retry_after_s = 1.0
+
+    def __init__(self, **limits):
+        """``limits`` as :meth:`configure` takes them."""
         self._cond = threading.Condition()
-        self.max_inflight = int(max_inflight)
-        self.max_queue = int(max_queue)
-        self.queue_timeout_s = float(queue_timeout_s)
-        self.retry_after_s = float(retry_after_s)
         self.inflight = 0
         self.waiting = 0
         self.queue_depth_peak = 0
+        self.configure(**limits)
 
     def configure(self, **limits) -> None:
-        # Validate every field before setting any, so a rejected update
-        # leaves the gate exactly as it was.
-        updates = {}
-        for key in (
-            "max_inflight", "max_queue", "queue_timeout_s", "retry_after_s"
-        ):
-            if limits.get(key) is None:
-                continue
-            value = float(limits[key])
-            if value < 0 or not math.isfinite(value):
-                raise ValueError(f"{key} must be >= 0 and finite")
-            updates[key] = (
-                int(value) if key in ("max_inflight", "max_queue") else value
+        """Set the given limits; ``None`` leaves one unchanged.  Each is
+        typed by :data:`ADMIN_PARAMS`, as ``POST /frontend`` types it:
+        an unknown field, a boolean, a fraction for a count or a
+        negative or non-finite value raises :class:`ValueError` naming
+        the field, and changes nothing."""
+        unknown = set(limits) - {p.name for p in ADMIN_PARAMS}
+        if unknown:
+            raise ValueError(
+                f"unknown frontend setting(s): {', '.join(sorted(unknown))}"
             )
+        updates = {}
+        for param in ADMIN_PARAMS:
+            if limits.get(param.name) is None:
+                continue
+            value = param.coerce(limits[param.name])
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{param.name} must be >= 0 and finite")
+            updates[param.name] = value
         with self._cond:
             for key, value in updates.items():
                 setattr(self, key, value)
@@ -885,17 +886,8 @@ class Frontend:
         nothing."""
         if not isinstance(body, dict):
             return 400, {"error": "request body must be a JSON object"}
-        unknown = set(body) - {p.name for p in ADMIN_PARAMS}
-        if unknown:
-            return 400, {
-                "error": f"unknown frontend setting(s): "
-                f"{', '.join(sorted(unknown))}"
-            }
         try:
-            self.gate.configure(**{
-                p.name: p.coerce(body[p.name])
-                for p in ADMIN_PARAMS if body.get(p.name) is not None
-            })
+            self.gate.configure(**body)
         except ValueError as exc:  # BadRequest included
             return 400, {"error": str(exc)}
         return 200, self.describe()

@@ -1,7 +1,7 @@
 """JSON-over-HTTP front end for :class:`~repro.service.service.CutService`.
 
-Stdlib only: ``http.server.ThreadingHTTPServer`` (one thread per
-connection) plus ``json``.  Every POST flows through a
+Stdlib only: a ``socketserver`` accept loop, a hand-read request head
+and ``json``.  Every POST flows through a
 :class:`~repro.service.frontend.Frontend` — bounded admission with
 429 + ``Retry-After`` shedding, coalescing of identical in-flight
 queries, and (optionally) consistent-hash sharding of the graph store
@@ -44,6 +44,22 @@ examples, is documented in ``docs/HTTP_API.md`` (kept honest by
 ``tests/test_http_api_docs.py``, which replays every example against a
 live server).
 
+The wire: HTTP/1.0, one request per connection (the server closes
+after each reply).  Each accepted connection goes to an idle handler
+thread; a new thread starts only when none is idle, so concurrency is
+unbounded (a stalled client pins only its own thread), and a thread
+idle for ``_IDLE_RETIRE_S`` exits.  ``server_close()`` releases the
+idle threads.  The request head is read by hand: a request line of
+``METHOD PATH HTTP/1.x``, at most ``_MAX_HEADERS`` ``Name: value``
+header lines of at most ``_MAX_LINE`` bytes each, names matched
+case-insensitively.  A wire-level error is a JSON error reply like any
+other: a malformed request line or header line, a conflicting repeated
+``Content-Length`` (400), a request line too long (414), a header line
+too long or too many of them (431), a method other than GET/POST (501)
+and HTTP/2 or later (505).  Each reply goes out in one write: status
+line, ``Server``, ``Date`` (formatted once per second),
+``Content-Type``, ``Content-Length``, any extra headers, body.
+
 Observability: every request runs under an ``http.request`` root span
 (child spans cover body parse, queue wait, shard dispatch, store
 lookup, kernelization, cache tiers, oracle path and executor fan-out —
@@ -67,11 +83,16 @@ and the end-to-end tests.
 
 from __future__ import annotations
 
+import email.utils
 import json
+import queue
+import re
+import threading
 import time
 import urllib.error
 import urllib.parse
 import urllib.request
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .frontend import Frontend, make_frontend
@@ -85,16 +106,29 @@ _MAX_BODY = 64 * 1024 * 1024
 #: forever (satellite of the Content-Length hardening).
 _SOCKET_TIMEOUT_S = 120.0
 
+#: A handler thread with no connection for this long exits.
+_IDLE_RETIRE_S = 30.0
+
+#: The stdlib's request-head limits: bytes per line, header lines.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+_VERSION = re.compile(r"HTTP/(\d{1,10})\.(\d{1,10})", re.ASCII)
+_STATUS_LINES = {
+    s.value: f"HTTP/1.0 {s.value} {s.phrase}\r\n" for s in HTTPStatus
+}
+
 
 class ServiceHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that owns a :class:`Frontend`.
+    """Threaded HTTP server that owns a :class:`Frontend`.
 
     ``service`` stays available (``None`` in sharded mode) so existing
     callers and tests can keep reaching the in-process
-    :class:`CutService` behind an inline frontend.
+    :class:`CutService` behind an inline frontend.  Handler threads are
+    reused: each waits on its own hand-off queue while idle, and the
+    idle ones form a stack, so the thread that finished last takes the
+    next connection and the others retire after ``_IDLE_RETIRE_S``.
     """
-
-    daemon_threads = True
 
     def __init__(
         self,
@@ -113,6 +147,10 @@ class ServiceHTTPServer(ThreadingHTTPServer):
             frontend.backend, "service", None
         )
         self.quiet = quiet
+        self._idle: list[queue.SimpleQueue] = []
+        self._idle_lock = threading.Lock()
+        self._closed = False
+        self._date = (0, "")  # (second, its HTTP date)
         super().__init__(address, _Handler)
 
     @property
@@ -120,10 +158,155 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
 
+    def process_request(self, request, client_address) -> None:
+        """Hand the connection to an idle handler thread, or start one."""
+        with self._idle_lock:
+            slot = self._idle.pop() if self._idle else None
+        if slot is None:
+            slot = queue.SimpleQueue()
+            threading.Thread(
+                target=self._handler_loop,
+                args=(slot,),
+                name=f"repro-http:{self.server_address[1]}",
+                daemon=True,
+            ).start()
+        slot.put((request, client_address))
+
+    def _handler_loop(self, slot: queue.SimpleQueue) -> None:
+        """Serve the connections handed to ``slot`` until retired.
+
+        A timed-out wait retires the thread only if it is still on the
+        idle stack; if ``process_request`` just took it off, a
+        connection is on its way and the thread waits for it.
+        """
+        while True:
+            try:
+                job = slot.get(timeout=_IDLE_RETIRE_S)
+            except queue.Empty:
+                with self._idle_lock:
+                    if slot in self._idle:
+                        self._idle.remove(slot)
+                        return
+                job = slot.get()
+            if job is None:
+                return
+            self.process_request_thread(*job)
+            with self._idle_lock:
+                if self._closed:
+                    return
+                self._idle.append(slot)
+
+    def _http_date(self) -> str:
+        """The ``Date`` header's value, formatted once per second."""
+        second, text = self._date
+        now = int(time.time())
+        if now != second:
+            text = email.utils.formatdate(now, usegmt=True)
+            self._date = (now, text)
+        return text
+
+    def server_close(self) -> None:
+        """Close the socket and release the idle handler threads; a
+        busy one exits when its connection is done."""
+        super().server_close()
+        with self._idle_lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for slot in idle:
+            slot.put(None)
+
 
 class _Handler(BaseHTTPRequestHandler):
     server: ServiceHTTPServer
     timeout = _SOCKET_TIMEOUT_S
+
+    def handle(self) -> None:
+        """Serve the connection's one request (HTTP/1.0: the server
+        closes after the reply).  A client that hangs up early is
+        counted (``http.client_disconnects``), not a handler-thread
+        traceback."""
+        self.command = self.path = self.requestline = ""
+        try:
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                self.send_error(
+                    414, f"request line exceeds {_MAX_LINE} bytes"
+                )
+            elif line and self.parse_request(line):
+                if self.command == "GET":
+                    self.do_GET()
+                elif self.command == "POST":
+                    self.do_POST()
+                else:
+                    self.send_error(
+                        501, f"unsupported method {self.command!r}"
+                    )
+        except (BrokenPipeError, ConnectionResetError):
+            self.server.frontend.note_client_disconnect()
+        except TimeoutError as exc:
+            self.log_error("Request timed out: %r", exc)
+
+    def parse_request(self, line: bytes) -> bool:  # type: ignore[override]
+        """Read the request line and the header lines into ``command``,
+        ``path`` and ``headers`` (lower-cased names; a repeated name
+        keeps its first value).  On a malformed head the error reply is
+        sent and the result is False; a blank request line is dropped
+        without one."""
+        self.requestline = line.decode("iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return False
+        if len(words) != 3:
+            return self.send_error(
+                400, f"bad request syntax {self.requestline!r}"
+            )
+        command, path, version = words
+        match = _VERSION.fullmatch(version)
+        if match is None:
+            return self.send_error(400, f"bad request version {version!r}")
+        if int(match[1]) >= 2:
+            return self.send_error(
+                505, f"HTTP version {version[5:]} not supported"
+            )
+        if path.startswith("//"):  # never read as a scheme-less URL
+            path = "/" + path.lstrip("/")
+        self.command, self.path = command, path
+        self.headers = headers = {}
+        for count in range(_MAX_HEADERS + 1):
+            raw = self.rfile.readline(_MAX_LINE + 1)
+            if len(raw) > _MAX_LINE:
+                return self.send_error(
+                    431, f"header line exceeds {_MAX_LINE} bytes"
+                )
+            if raw in (b"\r\n", b"\n", b""):
+                break
+            if count == _MAX_HEADERS:
+                return self.send_error(
+                    431, f"more than {_MAX_HEADERS} header lines"
+                )
+            name, colon, value = raw.decode("iso-8859-1").partition(":")
+            if not colon or not name or name != name.strip():
+                return self.send_error(
+                    400, f"bad header line {raw[:80]!r}"
+                )
+            name, value = name.lower(), value.strip()
+            first = headers.setdefault(name, value)
+            if name == "content-length" and first != value:
+                return self.send_error(
+                    400,
+                    f"conflicting Content-Length values {first!r} "
+                    f"and {value!r}",
+                )
+        return True
+
+    def send_error(self, code, message=None, explain=None) -> bool:
+        """A wire-level error: a JSON error reply under its own
+        ``http.request`` span (so it carries a ``trace_id``).  Returns
+        False, the result of a request that failed to parse."""
+        self._respond(
+            self.command, self.path, lambda *_: (code, {"error": message}, {})
+        )
+        return False
 
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
@@ -206,7 +389,7 @@ class _Handler(BaseHTTPRequestHandler):
                 if sp:
                     # _read_json validated the header already
                     sp.set(
-                        content_length=int(self.headers.get("Content-Length"))
+                        content_length=int(self.headers["content-length"])
                     )
         except ValueError as exc:
             return 400, {"error": str(exc)}, {}
@@ -221,7 +404,7 @@ class _Handler(BaseHTTPRequestHandler):
         (pinning a handler thread indefinitely), and a non-numeric
         value used to crash the handler.  Both are a 400 now.
         """
-        raw_length = self.headers.get("Content-Length")
+        raw_length = self.headers.get("content-length")
         if raw_length is None:
             raise ValueError("missing Content-Length; expected a JSON body")
         try:
@@ -250,30 +433,20 @@ class _Handler(BaseHTTPRequestHandler):
         payload: dict | bytes,
         headers: dict[str, str] | None = None,
     ) -> None:
-        """Send one reply: already-encoded bytes (a result-cached reply,
-        a ``/batch`` body) as they are, anything else through
-        ``json.dumps``.  A client that already hung up is counted
-        (``http.client_disconnects``), not a handler-thread traceback."""
+        """Send one reply in one write: already-encoded bytes (a
+        result-cached reply, a ``/batch`` body) as they are, anything
+        else through ``json.dumps``."""
         data = encode_reply(payload)
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(data)))
-            for key, value in (headers or {}).items():
-                self.send_header(key, value)
-            self.end_headers()
-            self.wfile.write(data)
-        except (BrokenPipeError, ConnectionResetError):
-            self.server.frontend.note_client_disconnect()
-            self.close_connection = True
-
-    def handle_one_request(self) -> None:
-        """One request, with disconnect noise downgraded to a counter."""
-        try:
-            super().handle_one_request()
-        except (BrokenPipeError, ConnectionResetError):
-            self.server.frontend.note_client_disconnect()
-            self.close_connection = True
+        self.log_request(status)
+        head = (
+            f"{_STATUS_LINES[status]}Server: {self.version_string()}\r\n"
+            f"Date: {self.server._http_date()}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {len(data)}\r\n"
+        )
+        for key, value in (headers or {}).items():
+            head += f"{key}: {value}\r\n"
+        self.wfile.write((head + "\r\n").encode("latin-1") + data)
 
     def log_message(self, fmt: str, *args) -> None:  # noqa: A003
         if not self.server.quiet:

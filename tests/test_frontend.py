@@ -96,6 +96,25 @@ class TestAdmissionGate:
         with pytest.raises(ValueError):
             gate.configure(queue_timeout_s=float("nan"))
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_inflight", True), ("max_queue", 2.7), ("max_queue", "2"),
+        ("queue_timeout_s", True), ("retry_after_s", "1.5"),
+    ])
+    def test_library_limits_are_typed(self, field, value):
+        """The library path types its limits as ``POST /frontend`` does:
+        no boolean count, no truncated fraction, no numeric string."""
+        for build in (
+            lambda: AdmissionGate(**{field: value}),
+            lambda: AdmissionGate().configure(**{field: value}),
+            lambda: make_frontend(CutService(), **{field: value}),
+        ):
+            with pytest.raises(ValueError, match=repr(field)):
+                build()
+        gate = AdmissionGate(max_queue=2.0, queue_timeout_s=3)
+        assert (gate.max_queue, gate.queue_timeout_s) == (2, 3.0)
+        with pytest.raises(ValueError, match="max_window"):
+            gate.configure(max_window=4)
+
     def test_configure_wakes_waiters(self):
         gate = AdmissionGate(max_inflight=0, max_queue=4, queue_timeout_s=5)
         results = []

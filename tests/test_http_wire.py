@@ -34,6 +34,16 @@ now answers 400 naming the field.  ``POST /frontend`` once read
 ``true`` as 1 and ``"8"`` as 8 and truncated ``2.7`` to 2; its two
 counts now take integers and its two times JSON numbers.
 
+Wire-level errors once came from the stdlib request parser: a one-word
+request line or an ``HTTP/2.0`` request got a bare HTML page with no
+status line, the 414, 431 and 501 errors came back as ``text/html``,
+and of two conflicting ``Content-Length`` headers the first silently
+won.  Each is now an ``HTTP/1.0 <code>`` JSON ``{"error", "trace_id"}``
+reply (a conflicting length is a 400).  The handler threads are reused
+across connections: sequential requests share them, a reused thread
+starts each request under a fresh root span, and ``server_close()``
+releases the idle ones.
+
 Python's ``json`` module happily *emits* ``NaN``/``Infinity`` tokens
 (non-standard JSON), which is exactly how a stock client poisons the
 pre-PR server — so the NaN tests go over a real socket, not through
@@ -42,9 +52,11 @@ hand-built payloads.
 
 from __future__ import annotations
 
+import json
 import math
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -608,3 +620,151 @@ def test_frontend_settings_take_integers_and_numbers(server):
     })
     assert (resp["max_inflight"], resp["max_queue"], resp["queue_timeout_s"],
             resp["retry_after_s"]) == (8, 2, 3.0, 0.5)
+
+
+# ----------------------------------------------------------------------
+# Wire-level errors are JSON replies with a status line
+# ----------------------------------------------------------------------
+def _json_error(raw: bytes, status: int) -> str:
+    """Assert an ``HTTP/1.0 <status>`` JSON error reply; its message."""
+    head, _, body = raw.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    assert lines[0].startswith(f"HTTP/1.0 {status} "), raw[:200]
+    assert "Content-Type: application/json" in lines[1:], lines
+    assert f"Content-Length: {len(body)}" in lines[1:], lines
+    payload = json.loads(body)
+    assert set(payload) == {"error", "trace_id"} and payload["trace_id"]
+    return payload["error"]
+
+
+# Each request is sent whole and read whole by the server before it
+# answers (an over-long line is exactly one byte too long), so closing
+# the socket never resets the connection under the reply.
+@pytest.mark.parametrize("request_bytes, status, words", [
+    (b"HELLO\r\n\r\n", 400, "HELLO"),
+    (b"GET /healthz\r\n\r\n", 400, "/healthz"),
+    (b"GET /healthz HTTP/2.0\r\n\r\n", 505, "2.0"),
+    (b"GET /healthz HTTP/1\r\n\r\n", 400, "HTTP/1"),
+    (b"PUT /stcut HTTP/1.0\r\n\r\n", 501, "PUT"),
+    (b"GET /" + b"a" * (65537 - 5), 414, "65536"),
+    (b"GET /healthz HTTP/1.0\r\nX: " + b"a" * (65537 - 3), 431, "65536"),
+    (b"GET /healthz HTTP/1.0\r\n" + b"X-A: 1\r\n" * 101 + b"\r\n", 431,
+     "100"),
+    (b"GET /healthz HTTP/1.0\r\nno colon here\r\n\r\n", 400, "header"),
+], ids=["one-word", "two-words", "http2", "bad-version", "put",
+        "long-request-line", "long-header-line", "101-headers",
+        "no-colon"])
+def test_wire_level_errors_are_json(server, request_bytes, status, words):
+    message = _json_error(_raw_roundtrip(_port(server), request_bytes), status)
+    assert words in message
+    assert request_json(server.url, "/healthz") == {"ok": True}
+
+
+def test_wire_level_error_trace_id_resolves(server):
+    raw = _raw_roundtrip(_port(server), b"PUT /stcut HTTP/1.0\r\n\r\n")
+    trace_id = json.loads(raw.partition(b"\r\n\r\n")[2])["trace_id"]
+    spans = request_json(server.url, "/trace")["spans"]
+    roots = [s for s in spans if s["trace_id"] == trace_id]
+    assert [s["attrs"]["status"] for s in roots] == [501]
+
+
+def test_conflicting_content_lengths_are_400(server):
+    body = json.dumps({"graph": "nope", "s": 0, "t": 1}).encode()
+    raw = _raw_roundtrip(_port(server), (
+        f"POST /stcut HTTP/1.0\r\nContent-Length: {len(body)}\r\n"
+        f"content-length: {len(body) + 1}\r\n\r\n"
+    ).encode() + body)
+    assert "conflicting Content-Length" in _json_error(raw, 400)
+    # a repeated, equal Content-Length is one length
+    raw = _raw_roundtrip(_port(server), (
+        f"POST /stcut HTTP/1.0\r\nContent-Length: {len(body)}\r\n"
+        f"Content-Length: {len(body)}\r\n\r\n"
+    ).encode() + body)
+    assert "no graph registered" in _json_error(raw, 404)
+
+
+# ----------------------------------------------------------------------
+# Handler threads are reused, and released on close
+# ----------------------------------------------------------------------
+def _handler_threads(srv) -> list:
+    name = f"repro-http:{_port(srv)}"
+    return [t for t in threading.enumerate() if t.name == name]
+
+
+def test_sequential_requests_reuse_handler_threads(server):
+    for _ in range(50):
+        raw = _raw_roundtrip(_port(server), b"GET /healthz HTTP/1.0\r\n\r\n")
+        assert raw.startswith(b"HTTP/1.0 200 OK\r\n")
+    assert 1 <= len(_handler_threads(server)) <= 2
+
+
+def test_reused_thread_starts_a_fresh_root_span(server):
+    for _ in range(2):
+        _raw_roundtrip(_port(server), b"GET /healthz HTTP/1.0\r\n\r\n")
+        time.sleep(0.05)  # the thread is back on the idle stack
+    assert len(_handler_threads(server)) == 1
+    spans = request_json(server.url, "/trace")["spans"]
+    roots = [s for s in spans if s["name"] == "http.request"]
+    assert [s["attrs"]["path"] for s in roots[:2]] == ["/healthz"] * 2
+    assert [s["parent_id"] for s in roots[:2]] == [None, None]
+    assert roots[0]["trace_id"] != roots[1]["trace_id"]
+
+
+def test_server_close_releases_handler_threads():
+    service = CutService()
+    srv = make_server(service)
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    port = _port(srv)
+    held = [socket.create_connection(("127.0.0.1", port)) for _ in range(2)]
+    try:
+        assert request_json(srv.url, "/healthz") == {"ok": True}
+        assert len(_handler_threads(srv)) == 3
+    finally:
+        for sock in held:  # a silent connection reads EOF: idle again
+            sock.close()
+    time.sleep(0.1)
+    srv.shutdown()
+    srv.server_close()
+    service.close()
+    deadline = time.monotonic() + 1.0
+    while _handler_threads(srv) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert _handler_threads(srv) == []
+
+
+def test_concurrent_clients_leave_every_thread_idle(server):
+    """Stress the idle stack: many clients at once, with a short switch
+    interval.  Every reply arrives, and once the last connection is done
+    every started handler thread is on the idle stack exactly once (a
+    lost or doubled hand-off would break the count)."""
+    errors = []
+
+    def client():
+        try:
+            for _ in range(20):
+                raw = _raw_roundtrip(
+                    _port(server), b"GET /healthz HTTP/1.0\r\n\r\n"
+                )
+                assert raw.startswith(b"HTTP/1.0 200 OK\r\n"), raw[:80]
+        except Exception as exc:  # noqa: BLE001 (reported below)
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        clients = [threading.Thread(target=client) for _ in range(8)]
+        for t in clients:
+            t.start()
+        for t in clients:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in clients)
+    assert errors == []
+    deadline = time.monotonic() + 5
+    while (len(server._idle) != len(_handler_threads(server))
+           and time.monotonic() < deadline):
+        time.sleep(0.02)
+    threads = _handler_threads(server)
+    assert 1 <= len(threads) and len(server._idle) == len(threads)
+    assert len({id(slot) for slot in server._idle}) == len(threads)
