@@ -1,18 +1,21 @@
-"""One Algorithm 1 trial: a singleton sweep per copy vs one per trial.
+"""One Algorithm 1 trial: the frozen per-copy path vs the array path.
 
 ``tests/algo1_reference.py`` keeps ``ampc_min_cut`` as it was when each
 copy of each recursion level ran its own Algorithm 3 call -- its own
-interval build and sweep, a witness that re-ran Kruskal -- and
-``root_tree`` keyed vertices once per comparison.  The current trial
-tracks every copy's singleton cuts in one batched Algorithm 3 call.
-This benchmark times one trial both ways, alternating old and new, on
-the served shape (clustered n=64, the graph ``/mincut`` solves on the
-mutation stream) and on planted n=2048, asserts identical results
-(weight, side, every ledger entry, base solves, singleton runs) and
-gates the median speedup at >= 1.25x on n=64 and >= 0.9x on n=2048.
-Both sides run single-threaded, so the ratios hold on a 1-2 CPU host.
-Results go to the path in the ``BENCH_PR24`` env var
-(``.bench/BENCH_PR24.json`` when unset).
+interval build and sweep, a witness that re-ran Kruskal, a level
+structure walked by one DFS per leader, a quotient and ``{v: [members]}``
+blocks per copy -- and ``root_tree`` keyed vertices once per comparison.
+The current trial tracks every copy's singleton cuts in one batched
+Algorithm 3 call, builds every copy's Lemma-11 tables in one
+pointer-jumping pass, contracts each level's copies in one quotient and
+lifts cuts through index arrays.  This benchmark times one trial both
+ways, alternating old and new, on the served shape (clustered n=64, the
+graph ``/mincut`` solves on the mutation stream) and on planted n=2048,
+asserts identical results (weight, side, every ledger entry, base
+solves, singleton runs) and gates the median speedup at >= 2.5x on
+n=64 and >= 2.2x on n=2048.  Both sides run single-threaded, so the
+ratios hold on a 1-2 CPU host.  Results go to the path in the
+``BENCH_PR34`` env var (``.bench/BENCH_PR34.json`` when unset).
 
 Run: ``PYTHONPATH=src python -m pytest -q benchmarks/bench_algo1.py``
 """
@@ -36,14 +39,14 @@ from repro.analysis.harness import ExperimentReport  # noqa: E402
 from repro.core import ampc_min_cut  # noqa: E402
 from repro.workloads import clustered_community, planted_cut  # noqa: E402
 
-_RESULTS_PATH = os.environ.get("BENCH_PR24", ".bench/BENCH_PR24.json")
+_RESULTS_PATH = os.environ.get("BENCH_PR34", ".bench/BENCH_PR34.json")
 
 #: (name, graph factory, trial seeds, alternating rounds, floor)
 _WORKLOADS = (
     ("clustered_64",
      lambda: clustered_community(64, intra_p=24 / 64, seed=3).graph,
-     (1, 2, 3, 4), 15, 1.25),
-    ("planted_2048", lambda: planted_cut(2048, seed=3).graph, (1,), 7, 0.9),
+     (1, 2, 3, 4), 15, 2.5),
+    ("planted_2048", lambda: planted_cut(2048, seed=3).graph, (1,), 7, 2.2),
 )
 
 
@@ -65,7 +68,7 @@ def _same(new, old):
 
 def test_trial_speedup(report_sink):
     report = ExperimentReport(
-        experiment="Algorithm 1 trial: per-copy vs one batched singleton sweep",
+        experiment="Algorithm 1 trial: frozen per-copy path vs arrays over a trial's copies",
         columns=["graph", "n", "m", "old_ms", "new_ms", "speedup", "floor"],
     )
     results = {

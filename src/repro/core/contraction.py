@@ -11,18 +11,23 @@ that MST:
   contractions" (Algorithm 1, line 6): the MST's cheapest edges
   contracted until the target vertex count remains, parallel edges
   merged by weight;
-* :func:`mst_bag` — ``bag(v, t)`` (Definition 6): the union–find
-  sets after the MST's edges of key <= t, over vertex indices
-  (Algorithm 3's witness); :func:`bag_at` is its label wrapper.
+* :func:`prefix_roots` — the union–find roots after a prefix of the
+  MST's unions, for a batch of copies at once: the blocks of line 6
+  and ``bag(v, t)`` (Definition 6), Algorithm 3's witness;
+  :func:`mst_bag` and :func:`bag_at` are its one-bag wrappers.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Hashable
+from itertools import compress
+from typing import Hashable, NamedTuple, Sequence
+
+import numpy as np
 
 from ..graph import Graph
 from .keys import ContractionKeys
+from .ldr import _jump
 
 Vertex = Hashable
 
@@ -37,11 +42,17 @@ def mst_of_keys(
     return [(k, V[a], V[b]) for k, a, b in zip(mst.key, mst.u, mst.v)]
 
 
-def contract_to_size(
-    graph: Graph,
-    keys: ContractionKeys,
-    target_vertices: int,
-) -> tuple[Graph, dict[Vertex, list[Vertex]]]:
+class Contracted(NamedTuple):
+    """One copy after :func:`contract_to_size`: its quotient, each
+    input vertex index's quotient vertex index, and each quotient
+    vertex's representative as an input vertex index."""
+
+    graph: Graph
+    block: np.ndarray
+    rep: np.ndarray
+
+
+def contract_to_size(graph, keys=None, target_vertices=None):
     """Contract cheapest-key MST edges until ``target_vertices`` remain.
 
     Returns the quotient graph (parallel edges merged by weight sum,
@@ -49,11 +60,18 @@ def contract_to_size(
     for lifting cuts back.  Contracts nothing if the graph is already
     at or below the target.
 
+    ``graph`` may instead be a sequence of ``(graph, keys, target)``
+    copies, contracted together; each comes back as a
+    :class:`Contracted`, whose index arrays stand for the blocks.  A
+    one-graph call is a batch of one.
+
     The blocks are Kruskal's union–find sets after the MST's first
     ``n - target_vertices`` unions — the edges skipped as cycles never
-    change a root — named by their roots; a single vectorized
-    :meth:`Graph.quotient` materialises the contracted graph.  So the
-    contraction is a prefix of the MST:
+    change a root — named by their roots (:func:`prefix_roots`); one
+    vectorized quotient over every copy's edge columns, vertex ids
+    offset per copy, materialises the contracted graphs exactly as
+    :meth:`Graph.quotient` would one by one.  So the contraction is a
+    prefix of the MST:
 
     >>> from repro.core.keys import draw_contraction_keys
     >>> from repro.graph import DSU
@@ -69,24 +87,88 @@ def contract_to_size(
     >>> prefix.groups() == blocks
     True
     """
-    if target_vertices < 1:
+    if isinstance(graph, Graph):
+        (quotient, block, _), = contract_to_size([(graph, keys, target_vertices)])
+        reps = quotient.vertices()
+        blocks: dict[Vertex, list[Vertex]] = {v: [] for v in reps}
+        for v, q in zip(graph.vertices(), block.tolist()):
+            blocks[reps[q]].append(v)
+        return quotient, blocks
+    if not graph:
+        return []
+    if any(target < 1 for _, _, target in graph):
         raise ValueError("target_vertices must be >= 1")
-    vertices = graph.vertices()
-    n = len(vertices)
-    root = _prefix_roots(keys, min(n - target_vertices, len(keys.mst.key)))
-    return graph.quotient({v: vertices[r] for v, r in zip(vertices, root)})
+    sizes = np.array([g.num_vertices for g, _, _ in graph], dtype=np.int64)
+    base = np.cumsum(sizes) - sizes
+    root = prefix_roots(
+        [keys for _, keys, _ in graph],
+        [min(g.num_vertices - target, len(keys.mst.key)) for g, keys, target in graph],
+    )
+    # Blocks in order of their first member, as Graph.quotient numbers
+    # them; a copy's blocks follow the blocks of the copies before it.
+    roots, first, inverse = np.unique(root, return_index=True, return_inverse=True)
+    by_first = np.argsort(first, kind="stable")
+    label = np.empty(roots.size, dtype=np.int64)
+    label[by_first] = np.arange(roots.size)
+    label = label[inverse]
+    rep = roots[by_first]
+    q = np.int64(rep.size)
+    # Each copy's ids lie below the next copy's, so searchsorted finds
+    # where each copy starts in these copy-ordered arrays.
+    q_base = np.searchsorted(rep, base)
+
+    columns = [g._columns() for g, _, _ in graph]
+    m = np.array([ws.size for _, _, ws in columns], dtype=np.int64)
+    shift = np.repeat(base, m)
+    lu = label[np.concatenate([us for us, _, _ in columns]) + shift]
+    lv = label[np.concatenate([vs for _, vs, _ in columns]) + shift]
+    ws = np.concatenate([ws for _, _, ws in columns])
+    cross = lu != lv
+    lu, lv, ww = lu[cross], lv[cross], ws[cross]
+    pair = np.minimum(lu, lv) * q + np.maximum(lu, lv)
+    uniq, first, inv = np.unique(pair, return_index=True, return_inverse=True)
+    # First-occurrence order puts each quotient's rows where add_edge
+    # would have, and bincount sums every bundle in edge order, so the
+    # weights are bit-identical to a quotient per copy.
+    order = np.argsort(first, kind="stable")
+    rank = np.empty(uniq.size, dtype=np.int64)
+    rank[order] = np.arange(uniq.size)
+    qws = np.bincount(rank[inv], weights=ww, minlength=uniq.size)
+    qus = (uniq // q)[order]
+    qvs = (uniq % q)[order]
+    e_base = np.searchsorted(qus, q_base)
+    out = []
+    for c, (g, _, _) in enumerate(graph):
+        lo, hi = int(base[c]), int(base[c] + sizes[c])
+        q0, q1 = int(q_base[c]), int(q_base[c + 1]) if c + 1 < len(graph) else int(q)
+        e0, e1 = int(e_base[c]), int(e_base[c + 1]) if c + 1 < len(graph) else uniq.size
+        V = g.vertices()
+        rep_c = rep[q0:q1] - lo
+        quotient = Graph._from_columns(
+            [V[r] for r in rep_c.tolist()], qus[e0:e1] - q0, qvs[e0:e1] - q0, qws[e0:e1]
+        )
+        out.append(Contracted(quotient, label[lo:hi] - q0, rep_c))
+    return out
 
 
-def _prefix_roots(keys: ContractionKeys, prefix: int) -> list[int]:
-    """Each vertex index's union–find root after the MST's first
-    ``prefix`` unions."""
-    mst = keys.mst
-    root = list(range(len(keys.vertices)))
-    # Backwards over the prefix, each absorbed root takes the final
-    # root of the root it joined (which a later union may absorb).
-    for s in reversed(range(prefix)):
-        root[mst.absorbed[s]] = root[mst.root[s]]
-    return root
+def prefix_roots(keys: Sequence[ContractionKeys], prefix: Sequence[int]) -> np.ndarray:
+    """Each vertex's union–find root after its keys' first ``prefix``
+    MST unions, for every copy at once: copy ``c``'s vertex indices,
+    and its roots, are offset by the vertex counts of the copies
+    before it.
+
+    Each union hangs the root it absorbed under the surviving root,
+    and an absorbed root never leads again, so the prefix's unions
+    form a forest whose roots pointer jumping finds."""
+    sizes = [len(k.vertices) for k in keys]
+    base = np.cumsum(sizes) - sizes
+    pointer = np.arange(sum(sizes), dtype=np.int64)
+    absorbed = [np.asarray(k.mst.absorbed[:p], dtype=np.int64) + b
+                for k, p, b in zip(keys, prefix, base.tolist())]
+    survivor = [np.asarray(k.mst.root[:p], dtype=np.int64) + b
+                for k, p, b in zip(keys, prefix, base.tolist())]
+    pointer[np.concatenate(absorbed)] = np.concatenate(survivor)
+    return _jump(pointer)
 
 
 def bag_at(
@@ -104,12 +186,9 @@ def bag_at(
 
 def mst_bag(keys: ContractionKeys, v: int, t: int) -> frozenset:
     """``bag(V[v], t)`` for the vertex of index ``v``: the vertices
-    joined to it by the keyed MST's edges of key <= t, as labels.
-
-    Algorithm 3's witness, on the MST its step 1 read."""
-    root = _prefix_roots(keys, bisect_right(keys.mst.key, t))
-    r = root[v]
-    return frozenset(x for x, rx in zip(keys.vertices, root) if rx == r)
+    joined to it by the keyed MST's edges of key <= t, as labels."""
+    root = prefix_roots([keys], [bisect_right(keys.mst.key, t)])
+    return frozenset(compress(keys.vertices, (root == root[v]).tolist()))
 
 
 def bag_boundary_weight(graph: Graph, bag: frozenset) -> float:

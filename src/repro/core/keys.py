@@ -167,17 +167,15 @@ def draw_contraction_keys(graph: Graph, *, seed: int = 0) -> ContractionKeys:
     m = len(ws)
     # The uniform draws must come from the Python RNG one edge at a
     # time, in edge-storage order — the reproducibility contract ties
-    # seeds to this exact stream.  Everything downstream (clocks,
-    # ordering, rank spreading) is vectorized over the columns.
-    unif = np.fromiter((rng.random() for _ in range(m)), np.float64, count=m)
+    # seeds to this exact stream.  Everything downstream (ordering,
+    # rank spreading) is vectorized over the columns.
+    # random() returns multiples of 2**-53, so only 0.0 needs the floor.
+    draw = rng.random
+    unif = [draw() or 1e-300 for _ in range(m)]
     # Exp(1)/w: smaller for heavier edges => contracted earlier.  The
     # per-element math.log keeps clock values bit-identical to the
     # scalar implementation (SIMD log kernels may round differently).
-    clocks = np.fromiter(
-        (-math.log(c) for c in np.maximum(unif, 1e-300).tolist()),
-        np.float64,
-        count=m,
-    )
+    clocks = -np.fromiter(map(math.log, unif), np.float64, count=m)
     clocks /= ws
     return _ranked(graph, np.argsort(clocks, kind="stable"), key_space)
 

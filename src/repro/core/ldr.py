@@ -41,6 +41,7 @@ the model-cost accounting lives in :mod:`repro.core.singleton`).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Hashable, NamedTuple
 
 import numpy as np
@@ -113,55 +114,156 @@ class LevelTable(NamedTuple):
         )
 
 
-def build_level_structure(tree: KeyedTree) -> LevelTable:
-    """Compute the Lemma-11 quantities for every level of ``tree``."""
-    decomp = tree.decomp
-    label = decomp.labels
-    adjacency, parent = decomp.rooting.adjacency, decomp.rooting.parent
-    parent_key = tree.parent_key
-    slots, joins, leader, ldr, first = [], [], [], [], [0]
-    for level in range(1, decomp.height + 1):
-        slot = [-1] * len(label)
-        join = [0] * len(label)
-        # Components of T_level, discovered by DFS from each
-        # level-`level` vertex through vertices of label >= level.
-        for r in tree.leaders.get(level, []):
-            s = len(leader)
-            leader.append(r)
-            slot[r] = s
-            stack = [r]
-            first_crossing: int | None = None
-            while stack:
-                v = stack.pop()
-                t_v = join[v]
-                # A tree edge's key is its child end's parent_key.
-                for u in adjacency[v]:
-                    if label[u] >= level:
-                        # Trees have unique paths, so each vertex is
-                        # discovered once; the slot test also skips
-                        # the DFS parent.
-                        if slot[u] < 0:
-                            k = parent_key[u] if parent[u] == v else parent_key[v]
-                            slot[u] = s
-                            join[u] = t_v if t_v > k else k
-                            stack.append(u)
-                        continue
-                    # Boundary edge (Lemma 10: at most two per component).
-                    k = parent_key[u] if parent[u] == v else parent_key[v]
-                    t_u = t_v if t_v > k else k
-                    if first_crossing is None or t_u < first_crossing:
-                        first_crossing = t_u
-            ldr.append(
-                tree.max_tree_key - 1 if first_crossing is None else first_crossing - 1
-            )
-        slots.append(slot)
-        joins.append(join)
-        first.append(len(leader))
-    return LevelTable(
-        vertices=decomp.vertices,
-        slot=np.array(slots, dtype=np.int64),
-        join=np.array(joins, dtype=np.int64),
-        leader=np.array(leader, dtype=np.int64),
-        ldr_time=np.array(ldr, dtype=np.int64),
-        first=np.array(first, dtype=np.int64),
-    )
+def build_level_structure(trees):
+    """Compute the Lemma-11 quantities for every level of each keyed
+    tree in ``trees``, one :class:`LevelTable` per tree; a single
+    :class:`KeyedTree` is a batch of one and gets its table back.
+
+    Level-synchronous pointer jumping over every tree at once: a cell
+    is a (vertex, level) pair of ``T_level``, numbered vertex by vertex
+    and, within a vertex, level by level.  Jumping up the rooting's
+    parent pointers finds each cell's component top, and so its
+    leader, the one cell of its component at its vertex's own label.
+    Pointers toward the leader (up, except down the leader's own
+    root path, found by preorder ranges) then jump with the path
+    maximum of the keys, which is the join time.  ``ldr_time`` is the
+    minimum over the component's boundary edges, to a vertex of lower
+    label above or below, of ``max(join_time, key)``, minus one.
+    """
+    if isinstance(trees, KeyedTree):
+        return build_level_structure([trees])[0]
+    if not trees:
+        return []
+    decomps = [tree.decomp for tree in trees]
+    sizes = np.array([len(d.labels) for d in decomps], dtype=np.int64)
+    n = int(sizes.sum())
+    base = np.cumsum(sizes) - sizes
+    shift = np.repeat(base, sizes)
+
+    def column(lists):
+        return np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=n)
+
+    label = column(d.labels for d in decomps)
+    parent = column(d.rooting.parent for d in decomps)
+    parent = np.where(parent >= 0, parent + shift, -1)
+    key = column(t.parent_key for t in trees)
+    size = column(d.rooting.size for d in decomps)
+    tin = np.empty(n, dtype=np.int64)
+    tin[column(d.rooting.preorder for d in decomps) + shift] = np.arange(n)
+
+    # Cells: vertex x holds levels 1 .. label[x]; its last cell is the
+    # one it leads (Lemma 8).
+    cell0 = np.cumsum(label) - label
+    vertex = np.repeat(np.arange(n), label)
+    level = np.arange(vertex.size) - cell0[vertex] + 1
+    own = np.arange(vertex.size)
+    p = parent[vertex]
+    up_ok = p >= 0
+    up_ok[up_ok] = label[p[up_ok]] >= level[up_ok]
+    up = np.where(up_ok, cell0[p] + level - 1, own)
+    top = _jump(up)
+    lead = cell0 + label - 1
+    leader_at = np.full(vertex.size, -1, dtype=np.int64)
+    leader_at[top[lead]] = lead
+    leader = leader_at[top]
+    led = leader >= 0
+    r = vertex[np.maximum(leader, 0)]
+
+    # Toward the leader: up the parent pointer, except on the leader's
+    # root path (the cells above it are its ancestors), which points
+    # down to its child on that path.
+    step = np.where(led, up, own)
+    hop = np.where(led & up_ok, key[vertex], 0)
+    on_path = led & up_ok & (tin[vertex] <= tin[r]) & (tin[r] < tin[vertex] + size[vertex])
+    below = np.flatnonzero(on_path)
+    step[up[below]] = below
+    hop[up[below]] = key[vertex[below]]
+    step[lead] = lead
+    hop[lead] = 0
+    join = _jump(step, hop)
+
+    # Boundary edges leave a leadered cell for a vertex of lower label:
+    # its parent, or one of its children at each level in between.
+    out = np.flatnonzero(led & (parent[vertex] >= 0) & ~up_ok)
+    child = np.flatnonzero((parent >= 0) & (label[np.maximum(parent, 0)] > label))
+    gap = label[parent[child]] - label[child]
+    inner = np.repeat(cell0[parent[child]], gap) + _ranges(label[child], gap)
+    child = np.repeat(child, gap)
+    inner_led = led[inner]
+    child, inner = child[inner_led], inner[inner_led]
+    crossing = np.full(n, _NEVER, dtype=np.int64)
+    np.minimum.at(crossing, r[out], np.maximum(join[out], key[vertex[out]]))
+    np.minimum.at(crossing, r[inner], np.maximum(join[inner], key[child]))
+    cap = np.repeat([tree.max_tree_key for tree in trees], sizes)
+    ldr_time = np.where(crossing == _NEVER, cap, crossing) - 1
+
+    # Segments: a tree's leaders level by level, each level's in the
+    # decomposition's order.
+    position = np.empty(n, dtype=np.int64)
+    position[column(d.order for d in decomps) + shift] = np.arange(n)
+    copy = np.repeat(np.arange(len(trees)), sizes)
+    by_segment = np.lexsort((position, label, copy))
+    segment = np.empty(n, dtype=np.int64)
+    segment[by_segment] = np.arange(n)
+    segment -= shift
+    # Row r of a table starts at the segments of labels <= r.
+    heights = np.array([d.height for d in decomps], dtype=np.int64)
+    row_base = np.cumsum(heights + 1) - heights - 1
+    first = np.searchsorted(
+        (row_base[copy] + label)[by_segment],
+        _ranges(row_base, heights + 1),
+        side="right",
+    ) - np.repeat(base, heights + 1)
+    grid0 = np.cumsum(heights * sizes) - heights * sizes
+    c = copy[vertex]
+    where = grid0[c] + (level - 1) * sizes[c] + vertex - base[c]
+    slots = np.full(int((heights * sizes).sum()), -1, dtype=np.int64)
+    joins = np.zeros(slots.size, dtype=np.int64)
+    slots[where[led]] = segment[r[led]]
+    joins[where[led]] = join[led]
+    leader = by_segment - shift[by_segment]
+    ldr_time = ldr_time[by_segment]
+    tables = []
+    for d, lo, k, h, g0, f0 in zip(
+        decomps, base.tolist(), sizes.tolist(), heights.tolist(),
+        grid0.tolist(), row_base.tolist(),
+    ):
+        tables.append(LevelTable(
+            vertices=d.vertices,
+            slot=slots[g0:g0 + h * k].reshape(h, k),
+            join=joins[g0:g0 + h * k].reshape(h, k),
+            leader=leader[lo:lo + k],
+            ldr_time=ldr_time[lo:lo + k],
+            first=first[f0:f0 + h + 1],
+        ))
+    return tables
+
+
+#: ``crossing`` before any boundary edge is seen
+_NEVER = np.iinfo(np.int64).max
+
+
+def _jump(pointer: np.ndarray, value: np.ndarray | None = None) -> np.ndarray:
+    """Pointer jumping over ``pointer``, a forest whose roots point to
+    themselves: each element's root or, given ``value`` (an element's
+    value for its step to its pointer, 0 at the roots), the maximum
+    value over the steps from each element to its root.  Each round
+    moves only the elements whose pointer is not yet a root."""
+    pointer = pointer.copy()
+    if value is not None:
+        value = value.copy()
+    active = np.flatnonzero(pointer[pointer] != pointer)
+    while active.size:
+        step = pointer[active]
+        if value is not None:
+            value[active] = np.maximum(value[active], value[step])
+        step = pointer[step]
+        pointer[active] = step
+        active = active[pointer[step] != step]
+    return pointer if value is None else value
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + l) for s, l in zip(starts, lengths)])``."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths)

@@ -41,11 +41,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import compress
 from typing import TYPE_CHECKING, Hashable
 
+import numpy as np
+
 from ..ampc import AMPCConfig, RoundLedger
-from ..graph import Cut, Graph, compose_blocks, lift_cut
+from ..graph import Cut, Graph
 from ..obs.tracing import NULL_TRACER, Tracer
+from ..trees.rooted import stable_ranks
 from .boost import TrialRunner, boost, default_boost_trials, run_in_process
 from .contraction import contract_to_size
 from .keys import draw_contraction_keys
@@ -80,10 +84,13 @@ class MinCutResult:
 
 @dataclass
 class _Instance:
-    """One live instance: a contracted graph + lift to original ids."""
+    """One live instance: a contracted graph and its lift to the input."""
 
     graph: Graph
-    blocks: dict  # quotient vertex -> list of original vertices
+    #: input vertex index -> this graph's vertex index
+    block: np.ndarray
+    #: this graph's vertex index -> input index of its label
+    label: np.ndarray
 
 
 def ampc_min_cut(
@@ -97,9 +104,9 @@ def ampc_min_cut(
 ) -> MinCutResult:
     """Run Algorithm 1 once on a connected graph with ``n >= 2``.
 
-    ``max_copies`` caps the instance count per level (a wall-clock
-    knob; the paper's ``s_k`` can reach ``t_k^(1-eps/3)``).  ``eps``
-    plays its double role from the paper: memory exponent and
+    ``max_copies`` (at least 2) caps the instance count per level (a
+    wall-clock knob; the paper's ``s_k`` can reach ``t_k^(1-eps/3)``).
+    ``eps`` plays its double role from the paper: memory exponent and
     approximation slack.
     """
     n = graph.num_vertices
@@ -112,12 +119,16 @@ def ampc_min_cut(
         config = AMPCConfig(n_input=n, eps=eps, m_input=graph.num_edges)
     ledger = RoundLedger()
 
-    identity_blocks = {v: [v] for v in graph.vertices()}
-    instances: list[_Instance] = [_Instance(graph=graph, blocks=identity_blocks)]
+    # Every copy's vertices are input labels, so one type-stable rank
+    # per input vertex orders them all.
+    rank = np.array(stable_ranks(graph.vertices()), dtype=np.int64)
+    identity = np.arange(n)
+    instances: list[_Instance] = [_Instance(graph, identity, identity)]
     # Line 5's inputs, every copy of every level in order, with the
-    # blocks lifting each copy's cuts; then each level's sibling group.
+    # block arrays lifting each copy's cuts; then each level's sibling
+    # group.
     tracked: list[SingletonCopy] = []
-    lifts: list[dict] = []
+    lifts: list[np.ndarray] = []
     groups: list[tuple[list[RoundLedger], str]] = []
     rng_salt = seed
 
@@ -131,8 +142,8 @@ def ampc_min_cut(
         )
         target_size = max(schedule.base_size, math.ceil(n / level.t))
 
-        sibling_ledgers: list[RoundLedger] = []
-        next_instances: list[_Instance] = []
+        next_instances: list[_Instance | None] = []
+        drawn: list[tuple[int, _Instance, SingletonCopy]] = []
         for j in range(target_count):
             parent = instances[j % len(instances)]
             pg = parent.graph
@@ -140,30 +151,34 @@ def ampc_min_cut(
                 next_instances.append(parent)
                 continue
             rng_salt = (rng_salt * 1_000_003 + 10_007 * level.index + j) & 0x7FFFFFFF
-            copy_ledger = RoundLedger()
             keys = draw_contraction_keys(pg, seed=rng_salt)
             sub_config = config.scaled(pg.num_vertices, pg.num_edges)
-            tracked.append(SingletonCopy(pg, keys, sub_config, copy_ledger))
-            lifts.append(parent.blocks)
+            copy = SingletonCopy(pg, keys, sub_config, RoundLedger(),
+                                 rank[parent.label].tolist())
+            tracked.append(copy)
+            lifts.append(parent.block)
+            drawn.append((len(next_instances), parent, copy))
+            next_instances.append(None)
 
-            # Line 6: the copy after its first contractions.
-            this_target = min(target_size, max(2, pg.num_vertices - 1))
-            contracted, blocks = contract_to_size(pg, keys, this_target)
-            copy_ledger.charge(
+        # Line 6: every copy of the level after its first contractions.
+        contracted = contract_to_size([
+            (copy.graph, copy.keys,
+             min(target_size, max(2, copy.graph.num_vertices - 1)))
+            for _, _, copy in drawn
+        ])
+        for (slot, parent, copy), (cg, block, rep) in zip(drawn, contracted):
+            copy.ledger.charge(
                 1,
                 "Algorithm 1 line 6: materialise the contracted copy "
-                f"({pg.num_vertices} -> {contracted.num_vertices} vertices)",
-                local_peak=sub_config.local_memory_words,
-                total_peak=contracted.num_vertices + contracted.num_edges,
+                f"({copy.graph.num_vertices} -> {cg.num_vertices} vertices)",
+                local_peak=copy.config.local_memory_words,
+                total_peak=cg.num_vertices + cg.num_edges,
             )
-            composed = compose_blocks(parent.blocks, blocks)
-            next_instances.append(_Instance(graph=contracted, blocks=composed))
-            sibling_ledgers.append(copy_ledger)
-
-        if sibling_ledgers:
+            next_instances[slot] = _Instance(cg, block[parent.block], parent.label[rep])
+        if drawn:
             groups.append((
-                sibling_ledgers,
-                f"Algorithm 1 level {level.index}: {len(sibling_ledgers)} "
+                [copy.ledger for _, _, copy in drawn],
+                f"Algorithm 1 level {level.index}: {len(drawn)} "
                 f"parallel instances (contract x{level.x:.2f})",
             ))
         instances = next_instances
@@ -174,22 +189,22 @@ def ampc_min_cut(
     singletons = smallest_singleton_cut(tracked)
     for siblings, reason in groups:
         ledger.absorb_parallel(siblings, reason)
-    best: Cut | None = None
-    for blocks, singleton in zip(lifts, singletons):
-        lifted = Cut.of(graph, lift_cut(blocks, singleton.cut.side))
-        if best is None or lifted.weight < best.weight:
-            best = lifted
-
-    # Lines 1-3: exact solve of every surviving instance on one machine.
+    # Line 8's candidates, each a side mask over the input: the copies'
+    # singleton cuts in copy order, then the base cases (lines 1-3,
+    # exact solves of every surviving instance on one machine).
+    sides = [singleton.side[block] for block, singleton in zip(lifts, singletons)]
     base_solves = 0
     for inst in instances:
         if inst.graph.num_vertices < 2:
             continue
         base_solves += 1
-        cut = _exact_base_case(inst.graph)
-        lifted = Cut.of(graph, lift_cut(inst.blocks, cut.side))
-        if best is None or lifted.weight < best.weight:
-            best = lifted
+        side = np.zeros(inst.graph.num_vertices, dtype=bool)
+        side[[inst.graph.index_of(v) for v in _exact_base_case(inst.graph).side]] = True
+        sides.append(side[inst.block])
+    # Graph.cut_weight's expression, so each weight is the lifted Cut's.
+    us, vs, ws = graph._columns()
+    weights = [float(ws[side[us] ^ side[vs]].sum()) for side in sides]
+    best = int(np.argmin(weights))
     ledger.charge(
         1,
         "Algorithm 1 lines 1-3: exact Min Cut of base instances, one "
@@ -203,9 +218,8 @@ def ampc_min_cut(
         local_peak=len(instances) + 2,
         total_peak=len(instances),
     )
-    assert best is not None
     return MinCutResult(
-        cut=best,
+        cut=Cut(frozenset(compress(graph.vertices(), sides[best].tolist())), weights[best]),
         ledger=ledger,
         schedule=schedule,
         base_solves=base_solves,

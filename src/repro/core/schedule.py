@@ -73,12 +73,17 @@ def schedule_for(
     "solve on a single machine once |G| <= n^eps" base case.
     ``max_copies`` caps the per-level branching for simulation
     tractability (the cap affects success probability, never
-    correctness — every candidate cut returned is a real cut).
+    correctness — every candidate cut returned is a real cut); a level
+    branches into at least 2 copies, so the cap must be at least 2.
     """
     if n < 2:
         raise ValueError("schedule needs n >= 2")
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
+    if max_copies < 2:
+        raise ValueError(f"max_copies must be >= 2, got {max_copies}")
+    if base_size is not None and base_size < 1:
+        raise ValueError(f"base_size must be >= 1, got {base_size}")
     if base_size is None:
         base_size = max(4, math.ceil(n**eps))
     delta = (eps / 3.0) / (1.0 - eps / 3.0)

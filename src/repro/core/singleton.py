@@ -35,7 +35,9 @@ actual cut side, so callers receive a usable :class:`~repro.graph.Cut`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from itertools import compress
 from typing import Hashable, NamedTuple, Sequence, overload
 
 import numpy as np
@@ -44,7 +46,7 @@ from ..ampc import AMPCConfig, RoundLedger
 from ..graph import Cut, Graph
 from ..trees.low_depth import low_depth_decomposition
 from .bags import replay_min_singleton
-from .contraction import mst_bag
+from .contraction import prefix_roots
 from .intervals import IntervalColumns, edge_intervals
 from .keys import ContractionKeys, draw_contraction_keys
 from .ldr import LevelTable, build_level_structure, keyed_tree
@@ -62,16 +64,20 @@ class SingletonCutResult:
     time: int
     cut: Cut
     ledger: RoundLedger
+    #: the cut side as a mask over the graph's vertex order
+    side: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 class SingletonCopy(NamedTuple):
     """One graph of a batched call, with its own keys, model
-    configuration and ledger."""
+    configuration and ledger, and optionally its vertices' ranks in the
+    type-stable order (:func:`~repro.trees.rooted.stable_ranks`)."""
 
     graph: Graph
     keys: ContractionKeys
     config: AMPCConfig
     ledger: RoundLedger
+    rank: Sequence[int] | None = None
 
 
 @overload
@@ -141,14 +147,14 @@ def smallest_singleton_cut(
 def _track(
     copies: Sequence[SingletonCopy], execute_on_simulator: bool
 ) -> list[SingletonCutResult]:
-    """Algorithm 3 on every copy: steps 1–2 per copy, steps 3–4 as one
-    sweep, then each copy's witness."""
+    """Algorithm 3 on every copy: steps 1–2 per copy, then Lemma 11,
+    steps 3–4 and the witnesses each in one pass over all copies."""
     if not copies:
         return []
-    tables = []
-    for graph, keys, config, ledger in copies:
-        decomp = _steps_1_2(graph, keys, config, ledger, execute_on_simulator)
-        tables.append(build_level_structure(keyed_tree(decomp, keys)))
+    tables = build_level_structure([
+        keyed_tree(_steps_1_2(copy, execute_on_simulator), copy.keys)
+        for copy in copies
+    ])
 
     # ---------------------------------------------------- steps 3 and 4
     # The O(log^2 n) level tuples are processed in parallel in the
@@ -157,16 +163,29 @@ def _track(
     # space (Lemma 9).  The copies are independent, so one sweep
     # serves them all.
     swept = sweep_levels([(copy.graph, t) for copy, t in zip(copies, tables)])
+    # First occurrence: ties go to the lowest (level, leader) segment.
+    best = [
+        lo + int(np.argmin(swept.weight[lo:hi]))
+        for lo, hi in zip(swept.first[:-1].tolist(), swept.first[1:].tolist())
+    ]
+    leaders = swept.leader[best].tolist()
+    times = swept.time[best].tolist()
+    # The witnesses bag(leader, t), as masks: one prefix-root pass over
+    # every copy's MST.
+    sizes = [copy.graph.num_vertices for copy in copies]
+    root = prefix_roots(
+        [copy.keys for copy in copies],
+        [bisect_right(copy.keys.mst.key, t) for copy, t in zip(copies, times)],
+    )
+    start = np.cumsum(sizes) - sizes
+    bags = root == np.repeat(root[start + leaders], sizes)
+
     results = []
-    for c, (graph, keys, config, ledger) in enumerate(copies):
-        n = graph.num_vertices
-        lo, hi = int(swept.first[c]), int(swept.first[c + 1])
-        # First occurrence: ties go to the lowest (level, leader) segment.
-        best = lo + int(np.argmin(swept.weight[lo:hi]))
-        best_weight = float(swept.weight[best])
-        leader = int(swept.leader[best])
-        best_time = int(swept.time[best])
+    for c, (graph, keys, config, ledger, _) in enumerate(copies):
+        n = sizes[c]
+        best_weight = float(swept.weight[best[c]])
         if execute_on_simulator:
+            lo, hi = int(swept.first[c]), int(swept.first[c + 1])
             _simulate_sweep(swept, lo, hi, config, ledger)
         else:
             log2n = math.ceil(math.log2(max(2, n)))
@@ -179,7 +198,13 @@ def _track(
                 total_peak=(n + graph.num_edges) * log2n * log2n,
             )
 
-        cut = Cut.of(graph, mst_bag(keys, leader, best_time))
+        side = bags[start[c]:start[c] + n]
+        us, vs, ws = graph._columns()
+        # Graph.cut_weight's expression: the weight Cut.of would give.
+        cut = Cut(
+            frozenset(compress(graph.vertices(), side.tolist())),
+            float(ws[side[us] ^ side[vs]].sum()),
+        )
         ledger.charge(
             1,
             "witness extraction: materialise bag(leader, t) as a cut side",
@@ -195,18 +220,20 @@ def _track(
         results.append(
             SingletonCutResult(
                 weight=best_weight,
-                leader=graph.vertices()[leader],
-                time=best_time,
+                leader=graph.vertices()[leaders[c]],
+                time=times[c],
                 cut=cut,
                 ledger=ledger,
+                side=side,
             )
         )
     return results
 
 
-def _steps_1_2(graph, keys, config, ledger, execute_on_simulator):
+def _steps_1_2(copy, execute_on_simulator):
     """Steps 1–2 for one copy: the keyed MST (:attr:`ContractionKeys.mst`)
     and its low-depth decomposition, over the MST's index rows."""
+    graph, keys, config, ledger, rank = copy
     n = graph.num_vertices
     if n < 2:
         raise ValueError("smallest singleton cut needs n >= 2")
@@ -232,7 +259,7 @@ def _steps_1_2(graph, keys, config, ledger, execute_on_simulator):
         raise ValueError("graph must be connected")
 
     # ---------------------------------------------------------- step 2
-    decomp = low_depth_decomposition(keys.vertices, rows=(mst.u, mst.v))
+    decomp = low_depth_decomposition(keys.vertices, rows=(mst.u, mst.v), rank=rank)
     log2n = math.ceil(math.log2(max(2, n)))
     ledger.charge(
         config.rounds_per_primitive,

@@ -161,18 +161,20 @@ def low_depth_decomposition(
     *,
     rows: tuple[Sequence[int], Sequence[int]] | None = None,
     root: Vertex | None = None,
+    rank: Sequence[int] | None = None,
     depths: Callable[[int], tuple[Sequence[int], Sequence[int]]] = depth_table,
 ) -> LowDepthDecomposition:
     """Algorithm 2 (host-side computation; see the AMPC variant below).
 
     The tree is ``edges`` (vertex pairs) or ``rows``, its edges as two
     lists of endpoint indices into ``vertices``.  ``root`` defaults to
-    the minimum vertex under :func:`root_indices`'s type-stable order.
+    the minimum vertex under :func:`root_indices`'s type-stable order,
+    which ``rank`` may give as integers.
     ``depths(L)`` gives a path of ``L`` vertices its anchor and leaf
     depths by position (the no-binarization ablation swaps it).
     """
     vertices = list(vertices)
-    rooting = root_indices(vertices, edges, rows=rows, root=root)
+    rooting = root_indices(vertices, edges, rows=rows, root=root, rank=rank)
     labels, order = _label(rooting, depths)
     return LowDepthDecomposition(vertices, labels, order, rooting)
 

@@ -99,6 +99,9 @@ class Rooting(NamedTuple):
     adjacency: list[list[int]]
     #: index -> subtree size
     size: list[int]
+    #: indices in the DFS's pop order, a preorder: every subtree is a
+    #: contiguous run, children in reverse type-stable order
+    preorder: list[int]
 
     def rooted_tree(self, vertices: Sequence[Vertex]) -> RootedTree:
         """The :class:`RootedTree` of this rooting over ``vertices``."""
@@ -145,6 +148,7 @@ def root_indices(
     *,
     rows: tuple[Sequence[int], Sequence[int]] | None = None,
     root: Vertex | None = None,
+    rank: Sequence[int] | None = None,
 ) -> Rooting:
     """Sequential rooting on indices: stack DFS orientation + subtree
     sizes.
@@ -154,7 +158,8 @@ def root_indices(
     contract of Lemma 4 / :func:`ampc_root_forest` for a single tree;
     ``root`` defaults to the minimum vertex under a type-stable order.
     Adjacency lists are sorted the same way, stably, so equal keys keep
-    edge order.  A popped vertex discovers all its undiscovered
+    edge order.  ``rank`` may give that order as one integer per vertex
+    (equal labels' keys, equal ranks), which spares keying the labels.  A popped vertex discovers all its undiscovered
     neighbours at once, in that order; discovery order numbers the
     heavy paths and so fixes each level's leader order
     (:mod:`repro.trees.low_depth`).
@@ -172,7 +177,7 @@ def root_indices(
     if len(us) != n - 1:
         raise ValueError(f"not a tree: {n} vertices but {len(us)} edges")
     # One type-stable sort key per vertex, computed once.
-    skey = [_stable_key(x) for x in vertices]
+    skey = [_stable_key(x) for x in vertices] if rank is None else rank
     adjacency: list[list[int]] = [[] for _ in range(n)]
     for a, b in zip(us, vs):
         adjacency[a].append(b)
@@ -187,9 +192,11 @@ def root_indices(
     parent = [-1] * n
     parent[r] = r
     discovered = [r]
+    preorder = []
     stack = [r]
     while stack:
         x = stack.pop()
+        preorder.append(x)
         adj = adjacency[x]
         if len(adj) > 1:
             adj.sort(key=skey.__getitem__)
@@ -209,7 +216,21 @@ def root_indices(
         p = parent[x]
         if p >= 0:
             size[p] += size[x]
-    return Rooting(r, parent, discovered, adjacency, size)
+    return Rooting(r, parent, discovered, adjacency, size, preorder)
+
+
+def stable_ranks(vertices: Sequence[Vertex]) -> list[int]:
+    """Each vertex's rank in :func:`root_indices`'s type-stable order,
+    equal keys sharing a rank: its ``rank`` for ``vertices`` or any
+    subset of them."""
+    skey = [_stable_key(x) for x in vertices]
+    rank = [0] * len(skey)
+    r, previous = -1, None
+    for i in sorted(range(len(skey)), key=skey.__getitem__):
+        if r < 0 or skey[i] != previous:
+            r, previous = r + 1, skey[i]
+        rank[i] = r
+    return rank
 
 
 def root_tree(

@@ -8,9 +8,11 @@ through ``bag_at``), and ``root_tree`` keyed each vertex once per
 comparison.  The code below is kept verbatim -- function bodies,
 comments and charge reasons -- as the differential reference for the
 batched path and as the "old" side of ``benchmarks/bench_algo1.py``.
-Unchanged helpers (keys, contraction, the sweep, Stoer-Wagner) are
-imported from ``repro``; the low-depth decomposition from its frozen
-copy, ``tests/low_depth_reference.py``.  The level structures are
+The keys, their Kruskal MST, the contraction to size, the witness bag
+and the sweep are frozen here as well, as they ran before a trial's
+copies were contracted one level at a time on arrays; Stoer-Wagner is
+imported from ``repro``, and the low-depth decomposition from its
+frozen copy, ``tests/low_depth_reference.py``.  The level structures are
 frozen here too (``index_tree`` and ``build_level_structure``, which
 rebuilt a ``(neighbour, key)`` adjacency from the MST rows per copy),
 since ``repro``'s walk the rooting the reference decomposition does
@@ -22,24 +24,26 @@ return, which ``repro`` replaced with one table per copy.  Nothing in
 from __future__ import annotations
 
 import math
+import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from low_depth_reference import LowDepthDecomposition, low_depth_decomposition
 from repro.ampc import AMPCConfig, RoundLedger
-from repro.core.contraction import bag_at, contract_to_size, mst_of_keys
 from repro.core.intervals import CHUNK_CELLS, IntervalColumns
-from repro.core.keys import ContractionKeys, draw_contraction_keys
+from repro.core.ldr import LevelTable
 from repro.core.mincut import MinCutResult
 from repro.core.schedule import schedule_for
 from repro.core.singleton import SingletonCutResult
-from repro.core.sweep import min_interval_overlap
-from repro.graph import Cut, Graph, lift_cut
+from repro.graph import Cut, Graph, IndexDSU, lift_cut
 from repro.trees.rooted import RootedTree
 
 Vertex = Hashable
+EdgeId = tuple[Vertex, Vertex]
 
 
 # --------------------------------------------------------------------
@@ -643,3 +647,347 @@ def root_tree(
 
 def _stable_key(v: Vertex):
     return (str(type(v)), str(v))
+
+
+
+# --------------------------------------------------------------------
+# Keys, contraction and the sweep (core/keys.py, core/contraction.py,
+# core/sweep.py), frozen before their batched replacements
+# --------------------------------------------------------------------
+class KeyedMST(NamedTuple):
+    """The keyed MST (a forest on a disconnected graph) in Kruskal
+    order: row ``i`` is the ``i``-th contraction that merges two bags,
+    with its key, its endpoints' vertex indices, and the union–find
+    roots it joined (``absorbed`` hangs under ``root``)."""
+
+    key: list[int]
+    u: list[int]
+    v: list[int]
+    root: list[int]
+    absorbed: list[int]
+
+
+@dataclass(frozen=True)
+class ContractionKeys:
+    """Unique integer contraction keys for every edge of a graph.
+
+    Row ``i`` is the edge with the ``i``-th smallest key: endpoints
+    ``u[i]``, ``v[i]`` (indices into ``vertices``, the graph's vertex
+    order) and key ``value[i]``, ascending.  ``key_space`` is the
+    paper's ``n^3`` bound.
+    """
+
+    vertices: list[Vertex]
+    u: list[int]
+    v: list[int]
+    value: list[int]
+    key_space: int
+
+    @property
+    def max_key(self) -> int:
+        """The largest assigned key (0 without edges)."""
+        return self.value[-1] if self.value else 0
+
+    @cached_property
+    def key(self) -> dict[EdgeId, int]:
+        """``key[(u, v)]`` for both orientations of each edge."""
+        V = self.vertices
+        key: dict[EdgeId, int] = {}
+        for k, a, b in zip(self.value, self.u, self.v):
+            key[(V[a], V[b])] = k
+            key[(V[b], V[a])] = k
+        return key
+
+    def of(self, u: Vertex, v: Vertex) -> int:
+        return self.key[(u, v)]
+
+    def edges_by_key(self) -> list[tuple[int, Vertex, Vertex]]:
+        """(key, u, v) triples, ascending, one per undirected edge.
+
+        Cached after the first call (keys are immutable); callers must
+        not mutate the returned list.
+        """
+        return self._labelled
+
+    @cached_property
+    def _labelled(self) -> list[tuple[int, Vertex, Vertex]]:
+        V = self.vertices
+        return [(k, V[a], V[b]) for k, a, b in zip(self.value, self.u, self.v)]
+
+    @cached_property
+    def mst(self) -> KeyedMST:
+        """Kruskal over the rows: unique keys give a unique MST."""
+        n = len(self.vertices)
+        dsu = IndexDSU(n)
+        mst = KeyedMST([], [], [], [], [])
+        for k, a, b in zip(self.value, self.u, self.v):
+            absorbed = dsu.union(a, b)
+            if absorbed < 0:
+                continue
+            mst.key.append(k)
+            mst.u.append(a)
+            mst.v.append(b)
+            mst.root.append(dsu.parent[absorbed])
+            mst.absorbed.append(absorbed)
+            if len(mst.key) == n - 1:
+                break
+        return mst
+
+
+def _spread_ranks(m: int, key_space: int) -> list[int]:
+    """Rank ``1..m`` spread over ``[1, key_space]`` preserving order.
+
+    A simple graph has ``m <= n(n-1)/2 < n^3 = key_space`` edges, so
+    the stride is at least 1 and ``m * stride < key_space``: the keys
+    are unique and inside the key space.
+    """
+    stride = key_space // (m + 1)
+    return list(range(stride, (m + 1) * stride, stride))
+
+
+def _ranked(graph: Graph, order: Sequence[int], key_space: int) -> ContractionKeys:
+    """Keys for ``graph``'s edge rows taken in ``order``."""
+    us, vs, _ = graph._columns()
+    return ContractionKeys(
+        vertices=graph.vertices(),
+        u=us[order].tolist(),
+        v=vs[order].tolist(),
+        value=_spread_ranks(len(order), key_space),
+        key_space=key_space,
+    )
+
+
+def draw_contraction_keys(graph: Graph, *, seed: int = 0) -> ContractionKeys:
+    """Draw weight-biased unique keys for every edge of ``graph``."""
+    rng = random.Random(seed)
+    n = graph.num_vertices
+    key_space = max(1, n**3)
+    ws = graph._columns()[2]
+    m = len(ws)
+    # The uniform draws must come from the Python RNG one edge at a
+    # time, in edge-storage order — the reproducibility contract ties
+    # seeds to this exact stream.  Everything downstream (clocks,
+    # ordering, rank spreading) is vectorized over the columns.
+    unif = np.fromiter((rng.random() for _ in range(m)), np.float64, count=m)
+    # Exp(1)/w: smaller for heavier edges => contracted earlier.  The
+    # per-element math.log keeps clock values bit-identical to the
+    # scalar implementation (SIMD log kernels may round differently).
+    clocks = np.fromiter(
+        (-math.log(c) for c in np.maximum(unif, 1e-300).tolist()),
+        np.float64,
+        count=m,
+    )
+    clocks /= ws
+    return _ranked(graph, np.argsort(clocks, kind="stable"), key_space)
+
+
+def mst_of_keys(
+    graph: Graph, keys: ContractionKeys
+) -> list[tuple[int, Vertex, Vertex]]:
+    """The MST of ``graph`` under ``keys`` (drawn on it), as
+    ``(key, u, v)`` ascending."""
+    V = keys.vertices
+    mst = keys.mst
+    return [(k, V[a], V[b]) for k, a, b in zip(mst.key, mst.u, mst.v)]
+
+
+def contract_to_size(
+    graph: Graph,
+    keys: ContractionKeys,
+    target_vertices: int,
+) -> tuple[Graph, dict[Vertex, list[Vertex]]]:
+    """Contract cheapest-key MST edges until ``target_vertices`` remain.
+
+    Returns the quotient graph (parallel edges merged by weight sum,
+    self-loops dropped) and the representative->members blocks mapping
+    for lifting cuts back.  Contracts nothing if the graph is already
+    at or below the target.
+
+    The blocks are Kruskal's union–find sets after the MST's first
+    ``n - target_vertices`` unions — the edges skipped as cycles never
+    change a root — named by their roots; a single vectorized
+    :meth:`Graph.quotient` materialises the contracted graph.  So the
+    contraction is a prefix of the MST.
+    """
+    if target_vertices < 1:
+        raise ValueError("target_vertices must be >= 1")
+    vertices = graph.vertices()
+    n = len(vertices)
+    root = _prefix_roots(keys, min(n - target_vertices, len(keys.mst.key)))
+    return graph.quotient({v: vertices[r] for v, r in zip(vertices, root)})
+
+
+def _prefix_roots(keys: ContractionKeys, prefix: int) -> list[int]:
+    """Each vertex index's union–find root after the MST's first
+    ``prefix`` unions."""
+    mst = keys.mst
+    root = list(range(len(keys.vertices)))
+    # Backwards over the prefix, each absorbed root takes the final
+    # root of the root it joined (which a later union may absorb).
+    for s in reversed(range(prefix)):
+        root[mst.absorbed[s]] = root[mst.root[s]]
+    return root
+
+
+def bag_at(
+    graph: Graph, keys: ContractionKeys, v: Vertex, t: int
+) -> frozenset:
+    """``bag(v, t)``: vertices reachable from ``v`` by MST edges of key <= t.
+
+    Definition 6 says *tree* edges; reachability over all edges of key
+    <= t gives the same set (non-tree edges with small keys connect
+    vertices already joined by smaller tree keys — the Kruskal cycle
+    property), which tests assert.
+    """
+    return mst_bag(keys, graph.index_of(v), t)
+
+
+def mst_bag(keys: ContractionKeys, v: int, t: int) -> frozenset:
+    """``bag(V[v], t)`` for the vertex of index ``v``: the vertices
+    joined to it by the keyed MST's edges of key <= t, as labels.
+
+    Algorithm 3's witness, on the MST its step 1 read."""
+    root = _prefix_roots(keys, bisect_right(keys.mst.key, t))
+    r = root[v]
+    return frozenset(x for x, rx in zip(keys.vertices, root) if rx == r)
+
+
+def min_interval_overlap(
+    intervals: IntervalColumns,
+    domain_end: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per segment ``s``: minimum total weight covering any
+    ``t ∈ [0, domain_end[s]]``, and the smallest such ``t``.
+
+    Returns ``(weights, times)``, one entry per segment.  A leading
+    uncovered gap, and a segment without intervals, yield ``(0.0, 0)``.
+    Events past a segment's domain are dropped, so intervals may overrun
+    it; they must satisfy ``0 <= start <= end``.
+    """
+    domain_end = np.asarray(domain_end, dtype=np.int64)
+    segment, start, end, weight, edge = intervals
+    if (domain_end < 0).any():
+        raise ValueError("domain_end must be >= 0")
+    if (start < 0).any():
+        raise ValueError("interval starts at a negative time")
+    if (start > end).any():
+        raise ValueError("empty interval")
+    k = domain_end.size
+    best_w = np.zeros(k, dtype=np.float64)
+    best_t = np.zeros(k, dtype=np.int64)
+
+    n_iv = segment.size
+    seg = np.concatenate([segment, segment])
+    pos = np.concatenate([start, end + 1])
+    keep = pos <= domain_end[seg]
+    seg, pos = seg[keep], pos[keep]
+    if seg.size == 0:
+        return best_w, best_t
+    is_end = np.repeat(np.array([False, True]), n_iv)[keep]
+    delta = np.concatenate([weight, -weight])[keep]
+    order = np.lexsort((np.concatenate([edge, edge])[keep], is_end, pos, seg))
+    seg, pos, delta = seg[order], pos[order], delta[order]
+
+    # Merge equal (segment, position) events into one coverage change.
+    head = np.empty(seg.size, dtype=bool)
+    head[0] = True
+    np.not_equal(seg[1:], seg[:-1], out=head[1:])
+    head[1:] |= pos[1:] != pos[:-1]
+    first = np.flatnonzero(head)
+    change = np.add.reduceat(delta, first)
+    gseg, gpos = seg[first], pos[first]
+
+    # Prefix sums per segment, bucketed by row width: the least power
+    # of two >= the segment's change count, so padding stays below 2x,
+    # but at least 32, so small inputs take one or two buckets.
+    # Ordering changes by (width, segment) makes each bucket a
+    # contiguous run of rows; +inf padding keeps the tail out of the
+    # minimum without touching the prefix.
+    counts = np.bincount(gseg, minlength=k)
+    present = np.flatnonzero(counts)
+    exponent = np.frexp(np.maximum(counts[present] - 1, 31))[1]
+    width = np.left_shift(1, exponent.astype(np.int64))
+    rows = present[np.argsort(width, kind="stable")]
+    width = np.sort(width)
+    row_of = np.empty(k, dtype=np.int64)
+    row_of[rows] = np.arange(rows.size)
+    row_start = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(counts[rows], out=row_start[1:])
+    grow = row_of[gseg]
+    by_row = np.argsort(grow, kind="stable")
+    grow, change, gpos = grow[by_row], change[by_row], gpos[by_row]
+    col = np.arange(grow.size) - row_start[grow]
+    low = np.empty(rows.size, dtype=np.float64)
+    at = np.empty(rows.size, dtype=np.int64)
+    bounds = np.flatnonzero(np.diff(width)) + 1
+    for r0, r1 in zip([0, *bounds.tolist()], [*bounds.tolist(), rows.size]):
+        g0, g1 = row_start[r0], row_start[r1]
+        grid = np.full((r1 - r0, width[r0]), np.inf)
+        grid[grow[g0:g1] - r0, col[g0:g1]] = change[g0:g1]
+        np.cumsum(grid, axis=1, out=grid)
+        arg = np.argmin(grid, axis=1)
+        low[r0:r1] = grid[np.arange(r1 - r0), arg]
+        at[r0:r1] = gpos[row_start[r0:r1] + arg]
+    # The gap before a segment's first change has coverage 0 and comes
+    # first in time; a sweep minimum replaces it only if strictly lower.
+    take = (gpos[row_start[:-1]] == 0) | (low < 0.0)
+    best_w[rows] = np.where(take, low, 0.0)
+    best_t[rows] = np.where(take, at, 0)
+    return best_w, best_t
+
+
+# --------------------------------------------------------------------
+# Lemma 11's level table, one DFS per leader per level (core/ldr.py)
+# --------------------------------------------------------------------
+def build_level_table(tree) -> LevelTable:
+    """Compute the Lemma-11 quantities for every level of ``tree``."""
+    decomp = tree.decomp
+    label = decomp.labels
+    adjacency, parent = decomp.rooting.adjacency, decomp.rooting.parent
+    parent_key = tree.parent_key
+    slots, joins, leader, ldr, first = [], [], [], [], [0]
+    for level in range(1, decomp.height + 1):
+        slot = [-1] * len(label)
+        join = [0] * len(label)
+        # Components of T_level, discovered by DFS from each
+        # level-`level` vertex through vertices of label >= level.
+        for r in tree.leaders.get(level, []):
+            s = len(leader)
+            leader.append(r)
+            slot[r] = s
+            stack = [r]
+            first_crossing: int | None = None
+            while stack:
+                v = stack.pop()
+                t_v = join[v]
+                # A tree edge's key is its child end's parent_key.
+                for u in adjacency[v]:
+                    if label[u] >= level:
+                        # Trees have unique paths, so each vertex is
+                        # discovered once; the slot test also skips
+                        # the DFS parent.
+                        if slot[u] < 0:
+                            k = parent_key[u] if parent[u] == v else parent_key[v]
+                            slot[u] = s
+                            join[u] = t_v if t_v > k else k
+                            stack.append(u)
+                        continue
+                    # Boundary edge (Lemma 10: at most two per component).
+                    k = parent_key[u] if parent[u] == v else parent_key[v]
+                    t_u = t_v if t_v > k else k
+                    if first_crossing is None or t_u < first_crossing:
+                        first_crossing = t_u
+            ldr.append(
+                tree.max_tree_key - 1 if first_crossing is None else first_crossing - 1
+            )
+        slots.append(slot)
+        joins.append(join)
+        first.append(len(leader))
+    return LevelTable(
+        vertices=decomp.vertices,
+        slot=np.array(slots, dtype=np.int64),
+        join=np.array(joins, dtype=np.int64),
+        leader=np.array(leader, dtype=np.int64),
+        ldr_time=np.array(ldr, dtype=np.int64),
+        first=np.array(first, dtype=np.int64),
+    )

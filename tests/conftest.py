@@ -1,11 +1,31 @@
-"""Shared fixtures for the tier-1 suite: the JSON artifact sinks."""
+"""Shared fixtures for the tier-1 suite: the JSON artifact sinks, and
+:func:`serving`, which runs a test's HTTP server."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import threading
 
 import pytest
+
+
+@contextlib.contextmanager
+def serving(srv):
+    """Run ``srv.serve_forever`` on a daemon thread for the ``with``
+    block, then ``shutdown()`` and ``server_close()`` it.  The loop
+    polls every 0.05 s rather than the default 0.5 s, which
+    ``shutdown()`` would otherwise wait out at every teardown."""
+    thread = threading.Thread(
+        target=srv.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    try:
+        yield srv
+    finally:
+        srv.shutdown()
+        srv.server_close()
 
 
 @pytest.fixture(scope="session")

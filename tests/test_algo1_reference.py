@@ -1,28 +1,38 @@
 """Batched Algorithm 1 against the frozen per-copy path.
 
 :mod:`algo1_reference` keeps ``ampc_min_cut`` as it ran when every copy
-of every recursion level made its own Algorithm 3 call.  The current
-trial hands all of its copies to one batched call; nothing else may
-change.  On the same seed, a trial must return the same weight and
-side, every ledger entry, ``base_solves`` and ``singleton_runs`` --
-over the shared cut corpus, relabeled clustered n=64 graphs (the
-served mutation stream's shape), planted n=256 and n=2048, at
+of every recursion level made its own Algorithm 3 call, with the keys,
+the contraction, the witness bag and the sweep of that time.  The
+current trial contracts a level's copies in one pass, builds Lemma 11's
+tables for all of them by pointer jumping and lifts cuts through index
+arrays; nothing else may change.  On the same seed, a trial must return
+the same weight and side, every ledger entry, ``base_solves`` and
+``singleton_runs`` -- over the shared cut corpus, relabeled clustered
+n=64 graphs (the served mutation stream's shape) with int, str,
+mixed-type and equal-keyed labels, planted n=256 and n=2048, at
 ``max_copies`` 2 and 4.  APX-SPLIT and the served ``/mincut`` and
 ``/kcut``, which run Algorithm 1 inside, must answer as they did on the
 frozen path.  The batched interval build may not depend on where its
-chunks split, and ``root_tree`` must equal its frozen copy.
+chunks split, the batched level tables and contraction must equal the
+frozen per-copy ones, and ``root_tree`` must equal its frozen copy.
 """
+
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import algo1_reference as ref
 from repro.ampc import AMPCConfig, RoundLedger
 from cutcorpus import connected_corpus, relabeled_clustered
 from repro.core import (
+    LevelTable,
     SingletonCopy,
     ampc_min_cut,
     apx_split_kcut,
+    contract_to_size,
     draw_contraction_keys,
     mst_of_keys,
     smallest_singleton_cut,
@@ -73,6 +83,16 @@ class TestTrialBitIdentical:
     def test_relabeled_clustered(self, seed, max_copies):
         assert_same_trial(relabeled_clustered(seed % 2, seed), seed, max_copies)
 
+    @pytest.mark.parametrize("kind", ["str", "mixed", "tied"])
+    @pytest.mark.parametrize("max_copies", COPIES)
+    def test_relabeled_clustered_label_types(self, kind, max_copies):
+        """Copies order their vertices by one type-stable rank per input
+        vertex, inherited through the quotients; it must order str,
+        mixed-type and equal-keyed labels as ``_stable_key`` did."""
+        for seed in range(3):
+            g = relabeled_clustered(seed % 2, seed)
+            assert_same_trial(relabel_as(g, kind), seed, max_copies)
+
     @pytest.mark.parametrize("n", [256, 2048])
     @pytest.mark.parametrize("max_copies", COPIES)
     def test_planted(self, n, max_copies):
@@ -89,6 +109,35 @@ class TestTrialBitIdentical:
         monkeypatch.setattr(mincut_module, "smallest_singleton_cut", recording)
         result = ampc_min_cut(relabeled_clustered(1, 4), seed=2)
         assert sizes == [result.singleton_runs] and sizes[0] > 10
+
+
+class Tied:
+    """A label whose type-stable key it shares with every other
+    ``Tied`` of the same name: distinct vertices, equal sort keys."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __str__(self):
+        return self.name
+
+
+def relabel_as(graph, kind):
+    """``graph`` with its labels mapped to str, mixed-type (int, str,
+    float and tuple) or partly equal-keyed (:class:`Tied`) labels, in
+    the same vertex and edge order."""
+    def label(i, v):
+        if kind == "str":
+            return f"v{v}"
+        if kind == "tied":
+            return Tied(f"t{i % 5}") if i % 3 == 0 else v
+        return (v, f"{v}", v + 0.5, (v, -v))[i % 4]
+
+    phi = {v: label(i, v) for i, v in enumerate(graph.vertices())}
+    return Graph(
+        vertices=[phi[v] for v in graph.vertices()],
+        edges=[(phi[u], phi[v], w) for u, v, w in graph.edges()],
+    )
 
 
 class TestKCutUnchanged:
@@ -238,6 +287,29 @@ class TestBatch:
     def test_empty_batch(self):
         assert smallest_singleton_cut([]) == []
 
+    def test_one_contraction_pass_equals_frozen_per_copy(self):
+        """A level's copies contracted in one pass: each quotient and
+        its blocks equal the frozen one-copy contraction's, and a
+        one-graph call is a batch of one."""
+        copies = trial_copies(relabeled_clustered(0, 3), 2)
+        batch = [
+            (c.graph, c.keys, max(2, c.graph.num_vertices * 2 // 3))
+            for c in copies
+        ]
+        for (g, keys, target), got in zip(batch, contract_to_size(batch), strict=True):
+            old_q, old_blocks = ref.contract_to_size(g, keys, target)
+            one_q, one_blocks = contract_to_size(g, keys, target)
+            V, reps = g.vertices(), got.graph.vertices()
+            blocks = {r: [] for r in reps}
+            for v, q in zip(V, got.block.tolist()):
+                blocks[reps[q]].append(v)
+            assert [V[r] for r in got.rep.tolist()] == reps
+            for q, b in ((got.graph, blocks), (one_q, one_blocks)):
+                assert q.vertices() == old_q.vertices()
+                assert list(b.items()) == list(old_blocks.items())
+                for a, o in zip(q._columns(), old_q._columns(), strict=True):
+                    assert a.dtype == o.dtype and np.array_equal(a, o)
+
     def test_disconnected_copy_is_rejected(self):
         g = Graph(edges=[(0, 1, 1.0), (2, 3, 1.0)])
         config = AMPCConfig(n_input=4, m_input=2)
@@ -253,6 +325,70 @@ def levels_of(copy):
         copy.graph.vertices(), [(u, v) for _, u, v in mst]
     )
     return build_level_structure(keyed_tree(decomp, copy.keys))
+
+
+class TestLevelTables:
+    """Lemma 11's tables built for a whole batch by pointer jumping
+    equal the frozen per-leader DFS's, copy by copy."""
+
+    @staticmethod
+    def assert_same(batch):
+        tables = build_level_structure(batch)
+        assert len(tables) == len(batch)
+        for tree, table in zip(batch, tables):
+            for got in (table, build_level_structure(tree)):
+                want = ref.build_level_table(tree)
+                assert got.vertices == want.vertices
+                for field in LevelTable._fields[1:]:
+                    a, b = getattr(got, field), getattr(want, field)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+    def test_trial_copies(self):
+        for graph, seed in ((relabeled_clustered(1, 2), 5),
+                            (planted_cut(256, seed=3).graph, 1)):
+            copies = trial_copies(graph, seed)
+            self.assert_same([keyed_tree(decomposed(c), c.keys) for c in copies])
+
+    def test_corpus(self):
+        batch = []
+        for _, g in CORPUS:
+            for seed in range(3):
+                keys = draw_contraction_keys(g, seed=seed)
+                mst = keys.mst
+                decomp = low_depth_decomposition(keys.vertices, rows=(mst.u, mst.v))
+                batch.append(keyed_tree(decomp, keys))
+        self.assert_same(batch)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.tuples(st.integers(2, 40), st.integers(0, 2**31), st.integers(0, 2)),
+        min_size=1, max_size=5,
+    ))
+    def test_random_trees(self, shapes):
+        """Batches of random trees: uniform attachment, paths and stars,
+        keyed by random unique keys."""
+        batch = []
+        for n, seed, shape in shapes:
+            rng = random.Random(seed)
+            edges = []
+            for v in range(1, n):
+                u = (rng.randrange(v), v - 1, 0)[shape]
+                edges.append((u, v, rng.choice((1.0, 2.0, 0.5))))
+            labels = list(range(n))
+            rng.shuffle(labels)
+            tree = Graph(vertices=labels,
+                         edges=[(labels[u], labels[v], w) for u, v, w in edges])
+            keys = draw_contraction_keys(tree, seed=seed)
+            mst = keys.mst
+            decomp = low_depth_decomposition(keys.vertices, rows=(mst.u, mst.v))
+            batch.append(keyed_tree(decomp, keys))
+        self.assert_same(batch)
+
+
+def decomposed(copy):
+    """A copy's decomposition, as Algorithm 3's step 2 makes it."""
+    mst = copy.keys.mst
+    return low_depth_decomposition(copy.keys.vertices, rows=(mst.u, mst.v))
 
 
 class TestRootTree:

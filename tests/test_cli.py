@@ -8,6 +8,7 @@ from repro.cli import main
 from repro.graph import save_graph
 from repro.workloads import cycle, path_tree, planted_cut, planted_kcut
 from repro.graph import Graph
+from conftest import serving
 
 
 @pytest.fixture
@@ -157,21 +158,12 @@ class TestFormatsAndSparsify:
 class TestServeAndQuery:
     @pytest.fixture
     def live_service(self):
-        import threading
-
         from repro.service import CutService, make_server
 
         service = CutService()
-        server = make_server(service, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
+        with serving(make_server(service, port=0)) as server:
             yield server.url, service
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.close()
-            thread.join(timeout=5)
+        service.close()
 
     def test_query_register_and_cuts(self, live_service, planted_file, capsys):
         url, _ = live_service

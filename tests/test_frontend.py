@@ -40,6 +40,7 @@ from repro.service import (
 )
 
 from cutcorpus import connected_corpus
+from conftest import serving
 
 
 # ----------------------------------------------------------------------
@@ -163,14 +164,9 @@ class TestHashRing:
 @pytest.fixture()
 def server():
     service = CutService()
-    srv = make_server(service)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    try:
+    with serving(make_server(service)) as srv:
         yield srv
-    finally:
-        srv.shutdown()
-        service.close()
+    service.close()
 
 
 def _register_demo(url: str, name: str = "g") -> None:
@@ -374,17 +370,14 @@ class TestCoalescing:
     def test_coalescing_can_be_disabled(self):
         service = CutService()
         frontend = make_frontend(service, coalesce=False)
-        srv = make_server(frontend=frontend)
-        thread = threading.Thread(target=srv.serve_forever, daemon=True)
-        thread.start()
         try:
-            _register_demo(srv.url)
-            r = request_json(srv.url, "/stcut", {"graph": "g", "s": 0, "t": 2})
-            assert r["weight"] == 2.0
-            assert frontend.describe()["coalesce"] is False
-            assert frontend.describe()["coalesce_leaders"] == 0
+            with serving(make_server(frontend=frontend)) as srv:
+                _register_demo(srv.url)
+                r = request_json(srv.url, "/stcut", {"graph": "g", "s": 0, "t": 2})
+                assert r["weight"] == 2.0
+                assert frontend.describe()["coalesce"] is False
+                assert frontend.describe()["coalesce_leaders"] == 0
         finally:
-            srv.shutdown()
             service.close()
 
 

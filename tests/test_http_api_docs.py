@@ -18,7 +18,6 @@ docs-overhaul satellite's honesty guarantee.
 
 import json
 import re
-import threading
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -26,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.service import CutService, make_server
+from conftest import serving
 
 DOC = Path(__file__).resolve().parent.parent / "docs" / "HTTP_API.md"
 
@@ -93,14 +93,9 @@ def match_value(doc, actual, where):
 @pytest.fixture(scope="module")
 def server():
     service = CutService()  # the doc session starts from an empty server
-    srv = make_server(service)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    try:
+    with serving(make_server(service)) as srv:
         yield srv
-    finally:
-        srv.shutdown()
-        service.close()
+    service.close()
 
 
 def _request(url, method, path, body):

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import json
 import socket
-import threading
 
 import pytest
 
 from http_reference import make_reference_server
 from repro.service import CutService, make_frontend, make_server
 from repro.workloads import planted_cut
+from conftest import serving
 
 #: keys whose values are per-run: trace ids, wall-clock readings and
 #: the result cache's byte count (a cached reply's ``elapsed_s`` text
@@ -157,17 +157,11 @@ def _view(request: bytes, raw: bytes) -> tuple:
 
 @pytest.fixture(scope="module")
 def servers():
-    started = []
-    for factory in (lambda fe: make_server(frontend=fe),
-                    make_reference_server):
-        frontend = make_frontend(CutService())
-        srv = factory(frontend)
-        threading.Thread(target=srv.serve_forever, daemon=True).start()
-        started.append((srv, frontend))
-    yield [srv for srv, _ in started]
-    for srv, frontend in started:
-        srv.shutdown()
-        srv.server_close()
+    frontends = [make_frontend(CutService()) for _ in range(2)]
+    with serving(make_server(frontend=frontends[0])) as program, \
+            serving(make_reference_server(frontends[1])) as reference:
+        yield [program, reference]
+    for frontend in frontends:
         frontend.close()
 
 

@@ -69,19 +69,15 @@ from repro.service import (
     request_status_json,
 )
 from repro.service.ops import MAX_TRIALS
+from conftest import serving
 
 
 @pytest.fixture()
 def server():
     service = CutService()
-    srv = make_server(service)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    try:
+    with serving(make_server(service)) as srv:
         yield srv
-    finally:
-        srv.shutdown()
-        service.close()
+    service.close()
 
 
 def _port(srv) -> int:

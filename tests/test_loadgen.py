@@ -5,26 +5,21 @@ the schedule is deterministic in the seed, the report carries every
 op class it scheduled, and ``check_slos`` reads floors honestly.
 """
 
-import threading
 
 import pytest
 
 from repro.obs import LoadGen, LoadGenConfig, check_slos
 from repro.obs.loadgen import _percentile
 from repro.service import CutService, make_server, request_json
+from conftest import serving
 
 
 @pytest.fixture()
 def server():
     service = CutService()
-    srv = make_server(service)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    try:
+    with serving(make_server(service)) as srv:
         yield srv
-    finally:
-        srv.shutdown()
-        service.close()
+    service.close()
 
 
 def _config(url, **overrides):

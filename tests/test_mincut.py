@@ -44,6 +44,25 @@ class TestValidity:
             res = ampc_min_cut(g, seed=seed)
             assert res.weight >= exact_min_cut_weight(g) - 1e-9
 
+    @pytest.mark.parametrize("max_copies", [1, 0])
+    def test_rejects_fewer_than_two_copies(self, max_copies):
+        """A cap below 2 used to run 2 copies per level anyway."""
+        with pytest.raises(ValueError, match="max_copies"):
+            ampc_min_cut(planted_cut(32, seed=1).graph, max_copies=max_copies)
+
+    def test_rejects_base_size_zero_up_front(self, monkeypatch):
+        """``base_size=0`` used to fail deep in Algorithm 3 ("smallest
+        singleton cut needs n >= 2"); now it fails before any copy."""
+        monkeypatch.setattr(mincut_module, "draw_contraction_keys", None)
+        with pytest.raises(ValueError, match="base_size"):
+            ampc_min_cut(planted_cut(32, seed=1).graph, base_size=0)
+
+    def test_base_size_one_still_runs(self):
+        g = planted_cut(32, seed=1).graph
+        res = ampc_min_cut(g, seed=1, base_size=1, max_copies=2)
+        res.cut.validate(g)
+        assert res.base_solves == 0
+
     def test_two_vertex_graph(self):
         g = Graph(edges=[(0, 1, 3.5)])
         res = ampc_min_cut(g)

@@ -36,6 +36,7 @@ from repro.service import (
 )
 from repro.service.oracle import CutOracle
 from repro.workloads import planted_cut
+from conftest import serving
 
 
 def two_triangles() -> Graph:
@@ -999,20 +1000,13 @@ class TestServiceMutate:
 class TestMutateHTTP:
     @pytest.fixture()
     def server(self):
-        import threading
-
         from repro.service import make_server
 
         svc = CutService()
         svc.register("g", two_triangles())
-        server = make_server(svc)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
+        with serving(make_server(svc)) as server:
             yield server
-        finally:
-            server.shutdown()
-            svc.close()
+        svc.close()
 
     def test_mutate_endpoint_roundtrip(self, server):
         from repro.service import request_json

@@ -15,6 +15,7 @@ import pytest
 from repro.obs import Histogram, MetricsRegistry
 from repro.service import CutService, make_server, request_json
 from repro.workloads import planted_cut
+from conftest import serving
 
 # ----------------------------------------------------------------------
 # Instruments
@@ -142,14 +143,9 @@ def test_snapshot_shape():
 @pytest.fixture()
 def server():
     service = CutService()
-    srv = make_server(service)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    try:
+    with serving(make_server(service)) as srv:
         yield srv
-    finally:
-        srv.shutdown()
-        service.close()
+    service.close()
 
 
 def _register(url, name, n=16, seed=5):

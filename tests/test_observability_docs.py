@@ -8,11 +8,11 @@ counter values fail the build if instrumentation drifts — e.g. a new
 span in the warm-query path changes the documented ring accounting.
 """
 
-import threading
 
 import pytest
 
 from repro.service import CutService, make_server
+from conftest import serving
 from tests.test_http_api_docs import DOC, _request, match_value, parse_examples
 
 OBS_DOC = DOC.with_name("OBSERVABILITY.md")
@@ -21,14 +21,9 @@ OBS_DOC = DOC.with_name("OBSERVABILITY.md")
 @pytest.fixture(scope="module")
 def server():
     service = CutService()  # the doc session starts from an empty server
-    srv = make_server(service)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    try:
+    with serving(make_server(service)) as srv:
         yield srv
-    finally:
-        srv.shutdown()
-        service.close()
+    service.close()
 
 
 def test_examples_cover_the_obs_surface():

@@ -65,6 +65,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             schedule_for(100, eps=1.0)
 
+    @pytest.mark.parametrize("max_copies", [1, 0, -3])
+    def test_rejects_fewer_than_two_copies(self, max_copies):
+        """Every level branches into at least 2 copies, so a smaller cap
+        used to be ignored silently."""
+        with pytest.raises(ValueError, match="max_copies"):
+            schedule_for(100, max_copies=max_copies)
+
+    @pytest.mark.parametrize("base_size", [0, -1])
+    def test_rejects_empty_base_case(self, base_size):
+        with pytest.raises(ValueError, match="base_size"):
+            schedule_for(100, base_size=base_size)
+
+    def test_smallest_valid_arguments(self):
+        s = schedule_for(100, base_size=1, max_copies=2)
+        assert s.base_size == 1 and all(l.copies == 2 for l in s.levels)
+
     def test_small_n_at_most_one_level(self):
         s = schedule_for(8, eps=0.5)
         assert s.depth <= 1 or s.levels[0].instance_size == 8

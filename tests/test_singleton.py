@@ -212,8 +212,9 @@ class TestServedLayerNames:
     """The served benchmark's traced guard times Algorithm 3's step 2 and
     level structures by patching ``repro.core.singleton``'s
     ``low_depth_decomposition`` and ``build_level_structure`` by name;
-    a served ``/mincut`` must call them through those names, each once
-    per copy, the level build returning every level of its copy."""
+    a served ``/mincut`` must call them through those names: the
+    decomposition once per copy, the level build once per trial on the
+    trial's copies, returning every level of each."""
 
     def test_served_mincut_calls_both_names(self, monkeypatch):
         from repro.core import mincut as mincut_module
@@ -234,9 +235,10 @@ class TestServedLayerNames:
             decomps.append(decompose(*args, **kw))
             return decomps[-1]
 
-        def building(tree):
-            tables.append(build(tree))
-            return tables[-1]
+        def building(trees):
+            built = build(trees)
+            tables.extend(built)
+            return built
 
         monkeypatch.setattr(mincut_module, "smallest_singleton_cut", tracking)
         monkeypatch.setattr(singleton_module, "low_depth_decomposition", decomposing)
