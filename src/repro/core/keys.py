@@ -120,15 +120,23 @@ class ContractionKeys:
         """Kruskal over the rows: unique keys give a unique MST."""
         n = len(self.vertices)
         dsu = IndexDSU(n)
+        parent, union = dsu.parent, dsu.union
         mst = KeyedMST([], [], [], [], [])
         for k, a, b in zip(self.value, self.u, self.v):
-            absorbed = dsu.union(a, b)
-            if absorbed < 0:
+            # Most rows close a cycle: find both roots inline (the
+            # DSU's path halving) and union only rows that merge.
+            ra, rb = a, b
+            while parent[ra] != ra:
+                parent[ra] = ra = parent[parent[ra]]
+            while parent[rb] != rb:
+                parent[rb] = rb = parent[parent[rb]]
+            if ra == rb:
                 continue
+            absorbed = union(ra, rb)
             mst.key.append(k)
             mst.u.append(a)
             mst.v.append(b)
-            mst.root.append(dsu.parent[absorbed])
+            mst.root.append(parent[absorbed])
             mst.absorbed.append(absorbed)
             if len(mst.key) == n - 1:
                 break

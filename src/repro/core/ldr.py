@@ -152,15 +152,14 @@ def build_level_structure(trees):
     tin[column(d.rooting.preorder for d in decomps) + shift] = np.arange(n)
 
     # Cells: vertex x holds levels 1 .. label[x]; its last cell is the
-    # one it leads (Lemma 8).
+    # one it leads (Lemma 8).  A root's parent, -1, reads the padding.
     cell0 = np.cumsum(label) - label
     vertex = np.repeat(np.arange(n), label)
-    level = np.arange(vertex.size) - cell0[vertex] + 1
     own = np.arange(vertex.size)
+    level = own - cell0[vertex] + 1
     p = parent[vertex]
-    up_ok = p >= 0
-    up_ok[up_ok] = label[p[up_ok]] >= level[up_ok]
-    up = np.where(up_ok, cell0[p] + level - 1, own)
+    up_ok = np.append(label, 0)[p] >= level
+    up = np.where(up_ok, np.append(cell0, 0)[p] + level - 1, own)
     top = _jump(up)
     lead = cell0 + label - 1
     leader_at = np.full(vertex.size, -1, dtype=np.int64)
@@ -172,10 +171,12 @@ def build_level_structure(trees):
     # Toward the leader: up the parent pointer, except on the leader's
     # root path (the cells above it are its ancestors), which points
     # down to its child on that path.
-    step = np.where(led, up, own)
-    hop = np.where(led & up_ok, key[vertex], 0)
-    on_path = led & up_ok & (tin[vertex] <= tin[r]) & (tin[r] < tin[vertex] + size[vertex])
-    below = np.flatnonzero(on_path)
+    moving = np.flatnonzero(led & up_ok)
+    v, t = vertex[moving], tin[r[moving]]
+    step, hop = own.copy(), np.zeros(own.size, dtype=np.int64)
+    step[moving] = up[moving]
+    hop[moving] = key[v]
+    below = moving[(tin[v] <= t) & (t < tin[v] + size[v])]
     step[up[below]] = below
     hop[up[below]] = key[vertex[below]]
     step[lead] = lead
@@ -184,7 +185,7 @@ def build_level_structure(trees):
 
     # Boundary edges leave a leadered cell for a vertex of lower label:
     # its parent, or one of its children at each level in between.
-    out = np.flatnonzero(led & (parent[vertex] >= 0) & ~up_ok)
+    out = np.flatnonzero(led & ~up_ok & (p >= 0))
     child = np.flatnonzero((parent >= 0) & (label[np.maximum(parent, 0)] > label))
     gap = label[parent[child]] - label[child]
     inner = np.repeat(cell0[parent[child]], gap) + _ranges(label[child], gap)
@@ -214,13 +215,15 @@ def build_level_structure(trees):
         _ranges(row_base, heights + 1),
         side="right",
     ) - np.repeat(base, heights + 1)
+    # Cell (x, level) of a table sits at row level - 1, column x.
     grid0 = np.cumsum(heights * sizes) - heights * sizes
-    c = copy[vertex]
-    where = grid0[c] + (level - 1) * sizes[c] + vertex - base[c]
+    cells = np.flatnonzero(led)
+    x = vertex[cells]
+    where = (grid0 - base)[copy[x]] + x + (level[cells] - 1) * sizes[copy[x]]
     slots = np.full(int((heights * sizes).sum()), -1, dtype=np.int64)
     joins = np.zeros(slots.size, dtype=np.int64)
-    slots[where[led]] = segment[r[led]]
-    joins[where[led]] = join[led]
+    slots[where] = segment[r[cells]]
+    joins[where] = join[cells]
     leader = by_segment - shift[by_segment]
     ldr_time = ldr_time[by_segment]
     tables = []
