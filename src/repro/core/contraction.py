@@ -14,7 +14,7 @@ that MST:
 * :func:`prefix_roots` — the union–find roots after a prefix of the
   MST's unions, for a batch of copies at once: the blocks of line 6
   and ``bag(v, t)`` (Definition 6), Algorithm 3's witness;
-  :func:`mst_bag` and :func:`bag_at` are its one-bag wrappers.
+  :func:`bag_at` is its one-bag wrapper.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from typing import Hashable, NamedTuple, Sequence
 import numpy as np
 
 from ..graph import Graph
+from ..graph.graph import quotient_columns
 from .keys import ContractionKeys
 from .ldr import _jump
 
@@ -112,42 +113,28 @@ def contract_to_size(graph, keys=None, target_vertices=None):
     label[by_first] = np.arange(roots.size)
     label = label[inverse]
     rep = roots[by_first]
-    q = np.int64(rep.size)
-    # Each copy's ids lie below the next copy's, so searchsorted finds
-    # where each copy starts in these copy-ordered arrays.
-    q_base = np.searchsorted(rep, base)
 
     columns = [g._columns() for g, _, _ in graph]
-    m = np.array([ws.size for _, _, ws in columns], dtype=np.int64)
-    shift = np.repeat(base, m)
-    lu = label[np.concatenate([us for us, _, _ in columns]) + shift]
-    lv = label[np.concatenate([vs for _, vs, _ in columns]) + shift]
-    ws = np.concatenate([ws for _, _, ws in columns])
-    cross = lu != lv
-    lu, lv, ww = lu[cross], lv[cross], ws[cross]
-    pair = np.minimum(lu, lv) * q + np.maximum(lu, lv)
-    uniq, first, inv = np.unique(pair, return_index=True, return_inverse=True)
-    # First-occurrence order puts each quotient's rows where add_edge
-    # would have, and bincount sums every bundle in edge order, so the
-    # weights are bit-identical to a quotient per copy.
-    order = np.argsort(first, kind="stable")
-    rank = np.empty(uniq.size, dtype=np.int64)
-    rank[order] = np.arange(uniq.size)
-    qws = np.bincount(rank[inv], weights=ww, minlength=uniq.size)
-    qus = (uniq // q)[order]
-    qvs = (uniq % q)[order]
-    e_base = np.searchsorted(qus, q_base)
+    shift = np.repeat(base, [ws.size for _, _, ws in columns])
+    qus, qvs, qws = quotient_columns(
+        label, rep.size,
+        np.concatenate([us for us, _, _ in columns]) + shift,
+        np.concatenate([vs for _, vs, _ in columns]) + shift,
+        np.concatenate([ws for _, _, ws in columns]),
+    )
+    # Each copy's ids lie below the next copy's, so searchsorted finds
+    # where each copy starts in these copy-ordered arrays.
+    q_base = np.append(np.searchsorted(rep, base), rep.size).tolist()
+    e_base = np.append(np.searchsorted(qus, q_base[:-1]), qus.size).tolist()
     out = []
     for c, (g, _, _) in enumerate(graph):
-        lo, hi = int(base[c]), int(base[c] + sizes[c])
-        q0, q1 = int(q_base[c]), int(q_base[c + 1]) if c + 1 < len(graph) else int(q)
-        e0, e1 = int(e_base[c]), int(e_base[c + 1]) if c + 1 < len(graph) else uniq.size
-        V = g.vertices()
-        rep_c = rep[q0:q1] - lo
+        lo, q0, q1 = int(base[c]), q_base[c], q_base[c + 1]
+        e = slice(e_base[c], e_base[c + 1])
+        V, rep_c = g.vertices(), rep[q0:q1] - lo
         quotient = Graph._from_columns(
-            [V[r] for r in rep_c.tolist()], qus[e0:e1] - q0, qvs[e0:e1] - q0, qws[e0:e1]
+            [V[r] for r in rep_c.tolist()], qus[e] - q0, qvs[e] - q0, qws[e]
         )
-        out.append(Contracted(quotient, label[lo:hi] - q0, rep_c))
+        out.append(Contracted(quotient, label[lo:lo + g.num_vertices] - q0, rep_c))
     return out
 
 
@@ -181,14 +168,8 @@ def bag_at(
     vertices already joined by smaller tree keys — the Kruskal cycle
     property), which tests assert.
     """
-    return mst_bag(keys, graph.index_of(v), t)
-
-
-def mst_bag(keys: ContractionKeys, v: int, t: int) -> frozenset:
-    """``bag(V[v], t)`` for the vertex of index ``v``: the vertices
-    joined to it by the keyed MST's edges of key <= t, as labels."""
     root = prefix_roots([keys], [bisect_right(keys.mst.key, t)])
-    return frozenset(compress(keys.vertices, (root == root[v]).tolist()))
+    return frozenset(compress(keys.vertices, (root == root[graph.index_of(v)]).tolist()))
 
 
 def bag_boundary_weight(graph: Graph, bag: frozenset) -> float:

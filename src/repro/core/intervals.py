@@ -30,7 +30,8 @@ weights rather than counting intervals.
 Layout: the three cases are boolean masks over ``(pair, endpoint)``
 cells, one pair per (copy, level) row and edge of that copy — the
 copies' edge columns gathered through the rows of each copy's level
-table — evaluated for all edges of all copies and, in memory-bounded
+table — evaluated, among each chunk's cells, only where the endpoint
+has a leader, for all edges of all copies and, in memory-bounded
 chunks, all levels at once.  The result is one :class:`IntervalColumns`
 row per non-empty interval: its (copy, level, leader) *segment*, the
 closed ``[start, end]``, the edge weight and the edge's row id.  No

@@ -27,15 +27,16 @@ Layout: step 2 decomposes the keyed MST in the keys' vertex order,
 which is the graph's, so edge columns index the level arrays directly.
 :func:`keyed_tree` adds each vertex's parent-edge key to that
 decomposition's rooting, in one pass over the MST rows, and
-:func:`build_level_structure` walks the rooting's adjacency and
-returns one :class:`LevelTable` per copy: a row per level of each
-vertex's leader segment (``-1`` when leaderless) and join time, and
-per segment the leader's vertex index and ``ldr_time``.  Segments
-number the copy's leaders level by level, each level's in the
-decomposition's ``order``.  :meth:`LevelTable.level` is the
-vertex-keyed view for tests.
+:func:`build_level_structure` returns one :class:`LevelTable` per
+copy: a row per level of each vertex's leader segment (``-1`` when
+leaderless) and join time, and per segment the leader's vertex index
+and ``ldr_time``.  Segments number the copy's leaders level by level,
+each level's in the decomposition's ``order``.
+:meth:`LevelTable.level` is the vertex-keyed view for tests.
 
-Everything is computed with one DFS per component (``O(n)`` per level;
+Everything is computed on arrays over all of a batch's copies and
+levels at once, by level-synchronous pointer jumping over the
+rootings' parent arrays (``O(log depth)`` rounds of ``O(n h)`` work;
 the model-cost accounting lives in :mod:`repro.core.singleton`).
 """
 
@@ -250,20 +251,14 @@ def _jump(pointer: np.ndarray, value: np.ndarray | None = None) -> np.ndarray:
     """Pointer jumping over ``pointer``, a forest whose roots point to
     themselves: each element's root or, given ``value`` (an element's
     value for its step to its pointer, 0 at the roots), the maximum
-    value over the steps from each element to its root.  Each round
-    moves only the elements whose pointer is not yet a root."""
-    pointer = pointer.copy()
-    if value is not None:
-        value = value.copy()
-    active = np.flatnonzero(pointer[pointer] != pointer)
-    while active.size:
-        step = pointer[active]
+    value over the steps from each element to its root."""
+    while True:
+        nxt = pointer[pointer]
+        if np.array_equal(nxt, pointer):
+            return pointer if value is None else value
         if value is not None:
-            value[active] = np.maximum(value[active], value[step])
-        step = pointer[step]
-        pointer[active] = step
-        active = active[pointer[step] != step]
-    return pointer if value is None else value
+            value = np.maximum(value, value[pointer])
+        pointer = nxt
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -14,13 +14,24 @@ every instance:
 * contract down to the next level's size (line 6).
 
 Line 6 is a prefix of the keys' MST, which Kruskal builds once per
-copy and Algorithm 3's step 1 reads again, so line 5 does not hold up
-the recursion: every copy of every level is recorded, and once the
-level loop ends, one batched Algorithm 3 call tracks them all — steps
-1–2 per copy, then a single interval build and sweep over every
-copy's (level, leader) segments.  The copies are independent and line 5's cuts feed
-only line 8's minimum, so this is the same computation as a call per
-copy, with numpy's per-call cost paid once per trial.
+copy and Algorithm 3's step 1 reads again; one pass contracts all of a
+level's copies (:func:`~repro.core.contraction.contract_to_size` on a
+batch, vertex ids offset per copy).  Line 5 does not hold up the
+recursion: every copy of every level is recorded, and once the level
+loop ends, one batched Algorithm 3 call tracks them all — steps 1–2
+per copy, then one level-table pass, one interval build and sweep over
+every copy's (level, leader) segments, and one witness pass.  The
+copies are independent and line 5's cuts feed only line 8's minimum,
+so this is the same computation as a call per copy, with numpy's
+per-call cost paid once per level or per trial.
+
+Instances carry index arrays, not label maps: each maps every input
+vertex to its vertex in the instance, and each instance vertex to the
+input vertex it is named after, whose one type-stable rank (computed
+once per trial) orders the copy's vertices for Algorithm 3's rooting.
+A candidate cut lifts as a mask over the input, weighed with
+:meth:`Graph.cut_weight`'s own expression; only the winner becomes a
+vertex set.
 
 Once instances fit a single machine (``<= n^eps`` vertices), each is
 solved exactly there (lines 1–3, Stoer–Wagner) and the best cut over

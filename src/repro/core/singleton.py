@@ -16,15 +16,19 @@ during the keyed contraction process, in ``O(1/eps)`` AMPC rounds:
 One call solves a batch of independent graphs (:class:`SingletonCopy`,
 each with its own keys, configuration and ledger): Algorithm 1 hands it
 every copy of a trial at once, and a one-graph call is a batch of one.
-Steps 1–2 run per copy, and so does Lemma 11: one
-:class:`~repro.core.ldr.LevelTable` holds every level of a copy, its
-leaders numbered as the copy's segments.  Host-side, steps 3–4 are
-columnar (:func:`sweep_levels`): every level's intervals, of every
-copy, are built at once as masks over the edge columns, with one
+Steps 1–2 run per copy (optionally ordering vertices by ranks the
+caller inherited, :attr:`SingletonCopy.rank`).  Lemma 11 runs once
+for the batch: one pointer-jumping pass builds every copy's
+:class:`~repro.core.ldr.LevelTable`, which holds every level of the
+copy, its leaders numbered as the copy's segments.  Host-side, steps
+3–4 are columnar (:func:`sweep_levels`): every level's intervals, of
+every copy, are built at once as masks over the edge columns, with one
 segment per (copy, level, leader), and a single segmented sweep
 returns each segment's exact minimum.  A copy's witness is the first
-minimal segment in its own range; its cut side is read off the same
-MST rows (:func:`~repro.core.contraction.mst_bag`).
+minimal segment in its own range; every copy's cut side is read off
+the same MST rows in one pass
+(:func:`~repro.core.contraction.prefix_roots`) and kept as a mask over
+the copy's vertices (:attr:`SingletonCutResult.side`).
 
 Differential guarantee (tested): the returned weight equals the naive
 replay oracle's (:func:`repro.core.bags.replay_min_singleton`) on every

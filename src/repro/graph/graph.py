@@ -98,6 +98,35 @@ def _bad_weight(u: Vertex, v: Vertex, weight: float) -> ValueError:
     )
 
 
+def quotient_columns(
+    label: np.ndarray, size: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge columns of the quotient that maps vertex ``i`` to group
+    ``label[i]`` of ``size``.
+
+    Vectorized label-relabel: edges are mapped through the group
+    labels, self-loops masked out, parallel bundles identified by a
+    unique-pair pass (rows ordered by first occurrence, exactly as
+    incremental ``add_edge`` calls would have ordered them) and merged
+    with a segmented ``bincount`` sum whose accumulation order equals
+    the per-edge insertion order — so quotient weights are
+    bit-identical to the scalar implementation's.
+    """
+    lu, lv = label[us], label[vs]
+    cross = lu != lv
+    lu, lv, ww = lu[cross], lv[cross], ws[cross]
+    pair = np.minimum(lu, lv) * np.int64(size) + np.maximum(lu, lv)
+    uniq, first, inv = np.unique(pair, return_index=True, return_inverse=True)
+    # np.unique sorts by pair id; renumber to first-occurrence order
+    # so the quotient's edge rows sit exactly where add_edge would
+    # have put them.
+    order = np.argsort(first, kind="stable")
+    rank = np.empty(len(uniq), dtype=np.int64)
+    rank[order] = np.arange(len(uniq), dtype=np.int64)
+    qws = np.bincount(rank[inv], weights=ww, minlength=len(uniq))
+    return (uniq // size)[order], (uniq % size)[order], qws
+
+
 class Graph:
     """Simple weighted undirected graph (no parallel edges, no loops).
 
@@ -575,15 +604,9 @@ class Graph:
 
         Returns the quotient graph and ``blocks``: representative ->
         list of original vertices, so cuts in the quotient can be
-        lifted back to cuts of the original graph.
-
-        Vectorized label-relabel: edges are mapped through the group
-        labels, self-loops masked out, parallel bundles identified by
-        a unique-pair pass (rows ordered by first occurrence, exactly
-        as incremental ``add_edge`` calls would have ordered them) and
-        merged with a segmented ``bincount`` sum whose accumulation
-        order equals the per-edge insertion order — so quotient weights
-        are bit-identical to the scalar implementation's.
+        lifted back to cuts of the original graph.  Groups are numbered
+        in order of their first vertex; :func:`quotient_columns` builds
+        the edges.
         """
         blocks: dict[Vertex, list[Vertex]] = {}
         for v in self._vertices:
@@ -595,27 +618,8 @@ class Graph:
         index = self._index
         for v in self._vertices:
             label[index[v]] = q_index[representative[v]]
-
-        us, vs, ws = self._columns()
-        lu, lv = label[us], label[vs]
-        cross = lu != lv
-        lu, lv, ww = lu[cross], lv[cross], ws[cross]
-        a = np.minimum(lu, lv)
-        b = np.maximum(lu, lv)
-        pair = a * np.int64(len(reps)) + b
-        uniq, first, inv = np.unique(
-            pair, return_index=True, return_inverse=True
-        )
-        # np.unique sorts by pair id; renumber to first-occurrence order
-        # so the quotient's edge rows sit exactly where add_edge would
-        # have put them.
-        order = np.argsort(first, kind="stable")
-        rank = np.empty(len(uniq), dtype=np.int64)
-        rank[order] = np.arange(len(uniq), dtype=np.int64)
-        qws = np.bincount(rank[inv], weights=ww, minlength=len(uniq))
-        qus = (uniq // len(reps))[order]
-        qvs = (uniq % len(reps))[order]
-        return Graph._from_columns(reps, qus, qvs, qws), blocks
+        columns = quotient_columns(label, len(reps), *self._columns())
+        return Graph._from_columns(reps, *columns), blocks
 
     def without_edges(self, cut_edges: Iterable[tuple[Vertex, Vertex]]) -> "Graph":
         """Copy of the graph minus the given edges (APX-SPLIT's G').
