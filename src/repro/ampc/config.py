@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 
 def _ceil_pow(n: int, exponent: float) -> int:
@@ -79,7 +80,7 @@ class AMPCConfig:
         """Edge count used for total-space budgets."""
         return self.n_input if self.m_input is None else self.m_input
 
-    @property
+    @cached_property
     def local_memory_words(self) -> int:
         """Per-machine budget: ``local_constant * N^eps`` words (>= 64).
 

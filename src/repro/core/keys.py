@@ -119,12 +119,13 @@ class ContractionKeys:
     def mst(self) -> KeyedMST:
         """Kruskal over the rows: unique keys give a unique MST."""
         n = len(self.vertices)
+        # IndexDSU's state and rules (path halving, union by size, the
+        # first root surviving ties), inlined: this loop is a trial's
+        # hottest.
         dsu = IndexDSU(n)
-        parent, union = dsu.parent, dsu.union
+        parent, size = dsu.parent, dsu.size
         mst = KeyedMST([], [], [], [], [])
         for k, a, b in zip(self.value, self.u, self.v):
-            # Most rows close a cycle: find both roots inline (the
-            # DSU's path halving) and union only rows that merge.
             ra, rb = a, b
             while parent[ra] != ra:
                 parent[ra] = ra = parent[parent[ra]]
@@ -132,12 +133,15 @@ class ContractionKeys:
                 parent[rb] = rb = parent[parent[rb]]
             if ra == rb:
                 continue
-            absorbed = union(ra, rb)
+            if size[ra] < size[rb]:
+                ra, rb = rb, ra
+            parent[rb] = ra
+            size[ra] += size[rb]
             mst.key.append(k)
             mst.u.append(a)
             mst.v.append(b)
-            mst.root.append(parent[absorbed])
-            mst.absorbed.append(absorbed)
+            mst.root.append(ra)
+            mst.absorbed.append(rb)
             if len(mst.key) == n - 1:
                 break
         return mst

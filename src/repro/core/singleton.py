@@ -168,10 +168,9 @@ def _track(
     # serves them all.
     swept = sweep_levels([(copy.graph, t) for copy, t in zip(copies, tables)])
     # First occurrence: ties go to the lowest (level, leader) segment.
-    best = [
-        lo + int(np.argmin(swept.weight[lo:hi]))
-        for lo, hi in zip(swept.first[:-1].tolist(), swept.first[1:].tolist())
-    ]
+    low = np.minimum.reduceat(swept.weight, swept.first[:-1])
+    at = np.flatnonzero(swept.weight == np.repeat(low, np.diff(swept.first)))
+    best = at[np.searchsorted(at, swept.first[:-1])].tolist()
     leaders = swept.leader[best].tolist()
     times = swept.time[best].tolist()
     # The witnesses bag(leader, t), as masks: one prefix-root pass over
@@ -209,6 +208,8 @@ def _track(
             frozenset(compress(graph.vertices(), side.tolist())),
             float(ws[side[us] ^ side[vs]].sum()),
         )
+        if not 0 < len(cut.side) < n:
+            raise ValueError("cut side must be a proper non-empty subset")
         ledger.charge(
             1,
             "witness extraction: materialise bag(leader, t) as a cut side",

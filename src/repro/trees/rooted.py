@@ -159,10 +159,10 @@ def root_indices(
     ``root`` defaults to the minimum vertex under a type-stable order.
     Adjacency lists are sorted the same way, stably, so equal keys keep
     edge order.  ``rank`` may give that order as one integer per vertex
-    (equal labels' keys, equal ranks), which spares keying the labels.  A popped vertex discovers all its undiscovered
-    neighbours at once, in that order; discovery order numbers the
-    heavy paths and so fixes each level's leader order
-    (:mod:`repro.trees.low_depth`).
+    (equal labels' keys, equal ranks), which spares keying the labels.
+    A popped vertex discovers all its undiscovered neighbours at once,
+    in that order; discovery order numbers the heavy paths and so fixes
+    each level's leader order (:mod:`repro.trees.low_depth`).
     """
     n = len(vertices)
     if not n:
@@ -194,12 +194,13 @@ def root_indices(
     discovered = [r]
     preorder = []
     stack = [r]
+    by_key = skey.__getitem__
     while stack:
         x = stack.pop()
         preorder.append(x)
         adj = adjacency[x]
         if len(adj) > 1:
-            adj.sort(key=skey.__getitem__)
+            adj.sort(key=by_key)
         for y in adj:
             if parent[y] == -1:
                 parent[y] = x
