@@ -158,8 +158,8 @@ def root_indices(
     contract of Lemma 4 / :func:`ampc_root_forest` for a single tree;
     ``root`` defaults to the minimum vertex under a type-stable order.
     Adjacency lists are sorted the same way, stably, so equal keys keep
-    edge order.  ``rank`` may give that order as one integer per vertex
-    (equal labels' keys, equal ranks), which spares keying the labels.
+    edge order.  The order is ``rank``, one integer per vertex (equal
+    keys, equal ranks), :func:`stable_ranks` by default.
     A popped vertex discovers all its undiscovered neighbours at once,
     in that order; discovery order numbers the heavy paths and so fixes
     each level's leader order (:mod:`repro.trees.low_depth`).
@@ -176,8 +176,7 @@ def root_indices(
     us, vs = rows
     if len(us) != n - 1:
         raise ValueError(f"not a tree: {n} vertices but {len(us)} edges")
-    # One type-stable sort key per vertex, computed once.
-    skey = [_stable_key(x) for x in vertices] if rank is None else rank
+    skey = stable_ranks(vertices) if rank is None else rank
     adjacency: list[list[int]] = [[] for _ in range(n)]
     for a, b in zip(us, vs):
         adjacency[a].append(b)
