@@ -35,8 +35,8 @@ DFS, discovery order and subtree sizes): the first-largest heavy
 child, heavy paths numbered in discovery order, and each vertex's
 label read off a per-length table of binarized-path depths
 (:func:`~repro.trees.binarized.depth_table`).  The decomposition keeps
-the :class:`~repro.trees.rooted.Rooting`, which Algorithm 3's level
-structures walk.  Its views -- the :attr:`~LowDepthDecomposition.tree`,
+the :class:`~repro.trees.rooted.Rooting`, whose parent array and
+preorder Algorithm 3's level structures read.  Its views -- the :attr:`~LowDepthDecomposition.tree`,
 the heavy :attr:`~LowDepthDecomposition.paths` and the meta tree's
 :attr:`~LowDepthDecomposition.meta_parent` -- are built from the
 rooting and ``order`` on first read; the served path reads none of

@@ -6,7 +6,7 @@ genuinely-executed implementation lives in
 sequential equivalent used inside the larger pipelines (identical
 outputs — asserted by tests): :func:`root_indices`, one stack DFS on
 vertex indices whose :class:`Rooting` lists step 2's labeler and
-Algorithm 3's level structures walk as they are, and from which
+Algorithm 3's level structures read as they are, and from which
 :func:`root_tree` builds the :class:`RootedTree` container the tests,
 figures and validators consume: parents, depths, subtree sizes,
 children in deterministic order, preorder numbers.
