@@ -273,8 +273,11 @@ def boost_min_cut(
     A solved kernel answers outright (no trial, 0 rounds).  Otherwise
     :func:`~repro.core.boost.boost` runs :func:`min_cut_trials` trials
     through ``run`` (default: in process) and the winner is lifted
-    through the kernel in a ``lift`` span.
+    through the kernel in a ``lift`` span.  ``max_copies`` is checked
+    first, so a solved kernel rejects what a trial would.
     """
+    if max_copies < 2:
+        raise ValueError(f"max_copies must be >= 2, got {max_copies}")
     if kernel is not None and kernel.is_solved:
         return MinCutResult(
             cut=kernel.trivial_cut(),  # raises for n < 2, like the solver

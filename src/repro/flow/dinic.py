@@ -54,13 +54,29 @@ long paths need no recursion-limit change, and ``max_flow`` keeps all
 its state in locals: concurrent calls, on one solver or many, share
 nothing mutable.
 
+Replay
+------
+Every result carries its *support*: every arc on any augmenting path.
+Arcs ``2k`` and ``2k + 1`` run along edge row ``k``, the ``k``-th of
+``graph.edges()``.  A row with neither arc in the support keeps both
+at its full weight for the whole run, so the run reads it only through
+``cap[a] > _EPS`` tests, never through a bottleneck ``min``.  Change such a row's weight without moving it
+across ``_EPS`` (and change no vertex or row order) and every BFS test,
+DFS test, bottleneck, ``cap`` update and the final reachability test
+read the same values: the run repeats augmentation for augmentation
+and returns the same value and source side, bit for bit, for any
+floats.  :func:`repro.flow.gomory_hu.gomory_hu_tree` replays earlier
+flows on that argument instead of running them again.
+
 Differentially tested against ``networkx.maximum_flow``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable
+
+import numpy as np
 
 from ..graph import Graph
 
@@ -74,6 +90,12 @@ class FlowResult:
 
     value: float
     source_side: frozenset
+    #: arcs on any augmenting path, unordered; arc ``a`` runs along
+    #: edge row ``a >> 1`` (Dinic only; see "Replay" above), None when
+    #: the engine records none
+    support: np.ndarray | None = field(
+        default=None, compare=False, repr=False
+    )
 
 
 class DinicSolver:
@@ -106,6 +128,7 @@ class DinicSolver:
         arcs = self._arcs
         cap = list(self._cap_template)
         total = 0.0
+        used: set[int] = set()  # arcs on any augmenting path
         while True:
             # Phase BFS, stopped once the queue reaches t's level.
             level = [-1] * n
@@ -133,6 +156,7 @@ class DinicSolver:
                         cap[a] -= f
                         cap[a ^ 1] += f
                     total += f
+                    used.update(path)
                     k = 0
                     while cap[path[k]] > _EPS:
                         k += 1
@@ -164,7 +188,8 @@ class DinicSolver:
                     it[v] += 1
         vertices = self._vertices
         side = frozenset(vertices[i] for i in range(n) if level[i] >= 0)
-        return FlowResult(value=total, source_side=side)
+        support = np.fromiter(used, dtype=np.int32, count=len(used))
+        return FlowResult(value=total, source_side=side, support=support)
 
 
 def min_st_cut(graph: Graph, s: Vertex, t: Vertex) -> FlowResult:

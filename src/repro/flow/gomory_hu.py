@@ -13,6 +13,24 @@ values — the property Definition 8 demands).  Each tree edge also
 records the concrete side found by its max-flow call, so the
 Saran–Vazirani union-of-cuts construction can be materialised.
 
+Replaying flows
+---------------
+A Gusfield tree keeps its :class:`FlowRecords`: the vertex order,
+edge rows and weights it was built on, and each child's ``(parent,
+FlowResult)``.  Passed back as ``prior=``, those records let a later
+build skip flows.  Take the rows whose weight changed since the
+snapshot.  A flow whose support (the rows on its augmenting paths,
+:mod:`repro.flow.dinic`) misses all of them would, run again, repeat
+bit for bit, as long as no changed row crossed ``_EPS``.  Gusfield's
+step for ``v`` is a flow from ``v`` to ``parent[v]``, and ``parent[v]``
+is fixed by the earlier steps' sides.  So, step by step, a build that
+replays such a flow whenever ``parent[v]`` is the recorded one returns
+exactly what a cold build of the current rows returns, edge for edge.
+Different vertices, rows or engine, or a changed row crossing
+``_EPS``, replay nothing, and only Dinic results carry a support.
+:func:`repair_gomory_hu` replays the same records for
+the edges it recomputes.
+
 Property-tested: min edge on tree path == direct Dinic min cut for all
 pairs on small random graphs.
 """
@@ -20,14 +38,14 @@ pairs on small random graphs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Hashable, Iterable
 
 import numpy as np
 
 from ..graph import Graph, IndexDSU
-from .dinic import DinicSolver
+from .dinic import _EPS, DinicSolver
 from .push_relabel import PushRelabelSolver
 
 Vertex = Hashable
@@ -54,6 +72,44 @@ class GomoryHuEdge:
     child_side: frozenset
 
 
+@dataclass(frozen=True)
+class FlowRecords:
+    """What a Gusfield build ran: its input and every child's flow."""
+
+    engine: str
+    vertices: list
+    #: ``(us, vs, ws)`` edge columns of the graph the flows ran on
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray]
+    #: child -> (parent, FlowResult) of its Gusfield step
+    flows: dict
+
+
+def _replayable(prior: "GomoryHuTree | None", engine: str,
+                vertices: list, rows: tuple) -> dict:
+    """``prior``'s flows that a run on ``rows`` would repeat bit for bit
+    (see "Replaying flows" above), as ``(child, parent) -> FlowResult``;
+    empty without records, or when the engine, vertices or ``(u, v)``
+    rows differ or a changed weight crosses ``_EPS``."""
+    records = None if prior is None else prior.flows
+    if records is None:
+        return {}
+    us, vs, ws = rows
+    old_us, old_vs, old_ws = records.rows
+    if (engine != records.engine or vertices != records.vertices
+            or not np.array_equal(us, old_us)
+            or not np.array_equal(vs, old_vs)):
+        return {}
+    changed = ws != old_ws
+    if ((ws[changed] > _EPS) != (old_ws[changed] > _EPS)).any():
+        return {}
+    changed_arcs = np.repeat(changed, 2)  # arcs 2k, 2k + 1 run along row k
+    return {
+        (child, parent): res
+        for child, (parent, res) in records.flows.items()
+        if res.support is not None and not changed_arcs[res.support].any()
+    }
+
+
 @dataclass
 class GomoryHuTree:
     """The tree plus query helpers.
@@ -74,6 +130,11 @@ class GomoryHuTree:
 
     graph: Graph
     edges: tuple[GomoryHuEdge, ...]
+    #: a full build's flows, which a later ``prior=`` build replays
+    flows: FlowRecords | None = field(default=None, compare=False,
+                                      repr=False)
+    #: max-flows this construction took from ``prior`` instead of running
+    replayed: int = field(default=0, compare=False, repr=False)
 
     @cached_property
     def _up(self) -> dict[Vertex, GomoryHuEdge]:
@@ -213,38 +274,59 @@ def cut_tree_tables(
     return tree, matrix[unpermute].tolist(), bottleneck[unpermute].tolist()
 
 
-def gomory_hu_tree(graph: Graph, *, engine: str = "dinic") -> GomoryHuTree:
+def gomory_hu_tree(
+    graph: Graph,
+    *,
+    engine: str = "dinic",
+    prior: GomoryHuTree | None = None,
+) -> GomoryHuTree:
     """Build the (flow-equivalent) Gomory–Hu tree with Gusfield's method.
 
     ``engine`` selects the max-flow implementation: ``"dinic"``
     (default) or ``"push_relabel"`` — two independently-derived solvers
     whose agreement the flow tests cross-check, so a flow bug cannot
     silently skew the k-cut quality numbers built on this tree.
+
+    ``prior`` is an earlier build with the same engine; its flows that
+    the current rows would repeat are replayed instead of run (see
+    "Replaying flows" above), so the result equals a cold build.
     """
     vertices = graph.vertices()
     if len(vertices) < 2:
         raise ValueError("need n >= 2")
     if len(graph.components()) != 1:
         raise ValueError("graph must be connected")
-    solver = _flow_engine(engine)(graph)
+    rows = graph.edge_arrays()
+    reuse = _replayable(prior, engine, vertices, rows)
+    solver, replayed = None, 0
     root = vertices[0]
     parent: dict[Vertex, Vertex] = {v: root for v in vertices[1:]}
-    weight: dict[Vertex, float] = {}
-    side_of: dict[Vertex, frozenset] = {}
+    flows: dict[Vertex, tuple] = {}
     for i, v in enumerate(vertices[1:], start=1):
-        res = solver.max_flow(v, parent[v])
-        weight[v] = res.value
-        side_of[v] = res.source_side
+        p = parent[v]
+        res = reuse.get((v, p))
+        if res is None:
+            if solver is None:
+                solver = _flow_engine(engine)(graph)
+            res = solver.max_flow(v, p)
+        else:
+            replayed += 1
+        flows[v] = (p, res)
         for u in vertices[i + 1 :]:
-            if parent[u] == parent[v] and u in res.source_side:
+            if parent[u] == p and u in res.source_side:
                 parent[u] = v
     edges = tuple(
         GomoryHuEdge(
-            child=v, parent=parent[v], weight=weight[v], child_side=side_of[v]
+            child=v, parent=p, weight=res.value, child_side=res.source_side
         )
-        for v in vertices[1:]
+        for v, (p, res) in flows.items()
     )
-    return GomoryHuTree(graph=graph, edges=edges)
+    return GomoryHuTree(
+        graph=graph,
+        edges=edges,
+        flows=FlowRecords(engine, vertices, rows, flows),
+        replayed=replayed,
+    )
 
 
 def repair_gomory_hu(
@@ -253,6 +335,7 @@ def repair_gomory_hu(
     changed: Iterable[tuple[Vertex, Vertex, float, float]],
     *,
     max_flows: int | None = None,
+    prior: GomoryHuTree | None = None,
 ) -> tuple[GomoryHuTree, tuple[Vertex, ...]] | None:
     """Localized Gomory–Hu repair after a mixed-sign weight delta.
 
@@ -301,6 +384,13 @@ def repair_gomory_hu(
     ``max_flows`` caps the total flow budget (the L-flows plus the
     recomputed edges); when the repair would exceed it the function
     returns ``None`` and the caller should rebuild instead.
+
+    ``prior`` is a Dinic-built full tree (usually the one ``tree``
+    descends from): a recomputed edge whose ``(child, parent)`` flow it
+    recorded, with a support that misses every row changed since, takes
+    that result instead of running the flow (the returned tree's
+    ``replayed``).  The budget still counts it, so the repair-or-rebuild
+    decision and the result are those of a call without ``prior``.
     """
     net = [(u, v, old, new) for u, v, old, new in changed if old != new]
     if len(graph.components()) != 1:
@@ -345,7 +435,10 @@ def repair_gomory_hu(
     if max_flows is not None and len(decreased) + fresh_flows > max_flows:
         return None
 
-    all_vertices = frozenset(graph.vertices())
+    vertices = graph.vertices()
+    replay = _replayable(prior, "dinic", vertices, graph.edge_arrays())
+    replayed = 0
+    all_vertices = frozenset(vertices)
     edges = []
     for e in tree.edges:
         if e.child in todo:
@@ -358,7 +451,11 @@ def repair_gomory_hu(
                     else all_vertices - res.source_side
                 )
             else:
-                res = solver.max_flow(e.child, e.parent)
+                res = replay.get((e.child, e.parent))
+                if res is None:
+                    res = solver.max_flow(e.child, e.parent)
+                else:
+                    replayed += 1
                 side = res.source_side
             edges.append(
                 GomoryHuEdge(
@@ -370,7 +467,10 @@ def repair_gomory_hu(
             )
         else:
             edges.append(e)
-    return GomoryHuTree(graph=graph, edges=tuple(edges)), recompute
+    return (
+        GomoryHuTree(graph=graph, edges=tuple(edges), replayed=replayed),
+        recompute,
+    )
 
 
 def gomory_hu_tree_contracted(

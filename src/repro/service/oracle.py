@@ -65,6 +65,16 @@ remove plus a re-add moves the row, and a cold build of the moved rows
 can record other sides).  :meth:`CutOracle.all_pairs` serves only a
 fresh tree and rebuilds any other.
 
+A rebuild need not run all ``n - 1`` flows.  The state keeps the last
+full build as its *replay basis*; masks, repairs and repair fallbacks
+carry it over, and new vertices drop it.  Each build passes it to
+``gomory_hu_tree(graph, prior=basis)``, which reuses every recorded
+flow whose augmenting paths miss all rows changed since and runs the
+rest (:mod:`repro.flow.gomory_hu`, "Replaying flows").  The result is
+still exactly a cold build of the current rows.  Repairs reuse the same
+records for the edges they recompute without changing which edges
+those are.  ``replayed_flows`` counts the flows taken from the basis.
+
 An increase away from the bridge keeps the tree, and the next answer
 is certified instead of rebuilt:
 
@@ -125,6 +135,9 @@ class _State:
     #: the tree's exactness point was a repair (names the ``/stats``
     #: ``mode`` only)
     repaired: bool = False
+    #: the last full build, whose recorded flows later builds and
+    #: repairs replay; kept across masks, repairs and fallbacks
+    basis: GomoryHuTree | None = None
 
 
 class CutOracle:
@@ -143,6 +156,7 @@ class CutOracle:
         "repairs",
         "repaired_edges",
         "repair_fallbacks",
+        "replayed_flows",
     )
 
     def __init__(
@@ -256,9 +270,12 @@ class CutOracle:
                     sp.set(num_vertices=seen.graph.num_vertices)
                     if rebuild:
                         sp.set(rebuild=True)
-                built = gomory_hu_tree(seen.graph)
-            self._state = _State(seen.graph, built)
+                built = gomory_hu_tree(seen.graph, prior=seen.basis)
+                if sp:
+                    sp.set(replayed_flows=built.replayed)
+            self._state = _State(seen.graph, built, basis=built)
             self._inc("builds")
+            self._inc("replayed_flows", built.replayed)
             if rebuild:
                 self._inc("mask_rebuilds")
 
@@ -295,7 +312,8 @@ class CutOracle:
             if len(graph.components()) == 1:
                 with self._tracer.span("oracle.repair") as sp:
                     repaired = repair_gomory_hu(
-                        tree, graph, net.values(), max_flows=max(n - 2, 0)
+                        tree, graph, net.values(), max_flows=max(n - 2, 0),
+                        prior=seen.basis,
                     )
                     if sp:
                         sp.set(
@@ -304,17 +322,22 @@ class CutOracle:
                             repaired_edges=(
                                 len(repaired[1]) if repaired else -1
                             ),
+                            replayed_flows=(
+                                repaired[0].replayed if repaired else 0
+                            ),
                         )
             if repaired is None:
-                self._state = _State(graph)
+                self._state = _State(graph, basis=seen.basis)
                 self._inc("repair_fallbacks")
                 return
             new_tree, recomputed = repaired
             self._state = _State(
-                graph, new_tree, touched=frozenset(), repaired=True
+                graph, new_tree, touched=frozenset(), repaired=True,
+                basis=seen.basis,
             )
             self._inc("repairs")
             self._inc("repaired_edges", len(recomputed))
+            self._inc("replayed_flows", new_tree.replayed)
 
     def _current(self) -> _State:
         """A built, settled state — building / settling lazily and

@@ -50,6 +50,19 @@ class TestValidity:
         with pytest.raises(ValueError, match="max_copies"):
             ampc_min_cut(planted_cut(32, seed=1).graph, max_copies=max_copies)
 
+    @pytest.mark.parametrize("max_copies", [1, 0])
+    def test_boosted_rejects_fewer_than_two_copies_on_a_solved_kernel(
+        self, max_copies
+    ):
+        """A kernel that solves the instance used to answer before the
+        cap was checked, so ``max_copies=0`` returned weight 0.0."""
+        g = Graph(edges=[(0, 1, 1.0), (2, 3, 1.0)])
+        with pytest.raises(ValueError, match="max_copies must be >= 2"):
+            ampc_min_cut_boosted(g, preprocess="safe", max_copies=max_copies)
+        assert ampc_min_cut_boosted(
+            g, preprocess="safe", max_copies=2
+        ).weight == 0.0
+
     def test_rejects_base_size_zero_up_front(self, monkeypatch):
         """``base_size=0`` used to fail deep in Algorithm 3 ("smallest
         singleton cut needs n >= 2"); now it fails before any copy."""

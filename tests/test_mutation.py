@@ -559,10 +559,10 @@ class TestOracleDelta:
         real_build = oracle_module.gomory_hu_tree
         building, release = threading.Event(), threading.Event()
 
-        def blocked_build(graph):
+        def blocked_build(graph, **kw):
             building.set()
             release.wait(timeout=30)
-            return real_build(graph)
+            return real_build(graph, **kw)
 
         monkeypatch.setattr(oracle_module, "gomory_hu_tree", blocked_build)
         oracle = CutOracle(two_triangles())

@@ -156,9 +156,9 @@ def test_gomoryhu_then_sparsestcut_builds_one_tree(monkeypatch):
     builds = []
 
     def counted(build):
-        def gomory_hu_tree(graph):
+        def gomory_hu_tree(graph, **kw):
             builds.append(graph.num_vertices)
-            return build(graph)
+            return build(graph, **kw)
         return gomory_hu_tree
 
     for module in (oracle_module, sparsest_module):
